@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Sequence
 
 from .g2p import RuleTable, transliterate
-from .ipa import ClassificationTable, PhonemeSequence, SoundClass, classify
+from .ipa import ClassificationTable, PhonemeSequence, classify
 
 ARTICLES = ("der", "des", "dem", "den", "die", "das")
 

@@ -105,27 +105,3 @@ def corpus_bleu(hyps, refs, variant: str | None = None, epoch: int | None = None
         score = 0.0
     return BleuReport(score, tuple(precisions), c, r, bp, variant, epoch)
 
-
-def evaluate_checkpoint(ckpt, manifest, vocab=None, split: str = "test",
-                        max_target_len: int | None = None) -> BleuReport:
-    """Greedy-decode a split under a checkpoint and score against the
-    reference atom sequences.
-
-    If a vocabulary is passed, its variant label must match the
-    checkpoint's (guards against scoring with the wrong unit table).
-    """
-    from .training import VocabMismatch, decode_split
-
-    if vocab is not None and vocab.variant != ckpt.variant:
-        raise VocabMismatch(
-            f"checkpoint was trained with variant {ckpt.variant!r}, got {vocab.variant!r}"
-        )
-    decoded = decode_split(ckpt, manifest, split=split, max_target_len=max_target_len)
-    if not decoded:
-        raise EmptyCorpus(f"manifest has no {split!r} split")
-    for utt, _ in decoded:
-        if utt.phonemes is None:
-            raise ValueError(f"utterance {utt.utt_id!r} is not augmented")
-    hyps = [result.sequence.tokens for _, result in decoded]
-    refs = [utt.phonemes.tokens for utt, _ in decoded]
-    return corpus_bleu(hyps, refs, variant=ckpt.variant, epoch=ckpt.epoch)

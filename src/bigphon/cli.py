@@ -13,11 +13,12 @@ import argparse
 import glob
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__
 from .analysis import ARTICLES, ErrorReport, article_accuracy, diagnose_sentence, render_marked
-from .bleu import EmptyCorpus, corpus_bleu, evaluate_checkpoint
+from .bleu import EmptyCorpus
 from .corpus import (
     DuplicateId,
     ManifestParseError,
@@ -73,14 +74,13 @@ INPUT_ERRORS = (
 )
 
 
+def _load_classes(args) -> ClassificationTable:
+    return ClassificationTable.load(args.classes) if args.classes else load_default_classification()
+
+
 def _load_tables(args):
     rules = load_rule_table(args.rules) if args.rules else load_default_rules()
-    table = (
-        ClassificationTable.load(args.classes)
-        if getattr(args, "classes", None)
-        else load_default_classification()
-    )
-    return rules, table
+    return rules, _load_classes(args)
 
 
 def _parse_split_sizes(text: str) -> tuple[int, int, int]:
@@ -133,11 +133,7 @@ def _corpus_and_inventory(manifest, table):
 
 
 def cmd_vocab(args) -> int:
-    table = (
-        ClassificationTable.load(args.classes)
-        if args.classes
-        else load_default_classification()
-    )
+    table = _load_classes(args)
     manifest = ingest(args.manifest)
     inventory, train_seqs = _corpus_and_inventory(manifest, table)
     labels = VARIANT_LABELS if args.all else (args.variant,)
@@ -172,11 +168,7 @@ def _model_config(args) -> ModelConfig:
 
 
 def cmd_train(args) -> int:
-    table = (
-        ClassificationTable.load(args.classes)
-        if args.classes
-        else load_default_classification()
-    )
+    table = _load_classes(args)
     manifest = ingest(args.manifest)
     inventory, _ = _corpus_and_inventory(manifest, table)
     vocab = read_vocab(args.vocab, inventory)
@@ -199,7 +191,7 @@ def cmd_train(args) -> int:
                 "source_mode": args.source,
                 "manifest": str(args.manifest),
                 "vocab": str(args.vocab),
-                "config": config.to_dict(),
+                "config": asdict(config),
             },
             indent=2,
             sort_keys=True,
@@ -233,7 +225,7 @@ def cmd_evaluate(args) -> int:
                 raise VocabMismatch(
                     f"{vocab_path} does not match units stored in {path}"
                 )
-        report = evaluate_checkpoint(ckpt, manifest, split=args.split)
+        _, report = decode_split(ckpt, manifest, split=args.split)
         name = f"bleu_{ckpt.variant}_epoch{ckpt.epoch:04d}.json"
         (out / name).write_text(report.to_json() + "\n", encoding="utf-8")
         grid.setdefault(ckpt.epoch, {})[ckpt.variant] = report.bleu
@@ -258,17 +250,12 @@ def cmd_errors(args) -> int:
     rules, table = _load_tables(args)
     manifest = ingest(args.manifest)
     ckpt = load_checkpoint(args.ckpt)
-    decoded = decode_split(ckpt, manifest, split=args.split)
-    if not decoded:
-        raise EmptyCorpus(f"manifest has no {args.split!r} split")
+    decoded, bleu = decode_split(ckpt, manifest, split=args.split)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     report = ErrorReport()
     rendered: list[str] = []
-    for utt, _ in decoded:
-        if utt.phonemes is None:
-            raise ValueError(f"utterance {utt.utt_id!r} is not augmented")
     for utt, result in decoded:
         diag = diagnose_sentence(
             utt.utt_id,
@@ -300,7 +287,6 @@ def cmd_errors(args) -> int:
     table3 = header + ["model," + ",".join(ARTICLES) + ",avg", ",".join(row)]
     (out / "articles.csv").write_text("\n".join(table3) + "\n", encoding="utf-8")
 
-    bleu = corpus_bleu(hyps, [r.tokens for r in refs], variant=ckpt.variant, epoch=ckpt.epoch)
     totals = report.totals()
     print(
         f"sentences={totals['sentences']} repetitions={totals['repetitions']} "

@@ -93,9 +93,6 @@ class ClassificationTable:
         except KeyError:
             raise UnknownCharacter(ch, 0) from None
 
-    def base_characters(self) -> tuple[str, ...]:
-        return tuple(self._mapping)
-
     @classmethod
     def from_text(cls, text: str) -> "ClassificationTable":
         mapping: dict[str, SoundClass] = {}

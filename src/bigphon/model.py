@@ -59,36 +59,22 @@ class ModelConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
+        if self.heads < 1:
+            raise ValueError("heads must be at least 1")
         if self.d_model % self.heads != 0:
             raise ValueError("d_model must be divisible by heads")
+        if self.epochs < 1:
+            raise ValueError("epochs must be at least 1")
         if self.checkpoint_interval <= 0 or self.epochs % self.checkpoint_interval:
             raise ValueError("checkpoint_interval must divide epochs")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
         if self.encoder_layers < 1 or self.decoder_layers < 1:
             raise ValueError("need at least one encoder and one decoder layer")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if not 0 <= self.dropout < 1:
             raise ValueError("dropout must be in [0, 1)")
-
-    def to_dict(self) -> dict:
-        return {
-            "d_model": self.d_model,
-            "heads": self.heads,
-            "d_ff": self.d_ff,
-            "encoder_layers": self.encoder_layers,
-            "decoder_layers": self.decoder_layers,
-            "epochs": self.epochs,
-            "checkpoint_interval": self.checkpoint_interval,
-            "max_target_len": self.max_target_len,
-            "seed": self.seed,
-            "learning_rate": self.learning_rate,
-            "batch_size": self.batch_size,
-            "dropout": self.dropout,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -218,10 +204,6 @@ def init_params(
             bound = 1.0 / math.sqrt(fan_in)
             params[name] = rng.uniform(-bound, bound, size=shape)
     return params
-
-
-def count_params(config: ModelConfig, dims: ModelDims) -> int:
-    return sum(int(np.prod(shape)) for _, shape in param_index(config, dims))
 
 
 def flatten_params(params: dict[str, np.ndarray], index) -> np.ndarray:
@@ -527,52 +509,8 @@ def loss_and_gradient(params, config, dims, batch, dropout_rng=None):
     return loss, grads, n_tokens
 
 
-def gradient(params, config: ModelConfig, batch: Batch) -> np.ndarray:
-    """Flat gradient vector in canonical parameter order (no dropout)."""
-    dims = infer_dims(params)
-    _, grads, _ = loss_and_gradient(params, config, dims, batch)
-    return flatten_params(grads, param_index(config, dims))
-
-
 # ---------------------------------------------------------------------------
-# single-sequence interface
-
-
-def _single_batch(source, target_ids, dims: ModelDims) -> Batch:
-    if dims.feature_dim is None:
-        src = np.asarray([source], dtype=np.int64)
-        src_mask = np.ones_like(src, dtype=bool)
-    else:
-        arr = np.asarray(source, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != dims.feature_dim:
-            raise ShapeMismatch(
-                f"feature source {arr.shape} does not match feature_dim={dims.feature_dim}"
-            )
-        src = arr[None, :, :]
-        src_mask = np.ones((1, arr.shape[0]), dtype=bool)
-    tgt = np.asarray([target_ids], dtype=np.int64)
-    return Batch(src, src_mask, tgt_in=tgt, tgt_out=np.full_like(tgt, PAD_ID))
-
-
-def forward(params, config: ModelConfig, source, target_prefix) -> np.ndarray:
-    """Logits (len(target_prefix), vocab) for one teacher-forced prefix."""
-    if len(target_prefix) == 0:
-        raise ShapeMismatch("target_prefix must be non-empty")
-    dims = infer_dims(params)
-    batch = _single_batch(source, list(target_prefix), dims)
-    logits, _ = forward_batch(params, config, dims, batch)
-    return logits[0]
-
-
-def loss(logits: np.ndarray, target) -> float:
-    """Mean cross-entropy of a single (T, V) logit block vs T target ids."""
-    target = np.asarray(target, dtype=np.int64)
-    if logits.ndim != 2 or target.ndim != 1 or logits.shape[0] != target.shape[0]:
-        raise LengthMismatch(
-            f"logits {logits.shape} do not align with target of length {target.shape}"
-        )
-    value, _, _ = batch_loss_and_dlogits(logits[None], target[None])
-    return value
+# decoding
 
 
 @dataclass(frozen=True)
@@ -582,26 +520,19 @@ class DecodeResult:
     truncated: bool
 
 
-def greedy_decode(
-    params,
-    config: ModelConfig,
-    source,
-    vocab: Vocabulary,
-    max_target_len: int | None = None,
-) -> DecodeResult:
-    """Argmax decoding from BOS until EOS or the length cap (flagged).
+def greedy_decode(params, config: ModelConfig, source, vocab: Vocabulary) -> DecodeResult:
+    """Argmax decoding from BOS until EOS or config.max_target_len (flagged).
 
     The encoder runs once; the decoder reruns over the growing prefix
     (quadratic in output length, fine at this scale).
     """
     dims = infer_dims(params)
-    limit = config.max_target_len if max_target_len is None else max_target_len
-    batch = _single_batch(source, [BOS_ID], dims)
+    batch = make_batch([source], [[]], dims)
     enc_out, src_add = _encoder_forward(params, config, dims, batch, 0.0, None, {})
     prefix = [BOS_ID]
     emitted: list[int] = []
     truncated = True
-    for _ in range(limit):
+    for _ in range(config.max_target_len):
         tgt_in = np.asarray([prefix], dtype=np.int64)
         logits = _decoder_forward(params, config, enc_out, src_add, tgt_in, 0.0, None, {})
         nxt = int(np.argmax(logits[0, -1]))

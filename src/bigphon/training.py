@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .bleu import BleuReport, EmptyCorpus, corpus_bleu
 from .corpus import CorpusManifest, Utterance
 from .ipa import Phoneme, PhonemeInventory, SoundClass
 from .model import (
-    Batch,
     DecodeResult,
     ModelConfig,
     ModelDims,
@@ -116,20 +116,23 @@ class Checkpoint:
     def params(self) -> dict[str, np.ndarray]:
         return unflatten_params(self.params_flat, param_index(self.config, self.dims))
 
-    def decode_source(self, utt: Utterance):
-        if self.codec is not None:
-            return self.codec.encode(utt.text)
-        if not utt.feature_path:
-            raise ValueError(f"utterance {utt.utt_id!r} has no feature_path")
-        return load_features(utt.feature_path)
-
 
 def load_features(path) -> np.ndarray:
     """Externally precomputed per-frame features: a (T, F) .npy array."""
     arr = np.load(path, allow_pickle=False)
-    if arr.ndim != 2:
-        raise ValueError(f"{path}: expected a 2-D (frames, dim) array, got {arr.shape}")
+    if arr.ndim != 2 or arr.shape[0] == 0:
+        raise ValueError(f"{path}: expected a non-empty 2-D (frames, dim) array, got {arr.shape}")
     return np.asarray(arr, dtype=np.float64)
+
+
+def encode_source(utt: Utterance, codec: SourceCodec | None):
+    """Model input for one utterance: its text's codec ids, or its features
+    when there is no codec (feature mode)."""
+    if codec is not None:
+        return codec.encode(utt.text)
+    if not utt.feature_path:
+        raise ValueError(f"utterance {utt.utt_id!r} has no feature_path")
+    return load_features(utt.feature_path)
 
 
 def _vocab_header(vocab: Vocabulary) -> dict:
@@ -150,7 +153,7 @@ def _vocab_from_header(header: dict) -> Vocabulary:
 def save_checkpoint(ckpt: Checkpoint, path):
     header = {
         "epoch": ckpt.epoch,
-        "config": ckpt.config.to_dict(),
+        "config": asdict(ckpt.config),
         "variant": ckpt.variant,
         "source_vocab": ckpt.dims.source_vocab,
         "feature_dim": ckpt.dims.feature_dim,
@@ -183,7 +186,7 @@ def load_checkpoint(path) -> Checkpoint:
         header_len = int.from_bytes(f.read(8), "little")
         header = json.loads(f.read(header_len).decode("utf-8"))
         payload = f.read()
-    config = ModelConfig.from_dict(header["config"])
+    config = ModelConfig(**header["config"])
     dims = ModelDims(
         target_vocab=len(header["vocab"]["atoms"]) + len(header["vocab"]["bigrams"]) + 4,
         source_vocab=header["source_vocab"],
@@ -227,10 +230,7 @@ def _prepare_examples(utterances, vocab: Vocabulary, codec: SourceCodec | None):
     for utt in utterances:
         if utt.phonemes is None:
             raise ValueError(f"utterance {utt.utt_id!r} is not augmented")
-        if codec is not None:
-            sources.append(codec.encode(utt.text))
-        else:
-            sources.append(load_features(utt.feature_path))
+        sources.append(encode_source(utt, codec))
         targets.append(tokenize(utt.phonemes, vocab).ids)
     return sources, targets
 
@@ -287,7 +287,7 @@ def train(
         dims = ModelDims(target_vocab=len(vocab), source_vocab=codec.size)
     else:
         codec = None
-        first = load_features(train_utts[0].feature_path)
+        first = encode_source(train_utts[0], None)
         dims = ModelDims(target_vocab=len(vocab), feature_dim=first.shape[1])
 
     train_src, train_tgt = _prepare_examples(train_utts, vocab, codec)
@@ -326,7 +326,7 @@ def train(
                 loss, grads, ntok = loss_and_gradient(
                     params, config, dims, batch, dropout_rng=rng_dropout
                 )
-            except (NonFiniteLoss, ArithmeticError) as exc:
+            except ArithmeticError as exc:
                 raise NonFiniteLoss(
                     f"epoch {epoch}, step {step + 1}: {exc}"
                 ) from exc
@@ -358,24 +358,36 @@ def train(
             header_lines=[
                 f"seed={config.seed}",
                 f"variant={vocab.variant}",
-                f"config={json.dumps(config.to_dict(), sort_keys=True)}",
+                f"config={json.dumps(asdict(config), sort_keys=True)}",
             ],
         )
     return TrainResult(trace, checkpoints)
 
 
 def decode_split(
-    ckpt: Checkpoint,
-    manifest: CorpusManifest,
-    split: str = "test",
-    max_target_len: int | None = None,
-) -> list[tuple[Utterance, DecodeResult]]:
-    """Greedy-decode every utterance of a split under a checkpoint."""
-    results = []
+    ckpt: Checkpoint, manifest: CorpusManifest, split: str = "test"
+) -> tuple[list[tuple[Utterance, DecodeResult]], BleuReport]:
+    """Greedy-decode every utterance of a split under a checkpoint and
+    BLEU-score the decodes against the reference atom sequences.
+
+    The split must be non-empty and augmented; both are checked before the
+    first decode.
+    """
+    utts = manifest.by_split(split)
+    if not utts:
+        raise EmptyCorpus(f"manifest has no {split!r} split")
+    for utt in utts:
+        if utt.phonemes is None:
+            raise ValueError(f"utterance {utt.utt_id!r} is not augmented")
     params = ckpt.params
-    for utt in manifest.by_split(split):
-        source = ckpt.decode_source(utt)
-        results.append(
-            (utt, greedy_decode(params, ckpt.config, source, ckpt.vocab, max_target_len))
-        )
-    return results
+    decoded = [
+        (utt, greedy_decode(params, ckpt.config, encode_source(utt, ckpt.codec), ckpt.vocab))
+        for utt in utts
+    ]
+    report = corpus_bleu(
+        [result.sequence.tokens for _, result in decoded],
+        [utt.phonemes.tokens for utt, _ in decoded],
+        variant=ckpt.variant,
+        epoch=ckpt.epoch,
+    )
+    return decoded, report

@@ -178,14 +178,6 @@ class Vocabulary:
         return unit in self._unit_to_id
 
 
-def build_vocab(
-    inventory: PhonemeInventory,
-    bigrams: Sequence[tuple[str, str]],
-    variant: str,
-) -> Vocabulary:
-    return Vocabulary(inventory, bigrams, variant)
-
-
 def build_variant(
     train_corpus: Sequence[PhonemeSequence],
     inventory: PhonemeInventory,
@@ -194,9 +186,9 @@ def build_variant(
     """Build one named variant by counting bigrams on the training corpus."""
     scope, n = parse_variant(variant)
     if scope is None:
-        return build_vocab(inventory, (), variant)
+        return Vocabulary(inventory, (), variant)
     table = count_bigrams(train_corpus, scope, inventory)
-    return build_vocab(inventory, top_n(table, n), variant)
+    return Vocabulary(inventory, top_n(table, n), variant)
 
 
 def build_all_variants(

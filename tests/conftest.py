@@ -1,4 +1,5 @@
-"""Shared fixtures: bundled tables, toy corpora, synthetic inventories."""
+"""Shared fixtures: bundled tables, toy corpora, synthetic inventories, and
+single-sequence model helpers over the batched interface."""
 
 from __future__ import annotations
 
@@ -11,6 +12,16 @@ from bigphon.ipa import (
     PhonemeSequence,
     induce_inventory,
     load_default_classification,
+)
+from bigphon.model import (
+    ModelConfig,
+    batch_loss_and_dlogits,
+    flatten_params,
+    forward_batch,
+    infer_dims,
+    loss_and_gradient,
+    make_batch,
+    param_index,
 )
 
 TOY_WORDS = [
@@ -73,3 +84,26 @@ def synthetic_corpus() -> list[PhonemeSequence]:
 @pytest.fixture(scope="session")
 def synthetic_inventory(classes):
     return induce_inventory(synthetic_corpus(), classes)
+
+
+def forward(params, config: ModelConfig, source, target_prefix) -> np.ndarray:
+    """Logits (len(target_prefix), vocab) for one teacher-forced prefix."""
+    dims = infer_dims(params)
+    batch = make_batch([source], [[]], dims)
+    batch.tgt_in = np.asarray([target_prefix], dtype=np.int64)
+    logits, _ = forward_batch(params, config, dims, batch)
+    return logits[0]
+
+
+def loss(logits: np.ndarray, target) -> float:
+    """Mean cross-entropy of a single (T, V) logit block vs T target ids."""
+    target = np.asarray(target, dtype=np.int64)
+    value, _, _ = batch_loss_and_dlogits(logits[None], target[None])
+    return value
+
+
+def gradient(params, config: ModelConfig, batch) -> np.ndarray:
+    """Flat gradient vector in canonical parameter order (no dropout)."""
+    dims = infer_dims(params)
+    _, grads, _ = loss_and_gradient(params, config, dims, batch)
+    return flatten_params(grads, param_index(config, dims))

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bigphon.bleu import EmptyCorpus, corpus_bleu, evaluate_checkpoint, modified_precision
+from bigphon.bleu import EmptyCorpus, corpus_bleu, modified_precision
 
 
 def oracle_bleu(hyps, refs):
@@ -127,31 +127,13 @@ class TestCorpusBleu:
 
 
 class TestEvaluateCheckpoint:
-    def test_vocab_mismatch_is_hard_error(self, classes):
-        from bigphon.ipa import induce_inventory
-        from bigphon.model import ModelConfig
-        from bigphon.training import VocabMismatch, train
-        from bigphon.vocab import build_variant
-        from conftest import make_toy_manifest
-
-        m = make_toy_manifest(6, seed=8, sizes=(4, 1, 1))
-        inv = induce_inventory([u.phonemes for u in m.utterances], classes)
-        train_seqs = [u.phonemes for u in m.by_split("train")]
-        vocab = build_variant(train_seqs, inv, "base")
-        other = build_variant(train_seqs, inv, "total10")
-        cfg = ModelConfig(
-            epochs=1, checkpoint_interval=1, seed=0, d_model=16, heads=2,
-            d_ff=32, encoder_layers=1, decoder_layers=1, batch_size=4,
-        )
-        ckpt = train(m, vocab, cfg).checkpoints[-1]
-        with pytest.raises(VocabMismatch):
-            evaluate_checkpoint(ckpt, m, vocab=other)
+    """Checkpoint-level scoring through training.decode_split."""
 
     def test_untrained_model_scores_near_zero(self, classes):
         """Random-init checkpoints should stay under BLEU 5, seed-averaged."""
         from bigphon.ipa import induce_inventory
         from bigphon.model import ModelConfig, ModelDims, flatten_params, init_params, param_index
-        from bigphon.training import Checkpoint, SourceCodec
+        from bigphon.training import Checkpoint, SourceCodec, decode_split
         from bigphon.vocab import build_variant
         from conftest import make_toy_manifest
 
@@ -172,5 +154,5 @@ class TestEvaluateCheckpoint:
                 params_flat=flatten_params(params, param_index(cfg, dims)),
                 vocab=vocab, codec=codec,
             )
-            scores.append(evaluate_checkpoint(ckpt, m).bleu)
+            scores.append(decode_split(ckpt, m)[1].bleu)
         assert sum(scores) / len(scores) < 5.0

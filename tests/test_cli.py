@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from bigphon import training
 from bigphon.cli import main
 from bigphon.corpus import CorpusManifest, Utterance, ingest, write_manifest
 
@@ -208,6 +211,76 @@ class TestTrainEvaluateErrors:
         assert csv_lines[0] == "model,der,des,dem,den,die,das,avg"
         assert csv_lines[1].startswith("base,")
         assert (out / "sentences.txt").exists()
+
+
+class TestInputErrors:
+    @pytest.fixture()
+    def vocab_path(self, tmp_path, augmented_manifest):
+        path = tmp_path / "base.vocab"
+        assert main(["vocab", "--manifest", str(augmented_manifest),
+                     "--variant", "base", "--out", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("flag, name", [
+        ("--epochs", "epochs"), ("--heads", "heads"), ("--batch-size", "batch_size"),
+    ])
+    def test_zero_config_value_exits_2(self, tmp_path, augmented_manifest, vocab_path,
+                                       capsys, flag, name):
+        args = train_args(augmented_manifest, vocab_path, tmp_path / "run")
+        args[args.index(flag) + 1] = "0"
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"bigphon: error: {name} must be at least 1\n"
+
+    @pytest.mark.parametrize("missing", [0, 3])
+    def test_train_features_without_feature_path_exits_2(
+        self, tmp_path, augmented_manifest, vocab_path, capsys, missing
+    ):
+        m = ingest(augmented_manifest)
+        missing_id = m.by_split("train")[missing].utt_id
+        utts = []
+        for u in m.utterances:
+            path = tmp_path / f"{u.utt_id}.npy"
+            np.save(path, np.zeros((4, 3)))
+            utts.append(replace(u, feature_path=None if u.utt_id == missing_id else str(path)))
+        mpath = tmp_path / "features.tsv"
+        write_manifest(CorpusManifest(tuple(utts), m.split), mpath)
+        args = train_args(mpath, vocab_path, tmp_path / "run") + ["--source", "features"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert missing_id in err and len(err.splitlines()) == 1
+
+    @pytest.fixture()
+    def checkpoint(self, tmp_path, augmented_manifest, vocab_path):
+        outdir = tmp_path / "run"
+        assert main(train_args(augmented_manifest, vocab_path, outdir)) == 0
+        return outdir / "epoch0002.ckpt"
+
+    @pytest.mark.parametrize("command", ["evaluate", "errors"])
+    @pytest.mark.parametrize("defect", ["unaugmented", "empty"])
+    def test_bad_split_rejected_before_decoding(
+        self, tmp_path, augmented_manifest, checkpoint, monkeypatch, capsys, command, defect
+    ):
+        m = ingest(augmented_manifest)
+        last_test = m.by_split("test")[-1].utt_id
+        if defect == "unaugmented":
+            utts = tuple(replace(u, phonemes=None) if u.utt_id == last_test else u
+                         for u in m.utterances)
+            bad = CorpusManifest(utts, m.split)
+        else:
+            bad = CorpusManifest(m.utterances,
+                                 {k: v for k, v in m.split.items() if v != "test"})
+        mpath = tmp_path / "bad.tsv"
+        write_manifest(bad, mpath)
+        calls = []
+        decode = training.greedy_decode
+        monkeypatch.setattr(training, "greedy_decode",
+                            lambda *args: calls.append(args) or decode(*args))
+        rc = main([command, "--ckpt", str(checkpoint), "--manifest", str(mpath),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert calls == []
+        expected = last_test if defect == "unaugmented" else "no 'test' split"
+        assert expected in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -17,19 +18,18 @@ from bigphon.model import (
     ShapeMismatch,
     batch_loss_and_dlogits,
     flatten_params,
-    forward,
     forward_batch,
-    gradient,
     greedy_decode,
     infer_dims,
     init_params,
-    loss,
     loss_and_gradient,
     make_batch,
     param_index,
     unflatten_params,
 )
-from bigphon.vocab import BOS_ID, EOS_ID, PAD_ID, build_vocab
+from bigphon.vocab import BOS_ID, EOS_ID, PAD_ID, Vocabulary
+
+from conftest import forward, gradient, loss
 
 SMALL = ModelConfig(
     d_model=8,
@@ -251,7 +251,7 @@ class TestGreedyDecode:
     @pytest.fixture()
     def tiny_vocab(self, classes):
         inv = induce_inventory([PhonemeSequence(("a", "l"))], classes)
-        return build_vocab(inv, (), "base")  # PAD BOS EOS UNK a l
+        return Vocabulary(inv, (), "base")  # PAD BOS EOS UNK a l
 
     def test_eos_favoring_model_decodes_empty(self, tiny_vocab):
         dims = ModelDims(target_vocab=len(tiny_vocab), source_vocab=5)
@@ -266,9 +266,15 @@ class TestGreedyDecode:
         dims = ModelDims(target_vocab=len(tiny_vocab), source_vocab=5)
         params = {k: np.zeros_like(v) for k, v in small_params(dims).items()}
         params["out_b"][tiny_vocab.unit_id("a")] = 5.0
-        result = greedy_decode(params, SMALL, [1, 2], tiny_vocab, max_target_len=3)
+        result = greedy_decode(params, replace(SMALL, max_target_len=3), [1, 2], tiny_vocab)
         assert result.truncated
         assert result.sequence.tokens == ("a", "a", "a")
+
+    def test_feature_width_mismatch(self, tiny_vocab):
+        dims = ModelDims(target_vocab=len(tiny_vocab), feature_dim=6)
+        params = small_params(dims)
+        with pytest.raises(ShapeMismatch):
+            greedy_decode(params, SMALL, np.zeros((5, 4)), tiny_vocab)
 
 
 class TestConfig:
@@ -282,7 +288,7 @@ class TestConfig:
 
     def test_round_trip_dict(self):
         cfg = ModelConfig(epochs=20, checkpoint_interval=10, seed=9)
-        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+        assert ModelConfig(**asdict(cfg)) == cfg
 
     def test_dims_exclusive(self):
         with pytest.raises(ValueError):

@@ -120,8 +120,7 @@ class TestOverfit:
         )
         result = train(m, vocab, cfg)
         ckpt = result.checkpoints[-1]
-        decoded = decode_split(ckpt, m, split="train")
-        (utt, res), = decoded
+        ((utt, res),), _ = decode_split(ckpt, m, split="train")
         assert res.sequence.tokens == utt.phonemes.tokens
         assert not res.truncated
 
@@ -182,7 +181,7 @@ class TestFeatureMode:
         ckpt = result.checkpoints[-1]
         assert ckpt.codec is None
         assert ckpt.dims.feature_dim == 5
-        decoded = decode_split(ckpt, m, split="test")
+        decoded, _ = decode_split(ckpt, m, split="test")
         assert len(decoded) == 1
 
     def test_checkpoint_round_trip(self, tmp_path, classes, rules):
@@ -197,10 +196,11 @@ class TestFeatureMode:
         assert loaded.dims.feature_dim == 5
 
     def test_load_features_validates_shape(self, tmp_path):
-        path = tmp_path / "bad.npy"
-        np.save(path, np.zeros(7))
-        with pytest.raises(ValueError):
-            load_features(path)
+        for shape in [(7,), (0, 5)]:
+            path = tmp_path / "bad.npy"
+            np.save(path, np.zeros(shape))
+            with pytest.raises(ValueError):
+                load_features(path)
 
 
 class TestTrace:

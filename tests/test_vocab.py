@@ -18,9 +18,9 @@ from bigphon.vocab import (
     UnknownPhoneme,
     UnknownVariant,
     BigramTable,
+    Vocabulary,
     build_all_variants,
     build_variant,
-    build_vocab,
     count_bigrams,
     detokenize,
     parse_variant,
@@ -134,7 +134,7 @@ class TestVariants:
         corpus = seqs([["a", "l"]])
         inv = induce_inventory(corpus, classes)
         with pytest.raises(UnknownPhoneme):
-            build_vocab(inv, [("a", "z")], "vowel10")
+            Vocabulary(inv, [("a", "z")], "vowel10")
 
     def test_index_bijection_stable(self, synthetic_inventory):
         v1 = build_variant(synthetic_corpus(), synthetic_inventory, "total30")
@@ -150,7 +150,7 @@ class TestTokenize:
     def geist(self, classes):
         corpus = seqs([["g", "a", "ɪ", "s", "t"]], [["a", "ɪ"]])
         inv = induce_inventory(corpus, classes)
-        return build_vocab(inv, [("a", "ɪ")], "vowel10"), corpus
+        return Vocabulary(inv, [("a", "ɪ")], "vowel10"), corpus
 
     def test_maximal_munch(self, geist):
         vocab, corpus = geist
@@ -165,7 +165,7 @@ class TestTokenize:
     def test_base_no_merges(self, classes):
         corpus = seqs([["a", "l", "s"]])
         inv = induce_inventory(corpus, classes)
-        vocab = build_vocab(inv, (), "base")
+        vocab = Vocabulary(inv, (), "base")
         ts = tokenize(corpus[0], vocab)
         assert [vocab.units[i] for i in ts.ids] == ["a", "l", "s"]
 
@@ -202,7 +202,7 @@ class TestDetokenize:
     def vocab(self, classes):
         corpus = seqs([["g", "a", "ɪ", "s", "t"]])
         inv = induce_inventory(corpus, classes)
-        return build_vocab(inv, [("a", "ɪ")], "vowel10")
+        return Vocabulary(inv, [("a", "ɪ")], "vowel10")
 
     def test_inverse_of_tokenize(self, vocab, classes):
         seq = PhonemeSequence(("g", "a", "ɪ", "s", "t"))
@@ -252,7 +252,7 @@ class TestVocabFile:
     def test_merged_written_with_plus(self, tmp_path, classes):
         corpus = seqs([["a", "ɪ"]])
         inv = induce_inventory(corpus, classes)
-        vocab = build_vocab(inv, [("a", "ɪ")], "vowel10")
+        vocab = Vocabulary(inv, [("a", "ɪ")], "vowel10")
         path = tmp_path / "v.vocab"
         write_vocab(vocab, path)
         assert "a+ɪ" in path.read_text(encoding="utf-8").splitlines()
@@ -261,6 +261,6 @@ class TestVocabFile:
         corpus = seqs([["a", "l"]])
         inv = induce_inventory(corpus, classes)
         path = tmp_path / "v.vocab"
-        write_vocab(build_vocab(inv, (), "base"), path)
+        write_vocab(Vocabulary(inv, (), "base"), path)
         with pytest.raises(ValueError):
             read_vocab(path, synthetic_inventory)
