@@ -18,60 +18,15 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import ARTICLES, ErrorReport, article_accuracy, diagnose_sentence, render_marked
-from .bleu import EmptyCorpus
-from .corpus import (
-    DuplicateId,
-    ManifestParseError,
-    SizeMismatch,
-    augment,
-    filter_by_length,
-    ingest,
-    split_corpus,
-    write_manifest,
-)
-from .g2p import (
-    RuleParseError,
-    UndeclaredClass,
-    UnmappableGrapheme,
-    load_default_rules,
-    load_rule_table,
-)
-from .ipa import ClassificationTable, UnknownCharacter, induce_inventory, load_default_classification
+from .corpus import augment, filter_by_length, ingest, split_corpus, write_manifest
+from .g2p import load_default_rules, load_rule_table
+from .ipa import ClassificationTable, induce_inventory, load_default_classification
 from .model import ModelConfig, NonFiniteGradient, NonFiniteLoss
-from .training import (
-    CheckpointFormatError,
-    VocabMismatch,
-    decode_split,
-    load_checkpoint,
-    train,
-)
-from .vocab import (
-    VARIANT_LABELS,
-    UnknownPhoneme,
-    UnknownVariant,
-    build_variant,
-    read_vocab,
-    write_vocab,
-)
+from .training import VocabMismatch, decode_split, load_checkpoint, train
+from .vocab import VARIANT_LABELS, build_all_variants, read_vocab, write_vocab
 
-INPUT_ERRORS = (
-    ManifestParseError,
-    DuplicateId,
-    SizeMismatch,
-    RuleParseError,
-    UndeclaredClass,
-    UnmappableGrapheme,
-    UnknownCharacter,
-    UnknownPhoneme,
-    UnknownVariant,
-    VocabMismatch,
-    CheckpointFormatError,
-    EmptyCorpus,
-    FileNotFoundError,
-    NotADirectoryError,
-    IsADirectoryError,
-    ValueError,
-)
+# Every bigphon input error is a ValueError subclass.
+INPUT_ERRORS = (ValueError, FileNotFoundError, NotADirectoryError, IsADirectoryError)
 
 
 def _load_classes(args) -> ClassificationTable:
@@ -142,8 +97,7 @@ def cmd_vocab(args) -> int:
     out = Path(args.out)
     if args.all:
         out.mkdir(parents=True, exist_ok=True)
-    for label in labels:
-        vocab = build_variant(train_seqs, inventory, label)
+    for label, vocab in build_all_variants(train_seqs, inventory, labels).items():
         path = out / f"{label}.vocab" if args.all else out
         write_vocab(vocab, path)
         print(f"{label}: {len(vocab)} units -> {path}")

@@ -247,13 +247,16 @@ def load_default_rules() -> RuleTable:
     return _default_rules
 
 
-def _convert_word(word: str, rules: RuleTable, word_offset: int) -> str:
+def _convert_word(word: str, rules: RuleTable, raw_word: str, offset: int) -> str:
+    """Transliterate `word`, which is `raw_word` without its punctuation;
+    `raw_word` starts at `offset` in the text that error positions count in."""
     out: list[str] = []
     pos = 0
     while pos < len(word):
         rule = rules.best_match(word, pos)
         if rule is None:
-            raise UnmappableGrapheme(word[pos], word_offset + pos, word)
+            kept = [i for i, ch in enumerate(raw_word, offset) if ch not in PUNCTUATION]
+            raise UnmappableGrapheme(word[pos], kept[pos], word)
         out.append(rule.output)
         pos += len(rule.match)
     return "".join(out)
@@ -276,9 +279,7 @@ def transliterate(
     for raw_word in normalized.split():
         offset = normalized.index(raw_word, offset)
         word = "".join(ch for ch in raw_word if ch not in PUNCTUATION)
-        if not word:
-            offset += len(raw_word)
-            continue
-        word_ipa.append(_convert_word(word, rules, offset))
+        if word:
+            word_ipa.append(_convert_word(word, rules, raw_word, offset))
         offset += len(raw_word)
     return segment_ipa(" ".join(word_ipa), table)

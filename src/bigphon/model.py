@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -59,18 +59,18 @@ class ModelConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
-        if self.heads < 1:
-            raise ValueError("heads must be at least 1")
+        for f in fields(self):
+            value, kind = getattr(self, f.name), type(f.default)
+            if type(value) is not kind and not (kind is float and type(value) is int):
+                raise TypeError(f"{f.name} must be {kind.__name__}, got {value!r}")
+        for name in ("d_model", "heads", "d_ff", "encoder_layers", "decoder_layers",
+                     "epochs", "max_target_len", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if self.d_model % self.heads != 0:
             raise ValueError("d_model must be divisible by heads")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
         if self.checkpoint_interval <= 0 or self.epochs % self.checkpoint_interval:
             raise ValueError("checkpoint_interval must divide epochs")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.encoder_layers < 1 or self.decoder_layers < 1:
-            raise ValueError("need at least one encoder and one decoder layer")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if not 0 <= self.dropout < 1:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -184,39 +184,44 @@ def load_checkpoint(path) -> Checkpoint:
         if version != CHECKPOINT_VERSION:
             raise CheckpointFormatError(f"{path}: unsupported version {version}")
         header_len = int.from_bytes(f.read(8), "little")
-        header = json.loads(f.read(header_len).decode("utf-8"))
+        blob = f.read(header_len)
         payload = f.read()
-    config = ModelConfig(**header["config"])
-    dims = ModelDims(
-        target_vocab=len(header["vocab"]["atoms"]) + len(header["vocab"]["bigrams"]) + 4,
-        source_vocab=header["source_vocab"],
-        feature_dim=header["feature_dim"],
-    )
-    expected = sum(
-        int(np.prod(shape)) for _, shape in param_index(config, dims)
-    )
-    flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    if flat.size != expected:
-        raise CheckpointFormatError(
-            f"{path}: parameter payload has {flat.size} values, expected {expected}"
+    try:
+        header = json.loads(blob.decode("utf-8"))
+        unknown = sorted(set(header["config"]) - {f.name for f in fields(ModelConfig)})
+        if unknown:
+            raise TypeError(f"unknown config keys {unknown}")
+        for key, kind in (("epoch", int), ("variant", str)):
+            if type(header[key]) is not kind:
+                raise TypeError(f"{key} must be {kind.__name__}, got {header[key]!r}")
+        config = ModelConfig(**header["config"])
+        dims = ModelDims(
+            target_vocab=len(header["vocab"]["atoms"]) + len(header["vocab"]["bigrams"]) + 4,
+            source_vocab=header["source_vocab"],
+            feature_dim=header["feature_dim"],
         )
-    stored_index = [(name, tuple(shape)) for name, shape in header["param_index"]]
-    if stored_index != param_index(config, dims):
-        raise CheckpointFormatError(f"{path}: parameter index mismatch")
-    codec = (
-        SourceCodec(tuple(header["codec_chars"]))
-        if header["codec_chars"] is not None
-        else None
-    )
-    return Checkpoint(
-        epoch=header["epoch"],
-        config=config,
-        variant=header["variant"],
-        dims=dims,
-        params_flat=flat,
-        vocab=_vocab_from_header(header["vocab"]),
-        codec=codec,
-    )
+        expected = sum(int(np.prod(shape)) for _, shape in param_index(config, dims))
+        flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+        if flat.size != expected:
+            raise CheckpointFormatError(
+                f"{path}: parameter payload has {flat.size} values, expected {expected}"
+            )
+        stored_index = [(name, tuple(shape)) for name, shape in header["param_index"]]
+        if stored_index != param_index(config, dims):
+            raise CheckpointFormatError(f"{path}: parameter index mismatch")
+        codec = (
+            SourceCodec(tuple(header["codec_chars"]))
+            if header["codec_chars"] is not None
+            else None
+        )
+        vocab = _vocab_from_header(header["vocab"])
+    except CheckpointFormatError:
+        raise
+    except KeyError as exc:
+        raise CheckpointFormatError(f"{path}: header has no key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise CheckpointFormatError(f"{path}: bad header: {exc}") from None
+    return Checkpoint(header["epoch"], config, header["variant"], dims, flat, vocab, codec)
 
 
 @dataclass

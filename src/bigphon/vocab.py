@@ -78,49 +78,44 @@ def parse_variant(label: str) -> tuple[BigramScope | None, int]:
     raise UnknownVariant(label)  # pragma: no cover
 
 
-@dataclass(frozen=True)
-class BigramTable:
-    counts: dict[tuple[str, str], int]
-    scope: BigramScope
-
-    def __len__(self) -> int:
-        return len(self.counts)
+_SCOPE_CLASS = {BigramScope.VOWEL: SoundClass.VOWEL, BigramScope.CONSONANT: SoundClass.CONSONANT}
 
 
 def count_bigrams(
     corpus: Iterable[PhonemeSequence],
     scope: BigramScope,
     inventory: PhonemeInventory,
-) -> BigramTable:
+) -> dict[tuple[str, str], int]:
     """Count adjacent within-word token pairs passing the scope filter."""
-    counts: Counter[tuple[str, str]] = Counter()
-    for seq in corpus:
-        for word in seq.words():
-            for a, b in zip(word, word[1:]):
-                if scope is BigramScope.VOWEL:
-                    if (
-                        inventory.class_of(a) is not SoundClass.VOWEL
-                        or inventory.class_of(b) is not SoundClass.VOWEL
-                    ):
-                        continue
-                elif scope is BigramScope.CONSONANT:
-                    if (
-                        inventory.class_of(a) is not SoundClass.CONSONANT
-                        or inventory.class_of(b) is not SoundClass.CONSONANT
-                    ):
-                        continue
-                counts[(a, b)] += 1
-    return BigramTable(dict(counts), scope)
+    counts = Counter(
+        pair for seq in corpus for word in seq.words() for pair in zip(word, word[1:])
+    )
+    return _in_scope(counts, scope, inventory)
 
 
-def top_n(table: BigramTable, n: int) -> list[tuple[str, str]]:
+def _in_scope(
+    counts: dict[tuple[str, str], int], scope: BigramScope, inventory: PhonemeInventory
+) -> dict[tuple[str, str], int]:
+    """The counted pairs whose two members are of the scope's sound class,
+    looked up once per distinct pair, first member first."""
+    wanted = _SCOPE_CLASS.get(scope)
+    if wanted is None:
+        return dict(counts)
+    return {
+        (a, b): n
+        for (a, b), n in counts.items()
+        if inventory.class_of(a) is wanted and inventory.class_of(b) is wanted
+    }
+
+
+def top_n(counts: dict[tuple[str, str], int], n: int, label: str) -> list[tuple[str, str]]:
     """The n most frequent bigrams, count descending, lexicographic ties."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    ranked = sorted(table.counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     if len(ranked) < n:
         warnings.warn(
-            f"only {len(ranked)} bigrams available for top-{n} ({table.scope.value})",
+            f"only {len(ranked)} bigrams available for top-{n} ({label})",
             ShortListWarning,
             stacklevel=2,
         )
@@ -178,26 +173,33 @@ class Vocabulary:
         return unit in self._unit_to_id
 
 
+def build_all_variants(
+    train_corpus: Sequence[PhonemeSequence],
+    inventory: PhonemeInventory,
+    labels: Sequence[str] = VARIANT_LABELS,
+) -> dict[str, Vocabulary]:
+    """Build the named variants from one count of the training corpus's bigrams."""
+    parsed = {label: parse_variant(label) for label in labels}
+    counts = {}
+    if any(scope for scope, _ in parsed.values()):
+        counts = count_bigrams(train_corpus, BigramScope.TOTAL, inventory)
+    return {
+        label: Vocabulary(
+            inventory,
+            top_n(_in_scope(counts, scope, inventory), n, label) if scope else (),
+            label,
+        )
+        for label, (scope, n) in parsed.items()
+    }
+
+
 def build_variant(
     train_corpus: Sequence[PhonemeSequence],
     inventory: PhonemeInventory,
     variant: str,
 ) -> Vocabulary:
     """Build one named variant by counting bigrams on the training corpus."""
-    scope, n = parse_variant(variant)
-    if scope is None:
-        return Vocabulary(inventory, (), variant)
-    table = count_bigrams(train_corpus, scope, inventory)
-    return Vocabulary(inventory, top_n(table, n), variant)
-
-
-def build_all_variants(
-    train_corpus: Sequence[PhonemeSequence], inventory: PhonemeInventory
-) -> dict[str, Vocabulary]:
-    return {
-        label: build_variant(train_corpus, inventory, label)
-        for label in VARIANT_LABELS
-    }
+    return build_all_variants(train_corpus, inventory, (variant,))[variant]
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bigphon import training
+from bigphon import training, vocab
 from bigphon.cli import main
 from bigphon.corpus import CorpusManifest, Utterance, ingest, write_manifest
 
@@ -103,6 +103,25 @@ class TestVocab:
                 "const30", "total10", "total20", "total30",
             )
         )
+
+    def test_all_counts_bigrams_once(self, tmp_path, augmented_manifest, monkeypatch):
+        calls = []
+        count = vocab.count_bigrams
+        monkeypatch.setattr(vocab, "count_bigrams",
+                            lambda *args: calls.append(args) or count(*args))
+        assert main(["vocab", "--manifest", str(augmented_manifest), "--all",
+                     "--out", str(tmp_path / "vocabs")]) == 0
+        assert len(calls) == 1
+
+    def test_single_variant_bytes_match_all(self, tmp_path, augmented_manifest):
+        out = tmp_path / "vocabs"
+        assert main(["vocab", "--manifest", str(augmented_manifest), "--all",
+                     "--out", str(out)]) == 0
+        for label in vocab.VARIANT_LABELS:
+            single = tmp_path / f"single_{label}.vocab"
+            assert main(["vocab", "--manifest", str(augmented_manifest),
+                         "--variant", label, "--out", str(single)]) == 0
+            assert single.read_bytes() == (out / f"{label}.vocab").read_bytes(), label
 
     def test_unknown_variant_rejected_by_parser(self, tmp_path, augmented_manifest):
         with pytest.raises(SystemExit) as exc:
@@ -223,11 +242,11 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("flag, name", [
         ("--epochs", "epochs"), ("--heads", "heads"), ("--batch-size", "batch_size"),
+        ("--d-model", "d_model"), ("--d-ff", "d_ff"), ("--max-target-len", "max_target_len"),
     ])
     def test_zero_config_value_exits_2(self, tmp_path, augmented_manifest, vocab_path,
                                        capsys, flag, name):
-        args = train_args(augmented_manifest, vocab_path, tmp_path / "run")
-        args[args.index(flag) + 1] = "0"
+        args = train_args(augmented_manifest, vocab_path, tmp_path / "run") + [flag, "0"]
         assert main(args) == 2
         assert capsys.readouterr().err == f"bigphon: error: {name} must be at least 1\n"
 
@@ -254,6 +273,29 @@ class TestInputErrors:
         outdir = tmp_path / "run"
         assert main(train_args(augmented_manifest, vocab_path, outdir)) == 0
         return outdir / "epoch0002.ckpt"
+
+    @pytest.mark.parametrize("edit, detail", [
+        (lambda h: h.pop("epoch"), "header has no key 'epoch'"),
+        (lambda h: h["config"].update(layers=2), "unknown config keys ['layers']"),
+        (lambda h: h.update(epoch="2"), "epoch must be int, got '2'"),
+        (lambda h: h["config"].update(d_model="16"), "d_model must be int, got '16'"),
+    ])
+    def test_bad_checkpoint_header_exits_2(self, tmp_path, augmented_manifest, checkpoint,
+                                           capsys, edit, detail):
+        blob = checkpoint.read_bytes()
+        header_len = int.from_bytes(blob[8:16], "little")
+        header = json.loads(blob[16 : 16 + header_len])
+        edit(header)
+        new_header = json.dumps(header).encode("utf-8")
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob[:8] + len(new_header).to_bytes(8, "little") + new_header
+                        + blob[16 + header_len :])
+        rc = main(["evaluate", "--ckpt", str(bad), "--manifest", str(augmented_manifest),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"bigphon: error: {bad}: ") and detail in err
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["evaluate", "errors"])
     @pytest.mark.parametrize("defect", ["unaugmented", "empty"])

@@ -95,6 +95,13 @@ class TestAugment:
         assert exc.value.utterance_id == "bad"
         assert "bad" in str(exc.value)
 
+    def test_error_position_counts_stripped_punctuation(self, rules, classes):
+        m = CorpusManifest((Utterance("u", "AB-1c"),))
+        with pytest.raises(UnmappableGrapheme) as exc:
+            augment(m, rules, classes)
+        assert exc.value.position == 3  # of the NFC-lowercased text "ab-1c"
+        assert exc.value.word == "ab1c"
+
     def test_preserves_count_and_order(self, rules, classes):
         utts = tuple(Utterance(f"u{i}", w) for i, w in enumerate(("als", "sie", "dem")))
         m = augment(CorpusManifest(utts), rules, classes)

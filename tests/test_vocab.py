@@ -7,7 +7,14 @@ import warnings
 import numpy as np
 import pytest
 
-from bigphon.ipa import PhonemeSequence, induce_inventory
+from bigphon.corpus import CorpusManifest, Utterance, augment
+from bigphon.ipa import (
+    PhonemeInventory,
+    PhonemeSequence,
+    SoundClass,
+    UnknownCharacter,
+    induce_inventory,
+)
 from bigphon.vocab import (
     SPECIALS,
     VARIANT_LABELS,
@@ -17,7 +24,6 @@ from bigphon.vocab import (
     TokenizedSequence,
     UnknownPhoneme,
     UnknownVariant,
-    BigramTable,
     Vocabulary,
     build_all_variants,
     build_variant,
@@ -30,77 +36,168 @@ from bigphon.vocab import (
     write_vocab,
 )
 
-from conftest import SYNTH_CONSONANTS, SYNTH_VOWELS, synthetic_corpus
+from conftest import SYNTH_CONSONANTS, SYNTH_VOWELS, make_toy_manifest, synthetic_corpus
 
 
 def seqs(*word_lists):
     return [PhonemeSequence.from_words(w) for w in word_lists]
 
 
+def reference_count_bigrams(corpus, scope, inventory):
+    """Per-occurrence counting with both members' classes looked up at every
+    pair: the oracle for count_bigrams."""
+    counts = {}
+    for seq in corpus:
+        for word in seq.words():
+            for a, b in zip(word, word[1:]):
+                if scope is BigramScope.VOWEL:
+                    if (
+                        inventory.class_of(a) is not SoundClass.VOWEL
+                        or inventory.class_of(b) is not SoundClass.VOWEL
+                    ):
+                        continue
+                elif scope is BigramScope.CONSONANT:
+                    if (
+                        inventory.class_of(a) is not SoundClass.CONSONANT
+                        or inventory.class_of(b) is not SoundClass.CONSONANT
+                    ):
+                        continue
+                counts[(a, b)] = counts.get((a, b), 0) + 1
+    return counts
+
+
+ACCEPTANCE_TEXTS = (
+    "die sonne schien auf das wasser",
+    "ein mann ging durch die stadt",
+    "das kind spielt mit dem ball",
+    "der wind weht über das land",
+    "wir sehen den hellen mond",
+    "als sie von dem schönen Geist und dem Bartscherer überfallen wurden",
+)
+
+
+def acceptance_corpora(rules, classes):
+    """The synthetic 49-atom corpus, the toy training split and the
+    hand-written sentences the acceptance suite trains and checks on."""
+    toy = make_toy_manifest(50, seed=11, sizes=(40, 5, 5), rules=rules, classes=classes)
+    utts = tuple(Utterance(f"p{i}", t) for i, t in enumerate(ACCEPTANCE_TEXTS))
+    sentences = augment(CorpusManifest(utts), rules, classes)
+    return {
+        "synthetic": synthetic_corpus(),
+        "toy": [u.phonemes for u in toy.by_split("train")],
+        "sentences": [u.phonemes for u in sentences.utterances],
+    }
+
+
 class TestCountBigrams:
     def test_hand_enumeration(self, classes):
         corpus = seqs([["a", "l", "s"]], [["a", "l"]])
         inv = induce_inventory(corpus, classes)
-        table = count_bigrams(corpus, BigramScope.TOTAL, inv)
-        assert table.counts == {("a", "l"): 2, ("l", "s"): 1}
+        counts = count_bigrams(corpus, BigramScope.TOTAL, inv)
+        assert counts == {("a", "l"): 2, ("l", "s"): 1}
 
     def test_vowel_scope_empty(self, classes):
         corpus = seqs([["a", "l", "s"]], [["a", "l"]])
         inv = induce_inventory(corpus, classes)
-        assert count_bigrams(corpus, BigramScope.VOWEL, inv).counts == {}
+        assert count_bigrams(corpus, BigramScope.VOWEL, inv) == {}
 
     def test_vowel_pair(self, classes):
         corpus = seqs([["a", "ɪ"]])
         inv = induce_inventory(corpus, classes)
-        assert count_bigrams(corpus, BigramScope.VOWEL, inv).counts == {("a", "ɪ"): 1}
+        assert count_bigrams(corpus, BigramScope.VOWEL, inv) == {("a", "ɪ"): 1}
 
     def test_consonant_scope(self, classes):
         corpus = seqs([["a", "l", "s"]])
         inv = induce_inventory(corpus, classes)
-        assert count_bigrams(corpus, BigramScope.CONSONANT, inv).counts == {("l", "s"): 1}
+        assert count_bigrams(corpus, BigramScope.CONSONANT, inv) == {("l", "s"): 1}
 
     def test_no_pair_across_word_boundary(self, classes):
         corpus = seqs([["a"], ["ɪ"]])  # one sequence, two words
         inv = induce_inventory(corpus, classes)
-        assert count_bigrams(corpus, BigramScope.TOTAL, inv).counts == {}
+        assert count_bigrams(corpus, BigramScope.TOTAL, inv) == {}
 
     def test_additive(self, classes):
         a = seqs([["a", "l", "s"]])
         b = seqs([["a", "l"]], [["l", "s", "s"]])
         inv = induce_inventory(a + b, classes)
-        both = count_bigrams(a + b, BigramScope.TOTAL, inv).counts
-        ca = count_bigrams(a, BigramScope.TOTAL, inv).counts
-        cb = count_bigrams(b, BigramScope.TOTAL, inv).counts
+        both = count_bigrams(a + b, BigramScope.TOTAL, inv)
+        ca = count_bigrams(a, BigramScope.TOTAL, inv)
+        cb = count_bigrams(b, BigramScope.TOTAL, inv)
         merged = dict(ca)
         for k, v in cb.items():
             merged[k] = merged.get(k, 0) + v
         assert both == merged
 
 
+class TestOneCount:
+    @pytest.mark.parametrize("scope", list(BigramScope))
+    def test_matches_per_occurrence_reference(self, rules, classes, scope):
+        for name, corpus in acceptance_corpora(rules, classes).items():
+            inv = induce_inventory(corpus, classes)
+            got = count_bigrams(corpus, scope, inv)
+            want = reference_count_bigrams(corpus, scope, inv)
+            assert got == want, name
+            assert list(got) == list(want), name  # first-occurrence order too
+
+    @pytest.mark.parametrize("scope", [BigramScope.VOWEL, BigramScope.CONSONANT])
+    def test_unknown_symbol_fails_as_the_reference_does(self, classes, scope):
+        corpus = seqs([["l", "s", "t"]], [["a", "ɪ", "a"]], [["s", "l"]])
+        full = induce_inventory(corpus, classes)
+        outcomes = []
+        for missing in ("l", "s", "t", "a", "ɪ"):
+            inv = PhonemeInventory(tuple(p for p in full.phonemes if p.symbol != missing))
+            for count in (reference_count_bigrams, count_bigrams):
+                try:
+                    outcomes.append(count(corpus, scope, inv))
+                except UnknownCharacter as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[-1] == outcomes[-2], missing
+        assert any(isinstance(o, str) for o in outcomes)
+
+    def test_base_alone_counts_nothing(self, synthetic_inventory, monkeypatch):
+        import bigphon.vocab as vocab_module
+
+        monkeypatch.setattr(vocab_module, "count_bigrams", None)
+        assert len(build_variant(synthetic_corpus(), synthetic_inventory, "base")) == 53
+
+    def test_short_list_warns_only_for_built_variants(self, classes):
+        corpus = seqs([["a", "ɪ", "l", "s"]], [["l", "s"]], [["s", "t"]])
+        inv = induce_inventory(corpus, classes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ShortListWarning)
+            build_all_variants(corpus, inv, ("base",))
+        with pytest.warns(ShortListWarning) as record:
+            build_all_variants(corpus, inv, ("vowel10", "const20"))
+        assert [str(w.message) for w in record] == [
+            "only 1 bigrams available for top-10 (vowel10)",
+            "only 2 bigrams available for top-20 (const20)",
+        ]
+
+
 class TestTopN:
     def test_hand_sort(self):
-        table = BigramTable({("a", "l"): 2, ("l", "s"): 1}, BigramScope.TOTAL)
-        assert top_n(table, 1) == [("a", "l")]
+        counts = {("a", "l"): 2, ("l", "s"): 1}
+        assert top_n(counts, 1, "total") == [("a", "l")]
 
     def test_zero(self):
-        table = BigramTable({("a", "l"): 2}, BigramScope.TOTAL)
-        assert top_n(table, 0) == []
+        counts = {("a", "l"): 2}
+        assert top_n(counts, 0, "total") == []
 
     def test_lexicographic_tie_break(self):
-        table = BigramTable({("a", "b"): 1, ("a", "a"): 1}, BigramScope.TOTAL)
-        assert top_n(table, 1) == [("a", "a")]
+        counts = {("a", "b"): 1, ("a", "a"): 1}
+        assert top_n(counts, 1, "total") == [("a", "a")]
 
     def test_short_list_warns(self):
-        table = BigramTable({("a", "b"): 1}, BigramScope.TOTAL)
+        counts = {("a", "b"): 1}
         with pytest.warns(ShortListWarning):
-            got = top_n(table, 5)
+            got = top_n(counts, 5, "total")
         assert got == [("a", "b")]
 
     def test_permutation_invariant(self, classes):
         corpus = seqs([["a", "l", "s"]], [["l", "s"]], [["a", "ɪ", "s"]])
         inv = induce_inventory(corpus, classes)
-        t1 = top_n(count_bigrams(corpus, BigramScope.TOTAL, inv), 3)
-        t2 = top_n(count_bigrams(corpus[::-1], BigramScope.TOTAL, inv), 3)
+        t1 = top_n(count_bigrams(corpus, BigramScope.TOTAL, inv), 3, "total")
+        t2 = top_n(count_bigrams(corpus[::-1], BigramScope.TOTAL, inv), 3, "total")
         assert t1 == t2
 
 
