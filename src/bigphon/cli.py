@@ -13,20 +13,30 @@ import argparse
 import glob
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
 from .analysis import ARTICLES, ErrorReport, article_accuracy, diagnose_sentence, render_marked
-from .corpus import augment, filter_by_length, ingest, split_corpus, write_manifest
+from .corpus import (
+    augment,
+    filter_by_length,
+    ingest,
+    require_augmented,
+    split_corpus,
+    write_manifest,
+)
 from .g2p import load_default_rules, load_rule_table
 from .ipa import ClassificationTable, induce_inventory, load_default_classification
 from .model import ModelConfig, NonFiniteGradient, NonFiniteLoss
 from .training import VocabMismatch, decode_split, load_checkpoint, train
-from .vocab import VARIANT_LABELS, build_all_variants, read_vocab, write_vocab
+from .vocab import VARIANT_LABELS, build_all_variants, parse_variant, read_vocab, write_vocab
 
 # Every bigphon input error is a ValueError subclass.
 INPUT_ERRORS = (ValueError, FileNotFoundError, NotADirectoryError, IsADirectoryError)
+
+# `train` flags whose spelling differs from their ModelConfig field name.
+FLAG_NAMES = {"checkpoint_interval": "--ckpt-interval", "learning_rate": "--lr"}
 
 
 def _load_classes(args) -> ClassificationTable:
@@ -77,10 +87,8 @@ def cmd_augment(args) -> int:
 
 
 def _corpus_and_inventory(manifest, table):
-    seqs = [u.phonemes for u in manifest.utterances if u.phonemes is not None]
-    if len(seqs) != len(manifest.utterances):
-        raise ValueError("manifest is not augmented (missing phoneme column)")
-    inventory = induce_inventory(seqs, table)
+    require_augmented(manifest.utterances)
+    inventory = induce_inventory([u.phonemes for u in manifest.utterances], table)
     train_seqs = [u.phonemes for u in manifest.by_split("train")]
     if not train_seqs:
         raise ValueError("manifest has no train split; run `bigphon augment` first")
@@ -100,25 +108,10 @@ def cmd_vocab(args) -> int:
     for label, vocab in build_all_variants(train_seqs, inventory, labels).items():
         path = out / f"{label}.vocab" if args.all else out
         write_vocab(vocab, path)
-        print(f"{label}: {len(vocab)} units -> {path}")
+        _, n = parse_variant(label)
+        short = f" (only {vocab.n_bigrams} of {n} bigrams)" if vocab.n_bigrams < n else ""
+        print(f"{label}: {len(vocab)} units -> {path}{short}")
     return 0
-
-
-def _model_config(args) -> ModelConfig:
-    return ModelConfig(
-        d_model=args.d_model,
-        heads=args.heads,
-        d_ff=args.d_ff,
-        encoder_layers=args.encoder_layers,
-        decoder_layers=args.decoder_layers,
-        epochs=args.epochs,
-        checkpoint_interval=args.ckpt_interval,
-        max_target_len=args.max_target_len,
-        seed=args.seed,
-        learning_rate=args.lr,
-        batch_size=args.batch_size,
-        dropout=args.dropout,
-    )
 
 
 def cmd_train(args) -> int:
@@ -126,7 +119,7 @@ def cmd_train(args) -> int:
     manifest = ingest(args.manifest)
     inventory, _ = _corpus_and_inventory(manifest, table)
     vocab = read_vocab(args.vocab, inventory)
-    config = _model_config(args)
+    config = ModelConfig(**{f.name: getattr(args, f.name) for f in fields(ModelConfig)})
     outdir = Path(args.outdir)
     result = train(
         manifest,
@@ -282,19 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outdir", required=True)
     p.add_argument("--classes")
     p.add_argument("--source", choices=("text", "features"), default="text")
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--ckpt-interval", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--d-model", type=int, default=200)
-    p.add_argument("--heads", type=int, default=2)
-    p.add_argument("--d-ff", type=int, default=400)
-    p.add_argument("--encoder-layers", type=int, default=4)
-    p.add_argument("--decoder-layers", type=int, default=1)
-    p.add_argument("--max-target-len", type=int, default=400)
-    p.add_argument("--dropout", type=float, default=0.1)
     p.add_argument("--verbose", action="store_true")
+    for f in fields(ModelConfig):
+        flag = FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
+        p.add_argument(flag, dest=f.name, type=type(f.default), default=f.default)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="BLEU-score checkpoints on a split")
@@ -303,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--vocab-dir", help="cross-check checkpoint vocabularies against files")
     p.add_argument("--split", default="test")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("errors", help="error analysis of one checkpoint on a split")
@@ -315,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", default="test")
     p.add_argument("--min-period", type=int, default=3)
     p.add_argument("--min-copies", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_errors)
     return parser
 

@@ -73,6 +73,14 @@ class CorpusManifest:
         return sizes
 
 
+def require_augmented(utterances) -> None:
+    """Raise ValueError naming the first utterance without a phoneme
+    transcription; callers check every row before doing any work."""
+    for utt in utterances:
+        if utt.phonemes is None:
+            raise ValueError(f"utterance {utt.utt_id!r} is not augmented")
+
+
 def _encode_phonemes(seq: PhonemeSequence | None) -> str:
     if seq is None:
         return ""

@@ -239,14 +239,9 @@ def classify(symbol: str, table: ClassificationTable) -> SoundClass:
 
 @dataclass(frozen=True)
 class PhonemeInventory:
-    """Ordered set of phonemes induced from a corpus.
-
-    The classification table is kept for provenance when available;
-    class lookups go through the stored phonemes themselves.
-    """
+    """Ordered set of phonemes induced from a corpus."""
 
     phonemes: tuple[Phoneme, ...]
-    table: ClassificationTable | None = field(default=None, compare=False)
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -273,16 +268,6 @@ class PhonemeInventory:
         except KeyError:
             raise UnknownCharacter(symbol, 0, f"{symbol!r} not in inventory") from None
 
-    def vowels(self) -> tuple[str, ...]:
-        return tuple(
-            p.symbol for p in self.phonemes if p.sound_class is SoundClass.VOWEL
-        )
-
-    def consonants(self) -> tuple[str, ...]:
-        return tuple(
-            p.symbol for p in self.phonemes if p.sound_class is SoundClass.CONSONANT
-        )
-
 
 def induce_inventory(
     corpus: Iterable[PhonemeSequence], table: ClassificationTable
@@ -298,4 +283,4 @@ def induce_inventory(
     if empty:
         raise ValueError("cannot induce an inventory from an empty corpus")
     phonemes = tuple(Phoneme(sym, classify(sym, table)) for sym in seen)
-    return PhonemeInventory(phonemes, table)
+    return PhonemeInventory(phonemes)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .bleu import BleuReport, EmptyCorpus, corpus_bleu
-from .corpus import CorpusManifest, Utterance
+from .corpus import CorpusManifest, Utterance, require_augmented
 from .ipa import Phoneme, PhonemeInventory, SoundClass
 from .model import (
     DecodeResult,
@@ -78,9 +78,6 @@ class TrainingTrace:
 
     entries: list[tuple[float, float]] = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def to_csv_text(self, header_lines: list[str] | None = None) -> str:
         lines = [f"# {h}" for h in header_lines or []]
         lines.append("epoch,train_loss,valid_loss")
@@ -90,16 +87,6 @@ class TrainingTrace:
 
     def write(self, path, header_lines: list[str] | None = None):
         Path(path).write_text(self.to_csv_text(header_lines), encoding="utf-8")
-
-    @classmethod
-    def read(cls, path) -> "TrainingTrace":
-        entries = []
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            if not line or line.startswith("#") or line.startswith("epoch,"):
-                continue
-            _, tr, va = line.split(",")
-            entries.append((float(tr), float(va)))
-        return cls(entries)
 
 
 @dataclass
@@ -195,8 +182,9 @@ def load_checkpoint(path) -> Checkpoint:
             if type(header[key]) is not kind:
                 raise TypeError(f"{key} must be {kind.__name__}, got {header[key]!r}")
         config = ModelConfig(**header["config"])
+        vocab = _vocab_from_header(header["vocab"])
         dims = ModelDims(
-            target_vocab=len(header["vocab"]["atoms"]) + len(header["vocab"]["bigrams"]) + 4,
+            target_vocab=len(vocab),
             source_vocab=header["source_vocab"],
             feature_dim=header["feature_dim"],
         )
@@ -214,7 +202,6 @@ def load_checkpoint(path) -> Checkpoint:
             if header["codec_chars"] is not None
             else None
         )
-        vocab = _vocab_from_header(header["vocab"])
     except CheckpointFormatError:
         raise
     except KeyError as exc:
@@ -233,8 +220,6 @@ class TrainResult:
 def _prepare_examples(utterances, vocab: Vocabulary, codec: SourceCodec | None):
     sources, targets = [], []
     for utt in utterances:
-        if utt.phonemes is None:
-            raise ValueError(f"utterance {utt.utt_id!r} is not augmented")
         sources.append(encode_source(utt, codec))
         targets.append(tokenize(utt.phonemes, vocab).ids)
     return sources, targets
@@ -286,6 +271,7 @@ def train(
     valid_utts = manifest.by_split("valid")
     if not train_utts:
         raise ValueError("manifest has no train split")
+    require_augmented(train_utts + valid_utts)
 
     if source_mode == "text":
         codec = SourceCodec.from_texts([u.text for u in train_utts])
@@ -381,9 +367,7 @@ def decode_split(
     utts = manifest.by_split(split)
     if not utts:
         raise EmptyCorpus(f"manifest has no {split!r} split")
-    for utt in utts:
-        if utt.phonemes is None:
-            raise ValueError(f"utterance {utt.utt_id!r} is not augmented")
+    require_augmented(utts)
     params = ckpt.params
     decoded = [
         (utt, greedy_decode(params, ckpt.config, encode_source(utt, ckpt.codec), ckpt.vocab))

@@ -9,7 +9,6 @@ merged units are pairs of atoms only (no iterative re-merging).
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -54,10 +53,6 @@ class UnknownVariant(ValueError):
         super().__init__(
             f"unknown vocabulary variant {label!r}; expected one of {', '.join(VARIANT_LABELS)}"
         )
-
-
-class ShortListWarning(UserWarning):
-    """Fewer distinct bigrams available than requested."""
 
 
 class IndexOutOfRange(ValueError):
@@ -108,17 +103,12 @@ def _in_scope(
     }
 
 
-def top_n(counts: dict[tuple[str, str], int], n: int, label: str) -> list[tuple[str, str]]:
-    """The n most frequent bigrams, count descending, lexicographic ties."""
+def top_n(counts: dict[tuple[str, str], int], n: int) -> list[tuple[str, str]]:
+    """The n most frequent bigrams, count descending, lexicographic ties;
+    all of them when fewer than n exist."""
     if n < 0:
         raise ValueError("n must be non-negative")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    if len(ranked) < n:
-        warnings.warn(
-            f"only {len(ranked)} bigrams available for top-{n} ({label})",
-            ShortListWarning,
-            stacklevel=2,
-        )
     return [pair for pair, _ in ranked[:n]]
 
 
@@ -186,7 +176,7 @@ def build_all_variants(
     return {
         label: Vocabulary(
             inventory,
-            top_n(_in_scope(counts, scope, inventory), n, label) if scope else (),
+            top_n(_in_scope(counts, scope, inventory), n) if scope else (),
             label,
         )
         for label, (scope, n) in parsed.items()

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from bigphon import training, vocab
-from bigphon.cli import main
+from bigphon import cli, training, vocab
+from bigphon.cli import build_parser, main
 from bigphon.corpus import CorpusManifest, Utterance, ingest, write_manifest
+from bigphon.model import ModelConfig
 
 from conftest import TOY_WORDS, make_toy_manifest
 
@@ -123,11 +125,84 @@ class TestVocab:
                          "--variant", label, "--out", str(single)]) == 0
             assert single.read_bytes() == (out / f"{label}.vocab").read_bytes(), label
 
+    def test_short_lists_marked_on_stdout(self, tmp_path, augmented_manifest, capsys):
+        out = tmp_path / "vocabs"
+        assert main(["vocab", "--manifest", str(augmented_manifest), "--all",
+                     "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert len(lines) == len(vocab.VARIANT_LABELS)
+        short = []
+        for label, line in zip(vocab.VARIANT_LABELS, lines):
+            header = (out / f"{label}.vocab").read_text(encoding="utf-8").splitlines()[0]
+            k = int(header.split()[1].removeprefix("n="))
+            _, n = vocab.parse_variant(label)
+            assert line.startswith(f"{label}: ")
+            if k < n:
+                short.append(label)
+                assert line.endswith(f"{label}.vocab (only {k} of {n} bigrams)"), line
+            else:
+                assert line.endswith(f"{label}.vocab"), line
+        assert short and len(short) < len(lines)
+
     def test_unknown_variant_rejected_by_parser(self, tmp_path, augmented_manifest):
         with pytest.raises(SystemExit) as exc:
             main(["vocab", "--manifest", str(augmented_manifest),
                   "--variant", "total15", "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
+
+
+class TestTrainFlags:
+    """`bigphon train` takes its model flags and their defaults from ModelConfig."""
+
+    @pytest.fixture()
+    def parsed_config(self, tmp_path, augmented_manifest, monkeypatch):
+        """Run `train` with the given flags up to the training call; return its config."""
+        vocab_path = tmp_path / "base.vocab"
+        assert main(["vocab", "--manifest", str(augmented_manifest),
+                     "--variant", "base", "--out", str(vocab_path)]) == 0
+        seen = []
+
+        def stop(manifest, vocab, config, **kwargs):
+            seen.append(config)
+            raise ValueError("stopped before training")
+
+        monkeypatch.setattr(cli, "train", stop)
+
+        def run(*flags):
+            assert main(["train", "--manifest", str(augmented_manifest),
+                         "--vocab", str(vocab_path), "--outdir", str(tmp_path / "run"),
+                         *flags]) == 2
+            return seen.pop()
+
+        return run
+
+    def test_required_flags_only_give_default_config(self, parsed_config):
+        assert parsed_config() == ModelConfig()
+
+    @pytest.mark.parametrize("flag, name, value", [
+        ("--d-model", "d_model", 64), ("--heads", "heads", 4), ("--d-ff", "d_ff", 8),
+        ("--encoder-layers", "encoder_layers", 2), ("--decoder-layers", "decoder_layers", 3),
+        ("--epochs", "epochs", 20), ("--ckpt-interval", "checkpoint_interval", 5),
+        ("--max-target-len", "max_target_len", 50), ("--seed", "seed", 7),
+        ("--lr", "learning_rate", 0.5), ("--batch-size", "batch_size", 3),
+        ("--dropout", "dropout", 0.25),
+    ])
+    def test_flag_sets_its_field(self, parsed_config, flag, name, value):
+        assert getattr(ModelConfig(), name) != value
+        assert parsed_config(flag, str(value)) == replace(ModelConfig(), **{name: value})
+
+    def test_flag_spellings(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {f for a in sub.choices["train"]._actions for f in a.option_strings}
+        assert flags == {
+            "-h", "--help", "--manifest", "--vocab", "--outdir", "--classes", "--source",
+            "--verbose", "--d-model", "--heads", "--d-ff", "--encoder-layers",
+            "--decoder-layers", "--epochs", "--ckpt-interval", "--max-target-len", "--seed",
+            "--lr", "--batch-size", "--dropout",
+        }
 
 
 class TestTrainEvaluateErrors:
@@ -250,6 +325,34 @@ class TestInputErrors:
         assert main(args) == 2
         assert capsys.readouterr().err == f"bigphon: error: {name} must be at least 1\n"
 
+    @pytest.mark.parametrize("command", ["train", "vocab", "evaluate"])
+    def test_unaugmented_row_exits_2(self, tmp_path, augmented_manifest, vocab_path, capsys,
+                                     command):
+        m = ingest(augmented_manifest)
+        first, second = (u.utt_id for u in m.by_split("test"))
+        utts = tuple(replace(u, phonemes=None) if u.utt_id in (first, second) else u
+                     for u in m.utterances)
+        mpath = tmp_path / "bad.tsv"
+        write_manifest(CorpusManifest(utts, m.split), mpath)
+        run = tmp_path / "run"
+        assert main(train_args(augmented_manifest, vocab_path, run)) == 0
+        capsys.readouterr()
+        args = {
+            "train": train_args(mpath, vocab_path, tmp_path / "run2"),
+            "vocab": ["vocab", "--manifest", str(mpath), "--all", "--out", str(tmp_path / "v")],
+            "evaluate": ["evaluate", "--ckpt", str(run / "epoch0002.ckpt"),
+                         "--manifest", str(mpath), "--out", str(tmp_path / "e")],
+        }[command]
+        assert main(args) == 2
+        assert capsys.readouterr().err == f"bigphon: error: utterance {first!r} is not augmented\n"
+
+    @pytest.mark.parametrize("command", ["evaluate", "errors"])
+    def test_seed_flag_rejected(self, tmp_path, augmented_manifest, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--ckpt", str(tmp_path / "x.ckpt"), "--manifest",
+                  str(augmented_manifest), "--out", str(tmp_path / "out"), "--seed", "1"])
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize("missing", [0, 3])
     def test_train_features_without_feature_path_exits_2(
         self, tmp_path, augmented_manifest, vocab_path, capsys, missing
@@ -279,6 +382,7 @@ class TestInputErrors:
         (lambda h: h["config"].update(layers=2), "unknown config keys ['layers']"),
         (lambda h: h.update(epoch="2"), "epoch must be int, got '2'"),
         (lambda h: h["config"].update(d_model="16"), "d_model must be int, got '16'"),
+        (lambda h: h["vocab"].update(variant="total15"), "unknown vocabulary variant 'total15'"),
     ])
     def test_bad_checkpoint_header_exits_2(self, tmp_path, augmented_manifest, checkpoint,
                                            capsys, edit, detail):

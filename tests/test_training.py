@@ -60,7 +60,7 @@ class TestTrainLoop:
         result = train(m, vocab, cfg)
         assert len(result.checkpoints) == 1
         assert result.checkpoints[0].epoch == 10
-        assert len(result.trace) == 10
+        assert len(result.trace.entries) == 10
 
     def test_two_checkpoints_at_interval(self, classes):
         m = make_toy_manifest(12, seed=1, sizes=(10, 1, 1))
@@ -203,6 +203,17 @@ class TestFeatureMode:
                 load_features(path)
 
 
+def read_trace(path) -> TrainingTrace:
+    """Parse a trace CSV written by `TrainingTrace.write`."""
+    entries = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if not line or line.startswith("#") or line.startswith("epoch,"):
+            continue
+        _, tr, va = line.split(",")
+        entries.append((float(tr), float(va)))
+    return TrainingTrace(entries)
+
+
 class TestTrace:
     def test_csv_round_trip(self, tmp_path):
         trace = TrainingTrace([(3.5, 3.6), (2.1, 2.9)])
@@ -210,7 +221,7 @@ class TestTrace:
         trace.write(path, header_lines=["seed=1"])
         text = path.read_text(encoding="utf-8")
         assert text.startswith("# seed=1\nepoch,train_loss,valid_loss\n")
-        assert TrainingTrace.read(path).entries == trace.entries
+        assert read_trace(path).entries == trace.entries
 
 
 class TestTokenTargets:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -20,7 +18,6 @@ from bigphon.vocab import (
     VARIANT_LABELS,
     BigramScope,
     IndexOutOfRange,
-    ShortListWarning,
     TokenizedSequence,
     UnknownPhoneme,
     UnknownVariant,
@@ -160,44 +157,37 @@ class TestOneCount:
         monkeypatch.setattr(vocab_module, "count_bigrams", None)
         assert len(build_variant(synthetic_corpus(), synthetic_inventory, "base")) == 53
 
-    def test_short_list_warns_only_for_built_variants(self, classes):
+    def test_short_list_keeps_every_available_bigram(self, classes):
         corpus = seqs([["a", "ɪ", "l", "s"]], [["l", "s"]], [["s", "t"]])
         inv = induce_inventory(corpus, classes)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", ShortListWarning)
-            build_all_variants(corpus, inv, ("base",))
-        with pytest.warns(ShortListWarning) as record:
-            build_all_variants(corpus, inv, ("vowel10", "const20"))
-        assert [str(w.message) for w in record] == [
-            "only 1 bigrams available for top-10 (vowel10)",
-            "only 2 bigrams available for top-20 (const20)",
-        ]
+        built = build_all_variants(corpus, inv, ("base", "vowel10", "const20"))
+        assert {label: v.n_bigrams for label, v in built.items()} == {
+            "base": 0, "vowel10": 1, "const20": 2,
+        }
 
 
 class TestTopN:
     def test_hand_sort(self):
         counts = {("a", "l"): 2, ("l", "s"): 1}
-        assert top_n(counts, 1, "total") == [("a", "l")]
+        assert top_n(counts, 1) == [("a", "l")]
 
     def test_zero(self):
         counts = {("a", "l"): 2}
-        assert top_n(counts, 0, "total") == []
+        assert top_n(counts, 0) == []
 
     def test_lexicographic_tie_break(self):
         counts = {("a", "b"): 1, ("a", "a"): 1}
-        assert top_n(counts, 1, "total") == [("a", "a")]
+        assert top_n(counts, 1) == [("a", "a")]
 
-    def test_short_list_warns(self):
+    def test_short_list_returns_all(self):
         counts = {("a", "b"): 1}
-        with pytest.warns(ShortListWarning):
-            got = top_n(counts, 5, "total")
-        assert got == [("a", "b")]
+        assert top_n(counts, 5) == [("a", "b")]
 
     def test_permutation_invariant(self, classes):
         corpus = seqs([["a", "l", "s"]], [["l", "s"]], [["a", "ɪ", "s"]])
         inv = induce_inventory(corpus, classes)
-        t1 = top_n(count_bigrams(corpus, BigramScope.TOTAL, inv), 3, "total")
-        t2 = top_n(count_bigrams(corpus[::-1], BigramScope.TOTAL, inv), 3, "total")
+        t1 = top_n(count_bigrams(corpus, BigramScope.TOTAL, inv), 3)
+        t2 = top_n(count_bigrams(corpus[::-1], BigramScope.TOTAL, inv), 3)
         assert t1 == t2
 
 
