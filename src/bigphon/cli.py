@@ -154,8 +154,13 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _truncated(decoded) -> str:
+    """`k/n`: how many of the n decodes hit the length cap."""
+    return f"{sum(result.truncated for _, result in decoded)}/{len(decoded)}"
+
+
 def cmd_evaluate(args) -> int:
-    paths = sorted(p for pattern in args.ckpt for p in glob.glob(pattern))
+    paths = sorted({p for pattern in args.ckpt for p in glob.glob(pattern)})
     if not paths:
         raise FileNotFoundError(f"no checkpoints match {args.ckpt}")
     manifest = ingest(args.manifest)
@@ -172,13 +177,14 @@ def cmd_evaluate(args) -> int:
                 raise VocabMismatch(
                     f"{vocab_path} does not match units stored in {path}"
                 )
-        _, report = decode_split(ckpt, manifest, split=args.split)
+        decoded, report = decode_split(ckpt, manifest, split=args.split)
         name = f"bleu_{ckpt.variant}_epoch{ckpt.epoch:04d}.json"
         (out / name).write_text(report.to_json() + "\n", encoding="utf-8")
         grid.setdefault(ckpt.epoch, {})[ckpt.variant] = report.bleu
         if ckpt.variant not in variants_seen:
             variants_seen.append(ckpt.variant)
-        print(f"{path}: variant={ckpt.variant} epoch={ckpt.epoch} bleu={report.bleu:.2f}")
+        print(f"{path}: variant={ckpt.variant} epoch={ckpt.epoch} bleu={report.bleu:.2f} "
+              f"truncated={_truncated(decoded)}")
     columns = [v for v in VARIANT_LABELS if v in variants_seen]
     columns += [v for v in variants_seen if v not in columns]
     lines = [f"# {h}" for h in _provenance(args, {"checkpoints": len(paths)})]
@@ -238,7 +244,7 @@ def cmd_errors(args) -> int:
     print(
         f"sentences={totals['sentences']} repetitions={totals['repetitions']} "
         f"dropouts={totals['dropouts']} substitutions={totals['substitutions']} "
-        f"article_avg={articles.average} bleu={bleu.bleu:.2f}"
+        f"article_avg={articles.average} bleu={bleu.bleu:.2f} truncated={_truncated(decoded)}"
     )
     return 0
 

@@ -298,24 +298,32 @@ def _dropout_bwd(dy, cache):
     return dy * mask / (1.0 - p)
 
 
-def _mha_fwd(q_in, kv_in, params, prefix, mask, heads, p_drop, rng):
-    b, tq, d = q_in.shape
-    tk = kv_in.shape[1]
-    dh = d // heads
-    q, qc = _linear_fwd(q_in, params[f"{prefix}.wq"], params[f"{prefix}.bq"])
-    k, kc = _linear_fwd(kv_in, params[f"{prefix}.wk"], params[f"{prefix}.bk"])
-    v, vc = _linear_fwd(kv_in, params[f"{prefix}.wv"], params[f"{prefix}.bv"])
-    qh = q.reshape(b, tq, heads, dh).transpose(0, 2, 1, 3)
-    kh = k.reshape(b, tk, heads, dh).transpose(0, 2, 1, 3)
-    vh = v.reshape(b, tk, heads, dh).transpose(0, 2, 1, 3)
+def _heads_fwd(x, params, prefix, nm, heads):
+    """Project x (B,T,d) through `{prefix}.w{nm}`/`b{nm}`, split to (B,heads,T,dh)."""
+    y, c = _linear_fwd(x, params[f"{prefix}.w{nm}"], params[f"{prefix}.b{nm}"])
+    b, t, d = y.shape
+    return y.reshape(b, t, heads, d // heads).transpose(0, 2, 1, 3), c
+
+
+def _attend_fwd(qh, kh, vh, params, prefix, mask, p_drop, rng):
+    """Scaled dot-product attention over split heads, merged through wo."""
+    b, heads, tq, dh = qh.shape
     scores = qh @ kh.transpose(0, 1, 3, 2) / math.sqrt(dh)
     if mask is not None:
         scores = scores + mask
     attn = _softmax(scores)
     attn_d, dcache = _dropout_fwd(attn, p_drop, rng)
     ctx = attn_d @ vh
-    merged = ctx.transpose(0, 2, 1, 3).reshape(b, tq, d)
+    merged = ctx.transpose(0, 2, 1, 3).reshape(b, tq, heads * dh)
     out, oc = _linear_fwd(merged, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
+    return out, (oc, attn, attn_d, dcache)
+
+
+def _mha_fwd(q_in, kv_in, params, prefix, mask, heads, p_drop, rng):
+    qh, qc = _heads_fwd(q_in, params, prefix, "q", heads)
+    kh, kc = _heads_fwd(kv_in, params, prefix, "k", heads)
+    vh, vc = _heads_fwd(kv_in, params, prefix, "v", heads)
+    out, (oc, attn, attn_d, dcache) = _attend_fwd(qh, kh, vh, params, prefix, mask, p_drop, rng)
     return out, (qc, kc, vc, oc, qh, kh, vh, attn, attn_d, dcache)
 
 
@@ -523,22 +531,44 @@ class DecodeResult:
 def greedy_decode(params, config: ModelConfig, source, vocab: Vocabulary) -> DecodeResult:
     """Argmax decoding from BOS until EOS or config.max_target_len (flagged).
 
-    The encoder runs once; the decoder reruns over the growing prefix
-    (quadratic in output length, fine at this scale).
+    Incremental: the encoder and each decoder layer's cross-attention keys
+    and values are computed once per source; each step then feeds only the
+    newest position through the decoder, attending over the self-attention
+    keys and values cached for the positions before it.
     """
     dims = infer_dims(params)
     batch = make_batch([source], [[]], dims)
     enc_out, src_add = _encoder_forward(params, config, dims, batch, 0.0, None, {})
-    prefix = [BOS_ID]
+    d, heads, cap = config.d_model, config.heads, config.max_target_len
+    scale = math.sqrt(d)
+    pe = _pe(cap, d)
+    layers = []
+    for i in range(config.decoder_layers):
+        cross_k, _ = _heads_fwd(enc_out, params, f"dec{i}.cross", "k", heads)
+        cross_v, _ = _heads_fwd(enc_out, params, f"dec{i}.cross", "v", heads)
+        self_k = np.empty((1, heads, cap, d // heads))
+        self_v = np.empty_like(self_k)
+        layers.append((cross_k, cross_v, self_k, self_v))
     emitted: list[int] = []
-    truncated = True
-    for _ in range(config.max_target_len):
-        tgt_in = np.asarray([prefix], dtype=np.int64)
-        logits = _decoder_forward(params, config, enc_out, src_add, tgt_in, 0.0, None, {})
-        nxt = int(np.argmax(logits[0, -1]))
+    nxt = BOS_ID
+    for t in range(cap):
+        y = params["tgt_embed"][[[nxt]]] * scale + pe[t]
+        for i, (cross_k, cross_v, self_k, self_v) in enumerate(layers):
+            prefix = f"dec{i}.self"
+            q, _ = _heads_fwd(y, params, prefix, "q", heads)
+            self_k[:, :, t : t + 1], _ = _heads_fwd(y, params, prefix, "k", heads)
+            self_v[:, :, t : t + 1], _ = _heads_fwd(y, params, prefix, "v", heads)
+            a, _ = _attend_fwd(q, self_k[:, :, : t + 1], self_v[:, :, : t + 1],
+                               params, prefix, None, 0.0, None)
+            y, _ = _residual_ln_fwd(y, a, params, f"dec{i}.ln1", 0.0, None)
+            q, _ = _heads_fwd(y, params, f"dec{i}.cross", "q", heads)
+            c, _ = _attend_fwd(q, cross_k, cross_v, params, f"dec{i}.cross", src_add, 0.0, None)
+            y, _ = _residual_ln_fwd(y, c, params, f"dec{i}.ln2", 0.0, None)
+            f, _ = _ff_fwd(y, params, f"dec{i}.ff")
+            y, _ = _residual_ln_fwd(y, f, params, f"dec{i}.ln3", 0.0, None)
+        logits, _ = _linear_fwd(y[0, 0], params["out_w"], params["out_b"])
+        nxt = int(np.argmax(logits))
         if nxt == EOS_ID:
-            truncated = False
-            break
+            return DecodeResult(tuple(emitted), detokenize(emitted, vocab), False)
         emitted.append(nxt)
-        prefix.append(nxt)
-    return DecodeResult(tuple(emitted), detokenize(emitted, vocab), truncated)
+    return DecodeResult(tuple(emitted), detokenize(emitted, vocab), True)

@@ -1,5 +1,6 @@
-"""Shared fixtures: bundled tables, toy corpora, synthetic inventories, and
-single-sequence model helpers over the batched interface."""
+"""Shared fixtures: bundled tables, toy corpora, synthetic inventories,
+single-sequence model helpers over the batched interface, and the
+prefix-rerun greedy decoder that the incremental one is checked against."""
 
 from __future__ import annotations
 
@@ -14,7 +15,10 @@ from bigphon.ipa import (
     load_default_classification,
 )
 from bigphon.model import (
+    DecodeResult,
     ModelConfig,
+    _decoder_forward,
+    _encoder_forward,
     batch_loss_and_dlogits,
     flatten_params,
     forward_batch,
@@ -23,6 +27,7 @@ from bigphon.model import (
     make_batch,
     param_index,
 )
+from bigphon.vocab import BOS_ID, EOS_ID, Vocabulary, detokenize
 
 TOY_WORDS = [
     "als", "sie", "von", "dem", "schönen", "geist", "und", "wurden", "das",
@@ -107,3 +112,24 @@ def gradient(params, config: ModelConfig, batch) -> np.ndarray:
     dims = infer_dims(params)
     _, grads, _ = loss_and_gradient(params, config, dims, batch)
     return flatten_params(grads, param_index(config, dims))
+
+
+def reference_greedy_decode(params, config: ModelConfig, source, vocab: Vocabulary) -> DecodeResult:
+    """Oracle for `greedy_decode`: rerun the full decoder over the growing
+    prefix at every step and take the argmax of its last row."""
+    dims = infer_dims(params)
+    batch = make_batch([source], [[]], dims)
+    enc_out, src_add = _encoder_forward(params, config, dims, batch, 0.0, None, {})
+    prefix = [BOS_ID]
+    emitted: list[int] = []
+    truncated = True
+    for _ in range(config.max_target_len):
+        tgt_in = np.asarray([prefix], dtype=np.int64)
+        logits = _decoder_forward(params, config, enc_out, src_add, tgt_in, 0.0, None, {})
+        nxt = int(np.argmax(logits[0, -1]))
+        if nxt == EOS_ID:
+            truncated = False
+            break
+        emitted.append(nxt)
+        prefix.append(nxt)
+    return DecodeResult(tuple(emitted), detokenize(emitted, vocab), truncated)

@@ -28,10 +28,10 @@ from bigphon.model import (
     param_index,
     unflatten_params,
 )
-from bigphon.training import decode_split, train
+from bigphon.training import decode_split, encode_source, train
 from bigphon.vocab import VARIANT_LABELS, build_all_variants, build_variant, detokenize, parse_variant, tokenize
 
-from conftest import gradient, make_toy_manifest, synthetic_corpus
+from conftest import gradient, make_toy_manifest, reference_greedy_decode, synthetic_corpus
 from test_analysis import dp_oracle
 from test_bleu import oracle_bleu
 
@@ -164,7 +164,8 @@ def _toy_config(epochs, **overrides):
 
 
 def test_criterion_06_toy_training_behavior(classes, rules):
-    with criterion(6, "50-pair corpus halves train loss in 30 epochs; 5-pair overfit hits BLEU 100"):
+    with criterion(6, "50-pair corpus halves train loss in 30 epochs; 5-pair overfit hits "
+                      "BLEU 100, decoded exactly as by prefix reruns"):
         t0 = time.monotonic()
         manifest = make_toy_manifest(50, seed=11, sizes=(40, 5, 5))
         inventory = induce_inventory([u.phonemes for u in manifest.utterances], classes)
@@ -192,8 +193,12 @@ def test_criterion_06_toy_training_behavior(classes, rules):
             vocab5,
             _toy_config(200, encoder_layers=1, batch_size=5, dropout=0.0, seed=1),
         )
-        _, report = decode_split(overfit.checkpoints[-1], five, split="train")
+        ckpt = overfit.checkpoints[-1]
+        decoded, report = decode_split(ckpt, five, split="train")
         assert report.bleu == 100.0
+        for utt, result in decoded:
+            source = encode_source(utt, ckpt.codec)
+            assert result == reference_greedy_decode(ckpt.params, ckpt.config, source, ckpt.vocab)
         assert time.monotonic() - t0 < 300.0
 
 

@@ -13,6 +13,8 @@ from bigphon import cli, training, vocab
 from bigphon.cli import build_parser, main
 from bigphon.corpus import CorpusManifest, Utterance, ingest, write_manifest
 from bigphon.model import ModelConfig
+from bigphon.training import load_checkpoint, save_checkpoint
+from bigphon.vocab import EOS_ID
 
 from conftest import TOY_WORDS, make_toy_manifest
 
@@ -247,6 +249,41 @@ class TestTrainEvaluateErrors:
         assert data[1].startswith("2,")
         report = json.loads((out / "bleu_base_epoch0002.json").read_text(encoding="utf-8"))
         assert report["variant"] == "base" and report["epoch"] == 2
+
+    def test_overlapping_patterns_decode_each_checkpoint_once(
+        self, tmp_path, augmented_manifest, trained, monkeypatch, capsys
+    ):
+        calls = []
+        decode = training.greedy_decode
+        monkeypatch.setattr(training, "greedy_decode",
+                            lambda *args: calls.append(args) or decode(*args))
+        out = tmp_path / "eval"
+        ckpt = trained / "epoch0002.ckpt"
+        assert main(["evaluate", "--ckpt", str(ckpt), str(trained / "*.ckpt"),
+                     "--manifest", str(augmented_manifest), "--out", str(out)]) == 0
+        assert len(calls) == 2  # the test split, once
+        assert len(capsys.readouterr().out.splitlines()) == 1
+        assert "# checkpoints=1" in (out / "bleu_grid.csv").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("favoured, expected", [(EOS_ID, "0/2"), (4, "2/2")])
+    def test_truncated_decodes_reported(self, tmp_path, augmented_manifest, trained, capsys,
+                                        favoured, expected):
+        """A checkpoint whose logits are its output bias: EOS first never hits
+        the cap, a unit first always does."""
+        ckpt = load_checkpoint(trained / "epoch0002.ckpt")
+        ckpt.config = replace(ckpt.config, max_target_len=5)
+        ckpt.params_flat[:] = 0.0
+        ckpt.params["out_b"][favoured] = 5.0
+        path = tmp_path / "biased.ckpt"
+        save_checkpoint(ckpt, path)
+        capsys.readouterr()
+        assert main(["evaluate", "--ckpt", str(path), "--manifest", str(augmented_manifest),
+                     "--out", str(tmp_path / "eval")]) == 0
+        assert main(["errors", "--ckpt", str(path), "--manifest", str(augmented_manifest),
+                     "--out", str(tmp_path / "diag")]) == 0
+        evaluate_line, errors_line = capsys.readouterr().out.splitlines()
+        assert evaluate_line.endswith(f" truncated={expected}")
+        assert errors_line.endswith(f" truncated={expected}")
 
     def test_evaluate_grid_pivots_variants_and_epochs(self, tmp_path, augmented_manifest):
         """Two variants x two checkpoint epochs -> a 2x2 grid."""

@@ -8,6 +8,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from bigphon import model
 from bigphon.ipa import PhonemeSequence, induce_inventory
 from bigphon.model import (
     Batch,
@@ -29,7 +30,7 @@ from bigphon.model import (
 )
 from bigphon.vocab import BOS_ID, EOS_ID, PAD_ID, Vocabulary
 
-from conftest import forward, gradient, loss
+from conftest import forward, gradient, loss, reference_greedy_decode
 
 SMALL = ModelConfig(
     d_model=8,
@@ -275,6 +276,84 @@ class TestGreedyDecode:
         params = small_params(dims)
         with pytest.raises(ShapeMismatch):
             greedy_decode(params, SMALL, np.zeros((5, 4)), tiny_vocab)
+
+
+class TestIncrementalDecode:
+    """The cached one-position-per-step decoder against the prefix-rerun oracle."""
+
+    @pytest.fixture(scope="class")
+    def vocab(self, classes):
+        inv = induce_inventory([PhonemeSequence(tuple("alsiemn"))], classes)
+        return Vocabulary(inv, (), "base")  # PAD BOS EOS UNK + 7 atoms
+
+    @staticmethod
+    def random_model(vocab, source, heads, layers, cap, seed):
+        config = replace(SMALL, heads=heads, decoder_layers=layers, max_target_len=cap)
+        if source == "tokens":
+            dims = ModelDims(target_vocab=len(vocab), source_vocab=7)
+        else:
+            dims = ModelDims(target_vocab=len(vocab), feature_dim=3)
+        params = init_params(config, dims, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed + 100)
+        sources = []
+        for n in (1, 4, 9):
+            if source == "tokens":
+                sources.append([int(i) for i in rng.integers(0, 7, size=n)])
+            else:
+                sources.append(rng.normal(size=(n, 3)))
+        return params, config, sources
+
+    @pytest.mark.parametrize("cap", [1, 3, 50])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("source", ["tokens", "features"])
+    def test_matches_prefix_rerun(self, vocab, source, heads, layers, cap):
+        for seed in range(3):
+            params, config, sources = self.random_model(vocab, source, heads, layers, cap, seed)
+            for src in sources:
+                expected = reference_greedy_decode(params, config, src, vocab)
+                assert greedy_decode(params, config, src, vocab) == expected
+
+    def test_random_models_cover_eos_and_cap(self, vocab):
+        """The random cases above include decodes that stop on EOS after
+        emitting units, and decodes that hit the 50-step cap."""
+        results = []
+        for seed in range(3):
+            params, config, sources = self.random_model(vocab, "tokens", 2, 2, 50, seed)
+            results += [greedy_decode(params, config, src, vocab) for src in sources]
+        assert any(r.truncated and len(set(r.ids)) > 1 for r in results)
+        assert any(not r.truncated and r.ids for r in results)
+
+    @pytest.mark.parametrize("favoured, expect_len, truncated", [
+        (EOS_ID, 0, False), (5, 50, True),
+    ])
+    def test_biased_models_match_prefix_rerun(self, vocab, favoured, expect_len, truncated):
+        params, config, sources = self.random_model(vocab, "tokens", 2, 2, 50, seed=0)
+        params["out_b"][favoured] = 50.0
+        for src in sources:
+            result = greedy_decode(params, config, src, vocab)
+            assert result == reference_greedy_decode(params, config, src, vocab)
+            assert (len(result.ids), result.truncated) == (expect_len, truncated)
+
+    def test_never_reruns_decoder_over_prefix(self, vocab, monkeypatch):
+        params, config, sources = self.random_model(vocab, "tokens", 2, 2, 50, seed=1)
+        expected = [reference_greedy_decode(params, config, src, vocab) for src in sources]
+
+        def rerun(*args):
+            raise AssertionError("greedy_decode reran the full decoder")
+
+        monkeypatch.setattr(model, "_decoder_forward", rerun)
+        assert [greedy_decode(params, config, src, vocab) for src in sources] == expected
+
+    def test_encoder_runs_once_per_decode(self, vocab, monkeypatch):
+        params, config, sources = self.random_model(vocab, "tokens", 2, 2, 50, seed=1)
+        calls = []
+        encode = model._encoder_forward
+        monkeypatch.setattr(model, "_encoder_forward",
+                            lambda *args: calls.append(args) or encode(*args))
+        results = [greedy_decode(params, config, src, vocab) for src in sources]
+        assert len(calls) == len(sources)
+        assert max(len(r.ids) for r in results) > 1
 
 
 class TestConfig:
