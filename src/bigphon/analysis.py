@@ -40,25 +40,6 @@ class Alignment:
     ops: tuple[EditOp, ...]
     distance: int
 
-    def replay(self, ref: Sequence[str]) -> list[str]:
-        """Apply the script to the reference; must reproduce the hypothesis."""
-        out: list[str] = []
-        consumed = 0
-        for op in self.ops:
-            if op.kind is EditKind.MATCH:
-                out.append(ref[consumed])
-                consumed += 1
-            elif op.kind is EditKind.SUBSTITUTE:
-                out.append(op.hyp_token)
-                consumed += 1
-            elif op.kind is EditKind.DELETE:
-                consumed += 1
-            else:
-                out.append(op.hyp_token)
-        if consumed != len(ref):
-            raise ValueError("edit script does not consume the full reference")
-        return out
-
 
 def align(ref: Sequence[str], hyp: Sequence[str]) -> Alignment:
     """Minimal token-level edit script turning ref into hyp."""
@@ -110,6 +91,15 @@ class Repetition:
         return self.start + self.period * self.copies
 
 
+def check_repetition_bounds(min_period: int, min_copies: int) -> None:
+    """A repeat is at least two copies of a non-empty unit; smaller bounds
+    would never end (period 0) or call every token a repeat (one copy)."""
+    if min_period < 1:
+        raise ValueError("min_period must be at least 1")
+    if min_copies < 2:
+        raise ValueError("min_copies must be at least 2")
+
+
 def detect_repetitions(
     hyp: Sequence[str], min_period: int = 3, min_copies: int = 2
 ) -> list[Repetition]:
@@ -120,6 +110,7 @@ def detect_repetitions(
     covering the most tokens wins (shorter period on ties); the scan then
     resumes after it.
     """
+    check_repetition_bounds(min_period, min_copies)
     hyp = tuple(hyp)
     found: list[Repetition] = []
     pos = 0

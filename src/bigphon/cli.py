@@ -17,7 +17,14 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
-from .analysis import ARTICLES, ErrorReport, article_accuracy, diagnose_sentence, render_marked
+from .analysis import (
+    ARTICLES,
+    ErrorReport,
+    article_accuracy,
+    check_repetition_bounds,
+    diagnose_sentence,
+    render_marked,
+)
 from .corpus import (
     augment,
     filter_by_length,
@@ -100,8 +107,6 @@ def cmd_vocab(args) -> int:
     manifest = ingest(args.manifest)
     inventory, train_seqs = _corpus_and_inventory(manifest, table)
     labels = VARIANT_LABELS if args.all else (args.variant,)
-    if not args.all and args.variant is None:
-        raise ValueError("pass --variant <label> or --all")
     out = Path(args.out)
     if args.all:
         out.mkdir(parents=True, exist_ok=True)
@@ -200,6 +205,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_errors(args) -> int:
+    check_repetition_bounds(args.min_period, args.min_copies)
     rules, table = _load_tables(args)
     manifest = ingest(args.manifest)
     ckpt = load_checkpoint(args.ckpt)
@@ -270,8 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vocab", help="build vocabulary variant(s) from the train split")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="vocab file, or directory with --all")
-    p.add_argument("--variant", choices=VARIANT_LABELS)
-    p.add_argument("--all", action="store_true", help="emit all ten variants")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--variant", choices=VARIANT_LABELS)
+    which.add_argument("--all", action="store_true", help="emit all ten variants")
     p.add_argument("--classes")
     p.set_defaults(func=cmd_vocab)
 

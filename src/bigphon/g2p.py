@@ -5,7 +5,10 @@ words. At each scan position the applicable rule with the longest match
 wins; among equal-length matches the earliest rule in table order wins.
 Contexts are short patterns of literal characters, declared character
 classes, and the word boundary `#`, checked against the input text (never
-against already-produced output).
+against already-produced output). Each context reads outward from the
+match, nearest item first; `#` tests the word edge without consuming a
+character. Parsing resolves each literal and class to the set of characters
+it accepts.
 
 Rule file format (UTF-8, tab-separated):
 
@@ -18,6 +21,7 @@ it must be covered by a context-free single-character fallback rule.
 
 from __future__ import annotations
 
+import functools
 import unicodedata
 from dataclasses import dataclass
 from importlib import resources
@@ -57,138 +61,92 @@ class UnmappableGrapheme(ValueError):
         super().__init__(f"no rule for {char!r} at position {position}{detail}{tag}")
 
 
-@dataclass(frozen=True)
-class ContextPattern:
-    """Sequence of context items: literal char, class ref `<name>`, or `#`."""
-
-    items: tuple[str, ...]
-
-    @classmethod
-    def parse(cls, text: str, classes: dict[str, frozenset[str]], lineno: int = 0):
-        if text == "_" or text == "":
-            return None
-        items: list[str] = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch == "<":
-                end = text.find(">", i)
-                if end < 0:
-                    raise RuleParseError(lineno, f"unterminated class reference in {text!r}")
-                name = text[i + 1 : end]
-                if name not in classes:
-                    raise UndeclaredClass(name, lineno)
-                items.append(f"<{name}>")
-                i = end + 1
-            else:
-                items.append(ch)
-                i += 1
-        return cls(tuple(items))
+def _parse_context(text: str, classes: dict[str, frozenset[str]], lineno: int):
+    """Context items in file order: each literal or `<class>` becomes the set
+    of characters it accepts, and `#` becomes None (the word edge)."""
+    items: list[frozenset[str] | None] = []
+    rest = "" if text == "_" else text
+    while rest:
+        ch, rest = rest[0], rest[1:]
+        if ch == "<":
+            name, closed, rest = rest.partition(">")
+            if not closed:
+                raise RuleParseError(lineno, f"unterminated class reference in {text!r}")
+            if name not in classes:
+                raise UndeclaredClass(name, lineno)
+            items.append(classes[name])
+        else:
+            items.append(None if ch == BOUNDARY else frozenset(ch))
+    return tuple(items)
 
 
 @dataclass(frozen=True)
 class RewriteRule:
+    """`left` is stored nearest item first, so both contexts read outward."""
+
     match: str
     output: str
-    left: ContextPattern | None = None
-    right: ContextPattern | None = None
+    left: tuple[frozenset[str] | None, ...] = ()
+    right: tuple[frozenset[str] | None, ...] = ()
 
     def __post_init__(self):
         if not self.match:
             raise ValueError("rule match must be non-empty")
 
-    @property
-    def context_free(self) -> bool:
-        return self.left is None and self.right is None
 
-
-def _match_context_left(pattern: ContextPattern, word: str, pos: int, classes) -> bool:
-    i = pos
-    for item in reversed(pattern.items):
-        if item == BOUNDARY:
-            if i != 0:
+def _context_holds(items, word: str, gap: int, step: int) -> bool:
+    """Whether `items` read outward from the gap before `word[gap]`,
+    leftward for step -1 and rightward for step +1. A None item asserts the
+    word edge and consumes no character."""
+    i = gap if step > 0 else gap - 1
+    edge = len(word) if step > 0 else -1
+    for item in items:
+        if item is None:
+            if i != edge:
                 return False
-        elif i == 0:
+        elif i == edge or word[i] not in item:
             return False
-        elif item.startswith("<"):
-            if word[i - 1] not in classes[item[1:-1]]:
-                return False
-            i -= 1
         else:
-            if word[i - 1] != item:
-                return False
-            i -= 1
-    return True
-
-
-def _match_context_right(pattern: ContextPattern, word: str, pos: int, classes) -> bool:
-    i = pos
-    for item in pattern.items:
-        if item == BOUNDARY:
-            if i != len(word):
-                return False
-        elif i >= len(word):
-            return False
-        elif item.startswith("<"):
-            if word[i] not in classes[item[1:-1]]:
-                return False
-            i += 1
-        else:
-            if word[i] != item:
-                return False
-            i += 1
+            i += step
     return True
 
 
 class RuleTable:
-    """Ordered rewrite rules plus class declarations, validated on build."""
+    """Ordered rewrite rules, validated on build."""
 
     def __init__(
         self,
         rules: list[RewriteRule] | tuple[RewriteRule, ...],
-        classes: dict[str, frozenset[str]] | None = None,
         alphabet: frozenset[str] | None = None,
     ):
         self.rules = tuple(rules)
-        self.classes = {k: frozenset(v) for k, v in (classes or {}).items()}
-        self.alphabet = frozenset(alphabet) if alphabet is not None else frozenset(
-            ch for r in self.rules if r.context_free and len(r.match) == 1 for ch in r.match
-        )
-        self._validate()
-        # index rules by first character of the match; scan stays table-ordered
-        by_first: dict[str, list[RewriteRule]] = {}
-        for rule in self.rules:
-            by_first.setdefault(rule.match[0], []).append(rule)
-        self._by_first = by_first
-
-    def _validate(self):
         if not self.rules:
             raise RuleParseError(0, "rule table is empty (no fallback coverage)")
-        covered = {
-            r.match for r in self.rules if r.context_free and len(r.match) == 1
-        }
+        covered = frozenset(
+            r.match for r in self.rules if len(r.match) == 1 and not r.left and not r.right
+        )
+        self.alphabet = covered if alphabet is None else frozenset(alphabet)
         missing = sorted(self.alphabet - covered)
         if missing:
             raise RuleParseError(
                 0, f"no context-free fallback rule for {', '.join(map(repr, missing))}"
             )
+        # Buckets by first character, longest match first; the sort is
+        # stable, so equal lengths keep table order.
+        self._by_first: dict[str, list[RewriteRule]] = {}
+        for rule in sorted(self.rules, key=lambda r: -len(r.match)):
+            self._by_first.setdefault(rule.match[0], []).append(rule)
 
     def best_match(self, word: str, pos: int) -> RewriteRule | None:
         """Longest applicable match at `pos`; table order breaks length ties."""
-        best: RewriteRule | None = None
         for rule in self._by_first.get(word[pos], ()):
-            if best is not None and len(rule.match) <= len(best.match):
-                continue
-            if not word.startswith(rule.match, pos):
-                continue
-            if rule.left and not _match_context_left(rule.left, word, pos, self.classes):
-                continue
-            if rule.right and not _match_context_right(
-                rule.right, word, pos + len(rule.match), self.classes
+            if (
+                word.startswith(rule.match, pos)
+                and (not rule.left or _context_holds(rule.left, word, pos, -1))
+                and (not rule.right or _context_holds(rule.right, word, pos + len(rule.match), 1))
             ):
-                continue
-            best = rule
-        return best
+                return rule
+        return None
 
 
 def parse_rule_table(text: str) -> RuleTable:
@@ -215,17 +173,17 @@ def parse_rule_table(text: str) -> RuleTable:
         fields = line.split("\t")
         if len(fields) == 2:
             match, output = fields
-            left = right = None
+            left = right = ()
         elif len(fields) == 4:
             match, output, left_s, right_s = fields
-            left = ContextPattern.parse(left_s, classes, lineno)
-            right = ContextPattern.parse(right_s, classes, lineno)
+            left = _parse_context(left_s, classes, lineno)[::-1]
+            right = _parse_context(right_s, classes, lineno)
         else:
             raise RuleParseError(lineno, f"expected 2 or 4 tab-separated fields, got {len(fields)}")
         if not match:
             raise RuleParseError(lineno, "empty match")
         rules.append(RewriteRule(match, output, left, right))
-    return RuleTable(rules, classes, alphabet)
+    return RuleTable(rules, alphabet)
 
 
 def load_rule_table(path) -> RuleTable:
@@ -233,18 +191,11 @@ def load_rule_table(path) -> RuleTable:
         return parse_rule_table(f.read())
 
 
-_default_rules: RuleTable | None = None
-
-
+@functools.cache
 def load_default_rules() -> RuleTable:
-    """The German rule table shipped with the package."""
-    global _default_rules
-    if _default_rules is None:
-        text = resources.files("bigphon").joinpath("data/german.rules").read_text(
-            encoding="utf-8"
-        )
-        _default_rules = parse_rule_table(text)
-    return _default_rules
+    """The German rule table shipped with the package, parsed once."""
+    text = resources.files("bigphon").joinpath("data/german.rules").read_text(encoding="utf-8")
+    return parse_rule_table(text)
 
 
 def _convert_word(word: str, rules: RuleTable, raw_word: str, offset: int) -> str:

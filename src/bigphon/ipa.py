@@ -8,6 +8,7 @@ tokens, so the token stream itself is purely phonemic.
 
 from __future__ import annotations
 
+import functools
 import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
@@ -112,18 +113,11 @@ class ClassificationTable:
             return cls.from_text(f.read())
 
 
-_default_table: ClassificationTable | None = None
-
-
+@functools.cache
 def load_default_classification() -> ClassificationTable:
     """The classification table shipped for the German transducer's output."""
-    global _default_table
-    if _default_table is None:
-        text = resources.files("bigphon").joinpath("data/german.classes").read_text(
-            encoding="utf-8"
-        )
-        _default_table = ClassificationTable.from_text(text)
-    return _default_table
+    text = resources.files("bigphon").joinpath("data/german.classes").read_text(encoding="utf-8")
+    return ClassificationTable.from_text(text)
 
 
 @dataclass(frozen=True)

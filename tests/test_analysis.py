@@ -40,6 +40,26 @@ def dp_oracle(ref, hyp):
     return go(0, 0)
 
 
+def replay(alignment, ref):
+    """Apply the edit script to the reference; must reproduce the hypothesis."""
+    out: list[str] = []
+    consumed = 0
+    for op in alignment.ops:
+        if op.kind is EditKind.MATCH:
+            out.append(ref[consumed])
+            consumed += 1
+        elif op.kind is EditKind.SUBSTITUTE:
+            out.append(op.hyp_token)
+            consumed += 1
+        elif op.kind is EditKind.DELETE:
+            consumed += 1
+        else:
+            out.append(op.hyp_token)
+    if consumed != len(ref):
+        raise ValueError("edit script does not consume the full reference")
+    return out
+
+
 class TestAlign:
     def test_identity(self):
         a = align(("a", "l", "s"), ("a", "l", "s"))
@@ -69,7 +89,7 @@ class TestAlign:
             ref = tuple(str(x) for x in rng.integers(0, 3, size=rng.integers(0, 9)))
             hyp = tuple(str(x) for x in rng.integers(0, 3, size=rng.integers(0, 9)))
             a = align(ref, hyp)
-            assert tuple(a.replay(ref)) == hyp
+            assert tuple(replay(a, ref)) == hyp
             assert a.distance == dp_oracle(ref, hyp)
 
     def test_deterministic_tie_break(self):
@@ -129,6 +149,18 @@ class TestRepetitions:
         got = detect_repetitions(hyp)
         assert got[0].copies == 2
 
+    @pytest.mark.parametrize("bounds, message", [
+        ((0, 2), "min_period must be at least 1"),
+        ((-1, 2), "min_period must be at least 1"),
+        ((3, 1), "min_copies must be at least 2"),
+        ((3, 0), "min_copies must be at least 2"),
+    ])
+    def test_degenerate_bounds_rejected(self, bounds, message):
+        """Period 0 would never end and one copy would make every token a
+        repeat; the empty hypothesis shows the check runs before any scan."""
+        with pytest.raises(ValueError, match=message):
+            detect_repetitions([], *bounds)
+
 
 class TestDropouts:
     def test_als_si_dropout(self, classes):
@@ -176,7 +208,7 @@ class TestDiagnose:
         ref = segment_ipa("als si: fo:n de:m", classes)
         hyp = segment_ipa("als i: fo:n fo:n", classes).tokens
         diag = diagnose_sentence("u0", ref, hyp, classes)
-        assert tuple(diag.alignment.replay(ref.tokens)) == tuple(hyp)
+        assert tuple(replay(diag.alignment, ref.tokens)) == tuple(hyp)
         assert len(diag.dropouts) == len(
             [op for op in diag.alignment.ops if op.kind is EditKind.DELETE]
         )

@@ -154,6 +154,15 @@ class TestVocab:
                   "--variant", "total15", "--out", str(tmp_path / "x")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("which", [["--all", "--variant", "base"], []])
+    def test_exactly_one_of_all_and_variant(self, tmp_path, augmented_manifest, capsys, which):
+        with pytest.raises(SystemExit) as exc:
+            main(["vocab", "--manifest", str(augmented_manifest),
+                  "--out", str(tmp_path / "x.vocab"), *which])
+        assert exc.value.code == 2
+        assert "--all" in capsys.readouterr().err
+        assert not (tmp_path / "x.vocab").exists()
+
 
 class TestTrainFlags:
     """`bigphon train` takes its model flags and their defaults from ModelConfig."""
@@ -437,6 +446,32 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"bigphon: error: {bad}: ") and detail in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--min-period", "0", "min_period must be at least 1"),
+        ("--min-copies", "0", "min_copies must be at least 2"),
+        ("--min-copies", "1", "min_copies must be at least 2"),
+    ])
+    def test_degenerate_repetition_bounds_exit_2_before_decoding(
+        self, tmp_path, augmented_manifest, checkpoint, monkeypatch, capsys, flag, value, message
+    ):
+        """On a checkpoint that emits EOS at once every hypothesis is empty,
+        so a missing check would show as exit 0, not as a hang."""
+        ckpt = load_checkpoint(checkpoint)
+        ckpt.params_flat[:] = 0.0
+        ckpt.params["out_b"][EOS_ID] = 5.0
+        path = tmp_path / "eos.ckpt"
+        save_checkpoint(ckpt, path)
+        calls = []
+        decode = training.greedy_decode
+        monkeypatch.setattr(training, "greedy_decode",
+                            lambda *args: calls.append(args) or decode(*args))
+        capsys.readouterr()
+        rc = main(["errors", "--ckpt", str(path), "--manifest", str(augmented_manifest),
+                   "--out", str(tmp_path / "diag"), flag, value])
+        assert rc == 2
+        assert calls == []
+        assert capsys.readouterr().err == f"bigphon: error: {message}\n"
 
     @pytest.mark.parametrize("command", ["evaluate", "errors"])
     @pytest.mark.parametrize("defect", ["unaugmented", "empty"])

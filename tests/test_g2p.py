@@ -1,10 +1,16 @@
-"""Rule table parsing and transliteration."""
+"""Rule table parsing and transliteration, and the rule matcher checked
+against a reference that parses contexts as strings and keeps the longest
+match found so far."""
 
 from __future__ import annotations
+
+import random
+from importlib import resources
 
 import pytest
 
 from bigphon.g2p import (
+    BOUNDARY,
     RuleParseError,
     UndeclaredClass,
     UnmappableGrapheme,
@@ -13,6 +19,8 @@ from bigphon.g2p import (
     transliterate,
 )
 from bigphon.ipa import classify, segment_ipa
+
+from conftest import TOY_WORDS
 
 TOY_TABLE = """\
 ::alphabet = sch
@@ -35,6 +43,16 @@ class TestParse:
         text = "::alphabet = a\na\ta\ta\t<nope>\n"
         with pytest.raises(UndeclaredClass):
             parse_rule_table(text)
+
+    @pytest.mark.parametrize("context, error, message", [
+        ("<vow", RuleParseError, "line 3: unterminated class reference in '<vow'"),
+        ("a<nope>", UndeclaredClass, "line 3: context references undeclared class 'nope'"),
+    ])
+    def test_context_errors_name_the_line(self, context, error, message):
+        text = f"::alphabet = a\n::vow = a\na\ta\t_\t{context}\n"
+        with pytest.raises(error) as exc:
+            parse_rule_table(text)
+        assert str(exc.value) == message and exc.value.lineno == 3
 
     def test_empty_file(self):
         with pytest.raises(RuleParseError):
@@ -148,3 +166,155 @@ class TestGermanTable:
 
     def test_rule_count_in_range(self, rules):
         assert 100 <= len(rules.rules) <= 200
+
+
+def _reference_parse_context(text: str, classes: dict[str, frozenset[str]]):
+    if text == "_" or text == "":
+        return None
+    items: list[str] = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "<":
+            end = text.find(">", i)
+            items.append(text[i : end + 1])
+            i = end + 1
+        else:
+            items.append(ch)
+            i += 1
+    return tuple(items)
+
+
+def reference_rules(text: str):
+    """(classes, [(match, left, right)]) in table order, contexts as item
+    strings: a literal char, `<name>` or `#`. Assumes `text` parses."""
+    classes: dict[str, frozenset[str]] = {}
+    rules = []
+    for line in text.splitlines():
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        if line.startswith("::"):
+            name, _, chars = line[2:].partition("=")
+            classes[name.strip()] = frozenset(chars.strip())
+            continue
+        fields = line.split("\t")
+        left = right = None
+        if len(fields) == 4:
+            left = _reference_parse_context(fields[2], classes)
+            right = _reference_parse_context(fields[3], classes)
+        rules.append((fields[0], left, right))
+    return classes, rules
+
+
+def _reference_left(items, word, pos, classes) -> bool:
+    i = pos
+    for item in reversed(items):
+        if item == BOUNDARY:
+            if i != 0:
+                return False
+        elif i == 0:
+            return False
+        elif item.startswith("<"):
+            if word[i - 1] not in classes[item[1:-1]]:
+                return False
+            i -= 1
+        else:
+            if word[i - 1] != item:
+                return False
+            i -= 1
+    return True
+
+
+def _reference_right(items, word, pos, classes) -> bool:
+    i = pos
+    for item in items:
+        if item == BOUNDARY:
+            if i != len(word):
+                return False
+        elif i >= len(word):
+            return False
+        elif item.startswith("<"):
+            if word[i] not in classes[item[1:-1]]:
+                return False
+            i += 1
+        else:
+            if word[i] != item:
+                return False
+            i += 1
+    return True
+
+
+def reference_best_match(reference, word: str, pos: int) -> int | None:
+    """Table index of the longest applicable rule at `pos`, the earliest
+    one on ties, found by scanning the whole table."""
+    classes, rules = reference
+    best = None
+    for index, (match, left, right) in enumerate(rules):
+        if best is not None and len(match) <= len(rules[best][0]):
+            continue
+        if not word.startswith(match, pos):
+            continue
+        if left and not _reference_left(left, word, pos, classes):
+            continue
+        if right and not _reference_right(right, word, pos + len(match), classes):
+            continue
+        best = index
+    return best
+
+
+def assert_matchers_agree(text: str, words) -> int:
+    """best_match and the reference pick the same rule at every position
+    of every word; returns the number of positions checked."""
+    table = parse_rule_table(text)
+    reference = reference_rules(text)
+    index = {id(rule): i for i, rule in enumerate(table.rules)}
+    checked = 0
+    for word in words:
+        for pos in range(len(word)):
+            rule = table.best_match(word, pos)
+            got = None if rule is None else index[id(rule)]
+            assert got == reference_best_match(reference, word, pos), (word, pos)
+            checked += 1
+    return checked
+
+
+def _bundled_text() -> str:
+    return resources.files("bigphon").joinpath("data/german.rules").read_text(encoding="utf-8")
+
+
+ORACLE_SENTENCES = (
+    "als sie von dem schönen Geist und dem Bartscherer überfallen wurden",
+    "die sonne schien auf das wasser",
+    "ein mann ging durch die stadt",
+    "das kind spielt mit dem ball",
+    "der wind weht über das land",
+    "wir sehen den hellen mond",
+    "ich auch euch heute straße singen wenig der die das den des",
+)
+
+
+class TestMatcherOracle:
+    def test_bundled_table_on_sentences_and_random_words(self, rules):
+        rng = random.Random(6)
+        alphabet = sorted(rules.alphabet)
+        words = [w for s in ORACLE_SENTENCES for w in s.lower().split()] + TOY_WORDS
+        words += ["".join(rng.choices(alphabet, k=rng.randint(1, 9))) for _ in range(3000)]
+        assert assert_matchers_agree(_bundled_text(), words) > 15000
+
+    def test_random_tables_with_every_item_kind_in_every_slot(self):
+        rng = random.Random(7)
+        letters = "abcd"
+        items = [*letters, "<v>", "<w>", BOUNDARY]
+        checked = 0
+        for _ in range(200):
+            lines = [f"{ch}\t{ch.upper()}" for ch in letters]
+            for n in range(12):
+                match = "".join(rng.choices(letters, k=rng.randint(1, 3)))
+                left, right = ("".join(rng.choices(items, k=rng.randint(0, 3))) or "_"
+                               for _ in range(2))
+                lines.append(f"{match}\t{n}\t{left}\t{right}")
+            rng.shuffle(lines)
+            text = "\n".join(["::alphabet = abcd", "::v = ab", "::w = bcd", *lines]) + "\n"
+            words = ["".join(rng.choices(letters, k=rng.randint(1, 6))) for _ in range(30)]
+            checked += assert_matchers_agree(text, words)
+        assert checked > 20000
