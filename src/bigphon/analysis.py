@@ -8,8 +8,7 @@ Match > Substitute > Delete > Insert, so scripts are deterministic.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -139,8 +138,8 @@ def detect_repetitions(
 class Dropout:
     ref_pos: int
     token: str
-    left_context: tuple[str, ...]
-    right_context: tuple[str, ...]
+    left: tuple[str, ...]
+    right: tuple[str, ...]
 
 
 def detect_dropouts(alignment: Alignment, ref: Sequence[str], context: int = 2) -> list[Dropout]:
@@ -160,8 +159,8 @@ def detect_dropouts(alignment: Alignment, ref: Sequence[str], context: int = 2) 
 class Substitution:
     ref_pos: int
     hyp_pos: int
-    ref_token: str
-    hyp_token: str
+    ref: str
+    hyp: str
     same_class: bool
 
 
@@ -218,41 +217,13 @@ class ErrorReport:
                     "ref": s.ref.render(),
                     "hyp": "".join(s.hyp),
                     "distance": s.alignment.distance,
-                    "repetitions": [
-                        {
-                            "start": r.start,
-                            "period": r.period,
-                            "copies": r.copies,
-                            "unit": list(r.unit),
-                        }
-                        for r in s.repetitions
-                    ],
-                    "dropouts": [
-                        {
-                            "ref_pos": d.ref_pos,
-                            "token": d.token,
-                            "left": list(d.left_context),
-                            "right": list(d.right_context),
-                        }
-                        for d in s.dropouts
-                    ],
-                    "substitutions": [
-                        {
-                            "ref_pos": x.ref_pos,
-                            "hyp_pos": x.hyp_pos,
-                            "ref": x.ref_token,
-                            "hyp": x.hyp_token,
-                            "same_class": x.same_class,
-                        }
-                        for x in s.substitutions
-                    ],
+                    "repetitions": [asdict(r) for r in s.repetitions],
+                    "dropouts": [asdict(d) for d in s.dropouts],
+                    "substitutions": [asdict(x) for x in s.substitutions],
                 }
                 for s in self.sentences
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False, indent=2)
 
 
 def diagnose_sentence(
@@ -347,16 +318,16 @@ class ArticleReport:
             "weighted_average": self.weighted_average,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False, indent=2)
 
-
-def _aligned_span(alignment: Alignment, start: int, stop: int) -> tuple[str, ...]:
+def _aligned_span(
+    alignment: Alignment, hyp: Sequence[str], start: int, stop: int
+) -> tuple[str, ...]:
     """Hypothesis tokens covering reference positions [start, stop).
 
     The span runs from the first to the last hypothesis position aligned
     (matched or substituted) to the reference span, so insertions inside it
-    count against an exact match; pure deletions give an empty span.
+    count against an exact match; pure deletions give an empty span. Edit
+    scripts are monotone in hypothesis position, so the span is a slice.
     """
     hyp_positions = [
         op.hyp_pos
@@ -367,13 +338,7 @@ def _aligned_span(alignment: Alignment, start: int, stop: int) -> tuple[str, ...
     ]
     if not hyp_positions:
         return ()
-    lo, hi = min(hyp_positions), max(hyp_positions)
-    collected = [
-        op.hyp_token
-        for op in alignment.ops
-        if op.hyp_pos is not None and lo <= op.hyp_pos <= hi
-    ]
-    return tuple(collected)
+    return tuple(hyp[hyp_positions[0] : hyp_positions[-1] + 1])
 
 
 def article_forms(rules: RuleTable, table: ClassificationTable | None = None):
@@ -404,7 +369,7 @@ def article_accuracy(
             for name in ARTICLES:
                 if word == forms[name]:
                     occurrences[name] += 1
-                    span = _aligned_span(alignment, offset, offset + len(word))
+                    span = _aligned_span(alignment, hyp, offset, offset + len(word))
                     if span == forms[name]:
                         hits[name] += 1
             offset += len(word)

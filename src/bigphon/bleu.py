@@ -9,7 +9,6 @@ tokens, one reference per hypothesis.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -74,9 +73,6 @@ class BleuReport:
             "variant": self.variant,
             "epoch": self.epoch,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False, indent=2)
 
 
 def corpus_bleu(hyps, refs, variant: str | None = None, epoch: int | None = None) -> BleuReport:

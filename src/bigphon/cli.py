@@ -62,6 +62,11 @@ def _parse_split_sizes(text: str) -> tuple[int, int, int]:
     return tuple(int(p) for p in parts)  # type: ignore[return-value]
 
 
+def _write_json(path: Path, report) -> None:
+    text = json.dumps(report.to_dict(), ensure_ascii=False, indent=2)
+    path.write_text(text + "\n", encoding="utf-8")
+
+
 def _provenance(args, extra: dict | None = None) -> list[str]:
     items = {"tool": f"bigphon {__version__}", "command": args.command}
     if hasattr(args, "seed"):
@@ -172,7 +177,6 @@ def cmd_evaluate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     grid: dict[int, dict[str, float]] = {}
-    variants_seen: list[str] = []
     for path in paths:
         ckpt = load_checkpoint(path)
         if args.vocab_dir:
@@ -183,15 +187,11 @@ def cmd_evaluate(args) -> int:
                     f"{vocab_path} does not match units stored in {path}"
                 )
         decoded, report = decode_split(ckpt, manifest, split=args.split)
-        name = f"bleu_{ckpt.variant}_epoch{ckpt.epoch:04d}.json"
-        (out / name).write_text(report.to_json() + "\n", encoding="utf-8")
+        _write_json(out / f"bleu_{ckpt.variant}_epoch{ckpt.epoch:04d}.json", report)
         grid.setdefault(ckpt.epoch, {})[ckpt.variant] = report.bleu
-        if ckpt.variant not in variants_seen:
-            variants_seen.append(ckpt.variant)
         print(f"{path}: variant={ckpt.variant} epoch={ckpt.epoch} bleu={report.bleu:.2f} "
               f"truncated={_truncated(decoded)}")
-    columns = [v for v in VARIANT_LABELS if v in variants_seen]
-    columns += [v for v in variants_seen if v not in columns]
+    columns = [v for v in VARIANT_LABELS if any(v in row for row in grid.values())]
     lines = [f"# {h}" for h in _provenance(args, {"checkpoints": len(paths)})]
     lines.append("epoch," + ",".join(columns))
     for epoch in sorted(grid):
@@ -229,13 +229,13 @@ def cmd_errors(args) -> int:
         rendered.append(f"  text: {utt.text}")
         rendered.append(f"  ref:  {utt.phonemes.render()}")
         rendered.append(f"  hyp:  {render_marked(diag.alignment)}")
-    (out / "error_report.json").write_text(report.to_json() + "\n", encoding="utf-8")
+    _write_json(out / "error_report.json", report)
     (out / "sentences.txt").write_text("\n".join(rendered) + "\n", encoding="utf-8")
 
     refs = [utt.phonemes for utt, _ in decoded]
     hyps = [result.sequence.tokens for _, result in decoded]
     articles = article_accuracy(refs, hyps, rules, table)
-    (out / "article_report.json").write_text(articles.to_json() + "\n", encoding="utf-8")
+    _write_json(out / "article_report.json", articles)
     header = [f"# {h}" for h in _provenance(args, {"variant": ckpt.variant, "epoch": ckpt.epoch})]
     row = [ckpt.variant]
     for name in ARTICLES:

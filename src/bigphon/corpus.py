@@ -183,7 +183,8 @@ def augment(
     rules: RuleTable,
     table: ClassificationTable | None = None,
 ) -> CorpusManifest:
-    """Transliterate every utterance's text into its phoneme sequence."""
+    """Transliterate every utterance's text into its phoneme sequence;
+    a text with no letters (punctuation only) is an input error."""
     out: list[Utterance] = []
     for utt in manifest.utterances:
         try:
@@ -192,6 +193,8 @@ def augment(
             raise UnmappableGrapheme(
                 exc.char, exc.position, exc.word, utterance_id=utt.utt_id
             ) from exc
+        if not phonemes:
+            raise ValueError(f"utterance {utt.utt_id!r} has no phonemes: {utt.text!r}")
         out.append(replace(utt, phonemes=phonemes))
     return CorpusManifest(tuple(out), dict(manifest.split), manifest.seed)
 

@@ -71,8 +71,8 @@ class ModelConfig:
             raise ValueError("d_model must be divisible by heads")
         if self.checkpoint_interval <= 0 or self.epochs % self.checkpoint_interval:
             raise ValueError("checkpoint_interval must divide epochs")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if not 0 <= self.dropout < 1:
             raise ValueError("dropout must be in [0, 1)")
 

@@ -183,6 +183,8 @@ def load_checkpoint(path) -> Checkpoint:
                 raise TypeError(f"{key} must be {kind.__name__}, got {header[key]!r}")
         config = ModelConfig(**header["config"])
         vocab = _vocab_from_header(header["vocab"])
+        if header["variant"] != vocab.variant:
+            raise ValueError(f"variant {header['variant']!r} differs from vocab {vocab.variant!r}")
         dims = ModelDims(
             target_vocab=len(vocab),
             source_vocab=header["source_vocab"],
@@ -197,11 +199,11 @@ def load_checkpoint(path) -> Checkpoint:
         stored_index = [(name, tuple(shape)) for name, shape in header["param_index"]]
         if stored_index != param_index(config, dims):
             raise CheckpointFormatError(f"{path}: parameter index mismatch")
-        codec = (
-            SourceCodec(tuple(header["codec_chars"]))
-            if header["codec_chars"] is not None
-            else None
-        )
+        chars = header["codec_chars"]
+        codec = SourceCodec(tuple(chars)) if chars is not None else None
+        codec_size = codec.size if codec is not None else None
+        if codec_size != dims.source_vocab:
+            raise ValueError(f"codec_chars give source_vocab {codec_size}, not {dims.source_vocab}")
     except CheckpointFormatError:
         raise
     except KeyError as exc:

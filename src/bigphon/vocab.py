@@ -19,24 +19,18 @@ from .ipa import PhonemeInventory, PhonemeSequence, SoundClass
 SPECIALS = ("PAD", "BOS", "EOS", "UNK")
 PAD_ID, BOS_ID, EOS_ID, UNK_ID = 0, 1, 2, 3
 
-VARIANT_LABELS = (
-    "base",
-    "vowel10",
-    "vowel20",
-    "vowel30",
-    "const10",
-    "const20",
-    "const30",
-    "total10",
-    "total20",
-    "total30",
-)
-
 
 class BigramScope(Enum):
     VOWEL = "vowel"  # both members vowels
     CONSONANT = "const"  # both members consonants
     TOTAL = "total"  # any adjacent pair
+
+
+# Each variant label and its (scope, n): base, then each scope at 10/20/30.
+VARIANTS = {"base": (None, 0)} | {
+    f"{s.value}{n}": (s, n) for s in BigramScope for n in (10, 20, 30)
+}
+VARIANT_LABELS = tuple(VARIANTS)
 
 
 class UnknownPhoneme(ValueError):
@@ -62,15 +56,10 @@ class IndexOutOfRange(ValueError):
 
 
 def parse_variant(label: str) -> tuple[BigramScope | None, int]:
-    """Split a variant label into (scope, n); base -> (None, 0)."""
-    if label == "base":
-        return None, 0
-    if label not in VARIANT_LABELS:
+    """The (scope, n) of a variant label; base -> (None, 0)."""
+    if label not in VARIANTS:
         raise UnknownVariant(label)
-    for scope in BigramScope:
-        if label.startswith(scope.value):
-            return scope, int(label[len(scope.value) :])
-    raise UnknownVariant(label)  # pragma: no cover
+    return VARIANTS[label]
 
 
 _SCOPE_CLASS = {BigramScope.VOWEL: SoundClass.VOWEL, BigramScope.CONSONANT: SoundClass.CONSONANT}

@@ -277,7 +277,7 @@ def test_criterion_09_error_detector_fixtures(classes):
         alignment = align(sub_ref.tokens, sub_hyp.tokens)
         subs = detect_substitutions(alignment, classes)
         assert len(subs) == 1
-        assert (subs[0].ref_token, subs[0].hyp_token) == ("ʊ", "ɔ")
+        assert (subs[0].ref, subs[0].hyp) == ("ʊ", "ɔ")
         assert subs[0].same_class is True
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ import pytest
 from bigphon.analysis import (
     ARTICLES,
     EditKind,
+    ErrorReport,
+    _aligned_span,
     align,
     article_accuracy,
     detect_dropouts,
@@ -58,6 +61,23 @@ def replay(alignment, ref):
     if consumed != len(ref):
         raise ValueError("edit script does not consume the full reference")
     return out
+
+
+def reference_aligned_span(alignment, start, stop):
+    """Two-pass span: find the first and last hypothesis positions aligned
+    to reference positions [start, stop), then collect the hypothesis token
+    of every op between them."""
+    hyp_positions = [
+        op.hyp_pos
+        for op in alignment.ops
+        if op.ref_pos is not None and start <= op.ref_pos < stop and op.hyp_pos is not None
+    ]
+    if not hyp_positions:
+        return ()
+    lo, hi = min(hyp_positions), max(hyp_positions)
+    return tuple(
+        op.hyp_token for op in alignment.ops if op.hyp_pos is not None and lo <= op.hyp_pos <= hi
+    )
 
 
 class TestAlign:
@@ -173,7 +193,7 @@ class TestDropouts:
         assert len(drops) == 1
         assert drops[0].token == "s"
         assert drops[0].ref_pos in (2, 3)
-        context = drops[0].left_context + (drops[0].token,) + drops[0].right_context
+        context = drops[0].left + (drops[0].token,) + drops[0].right
         assert context == ("a", "l", "s", "s", "i:")
 
     def test_perfect_hyp(self):
@@ -219,6 +239,58 @@ class TestDiagnose:
     def test_render_marked(self):
         a = align(("a", "b", "c"), ("a", "x", "c"))
         assert render_marked(a) == "*a* x *c*"
+
+
+class TestErrorReport:
+    def test_to_dict_pinned(self, classes):
+        """Item keys and their order are the detectors' dataclass fields."""
+        ref = segment_ipa("als si: fo:n fo:n", classes)
+        hyp = ("a", "r", "s", "i:", "f", "o:", "n", "f", "o:", "n")
+        report = ErrorReport([diagnose_sentence("u7", ref, hyp, classes)])
+        expected = {
+            "totals": {
+                "sentences": 1,
+                "repetitions": 1,
+                "dropouts": 1,
+                "substitutions": 1,
+                "same_class_substitutions": 1,
+                "edit_distance": 2,
+            },
+            "sentences": [
+                {
+                    "id": "u7",
+                    "ref": "als si: fo:n fo:n",
+                    "hyp": "arsi:fo:nfo:n",
+                    "distance": 2,
+                    "repetitions": [
+                        {"start": 4, "period": 3, "copies": 2, "unit": ["f", "o:", "n"]},
+                    ],
+                    "dropouts": [
+                        {"ref_pos": 1, "token": "l", "left": ["a"], "right": ["s", "s"]},
+                    ],
+                    "substitutions": [
+                        {"ref_pos": 2, "hyp_pos": 1, "ref": "s", "hyp": "r", "same_class": True},
+                    ],
+                },
+            ],
+        }
+        # JSON text compares key order and list-vs-dict shape, not just values
+        assert json.dumps(report.to_dict()) == json.dumps(expected)
+
+
+class TestAlignedSpan:
+    def test_slice_equals_two_pass_span(self):
+        rng = np.random.default_rng(17)
+        windows = 0
+        for _ in range(3000):
+            ref = tuple(str(x) for x in rng.integers(0, 4, size=rng.integers(0, 15)))
+            hyp = tuple(str(x) for x in rng.integers(0, 4, size=rng.integers(0, 15)))
+            a = align(ref, hyp)
+            for start, stop in itertools.combinations(range(len(ref) + 1), 2):
+                expected = reference_aligned_span(a, start, stop)
+                assert _aligned_span(a, list(hyp), start, stop) == expected, (ref, hyp, start)
+                windows += 1
+        assert windows > 100_000
 
 
 class TestArticleAccuracy:

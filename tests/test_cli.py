@@ -71,6 +71,16 @@ class TestAugment:
         assert rc == 2
         assert "u000" in capsys.readouterr().err
 
+    def test_punctuation_only_row_exits_2(self, tmp_path, capsys):
+        """A row with no letters has no phonemes; no later command could use it."""
+        raw = write_raw_manifest(tmp_path, ["als sie", "... !", "das kind"])
+        out = tmp_path / "x.tsv"
+        rc = main(["augment", "--manifest", str(raw), "--out", str(out), "--split", "3,0,0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "bigphon: error: utterance 'u001' has no phonemes: '... !'\n"
+        assert not out.exists()
+
     def test_size_mismatch_exits_2(self, tmp_path):
         raw = write_raw_manifest(tmp_path, ["als sie"])
         rc = main(["augment", "--manifest", str(raw), "--out", str(tmp_path / "x.tsv"),
@@ -371,6 +381,15 @@ class TestInputErrors:
         assert main(args) == 2
         assert capsys.readouterr().err == f"bigphon: error: {name} must be at least 1\n"
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_learning_rate_exits_2(self, tmp_path, augmented_manifest, vocab_path,
+                                              capsys, value):
+        args = train_args(augmented_manifest, vocab_path, tmp_path / "run") + ["--lr", value]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err == "bigphon: error: learning_rate must be positive and finite\n"
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("command", ["train", "vocab", "evaluate"])
     def test_unaugmented_row_exits_2(self, tmp_path, augmented_manifest, vocab_path, capsys,
                                      command):
@@ -429,6 +448,10 @@ class TestInputErrors:
         (lambda h: h.update(epoch="2"), "epoch must be int, got '2'"),
         (lambda h: h["config"].update(d_model="16"), "d_model must be int, got '16'"),
         (lambda h: h["vocab"].update(variant="total15"), "unknown vocabulary variant 'total15'"),
+        (lambda h: h.update(variant="total30"), "variant 'total30' differs from vocab 'base'"),
+        (lambda h: h.update(variant="foo"), "variant 'foo' differs from vocab 'base'"),
+        (lambda h: h["codec_chars"].extend("#$%"), "codec_chars give source_vocab 24, not 21"),
+        (lambda h: h.update(codec_chars=None), "codec_chars give source_vocab None, not 21"),
     ])
     def test_bad_checkpoint_header_exits_2(self, tmp_path, augmented_manifest, checkpoint,
                                            capsys, edit, detail):

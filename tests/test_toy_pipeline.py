@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -26,3 +27,8 @@ def test_two_runs_print_identical_digests(tmp_path):
     stdout = (tmp_path / "a" / "stdout.txt").read_text(encoding="utf-8").splitlines()
     assert stdout[0] == "ingested=30 removed=0 kept=30 train=20 valid=5 test=5"
     assert len(stdout) == 1 + 10 + 2 + 6 + 2 + 3
+    # the digests cover every kind of error_report.json item
+    totals = [json.loads((tmp_path / "a" / name / "error_report.json").read_text("utf-8"))["totals"]
+              for name in ("errors_base", "errors_total10", "errors_feat")]
+    for kind in ("repetitions", "dropouts", "substitutions"):
+        assert sum(t[kind] for t in totals) >= 1, kind

@@ -192,6 +192,13 @@ class TestTopN:
 
 
 class TestVariants:
+    def test_label_order(self):
+        """Grid columns and `vocab --all` follow this order."""
+        assert VARIANT_LABELS == (
+            "base", "vowel10", "vowel20", "vowel30", "const10", "const20", "const30",
+            "total10", "total20", "total30",
+        )
+
     def test_parse(self):
         assert parse_variant("base") == (None, 0)
         assert parse_variant("vowel10") == (BigramScope.VOWEL, 10)
