@@ -2,8 +2,10 @@
 detectors, and definite-article accuracy.
 
 Alignment is a minimal Levenshtein edit script at unit cost, replaying the
-reference into the hypothesis. Backtrace ties break by the fixed preference
-Match > Substitute > Delete > Insert, so scripts are deterministic.
+reference into the hypothesis. The edit-distance table is filled one numpy
+row at a time; its arithmetic is integer, so the table is exact. Backtrace
+ties break by the fixed preference Match > Substitute > Delete > Insert, so
+scripts are deterministic.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Sequence
+
+import numpy as np
 
 from .g2p import RuleTable, transliterate
 from .ipa import ClassificationTable, PhonemeSequence, classify
@@ -45,19 +49,23 @@ def align(ref: Sequence[str], hyp: Sequence[str]) -> Alignment:
     ref = tuple(ref)
     hyp = tuple(hyp)
     n, m = len(ref), len(hyp)
-    dp = [[0] * (m + 1) for _ in range(n + 1)]
+    ids: dict[str, int] = {}
+    ref_ids = np.array([ids.setdefault(t, len(ids)) for t in ref], dtype=np.int64)
+    hyp_ids = np.array([ids.setdefault(t, len(ids)) for t in hyp], dtype=np.int64)
+    cost = (ref_ids[:, None] != hyp_ids[None, :]).astype(np.int64)
+    cols = np.arange(m + 1, dtype=np.int64)
+    table = np.empty((n + 1, m + 1), dtype=np.int64)
+    table[0] = cols
+    cand = np.empty(m + 1, dtype=np.int64)
     for i in range(1, n + 1):
-        dp[i][0] = i
-    for j in range(1, m + 1):
-        dp[0][j] = j
-    for i in range(1, n + 1):
-        row = dp[i]
-        prev = dp[i - 1]
-        for j in range(1, m + 1):
-            sub = prev[j - 1] + (ref[i - 1] != hyp[j - 1])
-            dele = prev[j] + 1
-            ins = row[j - 1] + 1
-            row[j] = min(sub, dele, ins)
+        prev = table[i - 1]
+        # Substitute/match and delete need only the row above.
+        np.minimum(prev[:-1] + cost[i - 1], prev[1:] + 1, out=cand[1:])
+        cand[0] = i
+        # Insert chain: row[j] = min over k <= j of cand[k] + (j - k).
+        np.minimum.accumulate(cand - cols, out=table[i])
+        table[i] += cols
+    dp = table.tolist()
     ops: list[EditOp] = []
     i, j = n, m
     while i > 0 or j > 0:

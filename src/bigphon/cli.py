@@ -76,10 +76,14 @@ def _provenance(args, extra: dict | None = None) -> list[str]:
 
 
 def cmd_augment(args) -> int:
+    if args.max_chars < 1:
+        raise ValueError(f"--max-chars must be at least 1, got {args.max_chars}")
     rules, table = _load_tables(args)
     manifest = ingest(args.manifest)
     n_in = len(manifest)
     manifest, removed = filter_by_length(manifest, args.max_chars)
+    if removed and not manifest.utterances:
+        raise ValueError(f"--max-chars {args.max_chars} removes all {n_in} rows")
     manifest = augment(manifest, rules, table)
     sizes = _parse_split_sizes(args.split)
     manifest = split_corpus(manifest, sizes, args.seed)
@@ -128,6 +132,9 @@ def cmd_train(args) -> int:
     table = _load_classes(args)
     manifest = ingest(args.manifest)
     inventory, _ = _corpus_and_inventory(manifest, table)
+    if not manifest.by_split("valid"):
+        raise ValueError("manifest has no valid split, so valid loss cannot be measured; "
+                         "give `bigphon augment --split` a nonzero valid count")
     vocab = read_vocab(args.vocab, inventory)
     config = ModelConfig(**{f.name: getattr(args, f.name) for f in fields(ModelConfig)})
     outdir = Path(args.outdir)

@@ -10,7 +10,9 @@ import pytest
 
 from bigphon.analysis import (
     ARTICLES,
+    Alignment,
     EditKind,
+    EditOp,
     ErrorReport,
     _aligned_span,
     align,
@@ -41,6 +43,44 @@ def dp_oracle(ref, hyp):
         return best
 
     return go(0, 0)
+
+
+def reference_align(ref, hyp):
+    """The cell-by-cell pure-Python fill and backtrace that `align` replaced."""
+    ref = tuple(ref)
+    hyp = tuple(hyp)
+    n, m = len(ref), len(hyp)
+    dp = [[0] * (m + 1) for _ in range(n + 1)]
+    for i in range(1, n + 1):
+        dp[i][0] = i
+    for j in range(1, m + 1):
+        dp[0][j] = j
+    for i in range(1, n + 1):
+        row = dp[i]
+        prev = dp[i - 1]
+        for j in range(1, m + 1):
+            sub = prev[j - 1] + (ref[i - 1] != hyp[j - 1])
+            dele = prev[j] + 1
+            ins = row[j - 1] + 1
+            row[j] = min(sub, dele, ins)
+    ops: list[EditOp] = []
+    i, j = n, m
+    while i > 0 or j > 0:
+        here = dp[i][j]
+        if i > 0 and j > 0 and ref[i - 1] == hyp[j - 1] and dp[i - 1][j - 1] == here:
+            ops.append(EditOp(EditKind.MATCH, i - 1, j - 1, ref[i - 1], hyp[j - 1]))
+            i, j = i - 1, j - 1
+        elif i > 0 and j > 0 and dp[i - 1][j - 1] + 1 == here and ref[i - 1] != hyp[j - 1]:
+            ops.append(EditOp(EditKind.SUBSTITUTE, i - 1, j - 1, ref[i - 1], hyp[j - 1]))
+            i, j = i - 1, j - 1
+        elif i > 0 and dp[i - 1][j] + 1 == here:
+            ops.append(EditOp(EditKind.DELETE, i - 1, None, ref[i - 1], None))
+            i -= 1
+        else:
+            ops.append(EditOp(EditKind.INSERT, None, j - 1, None, hyp[j - 1]))
+            j -= 1
+    ops.reverse()
+    return Alignment(tuple(ops), dp[n][m])
 
 
 def replay(alignment, ref):
@@ -121,6 +161,58 @@ class TestAlign:
         assert align((), ("a", "b")).distance == 2
         assert align(("a", "b"), ()).distance == 2
         assert align((), ()).distance == 0
+
+
+# Multi-character tokens, some a prefix of another ("a"/"aː", "t"/"t͡s").
+ORACLE_ALPHABETS = {
+    2: ("aː", "t͡s"),
+    3: ("a", "aː", "t͡s"),
+    38: (
+        "a", "aː", "ɐ", "e", "eː", "ə", "ɛ", "ɛː", "i", "iː", "ɪ", "o", "oː", "ɔ",
+        "u", "uː", "ʊ", "y", "yː", "ʏ", "ø", "øː", "aɪ̯", "aʊ̯", "ɔʏ̯", "b", "d",
+        "f", "g", "k", "l", "m", "n", "ŋ", "ʁ", "s", "t", "t͡s",
+    ),
+}
+
+
+def assert_align_matches_reference(ref, hyp):
+    got = align(ref, hyp)
+    assert got == reference_align(ref, hyp), (ref, hyp)
+    assert type(got.distance) is int
+
+
+class TestAlignOracle:
+    """`align` returns the very `Alignment` of the cell-by-cell fill: every
+    op's kind, positions and tokens, and the distance."""
+
+    def test_every_three_symbol_pair_up_to_combined_length_7(self):
+        alphabet = ORACLE_ALPHABETS[3]
+        pools = {
+            n: list(itertools.product(alphabet, repeat=n)) for n in range(8)
+        }
+        checked = 0
+        for len_ref in range(8):
+            for len_hyp in range(8 - len_ref):
+                for ref in pools[len_ref]:
+                    for hyp in pools[len_hyp]:
+                        assert_align_matches_reference(ref, hyp)
+                        checked += 1
+        assert checked == sum((n + 1) * 3**n for n in range(8))
+
+    @pytest.mark.parametrize("size", sorted(ORACLE_ALPHABETS))
+    def test_seeded_random_pairs_up_to_130_tokens(self, size):
+        alphabet = ORACLE_ALPHABETS[size]
+        assert len(set(alphabet)) == size
+        rng = np.random.default_rng(size)
+        for k in range(700):
+            n, m = (int(x) for x in rng.integers(0, 131, size=2))
+            if k % 10 == 0:
+                n = 0
+            elif k % 10 == 1:
+                m = 0
+            ref = [alphabet[x] for x in rng.integers(0, size, size=n)]
+            hyp = [alphabet[x] for x in rng.integers(0, size, size=m)]
+            assert_align_matches_reference(ref, hyp)
 
 
 class TestRepetitions:

@@ -96,6 +96,27 @@ class TestAugment:
         assert "removed=1" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("bound", ["0", "-5"])
+    def test_nonpositive_max_chars_exits_2_before_reading(self, tmp_path, capsys, bound):
+        out = tmp_path / "x.tsv"
+        rc = main(["augment", "--manifest", str(tmp_path / "missing.tsv"), "--out", str(out),
+                   "--max-chars", bound, "--split", "1,0,0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"bigphon: error: --max-chars must be at least 1, got {bound}\n"
+        assert not out.exists()
+
+    def test_filter_removing_every_row_names_the_filter(self, tmp_path, capsys):
+        raw = write_raw_manifest(tmp_path, ["als sie von dem", "das kind"])
+        out = tmp_path / "x.tsv"
+        rc = main(["augment", "--manifest", str(raw), "--out", str(out),
+                   "--max-chars", "3", "--split", "2,0,0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "bigphon: error: --max-chars 3 removes all 2 rows\n"
+        assert not out.exists()
+
+
 class TestVocab:
     def test_single_variant(self, tmp_path, augmented_manifest, capsys):
         out = tmp_path / "base.vocab"
@@ -242,6 +263,20 @@ class TestTrainEvaluateErrors:
         assert trace.count("\n") >= 3  # headers + 2 epochs
         run = json.loads((trained / "run_config.json").read_text(encoding="utf-8"))
         assert run["seed"] == 5 and run["variant"] == "base"
+
+    def test_train_without_valid_split_exits_2(self, tmp_path, capsys):
+        mpath = tmp_path / "no_valid.tsv"
+        write_manifest(make_toy_manifest(12, seed=10, sizes=(10, 0, 2)), mpath)
+        vocab_path = tmp_path / "base.vocab"
+        assert main(["vocab", "--manifest", str(mpath), "--variant", "base",
+                     "--out", str(vocab_path)]) == 0
+        capsys.readouterr()
+        outdir = tmp_path / "run"
+        assert main(train_args(mpath, vocab_path, outdir)) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("bigphon: error: manifest has no valid split")
+        assert not outdir.exists()
 
     def test_trace_row_count_matches_epochs(self, tmp_path, augmented_manifest):
         vocab_path = tmp_path / "b.vocab"
