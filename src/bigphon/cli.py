@@ -56,10 +56,11 @@ def _load_tables(args):
 
 
 def _parse_split_sizes(text: str) -> tuple[int, int, int]:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"--split expects train,valid,test counts, got {text!r}")
-    return tuple(int(p) for p in parts)  # type: ignore[return-value]
+    try:
+        n_train, n_valid, n_test = (int(p) for p in text.split(","))
+    except ValueError:
+        raise ValueError(f"--split expects train,valid,test counts, got {text!r}") from None
+    return n_train, n_valid, n_test
 
 
 def _write_json(path: Path, report) -> None:
@@ -78,6 +79,7 @@ def _provenance(args, extra: dict | None = None) -> list[str]:
 def cmd_augment(args) -> int:
     if args.max_chars < 1:
         raise ValueError(f"--max-chars must be at least 1, got {args.max_chars}")
+    sizes = _parse_split_sizes(args.split)
     rules, table = _load_tables(args)
     manifest = ingest(args.manifest)
     n_in = len(manifest)
@@ -85,7 +87,6 @@ def cmd_augment(args) -> int:
     if removed and not manifest.utterances:
         raise ValueError(f"--max-chars {args.max_chars} removes all {n_in} rows")
     manifest = augment(manifest, rules, table)
-    sizes = _parse_split_sizes(args.split)
     manifest = split_corpus(manifest, sizes, args.seed)
     write_manifest(
         manifest,

@@ -17,22 +17,42 @@ Rule file format (UTF-8, tab-separated):
 
 The declaration `::alphabet` names the input alphabet; every character in
 it must be covered by a context-free single-character fallback rule.
+
+`transliterate` converts and segments each distinct whitespace-free chunk
+of text once per process, then joins the cached words. The cache holds at
+most WORD_CACHE_SIZE entries and is keyed by the chunk and by the identity
+of both tables, so two tables never share an entry; errors are never
+cached. Outputs and error messages and positions are those of converting
+every word and segmenting the joined IPA string.
 """
 
 from __future__ import annotations
 
 import functools
+import sys
 import unicodedata
 from dataclasses import dataclass
 from importlib import resources
 
-from .ipa import ClassificationTable, PhonemeSequence, load_default_classification, segment_ipa
+from .ipa import (
+    ClassificationTable,
+    PhonemeSequence,
+    UnknownCharacter,
+    load_default_classification,
+    normalize_symbols,
+    segment_ipa,
+    segment_tokens,
+)
 
 # Dropped silently from input words. Digits and symbols are deliberately
 # absent: an unmapped character is a hard error, not a silent skip.
 PUNCTUATION = set(".,;:!?\"'()[]{}«»„“”‚‘’`´-–—…")
 
 BOUNDARY = "#"
+
+# Distinct (chunk, rule table, classification table) keys whose phonemes
+# `transliterate` keeps; the least recently used entry is dropped first.
+WORD_CACHE_SIZE = 1 << 16
 
 
 class RuleParseError(ValueError):
@@ -131,21 +151,24 @@ class RuleTable:
             raise RuleParseError(
                 0, f"no context-free fallback rule for {', '.join(map(repr, missing))}"
             )
-        # Buckets by first character, longest match first; the sort is
-        # stable, so equal lengths keep table order.
-        self._by_first: dict[str, list[RewriteRule]] = {}
+        # Buckets by the first two characters of the match (the one, for a
+        # single character), longest match first; the sort is stable, so
+        # equal lengths keep table order.
+        self._by_prefix: dict[str, list[RewriteRule]] = {}
         for rule in sorted(self.rules, key=lambda r: -len(r.match)):
-            self._by_first.setdefault(rule.match[0], []).append(rule)
+            self._by_prefix.setdefault(rule.match[:2], []).append(rule)
 
     def best_match(self, word: str, pos: int) -> RewriteRule | None:
-        """Longest applicable match at `pos`; table order breaks length ties."""
-        for rule in self._by_first.get(word[pos], ()):
-            if (
-                word.startswith(rule.match, pos)
-                and (not rule.left or _context_holds(rule.left, word, pos, -1))
-                and (not rule.right or _context_holds(rule.right, word, pos + len(rule.match), 1))
-            ):
-                return rule
+        """Longest applicable match at `pos`; table order breaks length ties.
+        Matches of two or more characters all come before single ones."""
+        for prefix in (word[pos : pos + 2], word[pos]):
+            for rule in self._by_prefix.get(prefix, ()):
+                if (
+                    word.startswith(rule.match, pos)
+                    and (not rule.left or _context_holds(rule.left, word, pos, -1))
+                    and (not rule.right or _context_holds(rule.right, word, pos + len(rule.match), 1))
+                ):
+                    return rule
         return None
 
 
@@ -213,6 +236,48 @@ def _convert_word(word: str, rules: RuleTable, raw_word: str, offset: int) -> st
     return "".join(out)
 
 
+_DROP_PUNCTUATION = str.maketrans("", "", "".join(PUNCTUATION))
+
+
+def _strip_punctuation(raw_word: str) -> str:
+    return raw_word.translate(_DROP_PUNCTUATION)
+
+
+@functools.lru_cache(maxsize=WORD_CACHE_SIZE)
+def _word_phonemes(
+    raw_word: str, rules: RuleTable, table: ClassificationTable
+) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The tokens and word boundaries of one whitespace-free chunk of
+    normalized text; the tokens are interned, so cached words share them.
+    Both tables hash by identity; errors are raised, not cached."""
+    word = _strip_punctuation(raw_word)
+    if not word:
+        return (), ()
+    ipa = normalize_symbols(_convert_word(word, rules, raw_word, 0))
+    tokens, boundaries = segment_tokens(ipa, table)
+    return tuple(map(sys.intern, tokens)), tuple(boundaries)
+
+
+def _transliterate_whole(
+    normalized: str, rules: RuleTable, table: ClassificationTable
+) -> PhonemeSequence:
+    """Convert every word of `normalized`, then segment the joined IPA: the
+    result `transliterate` assembles from cached words. It runs only when a
+    chunk fails alone, to raise the text's own error. Every word is
+    converted before any is segmented, so an unmappable grapheme anywhere
+    comes first, and positions count in the text and in its joined IPA,
+    which the cache does not keep."""
+    word_ipa: list[str] = []
+    offset = 0
+    for raw_word in normalized.split():
+        offset = normalized.index(raw_word, offset)
+        word = _strip_punctuation(raw_word)
+        if word:
+            word_ipa.append(_convert_word(word, rules, raw_word, offset))
+        offset += len(raw_word)
+    return segment_ipa(" ".join(word_ipa), table)
+
+
 def transliterate(
     text: str, rules: RuleTable, table: ClassificationTable | None = None
 ) -> PhonemeSequence:
@@ -220,17 +285,29 @@ def transliterate(
 
     Input is NFC-normalized and lowercased; punctuation is dropped; word
     boundaries (whitespace) are preserved. Raises UnmappableGrapheme when no
-    rule applies (digits included, by design).
+    rule applies (digits included, by design). Each distinct chunk is
+    converted and segmented once per process and per pair of tables.
     """
     if table is None:
         table = load_default_classification()
     normalized = unicodedata.normalize("NFC", text).lower()
-    word_ipa: list[str] = []
-    offset = 0
+    tokens: list[str] = []
+    boundaries: list[int] = []
     for raw_word in normalized.split():
-        offset = normalized.index(raw_word, offset)
-        word = "".join(ch for ch in raw_word if ch not in PUNCTUATION)
-        if word:
-            word_ipa.append(_convert_word(word, rules, raw_word, offset))
-        offset += len(raw_word)
-    return segment_ipa(" ".join(word_ipa), table)
+        try:
+            word_tokens, word_boundaries = _word_phonemes(raw_word, rules, table)
+        except (UnmappableGrapheme, UnknownCharacter):
+            break
+        if word_tokens:
+            # A boundary between non-empty words, as segmenting the joined
+            # IPA puts one at each space; a rule output may hold spaces too.
+            if tokens:
+                boundaries.append(len(tokens))
+            if word_boundaries:
+                boundaries.extend(len(tokens) + b for b in word_boundaries)
+            tokens.extend(word_tokens)
+    else:
+        return PhonemeSequence(tuple(tokens), tuple(boundaries))
+    # A text with a failing chunk fails as a whole; outside the handler, so
+    # the chunk's own error is not chained to the text's.
+    return _transliterate_whole(normalized, rules, table)

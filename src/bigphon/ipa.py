@@ -51,9 +51,12 @@ class UnknownCharacter(ValueError):
         )
 
 
+_ALIAS_TRANSLATION = str.maketrans(SYMBOL_ALIASES)
+
+
 def normalize_symbols(text: str) -> str:
     """Map alias spellings (TeX-style capitals, ː) to canonical symbols."""
-    return "".join(SYMBOL_ALIASES.get(ch, ch) for ch in text)
+    return text.translate(_ALIAS_TRANSLATION)
 
 
 def _is_mark(ch: str) -> bool:
@@ -81,6 +84,11 @@ class ClassificationTable:
 
     def __init__(self, mapping: dict[str, SoundClass]):
         self._mapping = dict(mapping)
+        # The characters that start a token: classified, and neither a mark
+        # nor a tie bar.
+        self._bases = frozenset(
+            ch for ch in self._mapping if not _is_mark(ch) and ch not in TIE_BARS
+        )
 
     def __contains__(self, ch: str) -> bool:
         return ch in self._mapping
@@ -177,9 +185,16 @@ def segment_ipa(raw: str, table: ClassificationTable) -> PhonemeSequence:
     UnknownCharacter for bases absent from the table and for marks with no
     base to attach to.
     """
-    text = normalize_symbols(raw)
+    tokens, boundaries = segment_tokens(normalize_symbols(raw), table)
+    return PhonemeSequence(tuple(tokens), tuple(boundaries))
+
+
+def segment_tokens(text: str, table: ClassificationTable) -> tuple[list[str], list[int]]:
+    """`segment_ipa` of `text`, whose symbols are already normalized, as a
+    token list and a boundary list."""
     tokens: list[str] = []
     boundaries: list[int] = []
+    bases = table._bases
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
@@ -188,13 +203,15 @@ def segment_ipa(raw: str, table: ClassificationTable) -> PhonemeSequence:
                 boundaries.append(len(tokens))
             i += 1
             continue
-        if _is_mark(ch) or ch in TIE_BARS:
-            raise UnknownCharacter(
-                ch, i, f"mark {ch!r} at position {i} has no base character"
-            )
-        if ch not in table:
+        if ch not in bases:
+            if _is_mark(ch) or ch in TIE_BARS:
+                raise UnknownCharacter(
+                    ch, i, f"mark {ch!r} at position {i} has no base character"
+                )
             raise UnknownCharacter(ch, i)
-        j = _absorb_marks(text, i + 1)
+        j = i + 1
+        while j < n and _is_mark(text[j]):
+            j += 1
         if j < n and text[j] in TIE_BARS:
             if j + 1 >= n or text[j + 1] == " " or _is_mark(text[j + 1]):
                 raise UnknownCharacter(
@@ -202,18 +219,14 @@ def segment_ipa(raw: str, table: ClassificationTable) -> PhonemeSequence:
                 )
             if text[j + 1] not in table:
                 raise UnknownCharacter(text[j + 1], j + 1)
-            j = _absorb_marks(text, j + 2)
+            j += 2
+            while j < n and _is_mark(text[j]):
+                j += 1
         tokens.append(text[i:j])
         i = j
     if boundaries and boundaries[-1] == len(tokens):
         boundaries.pop()
-    return PhonemeSequence(tuple(tokens), tuple(boundaries))
-
-
-def _absorb_marks(text: str, i: int) -> int:
-    while i < len(text) and _is_mark(text[i]):
-        i += 1
-    return i
+    return tokens, boundaries
 
 
 def classify(symbol: str, table: ClassificationTable) -> SoundClass:

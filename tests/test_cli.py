@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bigphon import cli, training, vocab
+from bigphon import cli, corpus, training, vocab
 from bigphon.cli import build_parser, main
 from bigphon.corpus import CorpusManifest, Utterance, ingest, write_manifest
 from bigphon.model import ModelConfig
@@ -104,6 +104,23 @@ class TestAugment:
         assert rc == 2
         err = capsys.readouterr().err
         assert err == f"bigphon: error: --max-chars must be at least 1, got {bound}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("split", ["1,x,0", "1,0", "1,0,0,0", ""])
+    def test_malformed_split_exits_2_before_transliterating(
+        self, tmp_path, monkeypatch, capsys, split
+    ):
+        raw = write_raw_manifest(tmp_path, ["als sie", "das kind"])
+        out = tmp_path / "x.tsv"
+        calls = []
+        transliterate = corpus.transliterate
+        monkeypatch.setattr(corpus, "transliterate",
+                            lambda *args: calls.append(args) or transliterate(*args))
+        rc = main(["augment", "--manifest", str(raw), "--out", str(out), "--split", split])
+        assert rc == 2
+        assert calls == []
+        err = capsys.readouterr().err
+        assert err == f"bigphon: error: --split expects train,valid,test counts, got {split!r}\n"
         assert not out.exists()
 
     def test_filter_removing_every_row_names_the_filter(self, tmp_path, capsys):

@@ -1,24 +1,37 @@
-"""Rule table parsing and transliteration, and the rule matcher checked
+"""Rule table parsing and transliteration; the rule matcher checked
 against a reference that parses contexts as strings and keeps the longest
-match found so far."""
+match found so far; and the word-cached transliteration checked against a
+reference that converts every word, then segments the joined IPA."""
 
 from __future__ import annotations
 
 import random
+import unicodedata
 from importlib import resources
 
 import pytest
 
+from bigphon import g2p
 from bigphon.g2p import (
     BOUNDARY,
+    PUNCTUATION,
     RuleParseError,
     UndeclaredClass,
     UnmappableGrapheme,
+    _convert_word,
     load_rule_table,
     parse_rule_table,
     transliterate,
 )
-from bigphon.ipa import classify, segment_ipa
+from bigphon.ipa import (
+    ClassificationTable,
+    PhonemeSequence,
+    SoundClass,
+    UnknownCharacter,
+    classify,
+    load_default_classification,
+    segment_ipa,
+)
 
 from conftest import TOY_WORDS
 
@@ -318,3 +331,189 @@ class TestMatcherOracle:
             words = ["".join(rng.choices(letters, k=rng.randint(1, 6))) for _ in range(30)]
             checked += assert_matchers_agree(text, words)
         assert checked > 20000
+
+
+def reference_transliterate(
+    text: str, rules, table: ClassificationTable | None = None
+) -> PhonemeSequence:
+    """Convert German text to a phoneme sequence.
+
+    Input is NFC-normalized and lowercased; punctuation is dropped; word
+    boundaries (whitespace) are preserved. Raises UnmappableGrapheme when no
+    rule applies (digits included, by design).
+    """
+    if table is None:
+        table = load_default_classification()
+    normalized = unicodedata.normalize("NFC", text).lower()
+    word_ipa: list[str] = []
+    offset = 0
+    for raw_word in normalized.split():
+        offset = normalized.index(raw_word, offset)
+        word = "".join(ch for ch in raw_word if ch not in PUNCTUATION)
+        if word:
+            word_ipa.append(_convert_word(word, rules, raw_word, offset))
+        offset += len(raw_word)
+    return segment_ipa(" ".join(word_ipa), table)
+
+
+def _outcome(fn, text, rules, table):
+    """The sequence, or everything an error tells its reader."""
+    try:
+        return fn(text, rules, table)
+    except (UnmappableGrapheme, UnknownCharacter) as err:
+        return type(err), str(err), err.char, err.position, getattr(err, "word", None)
+
+
+def assert_transliterations_agree(texts, rules, table) -> int:
+    """transliterate and the reference give the same sequence or the same
+    error, on a first call and on a repeat; returns how many raised."""
+    errors = 0
+    for text in texts:
+        expected = _outcome(reference_transliterate, text, rules, table)
+        assert _outcome(transliterate, text, rules, table) == expected, text
+        assert _outcome(transliterate, text, rules, table) == expected, text
+        errors += not isinstance(expected, PhonemeSequence)
+    return errors
+
+
+# Each rule output hits one edge of joining words: `c` is silent, `d` holds
+# a space, `e` starts with a length mark, `f` ends with a tie bar, and `g`
+# gives a character the classification table lacks.
+EDGE_RULES = """\
+::alphabet = abcdefgh
+a\ta
+b\tb
+c\t
+d\td a
+e\t:e
+f\tf\u0361
+g\tʒ
+h\th
+"""
+
+EDGE_CLASSES = {**dict.fromkeys("ae", SoundClass.VOWEL),
+                **dict.fromkeys("bdfh", SoundClass.CONSONANT)}
+
+
+def _random_sentences(rng: random.Random, letters: str, n: int) -> list[str]:
+    """Sentences over a pool of 40 words, so words repeat, with punctuation
+    around and inside words, capitals, runs of whitespace and rare digits."""
+    pool = ["".join(rng.choices(letters, k=rng.randint(1, 7))) for _ in range(40)]
+    marks = sorted(PUNCTUATION)
+    sentences = []
+    for _ in range(n):
+        words = []
+        for _ in range(rng.randint(0, 9)):
+            word = rng.choice(pool)
+            roll = rng.random()
+            if roll < 0.1:
+                word = word.capitalize()
+            elif roll < 0.2:
+                cut = rng.randint(0, len(word))
+                word = word[:cut] + rng.choice(marks) + word[cut:]
+            elif roll < 0.25:
+                word = rng.choice(marks) * rng.randint(1, 3)
+            elif roll < 0.27:
+                word += rng.choice("37")
+            words.append(word + (rng.choice(marks) if rng.random() < 0.15 else ""))
+        sentences.append("".join(w + rng.choice([" ", " ", "  ", "\t"]) for w in words))
+    return sentences
+
+
+class TestTransliterateOracle:
+    @pytest.fixture(scope="class")
+    def edge(self):
+        return parse_rule_table(EDGE_RULES), ClassificationTable(EDGE_CLASSES)
+
+    def test_oracle_sentences_and_toy_rows(self, rules, classes):
+        rows = [" ".join(TOY_WORDS[i : i + 5]) for i in range(0, len(TOY_WORDS), 5)]
+        assert assert_transliterations_agree([*ORACLE_SENTENCES, *TOY_WORDS, *rows],
+                                             rules, classes) == 0
+
+    def test_random_german_sentences(self, rules, classes):
+        rng = random.Random(9)
+        sentences = _random_sentences(rng, "".join(sorted(rules.alphabet)), 2000)
+        errors = assert_transliterations_agree(sentences, rules, classes)
+        assert 50 < errors < 1000
+
+    def test_random_sentences_over_edge_outputs(self, edge):
+        rng = random.Random(10)
+        sentences = _random_sentences(rng, "aaabbcdefh" * 3 + "g", 2000)
+        errors = assert_transliterations_agree(sentences, *edge)
+        assert 200 < errors < 1800
+
+    @pytest.mark.parametrize("text", [
+        "c", "c c", "a c b", "c a c  c b c",  # silent words leave no boundary
+        "d", "a d b", "dd", "c d c",  # a space inside one word's output
+        "e", "a e", "c e", "a c e", "ae", "a ae",  # a length mark after a space
+        "f", "a f", "f a", "fa", "a fa ff",  # a tie bar before a space or the end
+        "g", "a g", "a b g", "ga",  # a character the table lacks
+        "e 3", "g x", "a g b 3", "f x",  # conversion errors come first
+    ])
+    def test_edge_outputs(self, edge, text):
+        assert_transliterations_agree([text], *edge)
+
+    @pytest.mark.parametrize("text, position", [
+        ("AB-1c", 3),
+        ("als AB-1c sie", 7),
+        ("als 3 sie", 4),
+        ("die Sonne 7 schien", 10),
+        ("die, sonne! «7» schien", 13),
+    ])
+    def test_error_positions_in_text(self, rules, classes, text, position):
+        assert assert_transliterations_agree([text], rules, classes) == 1
+        with pytest.raises(UnmappableGrapheme) as exc:
+            transliterate(text, rules, classes)
+        assert exc.value.position == position
+
+
+class TestWordCache:
+    def test_each_distinct_word_converted_once(self, monkeypatch):
+        rules = parse_rule_table(TOY_TABLE)
+        table = ClassificationTable(dict.fromkeys("ʃxskh", SoundClass.CONSONANT))
+        calls = []
+        convert = g2p._convert_word
+        monkeypatch.setattr(g2p, "_convert_word",
+                            lambda *args: calls.append(args[0]) or convert(*args))
+        first = transliterate("sch, Sch sch ch", rules, table)
+        assert transliterate("ch sch", rules, table).words() == [("x",), ("ʃ",)]
+        assert first.render() == "ʃ ʃ ʃ x"
+        assert calls == ["sch", "sch", "ch"]  # "sch," is a chunk of its own
+
+    def test_keyed_by_rule_table_in_either_order(self):
+        text = "::alphabet = ab\na\t{}\nb\tb\n"
+        table = ClassificationTable(dict.fromkeys("abh", SoundClass.VOWEL))
+        for order in ((0, 1), (1, 0)):
+            tables = [parse_rule_table(text.format(out)) for out in ("a", "h")]
+            for i in order * 2:
+                assert transliterate("ab ab", tables[i], table).render() == ["ab ab", "hb hb"][i]
+
+    def test_keyed_by_classification_table_in_either_order(self):
+        rules = parse_rule_table(TOY_TABLE)
+        for order in ((0, 1), (1, 0)):
+            tables = [ClassificationTable(dict.fromkeys(chars, SoundClass.CONSONANT))
+                      for chars in ("ʃxskh", "ʃskh")]
+            for i in order * 2:
+                if i == 0:
+                    assert transliterate("sch ch", rules, tables[i]).render() == "ʃ x"
+                else:
+                    with pytest.raises(UnknownCharacter) as exc:
+                        transliterate("sch ch", rules, tables[i])
+                    assert (exc.value.char, exc.value.position) == ("x", 2)
+
+    def test_errors_are_never_cached(self, rules, classes):
+        raised = []
+        for _ in range(3):
+            with pytest.raises(UnmappableGrapheme) as exc:
+                transliterate("als AB-1c", rules, classes)
+            raised.append((str(exc.value), exc.value.position))
+        assert raised == [("no rule for '1' at position 7 in word 'ab1c'", 7)] * 3
+
+    def test_text_error_is_not_chained_to_the_chunk_error(self, rules, classes):
+        with pytest.raises(UnmappableGrapheme) as exc:
+            transliterate("als AB-1c", rules, classes)
+        assert exc.value.__context__ is None
+        table = ClassificationTable(dict.fromkeys("ʃskh", SoundClass.CONSONANT))
+        with pytest.raises(UnknownCharacter) as exc:
+            transliterate("sch ch", parse_rule_table(TOY_TABLE), table)
+        assert exc.value.__context__ is None

@@ -1,11 +1,19 @@
-"""Segmentation, classification, and inventory induction."""
+"""Segmentation, classification, and inventory induction; the segmenter
+checked against a reference that tests each character for a mark and
+then for a class, and normalizes symbols one at a time."""
 
 from __future__ import annotations
+
+import random
+import unicodedata
 
 import numpy as np
 import pytest
 
 from bigphon.ipa import (
+    LENGTH_MARK,
+    SYMBOL_ALIASES,
+    TIE_BARS,
     ClassificationTable,
     Phoneme,
     PhonemeSequence,
@@ -190,3 +198,95 @@ class TestClassificationTable:
     def test_normalize_symbols(self):
         assert normalize_symbols("vURd@n") == "vʊʁdən"
         assert normalize_symbols("SO:") == "ʃɔ:"
+
+
+def reference_segment_ipa(raw: str, table: ClassificationTable) -> PhonemeSequence:
+    """Segment an IPA string into phoneme tokens.
+
+    Marks attach to the preceding base character; a tie bar binds the next
+    base into the same token. Spaces become word boundaries. Raises
+    UnknownCharacter for bases absent from the table and for marks with no
+    base to attach to.
+    """
+
+    def is_mark(ch: str) -> bool:
+        if ch == LENGTH_MARK:
+            return True
+        return unicodedata.combining(ch) != 0 and ch not in TIE_BARS
+
+    def absorb_marks(text: str, i: int) -> int:
+        while i < len(text) and is_mark(text[i]):
+            i += 1
+        return i
+
+    text = "".join(SYMBOL_ALIASES.get(ch, ch) for ch in raw)
+    tokens: list[str] = []
+    boundaries: list[int] = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == " ":
+            if tokens and (not boundaries or boundaries[-1] != len(tokens)):
+                boundaries.append(len(tokens))
+            i += 1
+            continue
+        if is_mark(ch) or ch in TIE_BARS:
+            raise UnknownCharacter(
+                ch, i, f"mark {ch!r} at position {i} has no base character"
+            )
+        if ch not in table:
+            raise UnknownCharacter(ch, i)
+        j = absorb_marks(text, i + 1)
+        if j < n and text[j] in TIE_BARS:
+            if j + 1 >= n or text[j + 1] == " " or is_mark(text[j + 1]):
+                raise UnknownCharacter(
+                    text[j], j, f"tie bar at position {j} has no following base"
+                )
+            if text[j + 1] not in table:
+                raise UnknownCharacter(text[j + 1], j + 1)
+            j = absorb_marks(text, j + 2)
+        tokens.append(text[i:j])
+        i = j
+    if boundaries and boundaries[-1] == len(tokens):
+        boundaries.pop()
+    return PhonemeSequence(tuple(tokens), tuple(boundaries))
+
+
+def _segment_outcome(fn, raw, table):
+    try:
+        return fn(raw, table)
+    except UnknownCharacter as err:
+        return str(err), err.char, err.position
+
+
+class TestSegmenterOracle:
+    # Bases, aliases, marks (both length marks, a combining tilde and a
+    # combining ring below), both tie bars, a character no table has, and
+    # spaces, drawn so that valid and failing strings both occur often.
+    ALPHABET = ["a", "ʃ", "t", "ə", "R", "@", "S", ":", "ː", "\u0303", "\u0325",
+                *TIE_BARS, "7", " ", " "]
+
+    @pytest.mark.parametrize("extra", ["", ":", "\u0361", "\u0303"])
+    def test_random_strings(self, classes, extra):
+        # `extra` is a mark or a tie bar that the table classifies too.
+        table = ClassificationTable({
+            **{ch: classes.base_class(ch) for ch in "aʃtəʁ"},
+            **({extra: SoundClass.CONSONANT} if extra else {}),
+        })
+        rng = random.Random(len(extra) and ord(extra))
+        weights = [8, 6, 6, 4, 2, 2, 2, 2, 1, 1, 1, 2, 1, 1, 3, 1]
+        failed = 0
+        for _ in range(3000):
+            raw = "".join(rng.choices(self.ALPHABET, weights, k=rng.randint(0, 12)))
+            expected = _segment_outcome(reference_segment_ipa, raw, table)
+            assert _segment_outcome(segment_ipa, raw, table) == expected, raw
+            failed += not isinstance(expected, PhonemeSequence)
+        assert 500 < failed < 2500
+
+    def test_german_tokens(self, classes):
+        rng = random.Random(3)
+        symbols = ["a", "i:", "ʃ", "t͡ʃ", "p͡f", "ə", "ʁ", "n", "o:", "ɛ", "k", "aɪ̯", "ɔʏ̯", "ts"]
+        for _ in range(500):
+            raw = " ".join("".join(rng.choices(symbols, k=rng.randint(1, 5)))
+                           for _ in range(rng.randint(1, 6)))
+            assert segment_ipa(raw, classes) == reference_segment_ipa(raw, classes)
