@@ -27,6 +27,7 @@ from .analysis import (
 )
 from .corpus import (
     augment,
+    check_split_sizes,
     filter_by_length,
     ingest,
     require_augmented,
@@ -40,7 +41,8 @@ from .training import VocabMismatch, decode_split, load_checkpoint, train
 from .vocab import VARIANT_LABELS, build_all_variants, parse_variant, read_vocab, write_vocab
 
 # Every bigphon input error is a ValueError subclass.
-INPUT_ERRORS = (ValueError, FileNotFoundError, NotADirectoryError, IsADirectoryError)
+INPUT_ERRORS = (ValueError, FileNotFoundError, FileExistsError, NotADirectoryError,
+                IsADirectoryError)
 
 # `train` flags whose spelling differs from their ModelConfig field name.
 FLAG_NAMES = {"checkpoint_interval": "--ckpt-interval", "learning_rate": "--lr"}
@@ -86,6 +88,7 @@ def cmd_augment(args) -> int:
     manifest, removed = filter_by_length(manifest, args.max_chars)
     if removed and not manifest.utterances:
         raise ValueError(f"--max-chars {args.max_chars} removes all {n_in} rows")
+    check_split_sizes(sizes, len(manifest))
     manifest = augment(manifest, rules, table)
     manifest = split_corpus(manifest, sizes, args.seed)
     write_manifest(
@@ -217,9 +220,9 @@ def cmd_errors(args) -> int:
     rules, table = _load_tables(args)
     manifest = ingest(args.manifest)
     ckpt = load_checkpoint(args.ckpt)
-    decoded, bleu = decode_split(ckpt, manifest, split=args.split)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    decoded, bleu = decode_split(ckpt, manifest, split=args.split)
 
     report = ErrorReport()
     rendered: list[str] = []

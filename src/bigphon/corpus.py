@@ -199,6 +199,15 @@ def augment(
     return CorpusManifest(tuple(out), dict(manifest.split), manifest.seed)
 
 
+def check_split_sizes(sizes: tuple[int, int, int], n_utterances: int) -> None:
+    """Split sizes must be non-negative and sum to the utterance count."""
+    if min(sizes) < 0:
+        raise SizeMismatch(f"negative split size in {sizes}")
+    total = sum(sizes)
+    if total != n_utterances:
+        raise SizeMismatch(f"split sizes {sizes} sum to {total}, manifest has {n_utterances}")
+
+
 def split_corpus(
     manifest: CorpusManifest, sizes: tuple[int, int, int], seed: int
 ) -> CorpusManifest:
@@ -207,14 +216,8 @@ def split_corpus(
     Utterance order is untouched; only the id -> split map is produced.
     Sizes must sum to the utterance count.
     """
-    n_train, n_valid, n_test = sizes
-    if min(sizes) < 0:
-        raise SizeMismatch(f"negative split size in {sizes}")
-    total = n_train + n_valid + n_test
-    if total != len(manifest.utterances):
-        raise SizeMismatch(
-            f"split sizes {sizes} sum to {total}, manifest has {len(manifest.utterances)}"
-        )
+    check_split_sizes(sizes, len(manifest.utterances))
+    n_train, n_valid, _ = sizes
     ids = [u.utt_id for u in manifest.utterances]
     random.Random(seed).shuffle(ids)
     split: dict[str, str] = {}

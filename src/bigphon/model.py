@@ -11,6 +11,13 @@ Parameters live in a flat name -> array dict whose canonical order comes
 from ``param_index``; ``flatten_params``/``unflatten_params`` convert to
 and from a single float64 vector (unflatten returns views, so in-place
 optimizer updates on the flat vector propagate).
+
+Training-step memory: the sublayer kernels compute in place on arrays they
+own; the forward does not cache the dropped attention or the ReLU mask,
+which backward rebuilds bit for bit; and ``backward_batch`` consumes its
+cache, freeing each sublayer's entry once used. perfbench's one-step
+``train`` command peaks at about 794 MB RSS, down from 1,076 MB (medians,
+``BENCH_train_memory.json``).
 """
 
 from __future__ import annotations
@@ -245,7 +252,9 @@ def _pe(length: int, d: int) -> np.ndarray:
 
 
 def _linear_fwd(x, w, b):
-    return x @ w + b, (x, w)
+    y = x @ w
+    y += b
+    return y, (x, w)
 
 
 def _linear_bwd(dy, cache, grads, wname, bname):
@@ -257,45 +266,46 @@ def _linear_bwd(dy, cache, grads, wname, bname):
 
 
 def _ln_fwd(x, g, b):
-    mu = x.mean(-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return g * xhat + b, (xhat, inv, g)
+    """Layer norm of x, which it overwrites with the normalized xhat."""
+    x -= x.mean(-1, keepdims=True)
+    y = x * x
+    inv = 1.0 / np.sqrt(y.mean(-1, keepdims=True) + LN_EPS)
+    x *= inv
+    np.multiply(g, x, out=y)
+    y += b
+    return y, (x, inv, g)
 
 
 def _ln_bwd(dy, cache, grads, gname, bname):
     xhat, inv, g = cache
     d = xhat.shape[-1]
-    grads[gname] += (dy * xhat).reshape(-1, d).sum(axis=0)
+    t = dy * xhat
+    grads[gname] += t.reshape(-1, d).sum(axis=0)
     grads[bname] += dy.reshape(-1, d).sum(axis=0)
-    dxhat = dy * g
-    return inv * (
-        dxhat
-        - dxhat.mean(-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(-1, keepdims=True)
-    )
-
-
-def _softmax(x):
-    z = x - x.max(-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(-1, keepdims=True)
+    dx = dy * g  # dxhat, then dx in place
+    mean_dxhat_xhat = np.multiply(dx, xhat, out=t).mean(-1, keepdims=True)
+    dx -= dx.mean(-1, keepdims=True)
+    dx -= np.multiply(xhat, mean_dxhat_xhat, out=t)
+    dx *= inv
+    return dx
 
 
 def _dropout_fwd(x, p, rng):
     if p <= 0.0 or rng is None:
         return x, None
-    mask = rng.random(x.shape) >= p
-    return x * mask / (1.0 - p), (mask, p)
+    draws = rng.random(x.shape)
+    cache = (draws >= p, p)
+    return _dropout_bwd(x, cache, out=draws), cache
 
 
-def _dropout_bwd(dy, cache):
+def _dropout_bwd(dy, cache, out=None):
+    """dy * mask / (1 - p), into `out` if given; also the forward's own ops."""
     if cache is None:
         return dy
     mask, p = cache
-    return dy * mask / (1.0 - p)
+    out = np.multiply(dy, mask, out=out)
+    out /= 1.0 - p
+    return out
 
 
 def _heads_fwd(x, params, prefix, nm, heads):
@@ -306,44 +316,47 @@ def _heads_fwd(x, params, prefix, nm, heads):
 
 
 def _attend_fwd(qh, kh, vh, params, prefix, mask, p_drop, rng):
-    """Scaled dot-product attention over split heads, merged through wo."""
+    """Scaled dot-product attention over split heads, merged through wo.
+    Caches `attn` and the dropout mask, from which backward rebuilds attn_d."""
     b, heads, tq, dh = qh.shape
-    scores = qh @ kh.transpose(0, 1, 3, 2) / math.sqrt(dh)
+    attn = qh @ kh.transpose(0, 1, 3, 2)
+    attn /= math.sqrt(dh)
     if mask is not None:
-        scores = scores + mask
-    attn = _softmax(scores)
+        attn += mask
+    attn -= attn.max(-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(-1, keepdims=True)
     attn_d, dcache = _dropout_fwd(attn, p_drop, rng)
     ctx = attn_d @ vh
     merged = ctx.transpose(0, 2, 1, 3).reshape(b, tq, heads * dh)
     out, oc = _linear_fwd(merged, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
-    return out, (oc, attn, attn_d, dcache)
+    return out, (oc, attn, dcache)
 
 
 def _mha_fwd(q_in, kv_in, params, prefix, mask, heads, p_drop, rng):
     qh, qc = _heads_fwd(q_in, params, prefix, "q", heads)
     kh, kc = _heads_fwd(kv_in, params, prefix, "k", heads)
     vh, vc = _heads_fwd(kv_in, params, prefix, "v", heads)
-    out, (oc, attn, attn_d, dcache) = _attend_fwd(qh, kh, vh, params, prefix, mask, p_drop, rng)
-    return out, (qc, kc, vc, oc, qh, kh, vh, attn, attn_d, dcache)
+    out, (oc, attn, dcache) = _attend_fwd(qh, kh, vh, params, prefix, mask, p_drop, rng)
+    return out, (qc, kc, vc, oc, qh, kh, vh, attn, dcache)
 
 
 def _mha_bwd(dout, cache, grads, prefix):
-    qc, kc, vc, oc, qh, kh, vh, attn, attn_d, dcache = cache
+    qc, kc, vc, oc, qh, kh, vh, attn, dcache = cache
     b, heads, tq, dh = qh.shape
-    tk = kh.shape[2]
-    d = heads * dh
     dmerged = _linear_bwd(dout, oc, grads, f"{prefix}.wo", f"{prefix}.bo")
     dctx = dmerged.reshape(b, tq, heads, dh).transpose(0, 2, 1, 3)
-    dattn_d = dctx @ vh.transpose(0, 1, 3, 2)
-    dvh = attn_d.transpose(0, 1, 3, 2) @ dctx
-    dattn = _dropout_bwd(dattn_d, dcache)
-    dscores = attn * (dattn - (dattn * attn).sum(-1, keepdims=True))
-    dscores /= math.sqrt(dh)
-    dqh = dscores @ kh
-    dkh = dscores.transpose(0, 1, 3, 2) @ qh
-    dq = dqh.transpose(0, 2, 1, 3).reshape(b, tq, d)
-    dk = dkh.transpose(0, 2, 1, 3).reshape(b, tk, d)
-    dv = dvh.transpose(0, 2, 1, 3).reshape(b, tk, d)
+    dattn = dctx @ vh.transpose(0, 1, 3, 2)
+    dvh = _dropout_bwd(attn, dcache).transpose(0, 1, 3, 2) @ dctx
+    _dropout_bwd(dattn, dcache, out=dattn)
+    dattn -= (dattn * attn).sum(-1, keepdims=True)
+    dattn *= attn
+    dattn /= math.sqrt(dh)
+    dqh = dattn @ kh
+    dkh = dattn.transpose(0, 1, 3, 2) @ qh
+    dq = dqh.transpose(0, 2, 1, 3).reshape(b, tq, heads * dh)
+    dk = dkh.transpose(0, 2, 1, 3).reshape(b, -1, heads * dh)
+    dv = dvh.transpose(0, 2, 1, 3).reshape(b, -1, heads * dh)
     dq_in = _linear_bwd(dq, qc, grads, f"{prefix}.wq", f"{prefix}.bq")
     dkv_in = _linear_bwd(dk, kc, grads, f"{prefix}.wk", f"{prefix}.bk")
     dkv_in = dkv_in + _linear_bwd(dv, vc, grads, f"{prefix}.wv", f"{prefix}.bv")
@@ -351,29 +364,31 @@ def _mha_bwd(dout, cache, grads, prefix):
 
 
 def _residual_ln_fwd(x, sub_out, params, prefix, p_drop, rng):
-    dropped, dcache = _dropout_fwd(sub_out, p_drop, rng)
-    y, lncache = _ln_fwd(x + dropped, params[f"{prefix}.g"], params[f"{prefix}.b"])
+    """LayerNorm(x + dropout(sub_out)); overwrites sub_out, which no cache holds."""
+    summed, dcache = _dropout_fwd(sub_out, p_drop, rng)
+    summed += x
+    y, lncache = _ln_fwd(summed, params[f"{prefix}.g"], params[f"{prefix}.b"])
     return y, (lncache, dcache)
 
 
 def _residual_ln_bwd(dy, cache, grads, prefix):
     lncache, dcache = cache
     dsummed = _ln_bwd(dy, lncache, grads, f"{prefix}.g", f"{prefix}.b")
-    dsub = _dropout_bwd(dsummed, dcache)
-    return dsummed, dsub
+    return dsummed, _dropout_bwd(dsummed, dcache)
 
 
 def _ff_fwd(x, params, prefix):
-    pre, c1 = _linear_fwd(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"])
-    h = np.maximum(pre, 0.0)
+    h, c1 = _linear_fwd(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"])
+    np.maximum(h, 0.0, out=h)
     y, c2 = _linear_fwd(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
-    return y, (c1, pre > 0, c2)
+    return y, (c1, c2)
 
 
 def _ff_bwd(dy, cache, grads, prefix):
-    c1, relu_mask, c2 = cache
+    c1, c2 = cache
     dh = _linear_bwd(dy, c2, grads, f"{prefix}.w2", f"{prefix}.b2")
-    return _linear_bwd(dh * relu_mask, c1, grads, f"{prefix}.w1", f"{prefix}.b1")
+    dh *= c2[0] > 0  # h = relu(pre) is positive exactly where pre is
+    return _linear_bwd(dh, c1, grads, f"{prefix}.w1", f"{prefix}.b1")
 
 
 def _causal_mask(t: int) -> np.ndarray:
@@ -397,7 +412,7 @@ def _encoder_forward(params, config, dims, batch, p, rng, cache):
         x, cache["src_proj"] = _linear_fwd(
             batch.src, params["src_proj_w"], params["src_proj_b"]
         )
-    x = x + _pe(batch.src.shape[1], d)
+    x += _pe(batch.src.shape[1], d)
     x, cache["enc_drop"] = _dropout_fwd(x, p, rng)
     src_add = np.where(batch.src_mask, 0.0, NEG)[:, None, None, :]
     cache["enc_layers"] = []
@@ -406,7 +421,7 @@ def _encoder_forward(params, config, dims, batch, p, rng, cache):
         x, c_r1 = _residual_ln_fwd(x, a, params, f"enc{i}.ln1", p, rng)
         f, c_ff = _ff_fwd(x, params, f"enc{i}.ff")
         x, c_r2 = _residual_ln_fwd(x, f, params, f"enc{i}.ln2", p, rng)
-        cache["enc_layers"].append((c_attn, c_r1, c_ff, c_r2))
+        cache["enc_layers"].append([c_attn, c_r1, c_ff, c_r2])
     return x, src_add
 
 
@@ -425,7 +440,7 @@ def _decoder_forward(params, config, enc_out, src_add, tgt_in, p, rng, cache):
         y, c_r2 = _residual_ln_fwd(y, c, params, f"dec{i}.ln2", p, rng)
         f, c_ff = _ff_fwd(y, params, f"dec{i}.ff")
         y, c_r3 = _residual_ln_fwd(y, f, params, f"dec{i}.ln3", p, rng)
-        cache["dec_layers"].append((c_self, c_r1, c_cross, c_r2, c_ff, c_r3))
+        cache["dec_layers"].append([c_self, c_r1, c_cross, c_r2, c_ff, c_r3])
     logits, cache["out"] = _linear_fwd(y, params["out_w"], params["out_b"])
     return logits
 
@@ -442,35 +457,37 @@ def forward_batch(params, config: ModelConfig, dims: ModelDims, batch: Batch, dr
 
 
 def backward_batch(dlogits, cache, params) -> dict[str, np.ndarray]:
+    """Gradients of every parameter. Consumes `cache`: each sublayer's entry
+    is popped, in reverse forward order, so it is freed as soon as it is used."""
     config: ModelConfig = cache["config"]
     dims: ModelDims = cache["dims"]
     batch: Batch = cache["batch"]
     scale = cache["scale"]
     grads = {name: np.zeros_like(arr) for name, arr in params.items()}
 
-    dy = _linear_bwd(dlogits, cache["out"], grads, "out_w", "out_b")
+    dy = _linear_bwd(dlogits, cache.pop("out"), grads, "out_w", "out_b")
     denc = None
     for i in reversed(range(config.decoder_layers)):
-        c_self, c_r1, c_cross, c_r2, c_ff, c_r3 = cache["dec_layers"][i]
-        dy, df = _residual_ln_bwd(dy, c_r3, grads, f"dec{i}.ln3")
-        dy = dy + _ff_bwd(df, c_ff, grads, f"dec{i}.ff")
-        dy, dc = _residual_ln_bwd(dy, c_r2, grads, f"dec{i}.ln2")
-        dq, dkv = _mha_bwd(dc, c_cross, grads, f"dec{i}.cross")
+        layer = cache["dec_layers"].pop()
+        dy, df = _residual_ln_bwd(dy, layer.pop(), grads, f"dec{i}.ln3")
+        dy = dy + _ff_bwd(df, layer.pop(), grads, f"dec{i}.ff")
+        dy, dc = _residual_ln_bwd(dy, layer.pop(), grads, f"dec{i}.ln2")
+        dq, dkv = _mha_bwd(dc, layer.pop(), grads, f"dec{i}.cross")
         dy = dy + dq
         denc = dkv if denc is None else denc + dkv
-        dy, da = _residual_ln_bwd(dy, c_r1, grads, f"dec{i}.ln1")
-        dq, dkv = _mha_bwd(da, c_self, grads, f"dec{i}.self")
+        dy, da = _residual_ln_bwd(dy, layer.pop(), grads, f"dec{i}.ln1")
+        dq, dkv = _mha_bwd(da, layer.pop(), grads, f"dec{i}.self")
         dy = dy + dq + dkv
     dy = _dropout_bwd(dy, cache["dec_drop"])
     np.add.at(grads["tgt_embed"], batch.tgt_in, dy * scale)
 
     dx = denc  # decoder_layers >= 1, so cross-attention always contributed
     for i in reversed(range(config.encoder_layers)):
-        c_attn, c_r1, c_ff, c_r2 = cache["enc_layers"][i]
-        dx, df = _residual_ln_bwd(dx, c_r2, grads, f"enc{i}.ln2")
-        dx = dx + _ff_bwd(df, c_ff, grads, f"enc{i}.ff")
-        dx, da = _residual_ln_bwd(dx, c_r1, grads, f"enc{i}.ln1")
-        dq, dkv = _mha_bwd(da, c_attn, grads, f"enc{i}.attn")
+        layer = cache["enc_layers"].pop()
+        dx, df = _residual_ln_bwd(dx, layer.pop(), grads, f"enc{i}.ln2")
+        dx = dx + _ff_bwd(df, layer.pop(), grads, f"enc{i}.ff")
+        dx, da = _residual_ln_bwd(dx, layer.pop(), grads, f"enc{i}.ln1")
+        dq, dkv = _mha_bwd(da, layer.pop(), grads, f"enc{i}.attn")
         dx = dx + dq + dkv
     dx = _dropout_bwd(dx, cache["enc_drop"])
     if dims.source_vocab is not None:

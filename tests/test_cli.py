@@ -106,21 +106,24 @@ class TestAugment:
         assert err == f"bigphon: error: --max-chars must be at least 1, got {bound}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("split", ["1,x,0", "1,0", "1,0,0,0", ""])
+    @pytest.mark.parametrize("split", ["1,x,0", "1,0", "1,0,0,0", "", "5,1,1", "-1,2,1"])
     def test_malformed_split_exits_2_before_transliterating(
         self, tmp_path, monkeypatch, capsys, split
     ):
+        message = {
+            "5,1,1": "split sizes (5, 1, 1) sum to 7, manifest has 2",
+            "-1,2,1": "negative split size in (-1, 2, 1)",
+        }.get(split, f"--split expects train,valid,test counts, got {split!r}")
         raw = write_raw_manifest(tmp_path, ["als sie", "das kind"])
         out = tmp_path / "x.tsv"
         calls = []
         transliterate = corpus.transliterate
         monkeypatch.setattr(corpus, "transliterate",
                             lambda *args: calls.append(args) or transliterate(*args))
-        rc = main(["augment", "--manifest", str(raw), "--out", str(out), "--split", split])
+        rc = main(["augment", "--manifest", str(raw), "--out", str(out), f"--split={split}"])
         assert rc == 2
         assert calls == []
-        err = capsys.readouterr().err
-        assert err == f"bigphon: error: --split expects train,valid,test counts, got {split!r}\n"
+        assert capsys.readouterr().err == f"bigphon: error: {message}\n"
         assert not out.exists()
 
     def test_filter_removing_every_row_names_the_filter(self, tmp_path, capsys):
@@ -547,6 +550,33 @@ class TestInputErrors:
         assert rc == 2
         assert calls == []
         assert capsys.readouterr().err == f"bigphon: error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["vocab", "train", "evaluate", "errors"])
+    def test_output_path_that_is_a_file_exits_2(
+        self, tmp_path, augmented_manifest, vocab_path, checkpoint, monkeypatch, capsys, command
+    ):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n", encoding="utf-8")
+        argv = {
+            "vocab": ["vocab", "--manifest", str(augmented_manifest), "--all",
+                      "--out", str(taken)],
+            "train": train_args(augmented_manifest, vocab_path, taken),
+            "evaluate": ["evaluate", "--ckpt", str(checkpoint),
+                         "--manifest", str(augmented_manifest), "--out", str(taken)],
+            "errors": ["errors", "--ckpt", str(checkpoint),
+                       "--manifest", str(augmented_manifest), "--out", str(taken)],
+        }[command]
+        calls = []
+        decode = training.greedy_decode
+        monkeypatch.setattr(training, "greedy_decode",
+                            lambda *args: calls.append(args) or decode(*args))
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bigphon: error: ") and str(taken) in err
+        assert len(err.splitlines()) == 1
+        assert calls == []
+        assert taken.read_text(encoding="utf-8") == "not a directory\n"
 
     @pytest.mark.parametrize("command", ["evaluate", "errors"])
     @pytest.mark.parametrize("defect", ["unaugmented", "empty"])

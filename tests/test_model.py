@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -30,6 +31,7 @@ from bigphon.model import (
 )
 from bigphon.vocab import BOS_ID, EOS_ID, PAD_ID, Vocabulary
 
+import conftest
 from conftest import forward, gradient, loss, reference_greedy_decode
 
 SMALL = ModelConfig(
@@ -246,6 +248,86 @@ class TestGradient:
         assert l1 == l2
         for name in g1:
             assert np.array_equal(g1[name], g2[name])
+
+
+class TestBitwiseOracle:
+    """The in-place training step against the reference step kept in
+    conftest: the same loss and gradients bit for bit, the same dropout
+    draws, and no input mutated."""
+
+    @staticmethod
+    def case(source, heads, layers, dropout, seed=0):
+        config = replace(SMALL, d_model=12, heads=heads, d_ff=20, encoder_layers=layers[0],
+                         decoder_layers=layers[1], dropout=dropout)
+        rng = np.random.default_rng(seed)
+        src_lens, tgt_lens = (7, 2, 5, 1), (3, 6, 1, 4)  # every row padded somewhere
+        if source == "tokens":
+            dims = ModelDims(target_vocab=11, source_vocab=9)
+            sources = [rng.integers(0, 9, size=n) for n in src_lens]
+        else:
+            dims = ModelDims(target_vocab=11, feature_dim=5)
+            sources = [rng.normal(size=(n, 5)) for n in src_lens]
+        targets = [rng.integers(4, 11, size=n) for n in tgt_lens]
+        params = init_params(config, dims, rng)
+        return config, dims, params, make_batch(sources, targets, dims)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    @pytest.mark.parametrize("layers", [(1, 1), (3, 2)])
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("source", ["tokens", "features"])
+    def test_step_matches_reference(self, source, heads, layers, dropout):
+        config, dims, params, batch = self.case(source, heads, layers, dropout)
+        params_before = {k: v.copy() for k, v in params.items()}
+        batch_before = asdict(batch)  # deep-copies the arrays
+        for stream in (None, 5):
+            rng = None if stream is None else np.random.default_rng(stream)
+            ref_rng = None if stream is None else np.random.default_rng(stream)
+            value, grads, n = loss_and_gradient(params, config, dims, batch, rng)
+            ref_value, ref_grads, ref_n = conftest.loss_and_gradient(
+                params, config, dims, batch, ref_rng)
+            assert np.array_equal(value, ref_value) and n == ref_n
+            assert grads.keys() == ref_grads.keys()
+            for name in grads:
+                assert np.array_equal(grads[name], ref_grads[name]), name
+            if stream is not None:
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+            for name, before in params_before.items():
+                assert np.array_equal(params[name], before), name
+            for name, before in batch_before.items():
+                assert np.array_equal(getattr(batch, name), before), name
+
+    @pytest.mark.parametrize("source", ["tokens", "features"])
+    def test_eval_logits_match_reference(self, source):
+        config, dims, params, batch = self.case(source, 2, (3, 2), 0.3, seed=1)
+        logits, _ = forward_batch(params, config, dims, batch)
+        ref_logits, _ = conftest.forward_batch(params, config, dims, batch)
+        assert np.array_equal(logits, ref_logits)
+
+    def test_backward_consumes_the_cache(self):
+        config, dims, params, batch = self.case("tokens", 2, (3, 2), 0.3)
+        logits, cache = forward_batch(params, config, dims, batch, np.random.default_rng(0))
+        _, dlogits, _ = batch_loss_and_dlogits(logits, batch.tgt_out)
+        model.backward_batch(dlogits, cache, params)
+        assert cache["enc_layers"] == [] and cache["dec_layers"] == []
+        assert "out" not in cache
+
+    def test_step_allocates_less_than_reference(self):
+        """tracemalloc sees every numpy buffer, so the peak is exact."""
+        config = replace(SMALL, d_model=32, d_ff=64, encoder_layers=2, dropout=0.1)
+        dims = ModelDims(target_vocab=20, source_vocab=30)
+        rng = np.random.default_rng(3)
+        params = init_params(config, dims, rng)
+        batch = make_batch([rng.integers(0, 30, size=60) for _ in range(8)],
+                           [rng.integers(4, 20, size=40) for _ in range(8)], dims)
+        peaks = []
+        for step in (conftest.loss_and_gradient, loss_and_gradient):
+            tracemalloc.start()
+            try:
+                step(params, config, dims, batch, np.random.default_rng(0))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 0.85 * peaks[0], peaks
 
 
 class TestGreedyDecode:
