@@ -36,7 +36,7 @@ from .corpus import (
 )
 from .g2p import load_default_rules, load_rule_table
 from .ipa import ClassificationTable, induce_inventory, load_default_classification
-from .model import ModelConfig, NonFiniteGradient, NonFiniteLoss
+from .model import ModelConfig
 from .training import VocabMismatch, decode_split, load_checkpoint, train
 from .vocab import VARIANT_LABELS, build_all_variants, parse_variant, read_vocab, write_vocab
 
@@ -330,7 +330,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NonFiniteLoss, NonFiniteGradient) as exc:
+    except ArithmeticError as exc:  # NonFiniteLoss, NonFiniteGradient, NonFiniteParameter
         print(f"bigphon: numeric failure: {exc}", file=sys.stderr)
         return 3
     except INPUT_ERRORS as exc:

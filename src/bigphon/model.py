@@ -18,6 +18,13 @@ which backward rebuilds bit for bit; and ``backward_batch`` consumes its
 cache, freeing each sublayer's entry once used. perfbench's one-step
 ``train`` command peaks at about 794 MB RSS, down from 1,076 MB (medians,
 ``BENCH_train_memory.json``).
+
+One decoder-layer body, ``_decoder_layer``, serves teacher forcing (the
+whole target at once, causal mask) and greedy decoding (one position per
+step, against the layer's key/value buffer). A backward cache is kept only
+when a backward follows: ``forward_batch`` fills one only when the caller
+passes a dict, as ``loss_and_gradient`` does. The valid-loss pass and the
+decoder's encoder run keep no layer's activations past that layer.
 """
 
 from __future__ import annotations
@@ -333,16 +340,22 @@ def _attend_fwd(qh, kh, vh, params, prefix, mask, p_drop, rng):
     return out, (oc, attn, dcache)
 
 
-def _mha_fwd(q_in, kv_in, params, prefix, mask, heads, p_drop, rng):
+def _kv_fwd(x, params, prefix, heads):
+    """Keys and values of x split to heads, with their linear caches."""
+    kh, kc = _heads_fwd(x, params, prefix, "k", heads)
+    vh, vc = _heads_fwd(x, params, prefix, "v", heads)
+    return kh, vh, kc, vc
+
+
+def _mha_fwd(q_in, kv, params, prefix, mask, heads, p_drop, rng):
+    """Attention of q_in over kv = (kh, vh, kc, vc), as `_kv_fwd` returns."""
     qh, qc = _heads_fwd(q_in, params, prefix, "q", heads)
-    kh, kc = _heads_fwd(kv_in, params, prefix, "k", heads)
-    vh, vc = _heads_fwd(kv_in, params, prefix, "v", heads)
-    out, (oc, attn, dcache) = _attend_fwd(qh, kh, vh, params, prefix, mask, p_drop, rng)
-    return out, (qc, kc, vc, oc, qh, kh, vh, attn, dcache)
+    out, (oc, attn, dcache) = _attend_fwd(qh, kv[0], kv[1], params, prefix, mask, p_drop, rng)
+    return out, (qc, oc, qh, kv, attn, dcache)
 
 
 def _mha_bwd(dout, cache, grads, prefix):
-    qc, kc, vc, oc, qh, kh, vh, attn, dcache = cache
+    qc, oc, qh, (kh, vh, kc, vc), attn, dcache = cache
     b, heads, tq, dh = qh.shape
     dmerged = _linear_bwd(dout, oc, grads, f"{prefix}.wo", f"{prefix}.bo")
     dctx = dmerged.reshape(b, tq, heads, dh).transpose(0, 2, 1, 3)
@@ -399,7 +412,12 @@ def _causal_mask(t: int) -> np.ndarray:
 # forward / backward
 
 
-def _encoder_forward(params, config, dims, batch, p, rng, cache):
+def _encoder_forward(params, config, dims, batch, p, rng, cache=None):
+    """Encoder output and additive source mask. Fills `cache` for backward
+    when given a dict; without one, no layer's activations outlive it."""
+    # Without a cache, the whole-pass entries go to a throwaway dict (none is
+    # larger than the layer input) and no layer's entry is kept.
+    cache, layers = ({}, None) if cache is None else (cache, [])
     d = config.d_model
     scale = math.sqrt(d)
     if dims.source_vocab is not None:
@@ -415,45 +433,68 @@ def _encoder_forward(params, config, dims, batch, p, rng, cache):
     x += _pe(batch.src.shape[1], d)
     x, cache["enc_drop"] = _dropout_fwd(x, p, rng)
     src_add = np.where(batch.src_mask, 0.0, NEG)[:, None, None, :]
-    cache["enc_layers"] = []
+    cache["enc_layers"] = layers
     for i in range(config.encoder_layers):
-        a, c_attn = _mha_fwd(x, x, params, f"enc{i}.attn", src_add, config.heads, p, rng)
+        kv = _kv_fwd(x, params, f"enc{i}.attn", config.heads)
+        a, c_attn = _mha_fwd(x, kv, params, f"enc{i}.attn", src_add, config.heads, p, rng)
         x, c_r1 = _residual_ln_fwd(x, a, params, f"enc{i}.ln1", p, rng)
         f, c_ff = _ff_fwd(x, params, f"enc{i}.ff")
         x, c_r2 = _residual_ln_fwd(x, f, params, f"enc{i}.ln2", p, rng)
-        cache["enc_layers"].append([c_attn, c_r1, c_ff, c_r2])
+        if layers is not None:
+            layers.append([c_attn, c_r1, c_ff, c_r2])
     return x, src_add
 
 
-def _decoder_forward(params, config, enc_out, src_add, tgt_in, p, rng, cache):
-    d = config.d_model
-    scale = math.sqrt(d)
-    t_len = tgt_in.shape[1]
-    y = params["tgt_embed"][tgt_in] * scale + _pe(t_len, d)
+def _decoder_layer(params, config, i, y, t, self_kv, cross_kv, src_add, mask, p, rng, cache=None):
+    """Decoder layer i over target positions t..t+n of y (B, n, d).
+
+    Writes the positions' self-attention keys and values into `self_kv`,
+    the layer's (2, B, heads, >= t+n, dh) buffer, and attends over its first
+    t+n positions; `cross_kv` is `_kv_fwd` of the encoder output, computed
+    once per layer by the caller. Teacher forcing runs it once with t = 0,
+    the whole target and the causal mask; greedy decoding once per step with
+    n = 1 and no mask. Appends what backward needs to `cache` unless None."""
+    end, heads = t + y.shape[1], config.heads
+    k, v, kc, vc = _kv_fwd(y, params, f"dec{i}.self", heads)
+    self_kv[0, :, :, t:end], self_kv[1, :, :, t:end] = k, v
+    kv = (self_kv[0, :, :, :end], self_kv[1, :, :, :end], kc, vc)
+    a, c_self = _mha_fwd(y, kv, params, f"dec{i}.self", mask, heads, p, rng)
+    y, c_r1 = _residual_ln_fwd(y, a, params, f"dec{i}.ln1", p, rng)
+    c, c_cross = _mha_fwd(y, cross_kv, params, f"dec{i}.cross", src_add, heads, p, rng)
+    y, c_r2 = _residual_ln_fwd(y, c, params, f"dec{i}.ln2", p, rng)
+    f, c_ff = _ff_fwd(y, params, f"dec{i}.ff")
+    y, c_r3 = _residual_ln_fwd(y, f, params, f"dec{i}.ln3", p, rng)
+    if cache is not None:
+        cache.append([c_self, c_r1, c_cross, c_r2, c_ff, c_r3])
+    return y
+
+
+def _decoder_forward(params, config, enc_out, src_add, tgt_in, p, rng, cache=None):
+    """Teacher-forced logits (B, T, V); fills `cache` as `_encoder_forward` does."""
+    cache, layers = ({}, None) if cache is None else (cache, [])
+    d, heads = config.d_model, config.heads
+    b, t_len = tgt_in.shape
+    y = params["tgt_embed"][tgt_in] * math.sqrt(d) + _pe(t_len, d)
     y, cache["dec_drop"] = _dropout_fwd(y, p, rng)
     causal = _causal_mask(t_len)
-    cache["dec_layers"] = []
+    cache["dec_layers"] = layers
     for i in range(config.decoder_layers):
-        a, c_self = _mha_fwd(y, y, params, f"dec{i}.self", causal, config.heads, p, rng)
-        y, c_r1 = _residual_ln_fwd(y, a, params, f"dec{i}.ln1", p, rng)
-        c, c_cross = _mha_fwd(y, enc_out, params, f"dec{i}.cross", src_add, config.heads, p, rng)
-        y, c_r2 = _residual_ln_fwd(y, c, params, f"dec{i}.ln2", p, rng)
-        f, c_ff = _ff_fwd(y, params, f"dec{i}.ff")
-        y, c_r3 = _residual_ln_fwd(y, f, params, f"dec{i}.ln3", p, rng)
-        cache["dec_layers"].append([c_self, c_r1, c_cross, c_r2, c_ff, c_r3])
+        kv = np.empty((2, b, heads, t_len, d // heads))
+        cross = _kv_fwd(enc_out, params, f"dec{i}.cross", heads)
+        y = _decoder_layer(params, config, i, y, 0, kv, cross, src_add, causal, p, rng, layers)
     logits, cache["out"] = _linear_fwd(y, params["out_w"], params["out_b"])
     return logits
 
 
-def forward_batch(params, config: ModelConfig, dims: ModelDims, batch: Batch, dropout_rng=None):
-    """Returns (logits (B,T,V), cache for backward)."""
+def forward_batch(params, config: ModelConfig, dims: ModelDims, batch: Batch, dropout_rng=None,
+                  cache: dict | None = None) -> np.ndarray:
+    """Logits (B,T,V). Pass a `cache` dict only when `backward_batch` follows:
+    the forward then fills it; otherwise it keeps no activation past its layer."""
     p = config.dropout if dropout_rng is not None else 0.0
-    rng = dropout_rng
-    cache: dict = {"batch": batch, "scale": math.sqrt(config.d_model),
-                   "dims": dims, "config": config}
-    enc_out, src_add = _encoder_forward(params, config, dims, batch, p, rng, cache)
-    logits = _decoder_forward(params, config, enc_out, src_add, batch.tgt_in, p, rng, cache)
-    return logits, cache
+    if cache is not None:
+        cache.update(batch=batch, scale=math.sqrt(config.d_model), dims=dims, config=config)
+    enc_out, src_add = _encoder_forward(params, config, dims, batch, p, dropout_rng, cache)
+    return _decoder_forward(params, config, enc_out, src_add, batch.tgt_in, p, dropout_rng, cache)
 
 
 def backward_batch(dlogits, cache, params) -> dict[str, np.ndarray]:
@@ -523,7 +564,8 @@ def batch_loss_and_dlogits(logits: np.ndarray, tgt_out: np.ndarray):
 
 def loss_and_gradient(params, config, dims, batch, dropout_rng=None):
     """(loss, grads dict) for one batch; raises on non-finite values."""
-    logits, cache = forward_batch(params, config, dims, batch, dropout_rng)
+    cache: dict = {}
+    logits = forward_batch(params, config, dims, batch, dropout_rng, cache)
     loss, dlogits, n_tokens = batch_loss_and_dlogits(logits, batch.tgt_out)
     if not math.isfinite(loss):
         raise NonFiniteLoss(f"loss = {loss}")
@@ -549,40 +591,25 @@ def greedy_decode(params, config: ModelConfig, source, vocab: Vocabulary) -> Dec
     """Argmax decoding from BOS until EOS or config.max_target_len (flagged).
 
     Incremental: the encoder and each decoder layer's cross-attention keys
-    and values are computed once per source; each step then feeds only the
-    newest position through the decoder, attending over the self-attention
-    keys and values cached for the positions before it.
+    and values are computed once per source; each step then runs only the
+    newest position through `_decoder_layer`, which stores its self-attention
+    keys and values in the layer's buffer and attends over the positions so far.
     """
     dims = infer_dims(params)
     batch = make_batch([source], [[]], dims)
-    enc_out, src_add = _encoder_forward(params, config, dims, batch, 0.0, None, {})
+    enc_out, src_add = _encoder_forward(params, config, dims, batch, 0.0, None)
     d, heads, cap = config.d_model, config.heads, config.max_target_len
     scale = math.sqrt(d)
     pe = _pe(cap, d)
-    layers = []
-    for i in range(config.decoder_layers):
-        cross_k, _ = _heads_fwd(enc_out, params, f"dec{i}.cross", "k", heads)
-        cross_v, _ = _heads_fwd(enc_out, params, f"dec{i}.cross", "v", heads)
-        self_k = np.empty((1, heads, cap, d // heads))
-        self_v = np.empty_like(self_k)
-        layers.append((cross_k, cross_v, self_k, self_v))
+    layers = [(np.empty((2, 1, heads, cap, d // heads)),
+               _kv_fwd(enc_out, params, f"dec{i}.cross", heads))
+              for i in range(config.decoder_layers)]
     emitted: list[int] = []
     nxt = BOS_ID
     for t in range(cap):
         y = params["tgt_embed"][[[nxt]]] * scale + pe[t]
-        for i, (cross_k, cross_v, self_k, self_v) in enumerate(layers):
-            prefix = f"dec{i}.self"
-            q, _ = _heads_fwd(y, params, prefix, "q", heads)
-            self_k[:, :, t : t + 1], _ = _heads_fwd(y, params, prefix, "k", heads)
-            self_v[:, :, t : t + 1], _ = _heads_fwd(y, params, prefix, "v", heads)
-            a, _ = _attend_fwd(q, self_k[:, :, : t + 1], self_v[:, :, : t + 1],
-                               params, prefix, None, 0.0, None)
-            y, _ = _residual_ln_fwd(y, a, params, f"dec{i}.ln1", 0.0, None)
-            q, _ = _heads_fwd(y, params, f"dec{i}.cross", "q", heads)
-            c, _ = _attend_fwd(q, cross_k, cross_v, params, f"dec{i}.cross", src_add, 0.0, None)
-            y, _ = _residual_ln_fwd(y, c, params, f"dec{i}.ln2", 0.0, None)
-            f, _ = _ff_fwd(y, params, f"dec{i}.ff")
-            y, _ = _residual_ln_fwd(y, f, params, f"dec{i}.ln3", 0.0, None)
+        for i, (self_kv, cross_kv) in enumerate(layers):
+            y = _decoder_layer(params, config, i, y, t, self_kv, cross_kv, src_add, None, 0.0, None)
         logits, _ = _linear_fwd(y[0, 0], params["out_w"], params["out_b"])
         nxt = int(np.argmax(logits))
         if nxt == EOS_ID:

@@ -47,6 +47,10 @@ class VocabMismatch(ValueError):
     pass
 
 
+class NonFiniteParameter(ArithmeticError):
+    pass
+
+
 class SourceCodec:
     """Character-index codec for the text proxy task.
 
@@ -109,7 +113,10 @@ def load_features(path) -> np.ndarray:
     arr = np.load(path, allow_pickle=False)
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ValueError(f"{path}: expected a non-empty 2-D (frames, dim) array, got {arr.shape}")
-    return np.asarray(arr, dtype=np.float64)
+    arr = np.asarray(arr, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{path}: feature frames hold NaN or infinite values")
+    return arr
 
 
 def encode_source(utt: Utterance, codec: SourceCodec | None):
@@ -172,7 +179,8 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointFormatError(f"{path}: unsupported version {version}")
         header_len = int.from_bytes(f.read(8), "little")
         blob = f.read(header_len)
-        payload = f.read()
+        flat = np.fromfile(f, dtype="<f8").astype(np.float64, copy=False)
+        ragged = len(f.read())  # bytes after the last whole float64
     try:
         header = json.loads(blob.decode("utf-8"))
         unknown = sorted(set(header["config"]) - {f.name for f in fields(ModelConfig)})
@@ -191,7 +199,11 @@ def load_checkpoint(path) -> Checkpoint:
             feature_dim=header["feature_dim"],
         )
         expected = sum(int(np.prod(shape)) for _, shape in param_index(config, dims))
-        flat = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+        if ragged:
+            raise CheckpointFormatError(
+                f"{path}: parameter payload is {flat.nbytes + ragged} bytes, not a whole "
+                f"number of float64 values"
+            )
         if flat.size != expected:
             raise CheckpointFormatError(
                 f"{path}: parameter payload has {flat.size} values, expected {expected}"
@@ -210,6 +222,10 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointFormatError(f"{path}: header has no key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise CheckpointFormatError(f"{path}: bad header: {exc}") from None
+    if not np.isfinite(flat).all():
+        params = unflatten_params(flat, param_index(config, dims))
+        name = next(name for name, arr in params.items() if not np.isfinite(arr).all())
+        raise NonFiniteParameter(f"{path}: parameter {name} holds NaN or infinite values")
     return Checkpoint(header["epoch"], config, header["variant"], dims, flat, vocab, codec)
 
 
@@ -237,7 +253,7 @@ def _epoch_valid_loss(params, config, dims, sources, targets) -> float:
             targets[start : start + config.batch_size],
             dims,
         )
-        logits, _ = forward_batch(params, config, dims, batch)
+        logits = forward_batch(params, config, dims, batch)
         loss, _, n = batch_loss_and_dlogits(logits, batch.tgt_out)
         total += loss * n
         tokens += n

@@ -105,7 +105,7 @@ def forward(params, config: ModelConfig, source, target_prefix) -> np.ndarray:
     dims = infer_dims(params)
     batch = make_batch([source], [[]], dims)
     batch.tgt_in = np.asarray([target_prefix], dtype=np.int64)
-    logits, _ = model.forward_batch(params, config, dims, batch)
+    logits = model.forward_batch(params, config, dims, batch)
     return logits[0]
 
 

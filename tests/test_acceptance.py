@@ -134,7 +134,7 @@ def test_criterion_05_gradient_check():
 
         def f(vec):
             p = unflatten_params(vec, index)
-            logits, _ = forward_batch(p, config, dims, batch)
+            logits = forward_batch(p, config, dims, batch)
             value, _, _ = batch_loss_and_dlogits(logits, batch.tgt_out)
             return value
 

@@ -64,6 +64,15 @@ class TestAugment:
         sizes = m.split_sizes()
         assert (sizes["train"], sizes["valid"], sizes["test"]) == (3, 1, 1)
 
+    def test_invalid_utf8_manifest_exits_2_naming_it(self, tmp_path, capsys):
+        raw = write_raw_manifest(tmp_path, ["als sie", "und dem geist"])
+        raw.write_bytes(raw.read_bytes().replace(b"dem", b"d\xffm"))
+        rc = main(["augment", "--manifest", str(raw), "--out", str(tmp_path / "x.tsv"),
+                   "--split", "2,0,0"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"bigphon: error: {raw}: line 2: invalid UTF-8 byte 0xff\n")
+
     def test_unmappable_char_exits_2(self, tmp_path, capsys):
         raw = write_raw_manifest(tmp_path, ["als 3 sie"])
         rc = main(["augment", "--manifest", str(raw), "--out", str(tmp_path / "x.tsv"),
@@ -524,6 +533,77 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"bigphon: error: {bad}: ") and detail in err
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["evaluate", "errors"])
+    def test_truncated_checkpoint_payload_exits_2(self, tmp_path, augmented_manifest,
+                                                  checkpoint, capsys, command):
+        blob = checkpoint.read_bytes()
+        header_len = int.from_bytes(blob[8:16], "little")
+        bad = tmp_path / "cut.ckpt"
+        bad.write_bytes(blob[:-100])
+        payload_bytes = len(blob) - 100 - 16 - header_len
+        capsys.readouterr()
+        rc = main([command, "--ckpt", str(bad), "--manifest", str(augmented_manifest),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"bigphon: error: {bad}: parameter payload is {payload_bytes} bytes,")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["evaluate", "errors"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_checkpoint_parameters_exit_3(
+        self, tmp_path, augmented_manifest, checkpoint, monkeypatch, capsys, command, value
+    ):
+        ckpt = load_checkpoint(checkpoint)
+        ckpt.params_flat[-1] = value
+        path = tmp_path / "nan.ckpt"
+        save_checkpoint(ckpt, path)
+        calls = []
+        decode = training.greedy_decode
+        monkeypatch.setattr(training, "greedy_decode",
+                            lambda *args: calls.append(args) or decode(*args))
+        capsys.readouterr()
+        rc = main([command, "--ckpt", str(path), "--manifest", str(augmented_manifest),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"bigphon: numeric failure: {path}: parameter out_b holds NaN or infinite values\n")
+        assert calls == []
+
+    @pytest.mark.parametrize("command, value", [
+        ("train", np.nan), ("evaluate", np.inf), ("errors", -np.inf),
+    ])
+    def test_non_finite_feature_frames_exit_2(self, tmp_path, augmented_manifest, vocab_path,
+                                              capsys, command, value):
+        m = ingest(augmented_manifest)
+        rng = np.random.default_rng(0)
+        utts = []
+        for u in m.utterances:
+            path = tmp_path / f"{u.utt_id}.npy"
+            np.save(path, rng.normal(size=(4, 3)))
+            utts.append(replace(u, feature_path=str(path)))
+        mpath = tmp_path / "features.tsv"
+        write_manifest(CorpusManifest(tuple(utts), m.split), mpath)
+        run = tmp_path / "run"
+        assert main(train_args(mpath, vocab_path, run) + ["--source", "features"]) == 0
+        split = "train" if command == "train" else "test"
+        bad = tmp_path / f"{m.by_split(split)[-1].utt_id}.npy"
+        frames = np.load(bad)
+        frames[2, 1] = value
+        np.save(bad, frames)
+        capsys.readouterr()
+        argv = {
+            "train": train_args(mpath, vocab_path, tmp_path / "run2") + ["--source", "features"],
+            "evaluate": ["evaluate", "--ckpt", str(run / "epoch0002.ckpt"),
+                         "--manifest", str(mpath), "--out", str(tmp_path / "out")],
+            "errors": ["errors", "--ckpt", str(run / "epoch0002.ckpt"),
+                       "--manifest", str(mpath), "--out", str(tmp_path / "out")],
+        }[command]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"bigphon: error: {bad}: feature frames hold NaN or infinite values\n")
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--min-period", "0", "min_period must be at least 1"),

@@ -54,6 +54,28 @@ class TestIngest:
         with pytest.raises(ManifestParseError):
             ingest(path)
 
+    @pytest.mark.parametrize("lead", [0, 2000])  # 2000 rows run past one decode chunk
+    @pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"])
+    def test_invalid_utf8_names_file_and_line(self, tmp_path, ending, lead):
+        rows = [b"# header"] + [b"u%d\tsch\xc3\xb6n" % i for i in range(lead)]
+        path = tmp_path / "latin1.tsv"
+        path.write_bytes(ending.join(rows + [b"a\teins", b"b\tsch\xf6n", b""]))
+        with pytest.raises(ValueError) as exc:
+            ingest(path)
+        assert str(exc.value) == f"{path}: line {lead + 3}: invalid UTF-8 byte 0xf6"
+
+    def test_line_endings_read_alike(self, tmp_path):
+        rows = ["# seed=1", "a\teins", "b\tzwei\t\ttrain"]
+        expected = None
+        for ending in ("\n", "\r\n", "\r"):
+            path = tmp_path / "endings.tsv"
+            path.write_bytes(ending.join(rows).encode("utf-8") + ending.encode())
+            m = ingest(path)
+            assert expected is None or m == expected
+            expected = m
+        assert [u.text for u in expected.utterances] == ["eins", "zwei"]
+        assert expected.split == {"b": "train"}
+
 
 class TestFilter:
     def test_boundary_kept(self):

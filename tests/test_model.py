@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 import tracemalloc
 from dataclasses import asdict, replace
@@ -132,7 +133,7 @@ class TestLoss:
         dims = ModelDims(target_vocab=9, source_vocab=7)
         params = small_params(dims, seed=5)
         batch = make_batch([[1, 2, 3], [4, 5]], [(4, 5, 6), (7,)], dims)
-        logits1, _ = forward_batch(params, SMALL, dims, batch)
+        logits1 = forward_batch(params, SMALL, dims, batch)
         loss1, _, n1 = batch_loss_and_dlogits(logits1, batch.tgt_out)
         pad_col = np.full((2, 1), PAD_ID, dtype=np.int64)
         wider = Batch(
@@ -141,7 +142,7 @@ class TestLoss:
             np.hstack([batch.tgt_in, pad_col]),
             np.hstack([batch.tgt_out, pad_col]),
         )
-        logits2, _ = forward_batch(params, SMALL, dims, wider)
+        logits2 = forward_batch(params, SMALL, dims, wider)
         loss2, _, n2 = batch_loss_and_dlogits(logits2, wider.tgt_out)
         assert loss1 == loss2
         assert n1 == n2
@@ -160,7 +161,7 @@ class TestGradient:
 
         def f(vec):
             p = unflatten_params(vec, index)
-            logits, _ = forward_batch(p, SMALL, dims, batch)
+            logits = forward_batch(p, SMALL, dims, batch)
             value, _, _ = batch_loss_and_dlogits(logits, batch.tgt_out)
             return value
 
@@ -213,7 +214,7 @@ class TestGradient:
 
         def f(vec):
             p = unflatten_params(vec, index)
-            logits, _ = forward_batch(p, SMALL, dims, batch)
+            logits = forward_batch(p, SMALL, dims, batch)
             value, _, _ = batch_loss_and_dlogits(logits, batch.tgt_out)
             return value
 
@@ -299,13 +300,14 @@ class TestBitwiseOracle:
     @pytest.mark.parametrize("source", ["tokens", "features"])
     def test_eval_logits_match_reference(self, source):
         config, dims, params, batch = self.case(source, 2, (3, 2), 0.3, seed=1)
-        logits, _ = forward_batch(params, config, dims, batch)
+        logits = forward_batch(params, config, dims, batch)
         ref_logits, _ = conftest.forward_batch(params, config, dims, batch)
         assert np.array_equal(logits, ref_logits)
 
     def test_backward_consumes_the_cache(self):
         config, dims, params, batch = self.case("tokens", 2, (3, 2), 0.3)
-        logits, cache = forward_batch(params, config, dims, batch, np.random.default_rng(0))
+        cache = {}
+        logits = forward_batch(params, config, dims, batch, np.random.default_rng(0), cache)
         _, dlogits, _ = batch_loss_and_dlogits(logits, batch.tgt_out)
         model.backward_batch(dlogits, cache, params)
         assert cache["enc_layers"] == [] and cache["dec_layers"] == []
@@ -436,6 +438,64 @@ class TestIncrementalDecode:
         results = [greedy_decode(params, config, src, vocab) for src in sources]
         assert len(calls) == len(sources)
         assert max(len(r.ids) for r in results) > 1
+
+    def test_encoder_keeps_no_cache(self, vocab, monkeypatch):
+        params, config, sources = self.random_model(vocab, "features", 2, 2, 50, seed=1)
+        caches = []
+        encode = model._encoder_forward
+
+        def spy(*args, **kwargs):
+            bound = inspect.signature(encode).bind(*args, **kwargs)
+            bound.apply_defaults()
+            caches.append(bound.arguments["cache"])
+            return encode(*args, **kwargs)
+
+        monkeypatch.setattr(model, "_encoder_forward", spy)
+        for src in sources:
+            assert greedy_decode(params, config, src, vocab) == reference_greedy_decode(
+                params, config, src, vocab)
+        assert caches == [None] * len(sources)
+
+
+class TestDecoderLayer:
+    """`_decoder_layer` is the one decoder-layer body: teacher forcing runs it
+    once per layer over the whole target, greedy decoding once per layer and
+    step over the newest position."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        seen = []
+        layer = model._decoder_layer
+
+        def spy(params, config, i, y, t, *rest):
+            seen.append((i, t, y.shape[1]))
+            return layer(params, config, i, y, t, *rest)
+
+        monkeypatch.setattr(model, "_decoder_layer", spy)
+        return seen
+
+    def test_teacher_forcing_runs_each_layer_once(self, calls):
+        config, dims, params, batch = TestBitwiseOracle.case("tokens", 2, (1, 3), 0.3)
+        cache = {}
+        forward_batch(params, config, dims, batch, np.random.default_rng(2), cache)
+        t_len = batch.tgt_in.shape[1]
+        assert calls == [(0, 0, t_len), (1, 0, t_len), (2, 0, t_len)]
+        assert len(cache["dec_layers"]) == 3
+        calls.clear()
+        assert np.array_equal(forward_batch(params, config, dims, batch),
+                              conftest.forward_batch(params, config, dims, batch)[0])
+        assert calls == [(0, 0, t_len), (1, 0, t_len), (2, 0, t_len)]
+
+    def test_greedy_decode_steps_each_layer(self, calls, classes):
+        vocab = Vocabulary(induce_inventory([PhonemeSequence(tuple("alsiemn"))], classes), (),
+                           "base")
+        params, config, sources = TestIncrementalDecode.random_model(
+            vocab, "tokens", 2, 2, 50, seed=0)
+        for src in sources:
+            calls.clear()
+            result = greedy_decode(params, config, src, vocab)
+            steps = len(result.ids) + (0 if result.truncated else 1)
+            assert calls == [(i, t, 1) for t in range(steps) for i in range(2)]
 
 
 class TestConfig:

@@ -3,15 +3,27 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from bigphon import training
 from bigphon.corpus import CorpusManifest, Utterance, augment, split_corpus
 from bigphon.ipa import induce_inventory
-from bigphon.model import ModelConfig, NonFiniteLoss, greedy_decode
+from bigphon.model import (
+    ModelConfig,
+    ModelDims,
+    NonFiniteLoss,
+    batch_loss_and_dlogits,
+    greedy_decode,
+    init_params,
+    make_batch,
+)
 from bigphon.training import (
     Checkpoint,
+    CheckpointFormatError,
+    NonFiniteParameter,
     SourceCodec,
     TrainingTrace,
     decode_split,
@@ -22,6 +34,7 @@ from bigphon.training import (
 )
 from bigphon.vocab import build_variant, tokenize
 
+import conftest
 from conftest import make_toy_manifest
 
 TINY = dict(
@@ -160,6 +173,34 @@ class TestCheckpointIO:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory, classes):
+        m = make_toy_manifest(8, seed=5, sizes=(6, 1, 1))
+        cfg = ModelConfig(epochs=1, checkpoint_interval=1, seed=2, **TINY)
+        path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+        save_checkpoint(train(m, toy_vocab(m, classes), cfg).checkpoints[-1], path)
+        return path
+
+    @pytest.mark.parametrize("cut", [1, 7, 100])
+    def test_ragged_payload_names_its_length(self, tmp_path, saved, cut):
+        blob = saved.read_bytes()
+        payload = len(blob) - 16 - int.from_bytes(blob[8:16], "little") - cut
+        path = tmp_path / "cut.ckpt"
+        path.write_bytes(blob[:-cut])
+        with pytest.raises(CheckpointFormatError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value).startswith(f"{path}: parameter payload is {payload} bytes,")
+
+    def test_non_finite_parameters_name_the_first(self, tmp_path, saved):
+        ckpt = load_checkpoint(saved)
+        ckpt.params["out_w"][3, 1] = np.nan
+        ckpt.params["tgt_embed"][0, 2] = -np.inf
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(ckpt, path)
+        with pytest.raises(NonFiniteParameter) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == f"{path}: parameter tgt_embed holds NaN or infinite values"
+
 
 class TestFeatureMode:
     def make_feature_manifest(self, tmp_path, rules, classes, n=6):
@@ -201,6 +242,68 @@ class TestFeatureMode:
             np.save(path, np.zeros(shape))
             with pytest.raises(ValueError):
                 load_features(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_load_features_rejects_non_finite_frames(self, tmp_path, value):
+        frames = np.ones((4, 3), dtype=np.float32)
+        frames[3, 2] = value
+        path = tmp_path / "frames.npy"
+        np.save(path, frames)
+        with pytest.raises(ValueError) as exc:
+            load_features(path)
+        assert str(exc.value) == f"{path}: feature frames hold NaN or infinite values"
+
+
+def reference_valid_loss(params, config, dims, sources, targets) -> float:
+    """The valid loss through conftest's reference forward, which builds
+    the whole backward cache, batch by batch as `_epoch_valid_loss` goes."""
+    total, tokens = 0.0, 0
+    for start in range(0, len(sources), config.batch_size):
+        chunk = slice(start, start + config.batch_size)
+        batch = make_batch(sources[chunk], targets[chunk], dims)
+        logits, _ = conftest.forward_batch(params, config, dims, batch)
+        loss, _, n = batch_loss_and_dlogits(logits, batch.tgt_out)
+        total += loss * n
+        tokens += n
+    return total / tokens
+
+
+class TestValidLoss:
+    """The valid pass runs the forward without a backward cache."""
+
+    @staticmethod
+    def case(source):
+        config = ModelConfig(d_model=32, heads=2, d_ff=64, encoder_layers=4, decoder_layers=2,
+                             epochs=1, checkpoint_interval=1, batch_size=8, dropout=0.1)
+        rng = np.random.default_rng(4)
+        if source == "tokens":
+            dims = ModelDims(target_vocab=20, source_vocab=30)
+            sources = [rng.integers(0, 30, size=n) for n in rng.integers(20, 90, size=12)]
+        else:
+            dims = ModelDims(target_vocab=20, feature_dim=6)
+            sources = [rng.normal(size=(n, 6)) for n in rng.integers(20, 90, size=12)]
+        targets = [rng.integers(4, 20, size=n) for n in rng.integers(10, 60, size=12)]
+        return init_params(config, dims, rng), config, dims, sources, targets
+
+    @pytest.mark.parametrize("source", ["tokens", "features"])
+    def test_matches_reference_bitwise(self, source):
+        args = self.case(source)
+        value = training._epoch_valid_loss(*args)
+        assert math.isfinite(value)
+        assert np.array_equal(value, reference_valid_loss(*args))
+
+    def test_allocates_at_most_half_the_reference(self):
+        """tracemalloc sees every numpy buffer, so the peak is exact."""
+        args = self.case("tokens")
+        peaks = []
+        for valid_loss in (reference_valid_loss, training._epoch_valid_loss):
+            tracemalloc.start()
+            try:
+                valid_loss(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 0.5 * peaks[0], peaks
 
 
 def read_trace(path) -> TrainingTrace:
