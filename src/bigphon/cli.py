@@ -36,13 +36,23 @@ from .corpus import (
 )
 from .g2p import load_default_rules, load_rule_table
 from .ipa import ClassificationTable, induce_inventory, load_default_classification
-from .model import ModelConfig
-from .training import VocabMismatch, decode_split, load_checkpoint, train
+from .model import ModelConfig, NonFiniteGradient, NonFiniteLoss
+from .training import (
+    NonFiniteParameter,
+    VocabMismatch,
+    decode_split,
+    load_checkpoint,
+    train,
+)
 from .vocab import VARIANT_LABELS, build_all_variants, parse_variant, read_vocab, write_vocab
 
 # Every bigphon input error is a ValueError subclass.
 INPUT_ERRORS = (ValueError, FileNotFoundError, FileExistsError, NotADirectoryError,
                 IsADirectoryError)
+
+# Non-finite values in a loss, gradient or loaded parameter; any other
+# ArithmeticError is a program fault and keeps its traceback.
+NUMERIC_FAILURES = (NonFiniteLoss, NonFiniteGradient, NonFiniteParameter)
 
 # `train` flags whose spelling differs from their ModelConfig field name.
 FLAG_NAMES = {"checkpoint_interval": "--ckpt-interval", "learning_rate": "--lr"}
@@ -330,7 +340,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ArithmeticError as exc:  # NonFiniteLoss, NonFiniteGradient, NonFiniteParameter
+    except NUMERIC_FAILURES as exc:
         print(f"bigphon: numeric failure: {exc}", file=sys.stderr)
         return 3
     except INPUT_ERRORS as exc:

@@ -572,6 +572,18 @@ class TestInputErrors:
             f"bigphon: numeric failure: {path}: parameter out_b holds NaN or infinite values\n")
         assert calls == []
 
+    def test_other_arithmetic_errors_are_not_numeric_failures(
+        self, tmp_path, augmented_manifest, vocab_path, monkeypatch
+    ):
+        """Only non-finite losses, gradients and parameters exit 3; a ZeroDivisionError
+        from the program keeps its traceback."""
+        def fault(*args, **kwargs):
+            raise ZeroDivisionError("division by zero")
+
+        monkeypatch.setattr(cli, "train", fault)
+        with pytest.raises(ZeroDivisionError):
+            main(train_args(augmented_manifest, vocab_path, tmp_path / "run"))
+
     @pytest.mark.parametrize("command, value", [
         ("train", np.nan), ("evaluate", np.inf), ("errors", -np.inf),
     ])
