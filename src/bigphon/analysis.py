@@ -2,10 +2,12 @@
 detectors, and definite-article accuracy.
 
 Alignment is a minimal Levenshtein edit script at unit cost, replaying the
-reference into the hypothesis. The edit-distance table is filled one numpy
-row at a time; its arithmetic is integer, so the table is exact. Backtrace
-ties break by the fixed preference Match > Substitute > Delete > Insert, so
-scripts are deterministic.
+reference into the hypothesis. The edit-distance table is computed one row
+per reference token as bit-vectors of +1/-1 deltas along the hypothesis
+(Myers 1999; Hyyrö 2001), so a row costs a few big-integer operations and
+every cell is exact: the row's start plus a popcount of each delta vector.
+Backtrace ties break by the fixed preference Match > Substitute > Delete >
+Insert, so scripts are deterministic.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Sequence
-
-import numpy as np
 
 from .g2p import RuleTable, transliterate
 from .ipa import ClassificationTable, PhonemeSequence, classify
@@ -49,41 +49,55 @@ def align(ref: Sequence[str], hyp: Sequence[str]) -> Alignment:
     ref = tuple(ref)
     hyp = tuple(hyp)
     n, m = len(ref), len(hyp)
-    ids: dict[str, int] = {}
-    ref_ids = np.array([ids.setdefault(t, len(ids)) for t in ref], dtype=np.int64)
-    hyp_ids = np.array([ids.setdefault(t, len(ids)) for t in hyp], dtype=np.int64)
-    cost = (ref_ids[:, None] != hyp_ids[None, :]).astype(np.int64)
-    cols = np.arange(m + 1, dtype=np.int64)
-    table = np.empty((n + 1, m + 1), dtype=np.int64)
-    table[0] = cols
-    cand = np.empty(m + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        prev = table[i - 1]
-        # Substitute/match and delete need only the row above.
-        np.minimum(prev[:-1] + cost[i - 1], prev[1:] + 1, out=cand[1:])
-        cand[0] = i
-        # Insert chain: row[j] = min over k <= j of cand[k] + (j - k).
-        np.minimum.accumulate(cand - cols, out=table[i])
-        table[i] += cols
-    dp = table.tolist()
+    eq: dict[str, int] = {}
+    for j, token in enumerate(hyp):
+        eq[token] = eq.get(token, 0) | 1 << j
+    full = (1 << m) - 1
+    # Row i as bit-vectors over the hypothesis: bit j-1 of pos (neg) is set
+    # where D[i][j] - D[i][j-1] is +1 (-1). Row 0 is D[0][j] = j.
+    pos, neg = full, 0
+    rows = [(pos, neg)]
+    for token in ref:
+        match = eq.get(token, 0)
+        x_row = match | neg
+        x_col = (((match & pos) + pos) ^ pos) | match
+        # Row-to-row deltas D[i][j] - D[i-1][j], column 0's (+1) shifted in.
+        up_pos = (neg | ~(x_col | pos)) << 1 | 1
+        up_neg = (pos & x_col) << 1
+        pos = (up_neg | ~(x_row | up_pos)) & full
+        neg = up_pos & x_row
+        rows.append((pos, neg))
+
+    def cell(i: int, j: int) -> int:
+        pos, neg = rows[i]
+        low = (1 << j) - 1
+        return i + (pos & low).bit_count() - (neg & low).bit_count()
+
+    distance = here = cell(n, m)
     ops: list[EditOp] = []
     i, j = n, m
     while i > 0 or j > 0:
-        here = dp[i][j]
-        if i > 0 and j > 0 and ref[i - 1] == hyp[j - 1] and dp[i - 1][j - 1] == here:
-            ops.append(EditOp(EditKind.MATCH, i - 1, j - 1, ref[i - 1], hyp[j - 1]))
-            i, j = i - 1, j - 1
-        elif i > 0 and j > 0 and dp[i - 1][j - 1] + 1 == here and ref[i - 1] != hyp[j - 1]:
-            ops.append(EditOp(EditKind.SUBSTITUTE, i - 1, j - 1, ref[i - 1], hyp[j - 1]))
-            i, j = i - 1, j - 1
-        elif i > 0 and dp[i - 1][j] + 1 == here:
-            ops.append(EditOp(EditKind.DELETE, i - 1, None, ref[i - 1], None))
-            i -= 1
-        else:
-            ops.append(EditOp(EditKind.INSERT, None, j - 1, None, hyp[j - 1]))
-            j -= 1
+        if i > 0 and j > 0:
+            diag = cell(i - 1, j - 1)
+            same = ref[i - 1] == hyp[j - 1]
+            if same and diag == here:
+                ops.append(EditOp(EditKind.MATCH, i - 1, j - 1, ref[i - 1], hyp[j - 1]))
+                i, j, here = i - 1, j - 1, diag
+                continue
+            if not same and diag + 1 == here:
+                ops.append(EditOp(EditKind.SUBSTITUTE, i - 1, j - 1, ref[i - 1], hyp[j - 1]))
+                i, j, here = i - 1, j - 1, diag
+                continue
+        if i > 0:
+            up = cell(i - 1, j)
+            if up + 1 == here:
+                ops.append(EditOp(EditKind.DELETE, i - 1, None, ref[i - 1], None))
+                i, here = i - 1, up
+                continue
+        ops.append(EditOp(EditKind.INSERT, None, j - 1, None, hyp[j - 1]))
+        j, here = j - 1, here - 1
     ops.reverse()
-    return Alignment(tuple(ops), dp[n][m])
+    return Alignment(tuple(ops), distance)
 
 
 @dataclass(frozen=True)
@@ -126,6 +140,9 @@ def detect_repetitions(
         best: Repetition | None = None
         max_period = (n - pos) // min_copies
         for period in range(min_period, max_period + 1):
+            # Two copies need the unit's first token again one period on.
+            if hyp[pos + period] != hyp[pos]:
+                continue
             unit = hyp[pos : pos + period]
             copies = 1
             while hyp[pos + copies * period : pos + (copies + 1) * period] == unit:

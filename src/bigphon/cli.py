@@ -25,6 +25,7 @@ from .analysis import (
     diagnose_sentence,
     render_marked,
 )
+from .config import ModelConfig, NonFiniteGradient, NonFiniteLoss, NonFiniteParameter
 from .corpus import (
     augment,
     check_split_sizes,
@@ -36,19 +37,11 @@ from .corpus import (
 )
 from .g2p import load_default_rules, load_rule_table
 from .ipa import ClassificationTable, induce_inventory, load_default_classification
-from .model import ModelConfig, NonFiniteGradient, NonFiniteLoss
-from .training import (
-    NonFiniteParameter,
-    VocabMismatch,
-    decode_split,
-    load_checkpoint,
-    train,
-)
 from .vocab import VARIANT_LABELS, build_all_variants, parse_variant, read_vocab, write_vocab
 
 # Every bigphon input error is a ValueError subclass.
 INPUT_ERRORS = (ValueError, FileNotFoundError, FileExistsError, NotADirectoryError,
-                IsADirectoryError)
+                IsADirectoryError, PermissionError)
 
 # Non-finite values in a loss, gradient or loaded parameter; any other
 # ArithmeticError is a program fault and keeps its traceback.
@@ -143,6 +136,8 @@ def cmd_vocab(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .training import train
+
     table = _load_classes(args)
     manifest = ingest(args.manifest)
     inventory, _ = _corpus_and_inventory(manifest, table)
@@ -190,6 +185,26 @@ def _truncated(decoded) -> str:
     return f"{sum(result.truncated for _, result in decoded)}/{len(decoded)}"
 
 
+def _evaluate_checkpoint(path, manifest, args, out: Path) -> tuple[int, str, float]:
+    """Score one checkpoint; (epoch, variant, BLEU). Nothing of it outlives
+    the call, so the next checkpoint loads with this one released."""
+    from .training import VocabMismatch, decode_split, load_checkpoint
+
+    ckpt = load_checkpoint(path)
+    if args.vocab_dir:
+        vocab_path = Path(args.vocab_dir) / f"{ckpt.variant}.vocab"
+        stated = read_vocab(vocab_path, ckpt.vocab.inventory)
+        if stated.units != ckpt.vocab.units:
+            raise VocabMismatch(
+                f"{vocab_path} does not match units stored in {path}"
+            )
+    decoded, report = decode_split(ckpt, manifest, split=args.split)
+    _write_json(out / f"bleu_{ckpt.variant}_epoch{ckpt.epoch:04d}.json", report)
+    print(f"{path}: variant={ckpt.variant} epoch={ckpt.epoch} bleu={report.bleu:.2f} "
+          f"truncated={_truncated(decoded)}")
+    return ckpt.epoch, ckpt.variant, report.bleu
+
+
 def cmd_evaluate(args) -> int:
     paths = sorted({p for pattern in args.ckpt for p in glob.glob(pattern)})
     if not paths:
@@ -199,19 +214,8 @@ def cmd_evaluate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     grid: dict[int, dict[str, float]] = {}
     for path in paths:
-        ckpt = load_checkpoint(path)
-        if args.vocab_dir:
-            vocab_path = Path(args.vocab_dir) / f"{ckpt.variant}.vocab"
-            stated = read_vocab(vocab_path, ckpt.vocab.inventory)
-            if stated.units != ckpt.vocab.units:
-                raise VocabMismatch(
-                    f"{vocab_path} does not match units stored in {path}"
-                )
-        decoded, report = decode_split(ckpt, manifest, split=args.split)
-        _write_json(out / f"bleu_{ckpt.variant}_epoch{ckpt.epoch:04d}.json", report)
-        grid.setdefault(ckpt.epoch, {})[ckpt.variant] = report.bleu
-        print(f"{path}: variant={ckpt.variant} epoch={ckpt.epoch} bleu={report.bleu:.2f} "
-              f"truncated={_truncated(decoded)}")
+        epoch, variant, bleu = _evaluate_checkpoint(path, manifest, args, out)
+        grid.setdefault(epoch, {})[variant] = bleu
     columns = [v for v in VARIANT_LABELS if any(v in row for row in grid.values())]
     lines = [f"# {h}" for h in _provenance(args, {"checkpoints": len(paths)})]
     lines.append("epoch," + ",".join(columns))
@@ -226,6 +230,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_errors(args) -> int:
+    from .training import decode_split, load_checkpoint
+
     check_repetition_bounds(args.min_period, args.min_copies)
     rules, table = _load_tables(args)
     manifest = ingest(args.manifest)

@@ -31,10 +31,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ModelConfig, NonFiniteGradient, NonFiniteLoss
 from .vocab import BOS_ID, EOS_ID, PAD_ID, Vocabulary, detokenize
 
 NEG = -1e30  # additive mask value; underflows to exactly 0 after softmax
@@ -47,48 +48,6 @@ class ShapeMismatch(ValueError):
 
 class LengthMismatch(ValueError):
     pass
-
-
-class NonFiniteLoss(ArithmeticError):
-    pass
-
-
-class NonFiniteGradient(ArithmeticError):
-    pass
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    d_model: int = 200
-    heads: int = 2
-    d_ff: int = 400
-    encoder_layers: int = 4
-    decoder_layers: int = 1
-    epochs: int = 100
-    checkpoint_interval: int = 10
-    max_target_len: int = 400
-    seed: int = 0
-    learning_rate: float = 1e-3
-    batch_size: int = 32
-    dropout: float = 0.1
-
-    def __post_init__(self):
-        for f in fields(self):
-            value, kind = getattr(self, f.name), type(f.default)
-            if type(value) is not kind and not (kind is float and type(value) is int):
-                raise TypeError(f"{f.name} must be {kind.__name__}, got {value!r}")
-        for name in ("d_model", "heads", "d_ff", "encoder_layers", "decoder_layers",
-                     "epochs", "max_target_len", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if self.d_model % self.heads != 0:
-            raise ValueError("d_model must be divisible by heads")
-        if self.checkpoint_interval <= 0 or self.epochs % self.checkpoint_interval:
-            raise ValueError("checkpoint_interval must divide epochs")
-        if not 0 < self.learning_rate < math.inf:
-            raise ValueError("learning_rate must be positive and finite")
-        if not 0 <= self.dropout < 1:
-            raise ValueError("dropout must be in [0, 1)")
 
 
 @dataclass(frozen=True)

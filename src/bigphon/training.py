@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .bleu import BleuReport, EmptyCorpus, corpus_bleu
+from .config import NonFiniteParameter
 from .corpus import CorpusManifest, Utterance, require_augmented
 from .ipa import Phoneme, PhonemeInventory, SoundClass
 from .model import (
@@ -44,10 +45,6 @@ class CheckpointFormatError(ValueError):
 
 
 class VocabMismatch(ValueError):
-    pass
-
-
-class NonFiniteParameter(ArithmeticError):
     pass
 
 
@@ -111,6 +108,8 @@ class Checkpoint:
 def load_features(path) -> np.ndarray:
     """Externally precomputed per-frame features: a (T, F) .npy array."""
     arr = np.load(path, allow_pickle=False)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{path}: expected real numeric feature frames, got dtype {arr.dtype}")
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ValueError(f"{path}: expected a non-empty 2-D (frames, dim) array, got {arr.shape}")
     arr = np.asarray(arr, dtype=np.float64)

@@ -14,9 +14,11 @@ from bigphon.analysis import (
     EditKind,
     EditOp,
     ErrorReport,
+    Repetition,
     _aligned_span,
     align,
     article_accuracy,
+    check_repetition_bounds,
     detect_dropouts,
     detect_repetitions,
     detect_substitutions,
@@ -81,6 +83,34 @@ def reference_align(ref, hyp):
             j -= 1
     ops.reverse()
     return Alignment(tuple(ops), dp[n][m])
+
+
+def reference_detect_repetitions(hyp, min_period=3, min_copies=2):
+    """The scan that tried every period at every position, before
+    `detect_repetitions` skipped periods whose second copy cannot start."""
+    check_repetition_bounds(min_period, min_copies)
+    hyp = tuple(hyp)
+    found: list[Repetition] = []
+    pos = 0
+    n = len(hyp)
+    while pos < n:
+        best: Repetition | None = None
+        max_period = (n - pos) // min_copies
+        for period in range(min_period, max_period + 1):
+            unit = hyp[pos : pos + period]
+            copies = 1
+            while hyp[pos + copies * period : pos + (copies + 1) * period] == unit:
+                copies += 1
+            if copies >= min_copies:
+                cand = Repetition(pos, period, copies, unit)
+                if best is None or cand.period * cand.copies > best.period * best.copies:
+                    best = cand
+        if best is None:
+            pos += 1
+        else:
+            found.append(best)
+            pos = best.end
+    return found
 
 
 def replay(alignment, ref):
@@ -272,6 +302,43 @@ class TestRepetitions:
         repeat; the empty hypothesis shows the check runs before any scan."""
         with pytest.raises(ValueError, match=message):
             detect_repetitions([], *bounds)
+
+
+REPETITION_BOUNDS = [(1, 2), (2, 2), (3, 2), (2, 3), (3, 3), (5, 2), (1, 4)]
+
+
+class TestRepetitionOracle:
+    """`detect_repetitions` finds exactly the repeats of the unpruned scan."""
+
+    @pytest.mark.parametrize("bounds", [(1, 2), (3, 2), (2, 3)])
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_every_sequence_up_to_length_9(self, size, bounds):
+        alphabet = "abc"[:size]
+        checked = 0
+        for n in range(10):
+            for hyp in itertools.product(alphabet, repeat=n):
+                assert detect_repetitions(hyp, *bounds) == reference_detect_repetitions(
+                    hyp, *bounds)
+                checked += 1
+        assert checked == sum(size**n for n in range(10))
+
+    @pytest.mark.parametrize("bounds", REPETITION_BOUNDS)
+    def test_seeded_hypotheses_with_spliced_repeats(self, bounds):
+        rng = np.random.default_rng(sum(bounds) * 10 + bounds[0])
+        found = 0
+        for _ in range(150):
+            alphabet = [f"t{k}" for k in range(int(rng.integers(2, 20)))]
+            hyp = [alphabet[x] for x in rng.integers(0, len(alphabet), int(rng.integers(0, 80)))]
+            for _ in range(int(rng.integers(0, 4))):
+                unit = [alphabet[x] for x in rng.integers(0, len(alphabet),
+                                                          int(rng.integers(1, 13)))]
+                loop = unit * int(rng.integers(2, 6)) + unit[: int(rng.integers(0, len(unit)))]
+                at = int(rng.integers(0, len(hyp) + 1))
+                hyp[at:at] = loop
+            got = detect_repetitions(hyp, *bounds)
+            assert got == reference_detect_repetitions(hyp, *bounds)
+            found += len(got)
+        assert found > 0
 
 
 class TestDropouts:

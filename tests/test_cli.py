@@ -3,13 +3,21 @@
 from __future__ import annotations
 
 import argparse
+import errno
+import gc
 import json
+import os
+import subprocess
+import sys
+import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bigphon import cli, corpus, training, vocab
+import bigphon
+from bigphon import corpus, training, vocab
 from bigphon.cli import build_parser, main
 from bigphon.corpus import CorpusManifest, Utterance, ingest, write_manifest
 from bigphon.model import ModelConfig
@@ -239,7 +247,7 @@ class TestTrainFlags:
             seen.append(config)
             raise ValueError("stopped before training")
 
-        monkeypatch.setattr(cli, "train", stop)
+        monkeypatch.setattr(training, "train", stop)
 
         def run(*flags):
             assert main(["train", "--manifest", str(augmented_manifest),
@@ -347,6 +355,27 @@ class TestTrainEvaluateErrors:
         assert len(calls) == 2  # the test split, once
         assert len(capsys.readouterr().out.splitlines()) == 1
         assert "# checkpoints=1" in (out / "bleu_grid.csv").read_text(encoding="utf-8")
+
+    def test_evaluate_releases_each_checkpoint_before_the_next_load(
+        self, tmp_path, augmented_manifest, trained, monkeypatch
+    ):
+        first = trained / "epoch0002.ckpt"
+        second = tmp_path / "copy.ckpt"
+        second.write_bytes(first.read_bytes())
+        loaded, alive = [], []
+        load = training.load_checkpoint
+
+        def tracked(path):
+            gc.collect()
+            alive.append([ref() is not None for ref in loaded])
+            ckpt = load(path)
+            loaded.append(weakref.ref(ckpt))
+            return ckpt
+
+        monkeypatch.setattr(training, "load_checkpoint", tracked)
+        assert main(["evaluate", "--ckpt", str(first), str(second),
+                     "--manifest", str(augmented_manifest), "--out", str(tmp_path / "eval")]) == 0
+        assert alive == [[], [False]]
 
     @pytest.mark.parametrize("favoured, expected", [(EOS_ID, "0/2"), (4, "2/2")])
     def test_truncated_decodes_reported(self, tmp_path, augmented_manifest, trained, capsys,
@@ -580,7 +609,7 @@ class TestInputErrors:
         def fault(*args, **kwargs):
             raise ZeroDivisionError("division by zero")
 
-        monkeypatch.setattr(cli, "train", fault)
+        monkeypatch.setattr(training, "train", fault)
         with pytest.raises(ZeroDivisionError):
             main(train_args(augmented_manifest, vocab_path, tmp_path / "run"))
 
@@ -616,6 +645,40 @@ class TestInputErrors:
         assert main(argv) == 2
         assert capsys.readouterr().err == (
             f"bigphon: error: {bad}: feature frames hold NaN or infinite values\n")
+
+    @pytest.mark.parametrize("frames", [
+        np.array([["a", "b", "c"]] * 4),
+        1j * np.arange(12.0).reshape(4, 3),
+    ], ids=["string", "complex"])
+    def test_non_real_feature_frames_exit_2(self, tmp_path, augmented_manifest, vocab_path,
+                                            capsys, frames):
+        m = ingest(augmented_manifest)
+        bad = tmp_path / f"{m.by_split('train')[1].utt_id}.npy"
+        utts = []
+        for u in m.utterances:
+            path = tmp_path / f"{u.utt_id}.npy"
+            np.save(path, frames if path == bad else np.zeros((4, 3)))
+            utts.append(replace(u, feature_path=str(path)))
+        mpath = tmp_path / "features.tsv"
+        write_manifest(CorpusManifest(tuple(utts), m.split), mpath)
+        capsys.readouterr()
+        args = train_args(mpath, vocab_path, tmp_path / "run") + ["--source", "features"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"bigphon: error: {bad}: expected real numeric feature frames, "
+            f"got dtype {frames.dtype}\n")
+
+    def test_unreadable_manifest_exits_2_naming_it(self, tmp_path, monkeypatch, capsys):
+        raw = write_raw_manifest(tmp_path, ["als sie", "von dem"])
+
+        def denied(path, *args, **kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied", str(path))
+
+        monkeypatch.setattr(corpus, "open", denied, raising=False)
+        assert main(["augment", "--manifest", str(raw), "--out", str(tmp_path / "out.tsv"),
+                     "--split", "1,1,0"]) == 2
+        assert capsys.readouterr().err == (
+            f"bigphon: error: [Errno 13] Permission denied: '{raw}'\n")
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--min-period", "0", "min_period must be at least 1"),
@@ -719,3 +782,25 @@ class TestDeterminism:
         assert main(train_args(augmented_manifest, vocab_path, d2)) == 0
         assert (d1 / "epoch0002.ckpt").read_bytes() == (d2 / "epoch0002.ckpt").read_bytes()
         assert (d1 / "trace.csv").read_bytes() == (d2 / "trace.csv").read_bytes()
+
+
+def test_non_model_commands_load_no_numpy(tmp_path):
+    """`augment`, `vocab` and the scoring layers run without numpy."""
+    rng = np.random.default_rng(4)
+    raw = write_raw_manifest(
+        tmp_path, [" ".join(rng.choice(TOY_WORDS, size=4)) for _ in range(12)])
+    script = """
+import sys
+from bigphon.cli import main
+raw, out = sys.argv[1:]
+assert main(["augment", "--manifest", raw, "--out", out + "/corpus.tsv", "--split", "8,2,2"]) == 0
+assert main(["vocab", "--manifest", out + "/corpus.tsv", "--all", "--out", out + "/vocabs"]) == 0
+import bigphon.analysis, bigphon.bleu, bigphon.corpus, bigphon.g2p, bigphon.ipa, bigphon.vocab
+print("numpy" in sys.modules)
+"""
+    src = str(Path(bigphon.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", script, str(raw), str(tmp_path)],
+                          capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (tmp_path / "vocabs" / "total30.vocab").exists()
+    assert done.stdout.splitlines()[-1] == "False"
