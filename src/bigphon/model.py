@@ -13,18 +13,24 @@ and from a single float64 vector (unflatten returns views, so in-place
 optimizer updates on the flat vector propagate).
 
 Training-step memory: the sublayer kernels compute in place on arrays they
-own; the forward does not cache the dropped attention or the ReLU mask,
-which backward rebuilds bit for bit; and ``backward_batch`` consumes its
-cache, freeing each sublayer's entry once used. perfbench's one-step
-``train`` command peaks at about 794 MB RSS, down from 1,076 MB (medians,
-``BENCH_train_memory.json``).
+own. The backward cache holds the two embedding outputs and, per sublayer,
+only what backward cannot rebuild: the attention's split heads, merged
+context, probabilities and dropout mask; the feed-forward's hidden layer;
+and each layer norm's xhat, inverse standard deviation and parameters. It
+holds no layer-norm output: backward rebuilds one bit for bit from its
+layer norm's cache, once per sublayer that consumed it, and frees it after
+use, as it does the dropped attention and the ReLU mask. ``backward_batch``
+consumes the cache, and each backward kernel frees its temporaries after
+their last use. perfbench's one-step ``train`` command peaks at about
+652 MB RSS, down from 786 MB (medians, ``BENCH_train_memory_2.json``) and
+1,076 MB before the in-place kernels (``BENCH_train_memory.json``).
 
 One decoder-layer body, ``_decoder_layer``, serves teacher forcing (the
 whole target at once, causal mask) and greedy decoding (one position per
 step, against the layer's key/value buffer). A backward cache is kept only
 when a backward follows: ``forward_batch`` fills one only when the caller
 passes a dict, as ``loss_and_gradient`` does. The valid-loss pass and the
-decoder's encoder run keep no layer's activations past that layer.
+decoder's encoder run keep no sublayer's activations past that sublayer.
 """
 
 from __future__ import annotations
@@ -220,11 +226,12 @@ def _pe(length: int, d: int) -> np.ndarray:
 def _linear_fwd(x, w, b):
     y = x @ w
     y += b
-    return y, (x, w)
+    return y
 
 
-def _linear_bwd(dy, cache, grads, wname, bname):
-    x, w = cache
+def _linear_bwd(dy, x, params, grads, wname, bname):
+    """Gradient into x of x @ w + b, after adding dw and db to `grads`."""
+    w = params[wname]
     din, dout = w.shape
     grads[wname] += x.reshape(-1, din).T @ dy.reshape(-1, dout)
     grads[bname] += dy.reshape(-1, dout).sum(axis=0)
@@ -232,18 +239,27 @@ def _linear_bwd(dy, cache, grads, wname, bname):
 
 
 def _ln_fwd(x, g, b):
-    """Layer norm of x, which it overwrites with the normalized xhat."""
+    """Layer norm of x, which it overwrites with the normalized xhat. The
+    cache holds no output: `_ln_out` rebuilds it from xhat."""
     x -= x.mean(-1, keepdims=True)
     y = x * x
     inv = 1.0 / np.sqrt(y.mean(-1, keepdims=True) + LN_EPS)
     x *= inv
-    np.multiply(g, x, out=y)
-    y += b
-    return y, (x, inv, g)
+    cache = (x, inv, g, b)
+    return _ln_out(cache, out=y), cache
+
+
+def _ln_out(cache, out=None):
+    """g * xhat + b, into `out` if given: the forward's output, and the same
+    bits again when backward rebuilds it from the cache."""
+    xhat, _, g, b = cache
+    out = np.multiply(g, xhat, out=out)
+    out += b
+    return out
 
 
 def _ln_bwd(dy, cache, grads, gname, bname):
-    xhat, inv, g = cache
+    xhat, inv, g, _ = cache
     d = xhat.shape[-1]
     t = dy * xhat
     grads[gname] += t.reshape(-1, d).sum(axis=0)
@@ -254,6 +270,12 @@ def _ln_bwd(dy, cache, grads, gname, bname):
     dx -= np.multiply(xhat, mean_dxhat_xhat, out=t)
     dx *= inv
     return dx
+
+
+def _input(src):
+    """A linear's input from its source: the array itself (an embedding
+    output), or the output of the layer norm whose cache `src` is, rebuilt."""
+    return src if isinstance(src, np.ndarray) else _ln_out(src)
 
 
 def _dropout_fwd(x, p, rng):
@@ -276,15 +298,22 @@ def _dropout_bwd(dy, cache, out=None):
 
 def _heads_fwd(x, params, prefix, nm, heads):
     """Project x (B,T,d) through `{prefix}.w{nm}`/`b{nm}`, split to (B,heads,T,dh)."""
-    y, c = _linear_fwd(x, params[f"{prefix}.w{nm}"], params[f"{prefix}.b{nm}"])
+    y = _linear_fwd(x, params[f"{prefix}.w{nm}"], params[f"{prefix}.b{nm}"])
     b, t, d = y.shape
-    return y.reshape(b, t, heads, d // heads).transpose(0, 2, 1, 3), c
+    return y.reshape(b, t, heads, d // heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(xh):
+    """(B,heads,T,dh) -> (B,T,heads*dh)."""
+    b, heads, t, dh = xh.shape
+    return xh.transpose(0, 2, 1, 3).reshape(b, t, heads * dh)
 
 
 def _attend_fwd(qh, kh, vh, params, prefix, mask, p_drop, rng):
     """Scaled dot-product attention over split heads, merged through wo.
-    Caches `attn` and the dropout mask, from which backward rebuilds attn_d."""
-    b, heads, tq, dh = qh.shape
+    Also returns the merged context, `attn` and the dropout mask, from which
+    backward rebuilds attn_d."""
+    dh = qh.shape[-1]
     attn = qh @ kh.transpose(0, 1, 3, 2)
     attn /= math.sqrt(dh)
     if mask is not None:
@@ -293,54 +322,79 @@ def _attend_fwd(qh, kh, vh, params, prefix, mask, p_drop, rng):
     np.exp(attn, out=attn)
     attn /= attn.sum(-1, keepdims=True)
     attn_d, dcache = _dropout_fwd(attn, p_drop, rng)
-    ctx = attn_d @ vh
-    merged = ctx.transpose(0, 2, 1, 3).reshape(b, tq, heads * dh)
-    out, oc = _linear_fwd(merged, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
-    return out, (oc, attn, dcache)
+    merged = _merge_heads(attn_d @ vh)
+    out = _linear_fwd(merged, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
+    return out, merged, attn, dcache
 
 
 def _kv_fwd(x, params, prefix, heads):
-    """Keys and values of x split to heads, with their linear caches."""
-    kh, kc = _heads_fwd(x, params, prefix, "k", heads)
-    vh, vc = _heads_fwd(x, params, prefix, "v", heads)
-    return kh, vh, kc, vc
+    """Keys and values of x, split to heads."""
+    return _heads_fwd(x, params, prefix, "k", heads), _heads_fwd(x, params, prefix, "v", heads)
 
 
-def _mha_fwd(q_in, kv, params, prefix, mask, heads, p_drop, rng):
-    """Attention of q_in over kv = (kh, vh, kc, vc), as `_kv_fwd` returns."""
-    qh, qc = _heads_fwd(q_in, params, prefix, "q", heads)
-    out, (oc, attn, dcache) = _attend_fwd(qh, kv[0], kv[1], params, prefix, mask, p_drop, rng)
-    return out, (qc, oc, qh, kv, attn, dcache)
+def _mha_fwd(q_in, kv, params, prefix, mask, heads, p_drop, rng, cache):
+    """Attention of q_in over kv = (kh, vh), as `_kv_fwd` returns. Appends what
+    backward needs, but neither input, to the list `cache` unless None."""
+    qh = _heads_fwd(q_in, params, prefix, "q", heads)
+    out, merged, attn, dcache = _attend_fwd(qh, *kv, params, prefix, mask, p_drop, rng)
+    if cache is not None:
+        cache.append((qh, kv, merged, attn, dcache))
+    return out
 
 
-def _mha_bwd(dout, cache, grads, prefix):
-    qc, oc, qh, (kh, vh, kc, vc), attn, dcache = cache
+def _mha_bwd(dout, cache, params, grads, prefix, q_src, kv_src):
+    """Gradients into `_mha_fwd`'s q_in and into the input of its keys and
+    values, which it rebuilds from their sources (`_input`), once if one
+    source serves both. The caller has popped `cache`, so every array here is
+    freed after its last use."""
+    qh, (kh, vh), merged, attn, dcache = cache
+    del cache
     b, heads, tq, dh = qh.shape
-    dmerged = _linear_bwd(dout, oc, grads, f"{prefix}.wo", f"{prefix}.bo")
+    dmerged = _linear_bwd(dout, merged, params, grads, f"{prefix}.wo", f"{prefix}.bo")
+    del merged
     dctx = dmerged.reshape(b, tq, heads, dh).transpose(0, 2, 1, 3)
     dattn = dctx @ vh.transpose(0, 1, 3, 2)
-    dvh = _dropout_bwd(attn, dcache).transpose(0, 1, 3, 2) @ dctx
+    attn_d = _dropout_bwd(attn, dcache)  # rebuilt into a new buffer, or attn itself
+    dvh = attn_d.transpose(0, 1, 3, 2) @ dctx
+    del dmerged, dctx, vh
     _dropout_bwd(dattn, dcache, out=dattn)
-    dattn -= (dattn * attn).sum(-1, keepdims=True)
+    prod = np.multiply(dattn, attn, out=None if attn_d is attn else attn_d)
+    del attn_d
+    dattn -= prod.sum(-1, keepdims=True)
+    del prod
     dattn *= attn
+    del attn
     dattn /= math.sqrt(dh)
     dqh = dattn @ kh
     dkh = dattn.transpose(0, 1, 3, 2) @ qh
-    dq = dqh.transpose(0, 2, 1, 3).reshape(b, tq, heads * dh)
-    dk = dkh.transpose(0, 2, 1, 3).reshape(b, -1, heads * dh)
-    dv = dvh.transpose(0, 2, 1, 3).reshape(b, -1, heads * dh)
-    dq_in = _linear_bwd(dq, qc, grads, f"{prefix}.wq", f"{prefix}.bq")
-    dkv_in = _linear_bwd(dk, kc, grads, f"{prefix}.wk", f"{prefix}.bk")
-    dkv_in = dkv_in + _linear_bwd(dv, vc, grads, f"{prefix}.wv", f"{prefix}.bv")
+    del dattn, qh, kh
+    dq = _merge_heads(dqh)
+    del dqh
+    x = _input(q_src)
+    dq_in = _linear_bwd(dq, x, params, grads, f"{prefix}.wq", f"{prefix}.bq")
+    del dq
+    if kv_src is not q_src:
+        del x
+        x = _input(kv_src)
+    dk = _merge_heads(dkh)
+    del dkh
+    dkv_in = _linear_bwd(dk, x, params, grads, f"{prefix}.wk", f"{prefix}.bk")
+    del dk
+    dv = _merge_heads(dvh)
+    del dvh
+    dkv_in += _linear_bwd(dv, x, params, grads, f"{prefix}.wv", f"{prefix}.bv")
     return dq_in, dkv_in
 
 
-def _residual_ln_fwd(x, sub_out, params, prefix, p_drop, rng):
-    """LayerNorm(x + dropout(sub_out)); overwrites sub_out, which no cache holds."""
+def _residual_ln_fwd(x, sub_out, params, prefix, p_drop, rng, cache):
+    """LayerNorm(x + dropout(sub_out)); overwrites sub_out, which no cache
+    holds. Appends its layer norm's cache and the dropout mask to `cache`."""
     summed, dcache = _dropout_fwd(sub_out, p_drop, rng)
     summed += x
     y, lncache = _ln_fwd(summed, params[f"{prefix}.g"], params[f"{prefix}.b"])
-    return y, (lncache, dcache)
+    if cache is not None:
+        cache.append((lncache, dcache))
+    return y
 
 
 def _residual_ln_bwd(dy, cache, grads, prefix):
@@ -349,18 +403,21 @@ def _residual_ln_bwd(dy, cache, grads, prefix):
     return dsummed, _dropout_bwd(dsummed, dcache)
 
 
-def _ff_fwd(x, params, prefix):
-    h, c1 = _linear_fwd(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"])
+def _ff_fwd(x, params, prefix, cache):
+    """relu(x @ w1 + b1) @ w2 + b2; appends the hidden layer to `cache`."""
+    h = _linear_fwd(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"])
     np.maximum(h, 0.0, out=h)
-    y, c2 = _linear_fwd(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
-    return y, (c1, c2)
+    y = _linear_fwd(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
+    if cache is not None:
+        cache.append(h)
+    return y
 
 
-def _ff_bwd(dy, cache, grads, prefix):
-    c1, c2 = cache
-    dh = _linear_bwd(dy, c2, grads, f"{prefix}.w2", f"{prefix}.b2")
-    dh *= c2[0] > 0  # h = relu(pre) is positive exactly where pre is
-    return _linear_bwd(dh, c1, grads, f"{prefix}.w1", f"{prefix}.b1")
+def _ff_bwd(dy, h, params, grads, prefix, x_src):
+    dh = _linear_bwd(dy, h, params, grads, f"{prefix}.w2", f"{prefix}.b2")
+    dh *= h > 0  # h = relu(pre) is positive exactly where pre is
+    del h
+    return _linear_bwd(dh, _input(x_src), params, grads, f"{prefix}.w1", f"{prefix}.b1")
 
 
 def _causal_mask(t: int) -> np.ndarray:
@@ -369,15 +426,25 @@ def _causal_mask(t: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # forward / backward
+#
+# A training cache holds, per layer, the list of its sublayers' entries in
+# forward order; a residual layer norm's entry is (layer norm cache, dropout
+# mask). No layer's entry holds a layer norm's output or any sublayer input:
+# backward rebuilds a linear's input from the cache of the layer norm that
+# produced it (`_input` of `_ln_of`), which is still in the cache because
+# backward reaches that layer norm only after all its consumers.
+
+
+def _ln_of(layer):
+    """The cache of the layer norm that ends `layer`, a list of sublayer
+    entries whose last is a residual layer norm's."""
+    return layer[-1][0]
 
 
 def _encoder_forward(params, config, dims, batch, p, rng, cache=None):
     """Encoder output and additive source mask. Fills `cache` for backward
-    when given a dict; without one, no layer's activations outlive it."""
-    # Without a cache, the whole-pass entries go to a throwaway dict (none is
-    # larger than the layer input) and no layer's entry is kept.
-    cache, layers = ({}, None) if cache is None else (cache, [])
-    d = config.d_model
+    when given a dict; without one, each sublayer's activations die with it."""
+    d, heads = config.d_model, config.heads
     scale = math.sqrt(d)
     if dims.source_vocab is not None:
         if batch.src.ndim != 2:
@@ -386,21 +453,24 @@ def _encoder_forward(params, config, dims, batch, p, rng, cache=None):
     else:
         if batch.src.ndim != 3 or batch.src.shape[2] != dims.feature_dim:
             raise ShapeMismatch("feature-mode source must be (B, S, feature_dim)")
-        x, cache["src_proj"] = _linear_fwd(
-            batch.src, params["src_proj_w"], params["src_proj_b"]
-        )
+        x = _linear_fwd(batch.src, params["src_proj_w"], params["src_proj_b"])
     x += _pe(batch.src.shape[1], d)
-    x, cache["enc_drop"] = _dropout_fwd(x, p, rng)
+    x, dcache = _dropout_fwd(x, p, rng)
     src_add = np.where(batch.src_mask, 0.0, NEG)[:, None, None, :]
-    cache["enc_layers"] = layers
+    layers = None if cache is None else []
+    if cache is not None:
+        cache.update(enc_drop=dcache, enc_in=x, enc_layers=layers)
     for i in range(config.encoder_layers):
-        kv = _kv_fwd(x, params, f"enc{i}.attn", config.heads)
-        a, c_attn = _mha_fwd(x, kv, params, f"enc{i}.attn", src_add, config.heads, p, rng)
-        x, c_r1 = _residual_ln_fwd(x, a, params, f"enc{i}.ln1", p, rng)
-        f, c_ff = _ff_fwd(x, params, f"enc{i}.ff")
-        x, c_r2 = _residual_ln_fwd(x, f, params, f"enc{i}.ln2", p, rng)
+        layer = None if cache is None else []
+        a = _mha_fwd(x, _kv_fwd(x, params, f"enc{i}.attn", heads), params, f"enc{i}.attn",
+                     src_add, heads, p, rng, layer)
+        x = _residual_ln_fwd(x, a, params, f"enc{i}.ln1", p, rng, layer)
+        del a  # overwritten by the residual: a dead buffer, or the layer norm's xhat
+        a = _ff_fwd(x, params, f"enc{i}.ff", layer)
+        x = _residual_ln_fwd(x, a, params, f"enc{i}.ln2", p, rng, layer)
+        del a
         if layers is not None:
-            layers.append([c_attn, c_r1, c_ff, c_r2])
+            layers.append(layer)
     return x, src_add
 
 
@@ -414,35 +484,37 @@ def _decoder_layer(params, config, i, y, t, self_kv, cross_kv, src_add, mask, p,
     the whole target and the causal mask; greedy decoding once per step with
     n = 1 and no mask. Appends what backward needs to `cache` unless None."""
     end, heads = t + y.shape[1], config.heads
-    k, v, kc, vc = _kv_fwd(y, params, f"dec{i}.self", heads)
-    self_kv[0, :, :, t:end], self_kv[1, :, :, t:end] = k, v
-    kv = (self_kv[0, :, :, :end], self_kv[1, :, :, :end], kc, vc)
-    a, c_self = _mha_fwd(y, kv, params, f"dec{i}.self", mask, heads, p, rng)
-    y, c_r1 = _residual_ln_fwd(y, a, params, f"dec{i}.ln1", p, rng)
-    c, c_cross = _mha_fwd(y, cross_kv, params, f"dec{i}.cross", src_add, heads, p, rng)
-    y, c_r2 = _residual_ln_fwd(y, c, params, f"dec{i}.ln2", p, rng)
-    f, c_ff = _ff_fwd(y, params, f"dec{i}.ff")
-    y, c_r3 = _residual_ln_fwd(y, f, params, f"dec{i}.ln3", p, rng)
+    layer = None if cache is None else []
+    self_kv[0, :, :, t:end], self_kv[1, :, :, t:end] = _kv_fwd(y, params, f"dec{i}.self", heads)
+    kv = (self_kv[0, :, :, :end], self_kv[1, :, :, :end])
+    a = _mha_fwd(y, kv, params, f"dec{i}.self", mask, heads, p, rng, layer)
+    y = _residual_ln_fwd(y, a, params, f"dec{i}.ln1", p, rng, layer)
+    del a
+    a = _mha_fwd(y, cross_kv, params, f"dec{i}.cross", src_add, heads, p, rng, layer)
+    y = _residual_ln_fwd(y, a, params, f"dec{i}.ln2", p, rng, layer)
+    del a
+    a = _ff_fwd(y, params, f"dec{i}.ff", layer)
+    y = _residual_ln_fwd(y, a, params, f"dec{i}.ln3", p, rng, layer)
     if cache is not None:
-        cache.append([c_self, c_r1, c_cross, c_r2, c_ff, c_r3])
+        cache.append(layer)
     return y
 
 
 def _decoder_forward(params, config, enc_out, src_add, tgt_in, p, rng, cache=None):
     """Teacher-forced logits (B, T, V); fills `cache` as `_encoder_forward` does."""
-    cache, layers = ({}, None) if cache is None else (cache, [])
     d, heads = config.d_model, config.heads
     b, t_len = tgt_in.shape
     y = params["tgt_embed"][tgt_in] * math.sqrt(d) + _pe(t_len, d)
-    y, cache["dec_drop"] = _dropout_fwd(y, p, rng)
+    y, dcache = _dropout_fwd(y, p, rng)
+    layers = None if cache is None else []
+    if cache is not None:
+        cache.update(dec_drop=dcache, dec_in=y, dec_layers=layers)
     causal = _causal_mask(t_len)
-    cache["dec_layers"] = layers
     for i in range(config.decoder_layers):
-        kv = np.empty((2, b, heads, t_len, d // heads))
-        cross = _kv_fwd(enc_out, params, f"dec{i}.cross", heads)
-        y = _decoder_layer(params, config, i, y, 0, kv, cross, src_add, causal, p, rng, layers)
-    logits, cache["out"] = _linear_fwd(y, params["out_w"], params["out_b"])
-    return logits
+        y = _decoder_layer(params, config, i, y, 0, np.empty((2, b, heads, t_len, d // heads)),
+                           _kv_fwd(enc_out, params, f"dec{i}.cross", heads), src_add, causal,
+                           p, rng, layers)
+    return _linear_fwd(y, params["out_w"], params["out_b"])
 
 
 def forward_batch(params, config: ModelConfig, dims: ModelDims, batch: Batch, dropout_rng=None,
@@ -458,42 +530,56 @@ def forward_batch(params, config: ModelConfig, dims: ModelDims, batch: Batch, dr
 
 def backward_batch(dlogits, cache, params) -> dict[str, np.ndarray]:
     """Gradients of every parameter. Consumes `cache`: each sublayer's entry
-    is popped, in reverse forward order, so it is freed as soon as it is used."""
+    is popped, in reverse forward order, so it is freed as soon as it is used.
+    A layer's input is the output of the last layer norm of the layer below
+    (`_ln_of`), or for the first layer the embedding output, `enc_in` or
+    `dec_in`, which backward pops when it reaches that layer."""
     config: ModelConfig = cache["config"]
     dims: ModelDims = cache["dims"]
     batch: Batch = cache["batch"]
     scale = cache["scale"]
     grads = {name: np.zeros_like(arr) for name, arr in params.items()}
+    enc, dec = cache["enc_layers"], cache["dec_layers"]
 
-    dy = _linear_bwd(dlogits, cache.pop("out"), grads, "out_w", "out_b")
+    dy = _linear_bwd(dlogits, _input(_ln_of(dec[-1])), params, grads, "out_w", "out_b")
     denc = None
     for i in reversed(range(config.decoder_layers)):
-        layer = cache["dec_layers"].pop()
+        layer = dec.pop()
+        y_src = _ln_of(dec[-1]) if dec else cache.pop("dec_in")
         dy, df = _residual_ln_bwd(dy, layer.pop(), grads, f"dec{i}.ln3")
-        dy = dy + _ff_bwd(df, layer.pop(), grads, f"dec{i}.ff")
+        dy += _ff_bwd(df, layer.pop(), params, grads, f"dec{i}.ff", _ln_of(layer))
         dy, dc = _residual_ln_bwd(dy, layer.pop(), grads, f"dec{i}.ln2")
-        dq, dkv = _mha_bwd(dc, layer.pop(), grads, f"dec{i}.cross")
-        dy = dy + dq
-        denc = dkv if denc is None else denc + dkv
+        dq, dkv = _mha_bwd(dc, layer.pop(), params, grads, f"dec{i}.cross", _ln_of(layer),
+                           _ln_of(enc[-1]))
+        dy += dq
+        if denc is None:
+            denc = dkv
+        else:
+            denc += dkv
+        del dq, dkv
         dy, da = _residual_ln_bwd(dy, layer.pop(), grads, f"dec{i}.ln1")
-        dq, dkv = _mha_bwd(da, layer.pop(), grads, f"dec{i}.self")
-        dy = dy + dq + dkv
+        dq, dkv = _mha_bwd(da, layer.pop(), params, grads, f"dec{i}.self", y_src, y_src)
+        dy += dq
+        dy += dkv
+    del y_src, df, dc, da, dq, dkv  # nothing of the decoder outlives it
     dy = _dropout_bwd(dy, cache["dec_drop"])
     np.add.at(grads["tgt_embed"], batch.tgt_in, dy * scale)
 
     dx = denc  # decoder_layers >= 1, so cross-attention always contributed
     for i in reversed(range(config.encoder_layers)):
-        layer = cache["enc_layers"].pop()
+        layer = enc.pop()
+        x_src = _ln_of(enc[-1]) if enc else cache.pop("enc_in")
         dx, df = _residual_ln_bwd(dx, layer.pop(), grads, f"enc{i}.ln2")
-        dx = dx + _ff_bwd(df, layer.pop(), grads, f"enc{i}.ff")
+        dx += _ff_bwd(df, layer.pop(), params, grads, f"enc{i}.ff", _ln_of(layer))
         dx, da = _residual_ln_bwd(dx, layer.pop(), grads, f"enc{i}.ln1")
-        dq, dkv = _mha_bwd(da, layer.pop(), grads, f"enc{i}.attn")
-        dx = dx + dq + dkv
+        dq, dkv = _mha_bwd(da, layer.pop(), params, grads, f"enc{i}.attn", x_src, x_src)
+        dx += dq
+        dx += dkv
     dx = _dropout_bwd(dx, cache["enc_drop"])
     if dims.source_vocab is not None:
         np.add.at(grads["src_embed"], batch.src, dx * scale)
     else:
-        _linear_bwd(dx, cache["src_proj"], grads, "src_proj_w", "src_proj_b")
+        _linear_bwd(dx, batch.src, params, grads, "src_proj_w", "src_proj_b")
     return grads
 
 
@@ -569,7 +655,7 @@ def greedy_decode(params, config: ModelConfig, source, vocab: Vocabulary) -> Dec
         y = params["tgt_embed"][[[nxt]]] * scale + pe[t]
         for i, (self_kv, cross_kv) in enumerate(layers):
             y = _decoder_layer(params, config, i, y, t, self_kv, cross_kv, src_add, None, 0.0, None)
-        logits, _ = _linear_fwd(y[0, 0], params["out_w"], params["out_b"])
+        logits = _linear_fwd(y[0, 0], params["out_w"], params["out_b"])
         nxt = int(np.argmax(logits))
         if nxt == EOS_ID:
             return DecodeResult(tuple(emitted), detokenize(emitted, vocab), False)

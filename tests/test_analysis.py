@@ -151,6 +151,16 @@ def reference_aligned_span(alignment, start, stop):
 
 
 class TestAlign:
+    def test_edit_op_fields_equality_and_immutability(self):
+        op = EditOp(EditKind.SUBSTITUTE, 2, 3, "a", "b")
+        assert (op.kind, op.ref_pos, op.hyp_pos, op.ref_token, op.hyp_token) == (
+            EditKind.SUBSTITUTE, 2, 3, "a", "b")
+        assert op == EditOp(EditKind.SUBSTITUTE, 2, 3, "a", "b")
+        assert op != EditOp(EditKind.SUBSTITUTE, 2, 3, "a", "c")
+        assert hash(op) == hash(EditOp(EditKind.SUBSTITUTE, 2, 3, "a", "b"))
+        with pytest.raises(AttributeError):
+            op.hyp_token = "c"
+
     def test_identity(self):
         a = align(("a", "l", "s"), ("a", "l", "s"))
         assert a.distance == 0

@@ -332,6 +332,99 @@ class TestBitwiseOracle:
         assert peaks[1] <= 0.85 * peaks[0], peaks
 
 
+class TestActivationMemory:
+    """What the forward and backward keep and allocate beyond their results:
+    no layer-norm output in the backward cache, attention-backward
+    temporaries freed after their last use, and without a cache nothing of
+    one encoder layer left when the next starts."""
+
+    @staticmethod
+    def medium_case():
+        config = replace(SMALL, d_model=32, d_ff=64, encoder_layers=3, dropout=0.1)
+        dims = ModelDims(target_vocab=20, source_vocab=30)
+        rng = np.random.default_rng(3)
+        params = init_params(config, dims, rng)
+        batch = make_batch([rng.integers(0, 30, size=60) for _ in range(8)],
+                           [rng.integers(4, 20, size=40) for _ in range(8)], dims)
+        return config, dims, params, batch
+
+    @staticmethod
+    def arrays(obj):
+        """Every array reachable from a cache through dicts, lists and tuples."""
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, (dict, list, tuple)):
+            for item in obj.values() if isinstance(obj, dict) else obj:
+                yield from TestActivationMemory.arrays(item)
+
+    @pytest.mark.parametrize("source", ["tokens", "features"])
+    def test_cache_holds_no_layer_norm_output(self, source, monkeypatch):
+        config, dims, params, batch = TestBitwiseOracle.case(source, 2, (3, 2), 0.3)
+        outputs = []
+        ln_fwd = model._ln_fwd
+
+        def spy(*args):
+            y, cache = ln_fwd(*args)
+            outputs.append(y)  # kept alive, so no cached array can reuse its memory
+            return y, cache
+
+        monkeypatch.setattr(model, "_ln_fwd", spy)
+        cache = {}
+        forward_batch(params, config, dims, batch, np.random.default_rng(0), cache)
+        assert len(outputs) == 3 * 2 + 2 * 3
+        cached = list(self.arrays(cache))
+        assert len(cached) > 50
+        shared = [(k, a.shape) for k, y in enumerate(outputs) for a in cached
+                  if np.shares_memory(a, y)]
+        assert shared == []
+
+    def test_attention_backward_rise_is_bounded(self, monkeypatch):
+        """Above its entry memory, `_mha_bwd` holds at most the merged query
+        and key gradients and two attention-sized buffers at once."""
+        config, dims, params, batch = self.medium_case()
+        calls = []
+        mha_bwd = model._mha_bwd
+
+        def spy(*args):
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            dq_in, dkv_in = mha_bwd(*args)
+            calls.append((tracemalloc.get_traced_memory()[1] - entry, dq_in.shape, dkv_in.shape))
+            return dq_in, dkv_in
+
+        monkeypatch.setattr(model, "_mha_bwd", spy)
+        tracemalloc.start()
+        try:
+            loss_and_gradient(params, config, dims, batch, np.random.default_rng(0))
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == 5  # decoder cross and self, then three encoder layers
+        for rise, (b, tq, d), (_, tk, _) in calls:
+            q_bytes, k_bytes = b * tq * d * 8, b * tk * d * 8
+            attn_bytes = b * config.heads * tq * tk * 8
+            assert rise <= q_bytes + k_bytes + 2 * attn_bytes + 4096, (rise, tq, tk)
+
+    def test_encoder_layers_without_cache_start_alike(self, monkeypatch):
+        """The valid pass and the decoder's encoder run keep no cache: each
+        encoder layer's attention starts with the same memory traced."""
+        config, dims, params, batch = self.medium_case()
+        entries = []
+        mha_fwd = model._mha_fwd
+
+        def spy(*args, **kwargs):
+            entries.append(tracemalloc.get_traced_memory()[0])
+            return mha_fwd(*args, **kwargs)
+
+        monkeypatch.setattr(model, "_mha_fwd", spy)
+        tracemalloc.start()
+        try:
+            model._encoder_forward(params, config, dims, batch, 0.0, None)
+        finally:
+            tracemalloc.stop()
+        assert len(entries) == 3
+        assert max(entries) - min(entries) <= 4096, entries
+
+
 class TestGreedyDecode:
     @pytest.fixture()
     def tiny_vocab(self, classes):

@@ -1,24 +1,38 @@
-"""Memory and time of the valid-loss pass on one paper-config batch.
+"""Memory and time of the valid-loss pass and of one training step, on one
+paper-config batch.
 
     python tools/valid_pass_memory.py [--src DIR]
 
 Each measurement runs in a fresh interpreter, with BLAS pinned to one
 thread. It builds one seeded synthetic batch of 32 rows in the paper's
 model config (d_model 200, 2 heads, d_ff 400, 4 encoder and 1 decoder
-layer), with sources of 80-200 characters and targets of 60-148 units,
-and scores it once with `training._epoch_valid_loss`, the pass `train`
-runs after every epoch. Two kinds of run alternate, five of each:
+layer), with sources of 80-200 characters and targets of 60-148 units, and
+runs one of two passes over it:
+
+- `valid`: `training._epoch_valid_loss`, the pass `train` runs after every
+  epoch;
+- `step`: one `model.loss_and_gradient` with dropout, drawn from a seeded
+  generator: the forward with a backward cache, the loss and the backward.
+
+Each pass has two kinds of run, and the four alternate, five of each:
 
 - `time`: the seconds the pass takes and the process's max RSS in MB,
   before the pass and after it;
-- `trace`: the tracemalloc peak of the pass in MB. tracemalloc sees every
-  numpy buffer, so this peak is exact; it is taken in its own run because
-  tracing slows allocation.
+- `trace`: the tracemalloc peak of the pass in MB, and where it is reached.
+  tracemalloc sees every numpy buffer, so this peak is exact; it is taken in
+  its own run because tracing slows allocation. The position names the
+  stage (`forward`, `loss`, `backward`) and, inside the backward, the
+  sublayer kernel and its parameter prefix, e.g. `backward _mha_bwd
+  dec0.cross`. A profile hook on the model's calls finds it, in a second
+  run of the pass in the same process. The hook makes CPython snapshot each
+  profiled frame's locals, which keeps some arrays alive a little longer,
+  so that run's peak is printed apart, as `hooked_peak_mb`.
 
-Both kinds print the loss's repr, so two versions of the code can be
-checked for the same value. `--src` selects the `bigphon` to import
-(default: this checkout's `src`). The last line of output is one JSON
-object with every run and the medians.
+Every run prints the loss's repr; `step` runs also print a sha256 of the
+gradients in canonical parameter order, so two versions of the code can be
+compared bit for bit. `--src` selects the `bigphon` to import (default:
+this checkout's `src`). The last line of output is one JSON object with
+every run and the medians of each pass.
 """
 
 from __future__ import annotations
@@ -29,24 +43,73 @@ import os
 import statistics
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 ROWS = 32  # the paper config's batch size
 REPEATS = 5
+PASSES = ("valid", "step")
+KINDS = ("time", "trace")
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
-def measure(kind: str) -> dict:
+class PeakPosition:
+    """Profile hook that attributes the tracemalloc peak to a position.
+
+    At each call into or return from a tracked model function, the peak since
+    the last such event is charged to the position that was current, and the
+    peak is reset. Positions are the stages `forward_batch`,
+    `batch_loss_and_dlogits` and `backward_batch`; inside the backward, each
+    `*_bwd` kernel it calls refines the position with its name and its
+    parameter prefix (or weight name), and the kernels nested in that one
+    keep it."""
+
+    STAGES = {"forward_batch": "forward", "batch_loss_and_dlogits": "loss",
+              "backward_batch": "backward"}
+
+    def __init__(self, model):
+        self.codes = {fn.__code__: name for name, fn in vars(model).items()
+                      if name in self.STAGES or name.endswith("_bwd")}
+        self.stack = ["outside"]
+        self.best = (0, "outside")
+
+    def _charge(self):
+        peak = tracemalloc.get_traced_memory()[1]
+        if peak > self.best[0]:
+            self.best = (peak, self.stack[-1])
+        tracemalloc.reset_peak()
+
+    def __call__(self, frame, event, arg):
+        name = self.codes.get(frame.f_code) if event in ("call", "return") else None
+        if name is None:
+            return
+        self._charge()
+        if event == "return":
+            self.stack.pop()
+        elif name in self.STAGES:
+            self.stack.append(self.STAGES[name])
+        elif self.stack[-1] == "backward":
+            tag = frame.f_locals.get("prefix") or frame.f_locals.get("wname") or ""
+            self.stack.append(f"backward {name} {tag}".rstrip())
+        else:  # a kernel inside a kernel, or `_dropout_bwd` in the forward
+            self.stack.append(self.stack[-1])
+
+    def finish(self):
+        self._charge()
+        return self.best
+
+
+def measure(pass_name: str, kind: str) -> dict:
+    import hashlib
     import resource
     import time
-    import tracemalloc
 
     import numpy as np
 
-    from bigphon import training
-    from bigphon.model import ModelConfig, ModelDims, init_params
+    from bigphon import model, training
+    from bigphon.model import ModelConfig, ModelDims, init_params, make_batch, param_index
 
     config = ModelConfig(batch_size=ROWS)
     dims = ModelDims(target_vocab=80, source_vocab=60)
@@ -54,45 +117,81 @@ def measure(kind: str) -> dict:
     params = init_params(config, dims, rng)
     sources = [rng.integers(2, 60, size=n) for n in rng.integers(80, 201, size=ROWS)]
     targets = [rng.integers(4, 80, size=n) for n in rng.integers(60, 149, size=ROWS)]
-    out = {"kind": kind}
+    if pass_name == "valid":
+        def run():
+            return training._epoch_valid_loss(params, config, dims, sources, targets), None
+    else:
+        batch = make_batch(sources, targets, dims)
+
+        def run():
+            loss, grads, _ = model.loss_and_gradient(params, config, dims, batch,
+                                                     np.random.default_rng(1))
+            return loss, grads
+
+    out = {"pass": pass_name, "kind": kind}
     if kind == "trace":
         tracemalloc.start()
-        loss = training._epoch_valid_loss(params, config, dims, sources, targets)
+        loss, grads = run()
         out["tracemalloc_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
         tracemalloc.stop()
     else:
         out["rss_before_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         start = time.perf_counter()
-        loss = training._epoch_valid_loss(params, config, dims, sources, targets)
+        loss, grads = run()
         out["seconds"] = time.perf_counter() - start
         out["max_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     out["loss"] = repr(loss)
+    if grads is not None:
+        digest = hashlib.sha256()
+        for name, _ in param_index(config, dims):
+            digest.update(np.ascontiguousarray(grads[name]).tobytes())
+        out["grad_sha256"] = digest.hexdigest()
+    del grads
+    if kind == "trace":  # the same pass again, under the hook that finds the position
+        tracemalloc.start()
+        hook = PeakPosition(model)
+        sys.setprofile(hook)
+        try:
+            run()
+        finally:
+            sys.setprofile(None)
+        peak, out["peak_position"] = hook.finish()
+        out["hooked_peak_mb"] = peak / 2**20
+        tracemalloc.stop()
     return out
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
-    parser.add_argument("--child", choices=("time", "trace"), help=argparse.SUPPRESS)
+    parser.add_argument("--child", nargs=2, metavar=("PASS", "KIND"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        print(json.dumps(measure(args.child)))
+        print(json.dumps(measure(*args.child)))
         return 0
     env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()))
     env.update({var: "1" for var in THREAD_VARS})
     runs = []
     for _ in range(REPEATS):
-        for kind in ("time", "trace"):
-            proc = subprocess.run(
-                [sys.executable, __file__, "--child", kind],
-                env=env, capture_output=True, text=True, check=True)
-            runs.append(json.loads(proc.stdout))
-            print(runs[-1])
-    keys = ("seconds", "rss_before_mb", "max_rss_mb", "tracemalloc_peak_mb")
-    medians = {k: statistics.median(r[k] for r in runs if k in r) for k in keys}
-    losses = sorted({r["loss"] for r in runs})
-    print(json.dumps({"src": args.src, "rows": ROWS, "losses": losses,
-                      "medians": medians, "runs": runs}))
+        for pass_name in PASSES:
+            for kind in KINDS:
+                proc = subprocess.run(
+                    [sys.executable, __file__, "--child", pass_name, kind],
+                    env=env, capture_output=True, text=True, check=True)
+                runs.append(json.loads(proc.stdout))
+                print(runs[-1])
+    keys = ("seconds", "rss_before_mb", "max_rss_mb", "tracemalloc_peak_mb", "hooked_peak_mb")
+    summary = {}
+    for pass_name in PASSES:
+        mine = [r for r in runs if r["pass"] == pass_name]
+        summary[pass_name] = {
+            "medians": {k: statistics.median(r[k] for r in mine if k in r) for k in keys},
+            "losses": sorted({r["loss"] for r in mine}),
+            "peak_positions": sorted({r["peak_position"] for r in mine if "peak_position" in r}),
+        }
+        if pass_name == "step":
+            summary[pass_name]["grad_sha256"] = sorted({r["grad_sha256"] for r in mine})
+    print(json.dumps({"src": args.src, "rows": ROWS, "passes": summary, "runs": runs}))
     return 0
 
 
