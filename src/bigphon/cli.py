@@ -206,7 +206,8 @@ def _evaluate_checkpoint(path, manifest, args, out: Path) -> tuple[int, str, flo
 
 
 def cmd_evaluate(args) -> int:
-    paths = sorted({p for pattern in args.ckpt for p in glob.glob(pattern)})
+    paths = sorted({p for arg in args.ckpt  # an existing file is used as written
+                    for p in ([arg] if Path(arg).is_file() else glob.glob(arg))})
     if not paths:
         raise FileNotFoundError(f"no checkpoints match {args.ckpt}")
     manifest = ingest(args.manifest)
@@ -322,7 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="BLEU-score checkpoints on a split")
-    p.add_argument("--ckpt", nargs="+", required=True, help="checkpoint paths or globs")
+    p.add_argument("--ckpt", nargs="+", required=True,
+                   help="checkpoint paths or globs; an existing file is taken as written")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--vocab-dir", help="cross-check checkpoint vocabularies against files")

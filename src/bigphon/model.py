@@ -14,15 +14,17 @@ optimizer updates on the flat vector propagate).
 
 Training-step memory: the sublayer kernels compute in place on arrays they
 own. The backward cache holds the two embedding outputs and, per sublayer,
-only what backward cannot rebuild: the attention's split heads, merged
-context, probabilities and dropout mask; the feed-forward's hidden layer;
-and each layer norm's xhat, inverse standard deviation and parameters. It
-holds no layer-norm output: backward rebuilds one bit for bit from its
-layer norm's cache, once per sublayer that consumed it, and frees it after
-use, as it does the dropped attention and the ReLU mask. ``backward_batch``
-consumes the cache, and each backward kernel frees its temporaries after
-their last use. perfbench's one-step ``train`` command peaks at about
-652 MB RSS, down from 786 MB (medians, ``BENCH_train_memory_2.json``) and
+only what backward cannot rebuild: the attention's split heads and
+probabilities; the feed-forward's hidden layer; each layer norm's xhat,
+inverse standard deviation and parameters; and each dropout mask, packed 8
+to a byte. It holds no layer-norm output: backward rebuilds one bit for bit
+from its layer norm's cache, once per sublayer that consumed it, and frees
+it after use, as it does the dropped attention, the attention's merged
+context and the ReLU mask. Each rebuild runs the forward's own ops on the
+same shapes. ``backward_batch`` consumes the cache, and each backward kernel
+frees its temporaries after their last use. perfbench's one-step ``train``
+command peaks at about 577 MB RSS, down from 647 MB (medians,
+``BENCH_train_memory_3.json``), 786 MB (``BENCH_train_memory_2.json``) and
 1,076 MB before the in-place kernels (``BENCH_train_memory.json``).
 
 One decoder-layer body, ``_decoder_layer``, serves teacher forcing (the
@@ -240,10 +242,13 @@ def _linear_bwd(dy, x, params, grads, wname, bname):
 
 def _ln_fwd(x, g, b):
     """Layer norm of x, which it overwrites with the normalized xhat. The
-    cache holds no output: `_ln_out` rebuilds it from xhat."""
-    x -= x.mean(-1, keepdims=True)
+    cache holds no output: `_ln_out` rebuilds it from xhat. Each mean is
+    written as the sum and divide that `ndarray.mean` does, without its
+    Python wrapper, which costs more than the sum on a decode step's row."""
+    d = x.shape[-1]
+    x -= x.sum(-1, keepdims=True) / d
     y = x * x
-    inv = 1.0 / np.sqrt(y.mean(-1, keepdims=True) + LN_EPS)
+    inv = 1.0 / np.sqrt(y.sum(-1, keepdims=True) / d + LN_EPS)
     x *= inv
     cache = (x, inv, g, b)
     return _ln_out(cache, out=y), cache
@@ -279,19 +284,27 @@ def _input(src):
 
 
 def _dropout_fwd(x, p, rng):
+    """x * mask / (1 - p). The cache holds the mask packed 8 to a byte."""
     if p <= 0.0 or rng is None:
         return x, None
     draws = rng.random(x.shape)
-    cache = (draws >= p, p)
-    return _dropout_bwd(x, cache, out=draws), cache
+    mask = draws >= p
+    return _apply_mask(x, mask, p, out=draws), (np.packbits(mask), x.shape, p)
 
 
 def _dropout_bwd(dy, cache, out=None):
-    """dy * mask / (1 - p), into `out` if given; also the forward's own ops."""
+    """dy * mask / (1 - p), into `out` if given, with the forward's mask
+    unpacked from the cache."""
     if cache is None:
         return dy
-    mask, p = cache
-    out = np.multiply(dy, mask, out=out)
+    bits, shape, p = cache
+    mask = np.unpackbits(bits, count=math.prod(shape)).reshape(shape).view(bool)
+    return _apply_mask(dy, mask, p, out)
+
+
+def _apply_mask(x, mask, p, out=None):
+    """x * mask / (1 - p), into `out` if given: the same ops forward and back."""
+    out = np.multiply(x, mask, out=out)
     out /= 1.0 - p
     return out
 
@@ -311,8 +324,8 @@ def _merge_heads(xh):
 
 def _attend_fwd(qh, kh, vh, params, prefix, mask, p_drop, rng):
     """Scaled dot-product attention over split heads, merged through wo.
-    Also returns the merged context, `attn` and the dropout mask, from which
-    backward rebuilds attn_d."""
+    Also returns `attn` and the dropout cache, from which backward rebuilds
+    attn_d and then the merged context."""
     dh = qh.shape[-1]
     attn = qh @ kh.transpose(0, 1, 3, 2)
     attn /= math.sqrt(dh)
@@ -323,8 +336,7 @@ def _attend_fwd(qh, kh, vh, params, prefix, mask, p_drop, rng):
     attn /= attn.sum(-1, keepdims=True)
     attn_d, dcache = _dropout_fwd(attn, p_drop, rng)
     merged = _merge_heads(attn_d @ vh)
-    out = _linear_fwd(merged, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
-    return out, merged, attn, dcache
+    return _linear_fwd(merged, params[f"{prefix}.wo"], params[f"{prefix}.bo"]), attn, dcache
 
 
 def _kv_fwd(x, params, prefix, heads):
@@ -336,9 +348,9 @@ def _mha_fwd(q_in, kv, params, prefix, mask, heads, p_drop, rng, cache):
     """Attention of q_in over kv = (kh, vh), as `_kv_fwd` returns. Appends what
     backward needs, but neither input, to the list `cache` unless None."""
     qh = _heads_fwd(q_in, params, prefix, "q", heads)
-    out, merged, attn, dcache = _attend_fwd(qh, *kv, params, prefix, mask, p_drop, rng)
+    out, attn, dcache = _attend_fwd(qh, *kv, params, prefix, mask, p_drop, rng)
     if cache is not None:
-        cache.append((qh, kv, merged, attn, dcache))
+        cache.append((qh, kv, attn, dcache))
     return out
 
 
@@ -347,19 +359,20 @@ def _mha_bwd(dout, cache, params, grads, prefix, q_src, kv_src):
     values, which it rebuilds from their sources (`_input`), once if one
     source serves both. The caller has popped `cache`, so every array here is
     freed after its last use."""
-    qh, (kh, vh), merged, attn, dcache = cache
+    qh, (kh, vh), attn, dcache = cache
     del cache
     b, heads, tq, dh = qh.shape
+    attn_d = _dropout_bwd(attn, dcache)  # rebuilt into a new buffer, or attn itself
+    merged = _merge_heads(attn_d @ vh)  # rebuilt with the forward's ops and shapes
     dmerged = _linear_bwd(dout, merged, params, grads, f"{prefix}.wo", f"{prefix}.bo")
     del merged
     dctx = dmerged.reshape(b, tq, heads, dh).transpose(0, 2, 1, 3)
-    dattn = dctx @ vh.transpose(0, 1, 3, 2)
-    attn_d = _dropout_bwd(attn, dcache)  # rebuilt into a new buffer, or attn itself
     dvh = attn_d.transpose(0, 1, 3, 2) @ dctx
+    del attn_d
+    dattn = dctx @ vh.transpose(0, 1, 3, 2)
     del dmerged, dctx, vh
     _dropout_bwd(dattn, dcache, out=dattn)
-    prod = np.multiply(dattn, attn, out=None if attn_d is attn else attn_d)
-    del attn_d
+    prod = dattn * attn
     dattn -= prod.sum(-1, keepdims=True)
     del prod
     dattn *= attn
@@ -652,11 +665,11 @@ def greedy_decode(params, config: ModelConfig, source, vocab: Vocabulary) -> Dec
     emitted: list[int] = []
     nxt = BOS_ID
     for t in range(cap):
-        y = params["tgt_embed"][[[nxt]]] * scale + pe[t]
+        y = (params["tgt_embed"][nxt] * scale + pe[t])[None, None]
         for i, (self_kv, cross_kv) in enumerate(layers):
             y = _decoder_layer(params, config, i, y, t, self_kv, cross_kv, src_add, None, 0.0, None)
         logits = _linear_fwd(y[0, 0], params["out_w"], params["out_b"])
-        nxt = int(np.argmax(logits))
+        nxt = int(logits.argmax())
         if nxt == EOS_ID:
             return DecodeResult(tuple(emitted), detokenize(emitted, vocab), False)
         emitted.append(nxt)

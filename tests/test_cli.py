@@ -432,6 +432,17 @@ class TestTrainEvaluateErrors:
                    "--vocab-dir", str(vocab_dir)])
         assert rc == 2
 
+    def test_existing_checkpoint_path_is_not_globbed(self, tmp_path, augmented_manifest, trained,
+                                                      capsys):
+        """`[1]` in a path is a glob character class; a file named so is still used."""
+        run = tmp_path / "run[1]"
+        run.mkdir()
+        ckpt = run / "epoch0002.ckpt"
+        ckpt.write_bytes((trained / "epoch0002.ckpt").read_bytes())
+        assert main(["evaluate", "--ckpt", str(ckpt), "--manifest", str(augmented_manifest),
+                     "--out", str(tmp_path / "eval")]) == 0
+        assert capsys.readouterr().out.startswith(f"{ckpt}: variant=base epoch=2 ")
+
     def test_missing_checkpoint_glob(self, tmp_path, augmented_manifest):
         rc = main(["evaluate", "--ckpt", str(tmp_path / "nothing*.ckpt"),
                    "--manifest", str(augmented_manifest), "--out", str(tmp_path / "e3")])

@@ -332,6 +332,20 @@ class TestBitwiseOracle:
         assert peaks[1] <= 0.85 * peaks[0], peaks
 
 
+class TestLayerNorm:
+    @pytest.mark.parametrize("d", [1, 3, 12, 200])
+    @pytest.mark.parametrize("lead", [(1, 1), (4, 7)])
+    def test_forward_matches_reference(self, lead, d):
+        """The decode step's (1, 1, d) rows and a batch's (B, T, d), bit for bit."""
+        rng = np.random.default_rng(d)
+        x = rng.normal(loc=1.0, scale=3.0, size=(*lead, d))
+        g, b = rng.normal(size=d), rng.normal(size=d)
+        want_y, (want_xhat, want_inv, _) = conftest._ln_fwd(x, g, b)
+        y, (xhat, inv, _, _) = model._ln_fwd(x.copy(), g, b)
+        for got, want in ((y, want_y), (xhat, want_xhat), (inv, want_inv)):
+            assert got.shape == want.shape and np.array_equal(got, want)
+
+
 class TestActivationMemory:
     """What the forward and backward keep and allocate beyond their results:
     no layer-norm output in the backward cache, attention-backward
@@ -378,9 +392,31 @@ class TestActivationMemory:
                   if np.shares_memory(a, y)]
         assert shared == []
 
+    def test_cache_holds_no_bool_array_or_merged_context(self, monkeypatch):
+        """Dropout masks are cached packed 8 to a byte, and backward rebuilds
+        each attention's merged context from its probabilities and values."""
+        config, dims, params, batch = TestBitwiseOracle.case("tokens", 2, (3, 2), 0.3)
+        merged = []
+        merge_heads = model._merge_heads
+
+        def spy(xh):
+            out = merge_heads(xh)
+            merged.append(out)  # kept alive, so no cached array can reuse its memory
+            return out
+
+        monkeypatch.setattr(model, "_merge_heads", spy)
+        cache = {}
+        forward_batch(params, config, dims, batch, np.random.default_rng(0), cache)
+        assert len(merged) == 3 + 2 * 2  # one per attention
+        cached = list(self.arrays(cache))
+        assert [a.shape for a in cached if a.dtype == bool] == []
+        assert [a.shape for m in merged for a in cached if np.shares_memory(a, m)] == []
+
     def test_attention_backward_rise_is_bounded(self, monkeypatch):
-        """Above its entry memory, `_mha_bwd` holds at most the merged query
-        and key gradients and two attention-sized buffers at once."""
+        """Above its entry memory, `_mha_bwd` holds at most two attention-sized
+        buffers, the value gradient and a 64 KiB numpy iteration buffer at
+        once: within the merged query and key gradients and two
+        attention-sized buffers."""
         config, dims, params, batch = self.medium_case()
         calls = []
         mha_bwd = model._mha_bwd

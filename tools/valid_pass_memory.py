@@ -1,38 +1,43 @@
-"""Memory and time of the valid-loss pass and of one training step, on one
-paper-config batch.
+"""Memory and time of the valid-loss pass, of one training step and of
+greedy decoding, in the paper's model config.
 
     python tools/valid_pass_memory.py [--src DIR]
 
 Each measurement runs in a fresh interpreter, with BLAS pinned to one
-thread. It builds one seeded synthetic batch of 32 rows in the paper's
-model config (d_model 200, 2 heads, d_ff 400, 4 encoder and 1 decoder
-layer), with sources of 80-200 characters and targets of 60-148 units, and
-runs one of two passes over it:
+thread. It builds seeded synthetic inputs in the paper's model config
+(d_model 200, 2 heads, d_ff 400, 4 encoder and 1 decoder layer), with
+sources of 80-200 characters, and runs one of three passes over them:
 
-- `valid`: `training._epoch_valid_loss`, the pass `train` runs after every
-  epoch;
+- `valid`: `training._epoch_valid_loss` over one batch of 32 rows with
+  targets of 60-148 units, the pass `train` runs after every epoch;
 - `step`: one `model.loss_and_gradient` with dropout, drawn from a seeded
-  generator: the forward with a backward cache, the loss and the backward.
+  generator, on the same batch: the forward with a backward cache, the loss
+  and the backward;
+- `decode`: `model.greedy_decode` of 16 sources, one at a time, at a cap of
+  128 steps, as perfbench's `evaluate` workload decodes its test split.
 
-Each pass has two kinds of run, and the four alternate, five of each:
+Each pass has two kinds of run, and the six alternate, five of each:
 
 - `time`: the seconds the pass takes and the process's max RSS in MB,
-  before the pass and after it;
+  before the pass and after it. `decode` runs also print the number of
+  decoder steps and the seconds per step: the pass's seconds less those of
+  its encoder runs, over the steps;
 - `trace`: the tracemalloc peak of the pass in MB, and where it is reached.
   tracemalloc sees every numpy buffer, so this peak is exact; it is taken in
   its own run because tracing slows allocation. The position names the
-  stage (`forward`, `loss`, `backward`) and, inside the backward, the
-  sublayer kernel and its parameter prefix, e.g. `backward _mha_bwd
+  stage (`forward`, `loss`, `backward`, `decode`) and, inside the backward,
+  the sublayer kernel and its parameter prefix, e.g. `backward _mha_bwd
   dec0.cross`. A profile hook on the model's calls finds it, in a second
   run of the pass in the same process. The hook makes CPython snapshot each
   profiled frame's locals, which keeps some arrays alive a little longer,
   so that run's peak is printed apart, as `hooked_peak_mb`.
 
-Every run prints the loss's repr; `step` runs also print a sha256 of the
-gradients in canonical parameter order, so two versions of the code can be
-compared bit for bit. `--src` selects the `bigphon` to import (default:
-this checkout's `src`). The last line of output is one JSON object with
-every run and the medians of each pass.
+`valid` and `step` runs print the loss's repr; `step` runs also print a
+sha256 of the gradients in canonical parameter order, and `decode` runs a
+sha256 of the emitted ids, so two versions of the code can be compared bit
+for bit. `--src` selects the `bigphon` to import (default: this checkout's
+`src`). The last line of output is one JSON object with every run and the
+medians of each pass.
 """
 
 from __future__ import annotations
@@ -47,8 +52,10 @@ import tracemalloc
 from pathlib import Path
 
 ROWS = 32  # the paper config's batch size
+DECODE_SOURCES = 16  # the size of perfbench's evaluate test split
+DECODE_CAP = 128  # its decode cap
 REPEATS = 5
-PASSES = ("valid", "step")
+PASSES = ("valid", "step", "decode")
 KINDS = ("time", "trace")
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
@@ -67,7 +74,7 @@ class PeakPosition:
     keep it."""
 
     STAGES = {"forward_batch": "forward", "batch_loss_and_dlogits": "loss",
-              "backward_batch": "backward"}
+              "backward_batch": "backward", "greedy_decode": "decode"}
 
     def __init__(self, model):
         self.codes = {fn.__code__: name for name, fn in vars(model).items()
@@ -105,48 +112,88 @@ def measure(pass_name: str, kind: str) -> dict:
     import hashlib
     import resource
     import time
+    from dataclasses import replace
 
     import numpy as np
 
     from bigphon import model, training
+    from bigphon.ipa import PhonemeSequence, induce_inventory, load_default_classification
     from bigphon.model import ModelConfig, ModelDims, init_params, make_batch, param_index
+    from bigphon.vocab import Vocabulary
 
     config = ModelConfig(batch_size=ROWS)
-    dims = ModelDims(target_vocab=80, source_vocab=60)
+    if pass_name == "decode":  # every single-character phoneme of the shipped table
+        classes = load_default_classification()
+        atoms = "aeiouyɑɐəɛɪɔʊʏøœbcdfghjklmnpqrstvwxzçŋʁʃʒ"
+        vocab = Vocabulary(induce_inventory([PhonemeSequence(tuple(atoms))], classes), (), "base")
+        config = replace(config, max_target_len=DECODE_CAP)
+        dims = ModelDims(target_vocab=len(vocab), source_vocab=60)
+    else:
+        dims = ModelDims(target_vocab=80, source_vocab=60)
     rng = np.random.default_rng(0)
     params = init_params(config, dims, rng)
-    sources = [rng.integers(2, 60, size=n) for n in rng.integers(80, 201, size=ROWS)]
-    targets = [rng.integers(4, 80, size=n) for n in rng.integers(60, 149, size=ROWS)]
-    if pass_name == "valid":
-        def run():
-            return training._epoch_valid_loss(params, config, dims, sources, targets), None
-    else:
-        batch = make_batch(sources, targets, dims)
+    if pass_name == "decode":
+        sources = [rng.integers(2, 60, size=n) for n in rng.integers(80, 201, size=DECODE_SOURCES)]
+        encoder_seconds = []
+        encode = model._encoder_forward
+
+        def timed_encode(*args):
+            start = time.perf_counter()
+            out = encode(*args)
+            encoder_seconds.append(time.perf_counter() - start)
+            return out
+
+        model._encoder_forward = timed_encode  # looked up at call time by greedy_decode
 
         def run():
-            loss, grads, _ = model.loss_and_gradient(params, config, dims, batch,
-                                                     np.random.default_rng(1))
-            return loss, grads
+            return [model.greedy_decode(params, config, src, vocab) for src in sources]
+
+        def describe(results):
+            digest = hashlib.sha256(repr([r.ids for r in results]).encode())
+            steps = sum(len(r.ids) + (not r.truncated) for r in results)  # EOS is a step
+            return {"ids_sha256": digest.hexdigest(), "steps": steps,
+                    "truncated": sum(r.truncated for r in results)}
+    else:
+        sources = [rng.integers(2, 60, size=n) for n in rng.integers(80, 201, size=ROWS)]
+        targets = [rng.integers(4, 80, size=n) for n in rng.integers(60, 149, size=ROWS)]
+        if pass_name == "valid":
+            def run():
+                return training._epoch_valid_loss(params, config, dims, sources, targets), None
+        else:
+            batch = make_batch(sources, targets, dims)
+
+            def run():
+                loss, grads, _ = model.loss_and_gradient(params, config, dims, batch,
+                                                         np.random.default_rng(1))
+                return loss, grads
+
+        def describe(result):
+            loss, grads = result
+            out = {"loss": repr(loss)}
+            if grads is not None:
+                digest = hashlib.sha256()
+                for name, _ in param_index(config, dims):
+                    digest.update(np.ascontiguousarray(grads[name]).tobytes())
+                out["grad_sha256"] = digest.hexdigest()
+            return out
 
     out = {"pass": pass_name, "kind": kind}
     if kind == "trace":
         tracemalloc.start()
-        loss, grads = run()
+        result = run()
         out["tracemalloc_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
         tracemalloc.stop()
     else:
         out["rss_before_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         start = time.perf_counter()
-        loss, grads = run()
+        result = run()
         out["seconds"] = time.perf_counter() - start
         out["max_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    out["loss"] = repr(loss)
-    if grads is not None:
-        digest = hashlib.sha256()
-        for name, _ in param_index(config, dims):
-            digest.update(np.ascontiguousarray(grads[name]).tobytes())
-        out["grad_sha256"] = digest.hexdigest()
-    del grads
+    out.update(describe(result))
+    del result
+    if pass_name == "decode" and kind == "time":
+        out["encoder_seconds"] = sum(encoder_seconds)
+        out["seconds_per_step"] = (out["seconds"] - out["encoder_seconds"]) / out["steps"]
     if kind == "trace":  # the same pass again, under the hook that finds the position
         tracemalloc.start()
         hook = PeakPosition(model)
@@ -180,17 +227,19 @@ def main(argv=None) -> int:
                     env=env, capture_output=True, text=True, check=True)
                 runs.append(json.loads(proc.stdout))
                 print(runs[-1])
-    keys = ("seconds", "rss_before_mb", "max_rss_mb", "tracemalloc_peak_mb", "hooked_peak_mb")
+    keys = ("seconds", "rss_before_mb", "max_rss_mb", "tracemalloc_peak_mb", "hooked_peak_mb",
+            "encoder_seconds", "seconds_per_step")
     summary = {}
     for pass_name in PASSES:
         mine = [r for r in runs if r["pass"] == pass_name]
         summary[pass_name] = {
-            "medians": {k: statistics.median(r[k] for r in mine if k in r) for k in keys},
-            "losses": sorted({r["loss"] for r in mine}),
+            "medians": {k: statistics.median(r[k] for r in mine if k in r)
+                        for k in keys if any(k in r for r in mine)},
             "peak_positions": sorted({r["peak_position"] for r in mine if "peak_position" in r}),
         }
-        if pass_name == "step":
-            summary[pass_name]["grad_sha256"] = sorted({r["grad_sha256"] for r in mine})
+        for k in ("loss", "grad_sha256", "ids_sha256", "steps"):  # each should have one value
+            if k in mine[0]:
+                summary[pass_name][k] = sorted({r[k] for r in mine})
     print(json.dumps({"src": args.src, "rows": ROWS, "passes": summary, "runs": runs}))
     return 0
 
