@@ -12,27 +12,26 @@ from ``param_index``; ``flatten_params``/``unflatten_params`` convert to
 and from a single float64 vector (unflatten returns views, so in-place
 optimizer updates on the flat vector propagate).
 
-Training-step memory: the sublayer kernels compute in place on arrays they
-own. The backward cache holds the two embedding outputs and, per sublayer,
-only what backward cannot rebuild: the attention's split heads and
-probabilities; the feed-forward's hidden layer; each layer norm's xhat,
-inverse standard deviation and parameters; and each dropout mask, packed 8
-to a byte. It holds no layer-norm output: backward rebuilds one bit for bit
-from its layer norm's cache, once per sublayer that consumed it, and frees
-it after use, as it does the dropped attention, the attention's merged
-context and the ReLU mask. Each rebuild runs the forward's own ops on the
-same shapes. ``backward_batch`` consumes the cache, and each backward kernel
-frees its temporaries after their last use. perfbench's one-step ``train``
-command peaks at about 577 MB RSS, down from 647 MB (medians,
-``BENCH_train_memory_3.json``), 786 MB (``BENCH_train_memory_2.json``) and
-1,076 MB before the in-place kernels (``BENCH_train_memory.json``).
+Training step: ``forward_batch`` records a tape per stack when a backward
+follows, ``cache["enc"]`` and ``cache["dec"]``: one list of entries in
+forward order, ``(kind, name, state)``. The first entry is the stack's
+embedding; every later one is a sublayer, an attention (``"self"`` or
+``"cross"``), a feed-forward (``"ff"``) or a residual layer norm
+(``"ln"``). A sublayer's input is the output of the entry below it, which
+the tape holds only for the embedding: a layer norm's output is rebuilt bit
+for bit from its cache by ``_output``. ``backward_batch`` pops the decoder's
+tape and then the encoder's, so each entry is freed once used. The state
+keeps only what backward cannot rebuild: the attention's split heads and
+probabilities, the feed-forward's hidden layer, each layer norm's xhat,
+inverse standard deviation and parameters, and each dropout mask, packed 8
+to a byte. The sublayer kernels compute in place on arrays they own, and
+each backward kernel frees its temporaries after their last use.
 
 One decoder-layer body, ``_decoder_layer``, serves teacher forcing (the
 whole target at once, causal mask) and greedy decoding (one position per
-step, against the layer's key/value buffer). A backward cache is kept only
-when a backward follows: ``forward_batch`` fills one only when the caller
-passes a dict, as ``loss_and_gradient`` does. The valid-loss pass and the
-decoder's encoder run keep no sublayer's activations past that sublayer.
+step, against the layer's key/value buffer). Without a cache dict the
+forward records no tape: the valid-loss pass and the decoder's encoder run
+keep no sublayer's activations past that sublayer.
 """
 
 from __future__ import annotations
@@ -90,27 +89,19 @@ def make_batch(sources, targets, dims: ModelDims) -> Batch:
     if len(sources) != len(targets):
         raise LengthMismatch(f"{len(sources)} sources vs {len(targets)} targets")
     n = len(sources)
-    if dims.feature_dim is None:
-        src_lens = [len(s) for s in sources]
-        s_max = max(src_lens + [1])
-        src = np.zeros((n, s_max), dtype=np.int64)
-        src_mask = np.zeros((n, s_max), dtype=bool)
-        for i, s in enumerate(sources):
-            src[i, : len(s)] = s
-            src_mask[i, : len(s)] = True
-    else:
-        src_lens = [s.shape[0] for s in sources]
-        s_max = max(src_lens + [1])
-        src = np.zeros((n, s_max, dims.feature_dim), dtype=np.float64)
-        src_mask = np.zeros((n, s_max), dtype=bool)
-        for i, s in enumerate(sources):
+    features = () if dims.feature_dim is None else (dims.feature_dim,)  # trailing source axis
+    s_max = max([len(s) for s in sources] + [1])
+    src = np.zeros((n, s_max, *features), dtype=np.float64 if features else np.int64)
+    src_mask = np.zeros((n, s_max), dtype=bool)
+    for i, s in enumerate(sources):
+        if features:
             s = np.asarray(s, dtype=np.float64)
-            if s.ndim != 2 or s.shape[1] != dims.feature_dim:
+            if s.shape[1:] != features:
                 raise ShapeMismatch(
                     f"feature array {s.shape} does not match feature_dim={dims.feature_dim}"
                 )
-            src[i, : s.shape[0]] = s
-            src_mask[i, : s.shape[0]] = True
+        src[i, : len(s)] = s
+        src_mask[i, : len(s)] = True
     t_max = max([len(t) for t in targets] + [0]) + 1  # room for BOS/EOS shift
     tgt_in = np.full((n, t_max), PAD_ID, dtype=np.int64)
     tgt_out = np.full((n, t_max), PAD_ID, dtype=np.int64)
@@ -277,12 +268,6 @@ def _ln_bwd(dy, cache, grads, gname, bname):
     return dx
 
 
-def _input(src):
-    """A linear's input from its source: the array itself (an embedding
-    output), or the output of the layer norm whose cache `src` is, rebuilt."""
-    return src if isinstance(src, np.ndarray) else _ln_out(src)
-
-
 def _dropout_fwd(x, p, rng):
     """x * mask / (1 - p). The cache holds the mask packed 8 to a byte."""
     if p <= 0.0 or rng is None:
@@ -344,21 +329,22 @@ def _kv_fwd(x, params, prefix, heads):
     return _heads_fwd(x, params, prefix, "k", heads), _heads_fwd(x, params, prefix, "v", heads)
 
 
-def _mha_fwd(q_in, kv, params, prefix, mask, heads, p_drop, rng, cache):
-    """Attention of q_in over kv = (kh, vh), as `_kv_fwd` returns. Appends what
-    backward needs, but neither input, to the list `cache` unless None."""
+def _mha_fwd(q_in, kv, params, prefix, kind, mask, heads, p_drop, rng, tape):
+    """Attention of q_in over kv = (kh, vh), as `_kv_fwd` returns. Appends a
+    `kind` ("self" or "cross") entry with what backward needs, but neither
+    input, to `tape` unless None."""
     qh = _heads_fwd(q_in, params, prefix, "q", heads)
     out, attn, dcache = _attend_fwd(qh, *kv, params, prefix, mask, p_drop, rng)
-    if cache is not None:
-        cache.append((qh, kv, attn, dcache))
+    if tape is not None:
+        tape.append((kind, prefix, (qh, kv, attn, dcache)))
     return out
 
 
 def _mha_bwd(dout, cache, params, grads, prefix, q_src, kv_src):
     """Gradients into `_mha_fwd`'s q_in and into the input of its keys and
-    values, which it rebuilds from their sources (`_input`), once if one
-    source serves both. The caller has popped `cache`, so every array here is
-    freed after its last use."""
+    values, which it rebuilds from the tape entries that output them
+    (`_output`), once if one entry serves both. The caller has popped
+    `cache`, so every array here is freed after its last use."""
     qh, (kh, vh), attn, dcache = cache
     del cache
     b, heads, tq, dh = qh.shape
@@ -383,12 +369,12 @@ def _mha_bwd(dout, cache, params, grads, prefix, q_src, kv_src):
     del dattn, qh, kh
     dq = _merge_heads(dqh)
     del dqh
-    x = _input(q_src)
+    x = _output(q_src)
     dq_in = _linear_bwd(dq, x, params, grads, f"{prefix}.wq", f"{prefix}.bq")
     del dq
     if kv_src is not q_src:
         del x
-        x = _input(kv_src)
+        x = _output(kv_src)
     dk = _merge_heads(dkh)
     del dkh
     dkv_in = _linear_bwd(dk, x, params, grads, f"{prefix}.wk", f"{prefix}.bk")
@@ -399,14 +385,15 @@ def _mha_bwd(dout, cache, params, grads, prefix, q_src, kv_src):
     return dq_in, dkv_in
 
 
-def _residual_ln_fwd(x, sub_out, params, prefix, p_drop, rng, cache):
-    """LayerNorm(x + dropout(sub_out)); overwrites sub_out, which no cache
-    holds. Appends its layer norm's cache and the dropout mask to `cache`."""
+def _residual_ln_fwd(x, sub_out, params, prefix, p_drop, rng, tape):
+    """LayerNorm(x + dropout(sub_out)); overwrites sub_out, which no tape
+    holds. Appends an "ln" entry of its layer norm's cache and the dropout
+    mask to `tape`."""
     summed, dcache = _dropout_fwd(sub_out, p_drop, rng)
     summed += x
     y, lncache = _ln_fwd(summed, params[f"{prefix}.g"], params[f"{prefix}.b"])
-    if cache is not None:
-        cache.append((lncache, dcache))
+    if tape is not None:
+        tape.append(("ln", prefix, (lncache, dcache)))
     return y
 
 
@@ -416,13 +403,14 @@ def _residual_ln_bwd(dy, cache, grads, prefix):
     return dsummed, _dropout_bwd(dsummed, dcache)
 
 
-def _ff_fwd(x, params, prefix, cache):
-    """relu(x @ w1 + b1) @ w2 + b2; appends the hidden layer to `cache`."""
+def _ff_fwd(x, params, prefix, tape):
+    """relu(x @ w1 + b1) @ w2 + b2; appends an "ff" entry of the hidden layer
+    to `tape`."""
     h = _linear_fwd(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"])
     np.maximum(h, 0.0, out=h)
     y = _linear_fwd(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
-    if cache is not None:
-        cache.append(h)
+    if tape is not None:
+        tape.append(("ff", prefix, h))
     return y
 
 
@@ -430,7 +418,7 @@ def _ff_bwd(dy, h, params, grads, prefix, x_src):
     dh = _linear_bwd(dy, h, params, grads, f"{prefix}.w2", f"{prefix}.b2")
     dh *= h > 0  # h = relu(pre) is positive exactly where pre is
     del h
-    return _linear_bwd(dh, _input(x_src), params, grads, f"{prefix}.w1", f"{prefix}.b1")
+    return _linear_bwd(dh, _output(x_src), params, grads, f"{prefix}.w1", f"{prefix}.b1")
 
 
 def _causal_mask(t: int) -> np.ndarray:
@@ -440,50 +428,51 @@ def _causal_mask(t: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # forward / backward
 #
-# A training cache holds, per layer, the list of its sublayers' entries in
-# forward order; a residual layer norm's entry is (layer norm cache, dropout
-# mask). No layer's entry holds a layer norm's output or any sublayer input:
-# backward rebuilds a linear's input from the cache of the layer norm that
-# produced it (`_input` of `_ln_of`), which is still in the cache because
-# backward reaches that layer norm only after all its consumers.
+# A stack's tape lists its (kind, name, state) entries in forward order. The
+# first is the embedding, ("embed", weight name, (dropped output, dropout
+# cache, ids or features)), the weight being `src_embed`, `src_proj_w` or
+# `tgt_embed`. Then each encoder layer appends "self", "ln", "ff", "ln"
+# entries, and each decoder layer "self", "ln", "cross", "ln", "ff", "ln",
+# named by their parameter prefixes. An attention's or feed-forward's input
+# is the output of the entry below it (`_output`), and cross-attention's keys
+# and values are computed from the output of the encoder tape's top entry.
+# Backward pops the tapes, so a layer norm's entry is still there when the
+# entries that consumed its output are popped.
 
 
-def _ln_of(layer):
-    """The cache of the layer norm that ends `layer`, a list of sublayer
-    entries whose last is a residual layer norm's."""
-    return layer[-1][0]
+def _output(entry):
+    """The output of an "embed" entry, or of an "ln" entry, rebuilt from its
+    layer norm's cache."""
+    kind, _, state = entry
+    return state[0] if kind == "embed" else _ln_out(state[0])
 
 
 def _encoder_forward(params, config, dims, batch, p, rng, cache=None):
-    """Encoder output and additive source mask. Fills `cache` for backward
-    when given a dict; without one, each sublayer's activations die with it."""
+    """Encoder output and additive source mask. Appends the encoder's entries
+    to the tape `cache` when given a list; without one, each sublayer's
+    activations die with it."""
     d, heads = config.d_model, config.heads
-    scale = math.sqrt(d)
     if dims.source_vocab is not None:
         if batch.src.ndim != 2:
             raise ShapeMismatch("token-mode source must be (B, S) ids")
-        x = params["src_embed"][batch.src] * scale
+        name, x = "src_embed", params["src_embed"][batch.src] * math.sqrt(d)
     else:
         if batch.src.ndim != 3 or batch.src.shape[2] != dims.feature_dim:
             raise ShapeMismatch("feature-mode source must be (B, S, feature_dim)")
-        x = _linear_fwd(batch.src, params["src_proj_w"], params["src_proj_b"])
+        name, x = "src_proj_w", _linear_fwd(batch.src, params["src_proj_w"], params["src_proj_b"])
     x += _pe(batch.src.shape[1], d)
     x, dcache = _dropout_fwd(x, p, rng)
-    src_add = np.where(batch.src_mask, 0.0, NEG)[:, None, None, :]
-    layers = None if cache is None else []
     if cache is not None:
-        cache.update(enc_drop=dcache, enc_in=x, enc_layers=layers)
+        cache.append(("embed", name, (x, dcache, batch.src)))
+    src_add = np.where(batch.src_mask, 0.0, NEG)[:, None, None, :]
     for i in range(config.encoder_layers):
-        layer = None if cache is None else []
         a = _mha_fwd(x, _kv_fwd(x, params, f"enc{i}.attn", heads), params, f"enc{i}.attn",
-                     src_add, heads, p, rng, layer)
-        x = _residual_ln_fwd(x, a, params, f"enc{i}.ln1", p, rng, layer)
+                     "self", src_add, heads, p, rng, cache)
+        x = _residual_ln_fwd(x, a, params, f"enc{i}.ln1", p, rng, cache)
         del a  # overwritten by the residual: a dead buffer, or the layer norm's xhat
-        a = _ff_fwd(x, params, f"enc{i}.ff", layer)
-        x = _residual_ln_fwd(x, a, params, f"enc{i}.ln2", p, rng, layer)
+        a = _ff_fwd(x, params, f"enc{i}.ff", cache)
+        x = _residual_ln_fwd(x, a, params, f"enc{i}.ln2", p, rng, cache)
         del a
-        if layers is not None:
-            layers.append(layer)
     return x, src_add
 
 
@@ -495,104 +484,103 @@ def _decoder_layer(params, config, i, y, t, self_kv, cross_kv, src_add, mask, p,
     t+n positions; `cross_kv` is `_kv_fwd` of the encoder output, computed
     once per layer by the caller. Teacher forcing runs it once with t = 0,
     the whole target and the causal mask; greedy decoding once per step with
-    n = 1 and no mask. Appends what backward needs to `cache` unless None."""
+    n = 1 and no mask. Appends its entries to the tape `cache` unless None."""
     end, heads = t + y.shape[1], config.heads
-    layer = None if cache is None else []
     self_kv[0, :, :, t:end], self_kv[1, :, :, t:end] = _kv_fwd(y, params, f"dec{i}.self", heads)
     kv = (self_kv[0, :, :, :end], self_kv[1, :, :, :end])
-    a = _mha_fwd(y, kv, params, f"dec{i}.self", mask, heads, p, rng, layer)
-    y = _residual_ln_fwd(y, a, params, f"dec{i}.ln1", p, rng, layer)
+    a = _mha_fwd(y, kv, params, f"dec{i}.self", "self", mask, heads, p, rng, cache)
+    y = _residual_ln_fwd(y, a, params, f"dec{i}.ln1", p, rng, cache)
     del a
-    a = _mha_fwd(y, cross_kv, params, f"dec{i}.cross", src_add, heads, p, rng, layer)
-    y = _residual_ln_fwd(y, a, params, f"dec{i}.ln2", p, rng, layer)
+    a = _mha_fwd(y, cross_kv, params, f"dec{i}.cross", "cross", src_add, heads, p, rng, cache)
+    y = _residual_ln_fwd(y, a, params, f"dec{i}.ln2", p, rng, cache)
     del a
-    a = _ff_fwd(y, params, f"dec{i}.ff", layer)
-    y = _residual_ln_fwd(y, a, params, f"dec{i}.ln3", p, rng, layer)
-    if cache is not None:
-        cache.append(layer)
-    return y
+    a = _ff_fwd(y, params, f"dec{i}.ff", cache)
+    return _residual_ln_fwd(y, a, params, f"dec{i}.ln3", p, rng, cache)
 
 
 def _decoder_forward(params, config, enc_out, src_add, tgt_in, p, rng, cache=None):
-    """Teacher-forced logits (B, T, V); fills `cache` as `_encoder_forward` does."""
+    """Teacher-forced logits (B, T, V); appends to the tape `cache` as
+    `_encoder_forward` does."""
     d, heads = config.d_model, config.heads
     b, t_len = tgt_in.shape
     y = params["tgt_embed"][tgt_in] * math.sqrt(d) + _pe(t_len, d)
     y, dcache = _dropout_fwd(y, p, rng)
-    layers = None if cache is None else []
     if cache is not None:
-        cache.update(dec_drop=dcache, dec_in=y, dec_layers=layers)
+        cache.append(("embed", "tgt_embed", (y, dcache, tgt_in)))
     causal = _causal_mask(t_len)
     for i in range(config.decoder_layers):
         y = _decoder_layer(params, config, i, y, 0, np.empty((2, b, heads, t_len, d // heads)),
                            _kv_fwd(enc_out, params, f"dec{i}.cross", heads), src_add, causal,
-                           p, rng, layers)
+                           p, rng, cache)
     return _linear_fwd(y, params["out_w"], params["out_b"])
 
 
 def forward_batch(params, config: ModelConfig, dims: ModelDims, batch: Batch, dropout_rng=None,
                   cache: dict | None = None) -> np.ndarray:
     """Logits (B,T,V). Pass a `cache` dict only when `backward_batch` follows:
-    the forward then fills it; otherwise it keeps no activation past its layer."""
+    the forward then records the tapes `cache["enc"]` and `cache["dec"]`;
+    otherwise it keeps no activation past its layer."""
     p = config.dropout if dropout_rng is not None else 0.0
+    enc = dec = None
     if cache is not None:
-        cache.update(batch=batch, scale=math.sqrt(config.d_model), dims=dims, config=config)
-    enc_out, src_add = _encoder_forward(params, config, dims, batch, p, dropout_rng, cache)
-    return _decoder_forward(params, config, enc_out, src_add, batch.tgt_in, p, dropout_rng, cache)
+        enc, dec = cache["enc"], cache["dec"] = [], []
+    enc_out, src_add = _encoder_forward(params, config, dims, batch, p, dropout_rng, enc)
+    return _decoder_forward(params, config, enc_out, src_add, batch.tgt_in, p, dropout_rng, dec)
+
+
+def _embed_bwd(dy, cache, params, grads, wname):
+    """Adds the gradient of the embedding weight `wname` (a lookup table, or
+    the feature projection `src_proj_w` and its bias), given `dy` into the
+    embedding's dropped output."""
+    dcache, src = cache[1:]
+    del cache  # and with it the dropped output
+    dy = _dropout_bwd(dy, dcache)
+    if wname == "src_proj_w":
+        _linear_bwd(dy, src, params, grads, wname, "src_proj_b")
+    else:
+        np.add.at(grads[wname], src, dy * math.sqrt(dy.shape[-1]))
+
+
+def _backprop_tape(tape, dy, params, grads, memory=None):
+    """Pops `tape` to empty, starting from `dy`, the gradient into its top
+    entry's output, and adds every parameter's gradient to `grads`. A
+    "cross" entry takes its keys and values from the output of the top entry
+    of the tape `memory`; returns the gradient into that output, or None if
+    there is no "cross" entry. Each popped state goes straight to its kernel,
+    bound to no name here, so the kernel frees it after its last use."""
+    dmem = None
+    while len(tape) > 1:  # a residual layer norm's entry, then its sublayer's
+        name = tape[-1][1]
+        dy, dsub = _residual_ln_bwd(dy, tape.pop()[2], grads, name)
+        kind, name = tape[-1][:2]
+        if kind == "ff":
+            dy += _ff_bwd(dsub, tape.pop()[2], params, grads, name, tape[-1])
+            continue
+        dq, dkv = _mha_bwd(dsub, tape.pop()[2], params, grads, name, tape[-1],
+                           memory[-1] if kind == "cross" else tape[-1])
+        dy += dq
+        if kind == "self":
+            dy += dkv
+        elif dmem is None:
+            dmem = dkv
+        else:
+            dmem += dkv
+        del dq, dkv
+    name = tape[-1][1]
+    _embed_bwd(dy, tape.pop()[2], params, grads, name)
+    return dmem
 
 
 def backward_batch(dlogits, cache, params) -> dict[str, np.ndarray]:
-    """Gradients of every parameter. Consumes `cache`: each sublayer's entry
-    is popped, in reverse forward order, so it is freed as soon as it is used.
-    A layer's input is the output of the last layer norm of the layer below
-    (`_ln_of`), or for the first layer the embedding output, `enc_in` or
-    `dec_in`, which backward pops when it reaches that layer."""
-    config: ModelConfig = cache["config"]
-    dims: ModelDims = cache["dims"]
-    batch: Batch = cache["batch"]
-    scale = cache["scale"]
+    """Gradients of every parameter. Consumes `cache`: the decoder's tape and
+    then the encoder's are popped to empty, so each entry is freed as soon as
+    it is used. The decoder's walk returns the gradient into the encoder's
+    output, where the encoder's walk starts."""
     grads = {name: np.zeros_like(arr) for name, arr in params.items()}
-    enc, dec = cache["enc_layers"], cache["dec_layers"]
-
-    dy = _linear_bwd(dlogits, _input(_ln_of(dec[-1])), params, grads, "out_w", "out_b")
-    denc = None
-    for i in reversed(range(config.decoder_layers)):
-        layer = dec.pop()
-        y_src = _ln_of(dec[-1]) if dec else cache.pop("dec_in")
-        dy, df = _residual_ln_bwd(dy, layer.pop(), grads, f"dec{i}.ln3")
-        dy += _ff_bwd(df, layer.pop(), params, grads, f"dec{i}.ff", _ln_of(layer))
-        dy, dc = _residual_ln_bwd(dy, layer.pop(), grads, f"dec{i}.ln2")
-        dq, dkv = _mha_bwd(dc, layer.pop(), params, grads, f"dec{i}.cross", _ln_of(layer),
-                           _ln_of(enc[-1]))
-        dy += dq
-        if denc is None:
-            denc = dkv
-        else:
-            denc += dkv
-        del dq, dkv
-        dy, da = _residual_ln_bwd(dy, layer.pop(), grads, f"dec{i}.ln1")
-        dq, dkv = _mha_bwd(da, layer.pop(), params, grads, f"dec{i}.self", y_src, y_src)
-        dy += dq
-        dy += dkv
-    del y_src, df, dc, da, dq, dkv  # nothing of the decoder outlives it
-    dy = _dropout_bwd(dy, cache["dec_drop"])
-    np.add.at(grads["tgt_embed"], batch.tgt_in, dy * scale)
-
-    dx = denc  # decoder_layers >= 1, so cross-attention always contributed
-    for i in reversed(range(config.encoder_layers)):
-        layer = enc.pop()
-        x_src = _ln_of(enc[-1]) if enc else cache.pop("enc_in")
-        dx, df = _residual_ln_bwd(dx, layer.pop(), grads, f"enc{i}.ln2")
-        dx += _ff_bwd(df, layer.pop(), params, grads, f"enc{i}.ff", _ln_of(layer))
-        dx, da = _residual_ln_bwd(dx, layer.pop(), grads, f"enc{i}.ln1")
-        dq, dkv = _mha_bwd(da, layer.pop(), params, grads, f"enc{i}.attn", x_src, x_src)
-        dx += dq
-        dx += dkv
-    dx = _dropout_bwd(dx, cache["enc_drop"])
-    if dims.source_vocab is not None:
-        np.add.at(grads["src_embed"], batch.src, dx * scale)
-    else:
-        _linear_bwd(dx, batch.src, params, grads, "src_proj_w", "src_proj_b")
+    enc, dec = cache["enc"], cache["dec"]
+    _backprop_tape(enc, _backprop_tape(
+        dec, _linear_bwd(dlogits, _output(dec[-1]), params, grads, "out_w", "out_b"),
+        params, grads, enc), params, grads)
     return grads
 
 

@@ -289,4 +289,7 @@ def read_vocab(path, inventory: PhonemeInventory) -> Vocabulary:
             atoms.append(line)
     if tuple(atoms) != inventory.symbols:
         raise ValueError(f"{path}: atom list does not match the given inventory")
-    return Vocabulary(inventory, bigrams, variant)
+    try:
+        return Vocabulary(inventory, bigrams, variant)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

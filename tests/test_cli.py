@@ -494,6 +494,21 @@ class TestInputErrors:
         assert err == "bigphon: error: learning_rate must be positive and finite\n"
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: ["#variant=bogus"] + lines[1:],
+         "unknown vocabulary variant 'bogus'; expected one of base, "),
+        (lambda lines: lines + ["a+"], "phoneme '' not in vocabulary"),
+    ], ids=["variant", "unit"])
+    def test_bad_vocab_file_error_names_the_file(self, tmp_path, augmented_manifest, vocab_path,
+                                                 capsys, edit, message):
+        lines = vocab_path.read_text(encoding="utf-8").splitlines()
+        vocab_path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+        assert main(train_args(augmented_manifest, vocab_path, tmp_path / "run")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"bigphon: error: {vocab_path}: {message}"), err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("command", ["train", "vocab", "evaluate"])
     def test_unaugmented_row_exits_2(self, tmp_path, augmented_manifest, vocab_path, capsys,
                                      command):

@@ -310,7 +310,7 @@ class TestBitwiseOracle:
         logits = forward_batch(params, config, dims, batch, np.random.default_rng(0), cache)
         _, dlogits, _ = batch_loss_and_dlogits(logits, batch.tgt_out)
         model.backward_batch(dlogits, cache, params)
-        assert cache["enc_layers"] == [] and cache["dec_layers"] == []
+        assert cache["enc"] == [] and cache["dec"] == []
         assert "out" not in cache
 
     def test_step_allocates_less_than_reference(self):
@@ -344,6 +344,37 @@ class TestLayerNorm:
         y, (xhat, inv, _, _) = model._ln_fwd(x.copy(), g, b)
         for got, want in ((y, want_y), (xhat, want_xhat), (inv, want_inv)):
             assert got.shape == want.shape and np.array_equal(got, want)
+
+
+class TestTape:
+    """The training cache is one tape per stack: the embedding's entry, then
+    one entry per sublayer in forward order, each sublayer's input the output
+    of the entry below it."""
+
+    @pytest.mark.parametrize("source", ["tokens", "features"])
+    def test_sublayer_input_is_output_of_entry_below(self, source, monkeypatch):
+        config, dims, params, batch = TestBitwiseOracle.case(source, 2, (3, 2), 0.3)
+        inputs, memories = [], []
+        for name, seen in (("_mha_fwd", inputs), ("_ff_fwd", inputs), ("_kv_fwd", memories)):
+            def spy(x, params, prefix, *rest, fwd=getattr(model, name), seen=seen):
+                if seen is inputs or prefix.endswith(".cross"):
+                    seen.append(x.copy())  # the forward may overwrite x later
+                return fwd(x, params, prefix, *rest)
+
+            monkeypatch.setattr(model, name, spy)
+        cache = {}
+        forward_batch(params, config, dims, batch, np.random.default_rng(0), cache)
+        assert cache.keys() == {"enc", "dec"}
+        enc, dec = cache["enc"], cache["dec"]
+        assert [kind for kind, _, _ in enc] == ["embed"] + ["self", "ln", "ff", "ln"] * 3
+        assert [kind for kind, _, _ in dec] == ["embed"] + [
+            "self", "ln", "cross", "ln", "ff", "ln"] * 2
+        below = [model._output(tape[k - 1]) for tape in (enc, dec)
+                 for k, (kind, _, _) in enumerate(tape) if kind in ("self", "cross", "ff")]
+        assert len(below) == len(inputs) == 3 * 2 + 2 * 3
+        assert len(memories) == 2
+        for got, want in zip(below + [model._output(enc[-1])] * 2, inputs + memories):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestActivationMemory:
@@ -609,7 +640,7 @@ class TestDecoderLayer:
         forward_batch(params, config, dims, batch, np.random.default_rng(2), cache)
         t_len = batch.tgt_in.shape[1]
         assert calls == [(0, 0, t_len), (1, 0, t_len), (2, 0, t_len)]
-        assert len(cache["dec_layers"]) == 3
+        assert len(cache["dec"]) == 1 + 3 * 6  # the embedding, then six sublayers a layer
         calls.clear()
         assert np.array_equal(forward_batch(params, config, dims, batch),
                               conftest.forward_batch(params, config, dims, batch)[0])

@@ -32,3 +32,11 @@ def test_two_runs_print_identical_digests(tmp_path):
               for name in ("errors_base", "errors_total10", "errors_feat")]
     for kind in ("repetitions", "dropouts", "substitutions"):
         assert sum(t[kind] for t in totals) >= 1, kind
+
+
+def test_help_prints_usage_and_creates_nothing(tmp_path):
+    run = subprocess.run([sys.executable, str(SCRIPT), "--help"], cwd=tmp_path,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0
+    assert run.stdout.startswith("usage: ") and "OUTDIR" in run.stdout
+    assert list(tmp_path.iterdir()) == []

@@ -20,6 +20,7 @@ are equal. BLAS is pinned to one thread before numpy loads.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -100,10 +101,10 @@ def pipeline() -> None:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: python tools/toy_pipeline.py OUTDIR", file=sys.stderr)
-        return 2
-    outdir = Path(argv[0])
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("outdir", metavar="OUTDIR", type=Path,
+                        help="directory to create and run the pipeline in; must not exist")
+    outdir = parser.parse_args(argv).outdir
     outdir.mkdir(parents=True, exist_ok=False)
     os.chdir(outdir)
     stdout = io.StringIO()
