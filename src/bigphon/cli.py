@@ -147,7 +147,7 @@ def cmd_train(args) -> int:
     vocab = read_vocab(args.vocab, inventory)
     config = ModelConfig(**{f.name: getattr(args, f.name) for f in fields(ModelConfig)})
     outdir = Path(args.outdir)
-    result = train(
+    trace = train(
         manifest,
         vocab,
         config,
@@ -172,9 +172,10 @@ def cmd_train(args) -> int:
         + "\n",
         encoding="utf-8",
     )
-    final_train, final_valid = result.trace.entries[-1]
+    final_train, final_valid = trace.entries[-1]
+    checkpoints = config.epochs // config.checkpoint_interval
     print(
-        f"trained {config.epochs} epochs, {len(result.checkpoints)} checkpoints -> {outdir} "
+        f"trained {config.epochs} epochs, {checkpoints} checkpoints -> {outdir} "
         f"(final train_loss={final_train:.4f} valid_loss={final_valid:.4f})"
     )
     return 0

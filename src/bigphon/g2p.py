@@ -210,8 +210,12 @@ def parse_rule_table(text: str) -> RuleTable:
 
 
 def load_rule_table(path) -> RuleTable:
+    """Parse a rule file; an error in it, invalid UTF-8 included, names the file."""
     with open(path, encoding="utf-8") as f:
-        return parse_rule_table(f.read())
+        try:
+            return parse_rule_table(f.read())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
 
 @functools.cache

@@ -117,8 +117,12 @@ class ClassificationTable:
 
     @classmethod
     def load(cls, path) -> "ClassificationTable":
+        """Parse a classification file; an error in it, invalid UTF-8 included, names the file."""
         with open(path, encoding="utf-8") as f:
-            return cls.from_text(f.read())
+            try:
+                return cls.from_text(f.read())
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
 
 
 @functools.cache

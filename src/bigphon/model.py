@@ -222,13 +222,17 @@ def _linear_fwd(x, w, b):
     return y
 
 
-def _linear_bwd(dy, x, params, grads, wname, bname):
-    """Gradient into x of x @ w + b, after adding dw and db to `grads`."""
-    w = params[wname]
-    din, dout = w.shape
+def _linear_grads(dy, x, grads, wname, bname):
+    """Adds dw and db of x @ w + b to `grads`."""
+    din, dout = grads[wname].shape
     grads[wname] += x.reshape(-1, din).T @ dy.reshape(-1, dout)
     grads[bname] += dy.reshape(-1, dout).sum(axis=0)
-    return dy @ w.T
+
+
+def _linear_bwd(dy, x, params, grads, wname, bname):
+    """Gradient into x of x @ w + b, after adding dw and db to `grads`."""
+    _linear_grads(dy, x, grads, wname, bname)
+    return dy @ params[wname].T
 
 
 def _ln_fwd(x, g, b):
@@ -528,7 +532,7 @@ def forward_batch(params, config: ModelConfig, dims: ModelDims, batch: Batch, dr
     return _decoder_forward(params, config, enc_out, src_add, batch.tgt_in, p, dropout_rng, dec)
 
 
-def _embed_bwd(dy, cache, params, grads, wname):
+def _embed_bwd(dy, cache, grads, wname):
     """Adds the gradient of the embedding weight `wname` (a lookup table, or
     the feature projection `src_proj_w` and its bias), given `dy` into the
     embedding's dropped output."""
@@ -536,7 +540,7 @@ def _embed_bwd(dy, cache, params, grads, wname):
     del cache  # and with it the dropped output
     dy = _dropout_bwd(dy, dcache)
     if wname == "src_proj_w":
-        _linear_bwd(dy, src, params, grads, wname, "src_proj_b")
+        _linear_grads(dy, src, grads, wname, "src_proj_b")
     else:
         np.add.at(grads[wname], src, dy * math.sqrt(dy.shape[-1]))
 
@@ -567,7 +571,7 @@ def _backprop_tape(tape, dy, params, grads, memory=None):
             dmem += dkv
         del dq, dkv
     name = tape[-1][1]
-    _embed_bwd(dy, tape.pop()[2], params, grads, name)
+    _embed_bwd(dy, tape.pop()[2], grads, name)
     return dmem
 
 

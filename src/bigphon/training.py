@@ -3,7 +3,8 @@
 Training is single-threaded and fully deterministic: all randomness
 (parameter init, epoch shuffling, dropout) derives from the config seed
 through spawned generators, so identical (seed, config, data) reproduce
-byte-identical traces and checkpoints.
+byte-identical traces and checkpoints. A run's checkpoints and trace go
+only to its run directory; later stages read them back from there.
 """
 
 from __future__ import annotations
@@ -16,14 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from .bleu import BleuReport, EmptyCorpus, corpus_bleu
-from .config import NonFiniteParameter
+from .config import NonFiniteGradient, NonFiniteLoss, NonFiniteParameter
 from .corpus import CorpusManifest, Utterance, require_augmented
 from .ipa import Phoneme, PhonemeInventory, SoundClass
 from .model import (
     DecodeResult,
     ModelConfig,
     ModelDims,
-    NonFiniteLoss,
     batch_loss_and_dlogits,
     flatten_params,
     forward_batch,
@@ -79,15 +79,12 @@ class TrainingTrace:
 
     entries: list[tuple[float, float]] = field(default_factory=list)
 
-    def to_csv_text(self, header_lines: list[str] | None = None) -> str:
+    def write(self, path, header_lines: list[str] | None = None):
         lines = [f"# {h}" for h in header_lines or []]
         lines.append("epoch,train_loss,valid_loss")
         for i, (tr, va) in enumerate(self.entries, start=1):
             lines.append(f"{i},{tr!r},{va!r}")
-        return "\n".join(lines) + "\n"
-
-    def write(self, path, header_lines: list[str] | None = None):
-        Path(path).write_text(self.to_csv_text(header_lines), encoding="utf-8")
+        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 @dataclass
@@ -159,13 +156,13 @@ def save_checkpoint(ckpt: Checkpoint, path):
     blob = json.dumps(header, ensure_ascii=False, sort_keys=True, separators=(",", ":")).encode(
         "utf-8"
     )
-    payload = np.ascontiguousarray(ckpt.params_flat, dtype="<f8").tobytes()
+    payload = np.ascontiguousarray(ckpt.params_flat, dtype="<f8")
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(CHECKPOINT_VERSION.to_bytes(4, "little"))
         f.write(len(blob).to_bytes(8, "little"))
         f.write(blob)
-        f.write(payload)
+        f.write(payload.data)
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -228,12 +225,6 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(header["epoch"], config, header["variant"], dims, flat, vocab, codec)
 
 
-@dataclass
-class TrainResult:
-    trace: TrainingTrace
-    checkpoints: list[Checkpoint]
-
-
 def _prepare_examples(utterances, vocab: Vocabulary, codec: SourceCodec | None):
     sources, targets = [], []
     for utt in utterances:
@@ -273,14 +264,15 @@ def train(
     manifest: CorpusManifest,
     vocab: Vocabulary,
     config: ModelConfig,
+    outdir,
     source_mode: str = "text",
-    outdir=None,
     log=None,
-) -> TrainResult:
-    """Teacher-forced training with per-epoch loss tracking.
+) -> TrainingTrace:
+    """Teacher-forced training with per-epoch loss tracking; returns the trace.
 
-    Checkpoints are captured at every multiple of checkpoint_interval
-    (and written under outdir when given, together with the trace CSV).
+    At every multiple of checkpoint_interval the live parameters are written
+    to `outdir/epochNNNN.ckpt` before the next step changes them; no copy is
+    kept in memory. The trace goes to `outdir/trace.csv` after the last epoch.
     """
     if source_mode not in ("text", "features"):
         raise ValueError(f"unknown source_mode {source_mode!r}")
@@ -313,12 +305,10 @@ def train(
     v = np.zeros_like(flat)
     step = 0
 
-    outdir = Path(outdir) if outdir is not None else None
-    if outdir is not None:
-        outdir.mkdir(parents=True, exist_ok=True)
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     trace = TrainingTrace()
-    checkpoints: list[Checkpoint] = []
     n = len(train_src)
     for epoch in range(1, config.epochs + 1):
         order = rng_shuffle.permutation(n)
@@ -334,10 +324,8 @@ def train(
                 loss, grads, ntok = loss_and_gradient(
                     params, config, dims, batch, dropout_rng=rng_dropout
                 )
-            except ArithmeticError as exc:
-                raise NonFiniteLoss(
-                    f"epoch {epoch}, step {step + 1}: {exc}"
-                ) from exc
+            except (NonFiniteLoss, NonFiniteGradient) as exc:
+                raise type(exc)(f"epoch {epoch}, step {step + 1}: {exc}") from exc
             step += 1
             adam_step(flat, flatten_params(grads, index), m, v, step, config.learning_rate)
             total += loss * ntok
@@ -348,28 +336,19 @@ def train(
         if log is not None:
             log(f"epoch {epoch}: train_loss={train_loss:.6f} valid_loss={valid_loss:.6f}")
         if epoch % config.checkpoint_interval == 0:
-            ckpt = Checkpoint(
-                epoch=epoch,
-                config=config,
-                variant=vocab.variant,
-                dims=dims,
-                params_flat=flat.copy(),
-                vocab=vocab,
-                codec=codec,
+            save_checkpoint(
+                Checkpoint(epoch, config, vocab.variant, dims, flat, vocab, codec),
+                outdir / f"epoch{epoch:04d}.ckpt",
             )
-            checkpoints.append(ckpt)
-            if outdir is not None:
-                save_checkpoint(ckpt, outdir / f"epoch{epoch:04d}.ckpt")
-    if outdir is not None:
-        trace.write(
-            outdir / "trace.csv",
-            header_lines=[
-                f"seed={config.seed}",
-                f"variant={vocab.variant}",
-                f"config={json.dumps(asdict(config), sort_keys=True)}",
-            ],
-        )
-    return TrainResult(trace, checkpoints)
+    trace.write(
+        outdir / "trace.csv",
+        header_lines=[
+            f"seed={config.seed}",
+            f"variant={vocab.variant}",
+            f"config={json.dumps(asdict(config), sort_keys=True)}",
+        ],
+    )
+    return trace
 
 
 def decode_split(

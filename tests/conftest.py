@@ -6,6 +6,7 @@ reference training step that the in-place one is checked against."""
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from bigphon.model import (
     make_batch,
     param_index,
 )
+from bigphon.training import Checkpoint, load_checkpoint
 from bigphon.vocab import BOS_ID, EOS_ID, Vocabulary, detokenize
 
 TOY_WORDS = [
@@ -81,6 +83,11 @@ def make_toy_manifest(n: int, seed: int, sizes=None, rules=None, classes=None):
     if sizes is not None:
         manifest = split_corpus(manifest, sizes, seed)
     return manifest
+
+
+def last_checkpoint(outdir, config: ModelConfig) -> Checkpoint:
+    """The last checkpoint that `train` wrote under `outdir` with `config`."""
+    return load_checkpoint(Path(outdir) / f"epoch{config.epochs:04d}.ckpt")
 
 
 def synthetic_corpus() -> list[PhonemeSequence]:

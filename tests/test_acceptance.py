@@ -31,7 +31,13 @@ from bigphon.model import (
 from bigphon.training import decode_split, encode_source, train
 from bigphon.vocab import VARIANT_LABELS, build_all_variants, build_variant, detokenize, parse_variant, tokenize
 
-from conftest import gradient, make_toy_manifest, reference_greedy_decode, synthetic_corpus
+from conftest import (
+    gradient,
+    last_checkpoint,
+    make_toy_manifest,
+    reference_greedy_decode,
+    synthetic_corpus,
+)
 from test_analysis import dp_oracle, replay
 from test_bleu import oracle_bleu
 
@@ -163,7 +169,7 @@ def _toy_config(epochs, **overrides):
     return ModelConfig(**base)
 
 
-def test_criterion_06_toy_training_behavior(classes, rules):
+def test_criterion_06_toy_training_behavior(tmp_path, classes, rules):
     with criterion(6, "50-pair corpus halves train loss in 30 epochs; 5-pair overfit hits "
                       "BLEU 100, decoded exactly as by prefix reruns"):
         t0 = time.monotonic()
@@ -172,9 +178,9 @@ def test_criterion_06_toy_training_behavior(classes, rules):
         vocab = build_variant(
             [u.phonemes for u in manifest.by_split("train")], inventory, "base"
         )
-        result = train(manifest, vocab, _toy_config(30))
-        first = result.trace.entries[0][0]
-        last = result.trace.entries[-1][0]
+        trace = train(manifest, vocab, _toy_config(30), tmp_path / "fifty")
+        first = trace.entries[0][0]
+        last = trace.entries[-1][0]
         assert last <= 0.5 * first, f"loss {first} -> {last}"
 
         texts = [
@@ -188,12 +194,9 @@ def test_criterion_06_toy_training_behavior(classes, rules):
         five = split_corpus(augment(CorpusManifest(utts), rules, classes), (5, 0, 0), seed=0)
         inv5 = induce_inventory([u.phonemes for u in five.utterances], classes)
         vocab5 = build_variant([u.phonemes for u in five.by_split("train")], inv5, "base")
-        overfit = train(
-            five,
-            vocab5,
-            _toy_config(200, encoder_layers=1, batch_size=5, dropout=0.0, seed=1),
-        )
-        ckpt = overfit.checkpoints[-1]
+        overfit = _toy_config(200, encoder_layers=1, batch_size=5, dropout=0.0, seed=1)
+        train(five, vocab5, overfit, tmp_path / "five")
+        ckpt = last_checkpoint(tmp_path / "five", overfit)
         decoded, report = decode_split(ckpt, five, split="train")
         assert report.bleu == 100.0
         for utt, result in decoded:

@@ -20,7 +20,7 @@ import bigphon
 from bigphon import corpus, training, vocab
 from bigphon.cli import build_parser, main
 from bigphon.corpus import CorpusManifest, Utterance, ingest, write_manifest
-from bigphon.model import ModelConfig
+from bigphon.model import ModelConfig, NonFiniteGradient
 from bigphon.training import load_checkpoint, save_checkpoint
 from bigphon.vocab import EOS_ID
 
@@ -638,6 +638,43 @@ class TestInputErrors:
         monkeypatch.setattr(training, "train", fault)
         with pytest.raises(ZeroDivisionError):
             main(train_args(augmented_manifest, vocab_path, tmp_path / "run"))
+
+    def test_step_faults_reach_the_user_by_kind(
+        self, tmp_path, augmented_manifest, vocab_path, monkeypatch, capsys
+    ):
+        """Inside a training step, a ZeroDivisionError keeps its traceback and a
+        non-finite gradient exits 3, both under their own type."""
+        def raising(error):
+            def fault(*args, **kwargs):
+                raise error("in out_w")
+
+            return fault
+
+        monkeypatch.setattr(training, "loss_and_gradient", raising(ZeroDivisionError))
+        with pytest.raises(ZeroDivisionError):
+            main(train_args(augmented_manifest, vocab_path, tmp_path / "run"))
+        monkeypatch.setattr(training, "loss_and_gradient", raising(NonFiniteGradient))
+        capsys.readouterr()
+        assert main(train_args(augmented_manifest, vocab_path, tmp_path / "run")) == 3
+        assert capsys.readouterr().err == "bigphon: numeric failure: epoch 1, step 1: in out_w\n"
+
+    @pytest.mark.parametrize("flag, content, message", [
+        ("--rules", b"a\ta\t_\n", "line 1: expected 2 or 4 tab-separated fields, got 3"),
+        ("--classes", b"a\tX\n", "bad classification line 1: 'a\\tX'"),
+        ("--rules", b"a\t\xff\n", "'utf-8' codec can't decode byte 0xff in position 2"),
+        ("--classes", b"\xff\tV\n", "'utf-8' codec can't decode byte 0xff in position 0"),
+    ], ids=["rules", "classes", "rules-utf8", "classes-utf8"])
+    def test_bad_table_file_error_names_the_file(self, tmp_path, capsys, flag, content,
+                                                 message):
+        table = tmp_path / "table.txt"
+        table.write_bytes(content)
+        raw = write_raw_manifest(tmp_path, ["das kind spielt"] * 3)
+        assert main(["augment", "--manifest", str(raw), "--out", str(tmp_path / "out.tsv"),
+                     "--split", "1,1,1", flag, str(table)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"bigphon: error: {table}: {message}"), err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out.tsv").exists()
 
     @pytest.mark.parametrize("command, value", [
         ("train", np.nan), ("evaluate", np.inf), ("errors", -np.inf),

@@ -313,6 +313,21 @@ class TestBitwiseOracle:
         assert cache["enc"] == [] and cache["dec"] == []
         assert "out" not in cache
 
+    def test_feature_backward_computes_no_gradient_into_the_features(self, monkeypatch):
+        """The features are an input, not a parameter: the feature projection's
+        backward adds its weight and bias gradients and stops there."""
+        config, dims, params, batch = self.case("features", 2, (1, 1), 0.3)
+        widths = []
+
+        def spy(dy, x, *rest, bwd=model._linear_bwd):
+            widths.append(x.shape[-1])
+            return bwd(dy, x, *rest)
+
+        monkeypatch.setattr(model, "_linear_bwd", spy)
+        _, grads, _ = loss_and_gradient(params, config, dims, batch, np.random.default_rng(0))
+        assert widths and dims.feature_dim not in widths
+        assert np.any(grads["src_proj_w"]) and np.any(grads["src_proj_b"])
+
     def test_step_allocates_less_than_reference(self):
         """tracemalloc sees every numpy buffer, so the peak is exact."""
         config = replace(SMALL, d_model=32, d_ff=64, encoder_layers=2, dropout=0.1)

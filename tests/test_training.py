@@ -14,6 +14,7 @@ from bigphon.ipa import induce_inventory
 from bigphon.model import (
     ModelConfig,
     ModelDims,
+    NonFiniteGradient,
     NonFiniteLoss,
     batch_loss_and_dlogits,
     greedy_decode,
@@ -35,7 +36,7 @@ from bigphon.training import (
 from bigphon.vocab import build_variant, tokenize
 
 import conftest
-from conftest import make_toy_manifest
+from conftest import last_checkpoint, make_toy_manifest
 
 TINY = dict(
     d_model=16,
@@ -66,47 +67,62 @@ class TestSourceCodec:
 
 
 class TestTrainLoop:
-    def test_checkpoint_count_and_trace_length(self, classes):
+    def test_checkpoint_count_and_trace_length(self, tmp_path, classes):
         m = make_toy_manifest(12, seed=1, sizes=(10, 1, 1))
         vocab = toy_vocab(m, classes)
         cfg = ModelConfig(epochs=10, checkpoint_interval=10, seed=0, **TINY)
-        result = train(m, vocab, cfg)
-        assert len(result.checkpoints) == 1
-        assert result.checkpoints[0].epoch == 10
-        assert len(result.trace.entries) == 10
+        trace = train(m, vocab, cfg, tmp_path)
+        assert [p.name for p in tmp_path.glob("*.ckpt")] == ["epoch0010.ckpt"]
+        assert last_checkpoint(tmp_path, cfg).epoch == 10
+        assert len(trace.entries) == 10
 
-    def test_two_checkpoints_at_interval(self, classes):
+    def test_two_checkpoints_at_interval(self, tmp_path, classes):
         m = make_toy_manifest(12, seed=1, sizes=(10, 1, 1))
         vocab = toy_vocab(m, classes)
         cfg = ModelConfig(epochs=4, checkpoint_interval=2, seed=0, **TINY)
-        result = train(m, vocab, cfg)
-        assert [c.epoch for c in result.checkpoints] == [2, 4]
+        train(m, vocab, cfg, tmp_path)
+        assert [load_checkpoint(p).epoch for p in sorted(tmp_path.glob("*.ckpt"))] == [2, 4]
 
-    def test_deterministic_runs(self, classes):
+    def test_deterministic_runs(self, tmp_path, classes):
         m = make_toy_manifest(12, seed=2, sizes=(10, 1, 1))
         vocab = toy_vocab(m, classes)
         cfg = ModelConfig(epochs=3, checkpoint_interval=3, seed=7, **TINY)
-        r1 = train(m, vocab, cfg)
-        r2 = train(m, vocab, cfg)
-        assert r1.trace.entries == r2.trace.entries
-        assert np.array_equal(r1.checkpoints[0].params_flat, r2.checkpoints[0].params_flat)
+        d1, d2 = tmp_path / "one", tmp_path / "two"
+        assert train(m, vocab, cfg, d1).entries == train(m, vocab, cfg, d2).entries
+        assert np.array_equal(last_checkpoint(d1, cfg).params_flat,
+                              last_checkpoint(d2, cfg).params_flat)
 
-    def test_valid_loss_nan_without_valid_split(self, classes):
+    def test_valid_loss_nan_without_valid_split(self, tmp_path, classes):
         m = make_toy_manifest(5, seed=3, sizes=(5, 0, 0))
         vocab = toy_vocab(m, classes)
         cfg = ModelConfig(epochs=1, checkpoint_interval=1, seed=0, **TINY)
-        result = train(m, vocab, cfg)
-        assert math.isnan(result.trace.entries[0][1])
+        trace = train(m, vocab, cfg, tmp_path)
+        assert math.isnan(trace.entries[0][1])
 
-    def test_unsplit_manifest_rejected(self, classes):
+    def test_unsplit_manifest_rejected(self, tmp_path, classes):
         m = make_toy_manifest(5, seed=3)
         vocab_m = make_toy_manifest(5, seed=3, sizes=(5, 0, 0))
         vocab = toy_vocab(vocab_m, classes)
         cfg = ModelConfig(epochs=1, checkpoint_interval=1, seed=0, **TINY)
         with pytest.raises(ValueError):
-            train(m, vocab, cfg)
+            train(m, vocab, cfg, tmp_path)
 
-    def test_divergence_reports_epoch_and_step(self, classes):
+    @pytest.mark.parametrize("error", [NonFiniteLoss, NonFiniteGradient, ZeroDivisionError])
+    def test_step_errors_keep_their_type(self, tmp_path, classes, monkeypatch, error):
+        """A non-finite loss or gradient gains the epoch and step and keeps
+        its type; any other ArithmeticError is a program fault, left as is."""
+        def fault(*args, **kwargs):
+            raise error("in out_w")
+
+        monkeypatch.setattr(training, "loss_and_gradient", fault)
+        m = make_toy_manifest(5, seed=3, sizes=(5, 0, 0))
+        cfg = ModelConfig(epochs=1, checkpoint_interval=1, seed=0, **TINY)
+        with pytest.raises(error) as exc:
+            train(m, toy_vocab(m, classes), cfg, tmp_path)
+        prefix = "" if error is ZeroDivisionError else "epoch 1, step 1: "
+        assert str(exc.value) == f"{prefix}in out_w"
+
+    def test_divergence_reports_epoch_and_step(self, tmp_path, classes):
         # lr large enough that squared activations overflow float64
         m = make_toy_manifest(8, seed=4, sizes=(8, 0, 0))
         vocab = toy_vocab(m, classes)
@@ -117,12 +133,35 @@ class TestTrainLoop:
         )
         with np.errstate(all="ignore"):
             with pytest.raises(NonFiniteLoss) as exc:
-                train(m, vocab, cfg)
+                train(m, vocab, cfg, tmp_path)
         assert "epoch" in str(exc.value)
 
 
+class TestTrainMemory:
+    def test_kept_memory_does_not_grow_with_checkpoints(self, tmp_path, classes):
+        """Once `train` has written a checkpoint it keeps no copy: what is
+        still traced when it returns stays under one parameter vector,
+        whether it wrote one checkpoint or four."""
+        m = make_toy_manifest(12, seed=1, sizes=(10, 1, 1))
+        vocab = toy_vocab(m, classes)
+        kept = {}
+        for interval in (4, 1):
+            cfg = ModelConfig(epochs=4, checkpoint_interval=interval, seed=0, **TINY)
+            outdir = tmp_path / f"every{interval}"
+            tracemalloc.start()
+            try:
+                trace = train(m, vocab, cfg, outdir)
+                kept[len(list(outdir.glob("*.ckpt")))] = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert len(trace.entries) == 4
+        vector = last_checkpoint(outdir, cfg).params_flat.nbytes
+        assert kept.keys() == {1, 4}
+        assert max(kept.values()) < vector, (kept, vector)
+
+
 class TestOverfit:
-    def test_single_pair_memorized(self, classes, rules):
+    def test_single_pair_memorized(self, tmp_path, classes, rules):
         utts = (Utterance("p0", "das kind spielt"),)
         m = split_corpus(augment(CorpusManifest(utts), rules, classes), (1, 0, 0), seed=0)
         vocab = toy_vocab(m, classes)
@@ -131,8 +170,8 @@ class TestOverfit:
             d_model=16, heads=2, d_ff=32, encoder_layers=1, decoder_layers=1,
             batch_size=1, learning_rate=3e-3, dropout=0.0,
         )
-        result = train(m, vocab, cfg)
-        ckpt = result.checkpoints[-1]
+        train(m, vocab, cfg, tmp_path)
+        ckpt = last_checkpoint(tmp_path, cfg)
         ((utt, res),), _ = decode_split(ckpt, m, split="train")
         assert res.sequence.tokens == utt.phonemes.tokens
         assert not res.truncated
@@ -143,9 +182,11 @@ class TestCheckpointIO:
         m = make_toy_manifest(8, seed=5, sizes=(6, 1, 1))
         vocab = toy_vocab(m, classes, "total10")
         cfg = ModelConfig(epochs=2, checkpoint_interval=2, seed=2, **TINY)
-        ckpt = train(m, vocab, cfg).checkpoints[-1]
+        train(m, vocab, cfg, tmp_path / "run")
+        ckpt = last_checkpoint(tmp_path / "run", cfg)
         path = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, path)
+        assert path.read_bytes() == (tmp_path / "run" / "epoch0002.ckpt").read_bytes()
         loaded = load_checkpoint(path)
         assert loaded.epoch == ckpt.epoch
         assert loaded.config == ckpt.config
@@ -177,9 +218,9 @@ class TestCheckpointIO:
     def saved(self, tmp_path_factory, classes):
         m = make_toy_manifest(8, seed=5, sizes=(6, 1, 1))
         cfg = ModelConfig(epochs=1, checkpoint_interval=1, seed=2, **TINY)
-        path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
-        save_checkpoint(train(m, toy_vocab(m, classes), cfg).checkpoints[-1], path)
-        return path
+        outdir = tmp_path_factory.mktemp("ckpt")
+        train(m, toy_vocab(m, classes), cfg, outdir)
+        return outdir / "epoch0001.ckpt"
 
     @pytest.mark.parametrize("cut", [1, 7, 100])
     def test_ragged_payload_names_its_length(self, tmp_path, saved, cut):
@@ -218,8 +259,8 @@ class TestFeatureMode:
         m = self.make_feature_manifest(tmp_path, rules, classes)
         vocab = toy_vocab(m, classes)
         cfg = ModelConfig(epochs=2, checkpoint_interval=2, seed=0, **TINY)
-        result = train(m, vocab, cfg, source_mode="features")
-        ckpt = result.checkpoints[-1]
+        train(m, vocab, cfg, tmp_path / "run", source_mode="features")
+        ckpt = last_checkpoint(tmp_path / "run", cfg)
         assert ckpt.codec is None
         assert ckpt.dims.feature_dim == 5
         decoded, _ = decode_split(ckpt, m, split="test")
@@ -229,7 +270,8 @@ class TestFeatureMode:
         m = self.make_feature_manifest(tmp_path, rules, classes)
         vocab = toy_vocab(m, classes)
         cfg = ModelConfig(epochs=2, checkpoint_interval=2, seed=0, **TINY)
-        ckpt = train(m, vocab, cfg, source_mode="features").checkpoints[-1]
+        train(m, vocab, cfg, tmp_path / "run", source_mode="features")
+        ckpt = last_checkpoint(tmp_path / "run", cfg)
         path = tmp_path / "f.ckpt"
         save_checkpoint(ckpt, path)
         loaded = load_checkpoint(path)
@@ -328,11 +370,12 @@ class TestTrace:
 
 
 class TestTokenTargets:
-    def test_targets_match_tokenizer(self, classes):
+    def test_targets_match_tokenizer(self, tmp_path, classes):
         m = make_toy_manifest(4, seed=7, sizes=(4, 0, 0))
         vocab = toy_vocab(m, classes, "total20")
         cfg = ModelConfig(epochs=1, checkpoint_interval=1, seed=0, **TINY)
-        ckpt = train(m, vocab, cfg).checkpoints[-1]
+        train(m, vocab, cfg, tmp_path)
+        ckpt = last_checkpoint(tmp_path, cfg)
         # checkpoint's vocab tokenizes identically to the one it trained with
         seq = m.utterances[0].phonemes
         assert tokenize(seq, ckpt.vocab).ids == tokenize(seq, vocab).ids
