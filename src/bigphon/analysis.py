@@ -7,11 +7,14 @@ per reference token as bit-vectors of +1/-1 deltas along the hypothesis
 (Myers 1999; Hyyrö 2001), so a row costs a few big-integer operations and
 every cell is exact: the row's start plus a popcount of each delta vector.
 Backtrace ties break by the fixed preference Match > Substitute > Delete >
-Insert, so scripts are deterministic.
+Insert, so scripts are deterministic. The backtrace reads cells only on edit
+steps: where ref[i-1] == hyp[j-1], D[i-1][j-1] == D[i][j] (Ukkonen 1985), so
+the preferred match step is taken without one.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -81,13 +84,12 @@ def align(ref: Sequence[str], hyp: Sequence[str]) -> Alignment:
     i, j = n, m
     while i > 0 or j > 0:
         if i > 0 and j > 0:
-            diag = cell(i - 1, j - 1)
-            same = ref[i - 1] == hyp[j - 1]
-            if same and diag == here:
+            if ref[i - 1] == hyp[j - 1]:  # then D[i-1][j-1] == D[i][j]
                 ops.append(EditOp(EditKind.MATCH, i - 1, j - 1, ref[i - 1], hyp[j - 1]))
-                i, j, here = i - 1, j - 1, diag
+                i, j = i - 1, j - 1
                 continue
-            if not same and diag + 1 == here:
+            diag = cell(i - 1, j - 1)
+            if diag + 1 == here:
                 ops.append(EditOp(EditKind.SUBSTITUTE, i - 1, j - 1, ref[i - 1], hyp[j - 1]))
                 i, j, here = i - 1, j - 1, diag
                 continue
@@ -136,17 +138,22 @@ def detect_repetitions(
     """
     check_repetition_bounds(min_period, min_copies)
     hyp = tuple(hyp)
+    where: dict[str, list[int]] = {}  # each token's positions, ascending
+    for p, token in enumerate(hyp):
+        where.setdefault(token, []).append(p)
     found: list[Repetition] = []
     pos = 0
     n = len(hyp)
     while pos < n:
         best: Repetition | None = None
         max_period = (n - pos) // min_copies
-        for period in range(min_period, max_period + 1):
-            # Two copies need the unit's first token again one period on.
-            if hyp[pos + period] != hyp[pos]:
-                continue
-            unit = hyp[pos : pos + period]
+        # Two copies need the unit's first token again one period on.
+        at = where[hyp[pos]]
+        for q in at[bisect_left(at, pos + min_period) :]:
+            period = q - pos
+            if period > max_period:
+                break
+            unit = hyp[pos:q]
             copies = 1
             while hyp[pos + copies * period : pos + (copies + 1) * period] == unit:
                 copies += 1

@@ -23,7 +23,7 @@ class EmptyCorpus(ValueError):
 
 
 def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[k:] for k in range(n))))
 
 
 def modified_precision(hyps, refs, n: int) -> tuple[int, int]:
@@ -35,12 +35,10 @@ def modified_precision(hyps, refs, n: int) -> tuple[int, int]:
     clipped = 0
     total = 0
     for hyp, ref in zip(hyps, refs):
-        hyp_counts = _ngrams(hyp, n)
-        if not hyp_counts:
+        if len(hyp) < n:
             continue
-        ref_counts = _ngrams(ref, n)
-        clipped += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
-        total += sum(hyp_counts.values())
+        clipped += sum((_ngrams(hyp, n) & _ngrams(ref, n)).values())
+        total += len(hyp) - n + 1
     return clipped, total
 
 

@@ -17,14 +17,6 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
-from .analysis import (
-    ARTICLES,
-    ErrorReport,
-    article_accuracy,
-    check_repetition_bounds,
-    diagnose_sentence,
-    render_marked,
-)
 from .config import ModelConfig, NonFiniteGradient, NonFiniteLoss, NonFiniteParameter
 from .corpus import (
     augment,
@@ -232,6 +224,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_errors(args) -> int:
+    from .analysis import (ARTICLES, ErrorReport, article_accuracy, check_repetition_bounds,
+                           diagnose_sentence, render_marked)
     from .training import decode_split, load_checkpoint
 
     check_repetition_bounds(args.min_period, args.min_copies)

@@ -86,26 +86,25 @@ def require_augmented(utterances) -> None:
 def _encode_phonemes(seq: PhonemeSequence | None) -> str:
     if seq is None:
         return ""
-    out: list[str] = []
-    for i, word in enumerate(seq.words()):
-        if i:
-            out.append(WORD_SEP)
-        out.extend(word)
-    return " ".join(out)
+    return f" {WORD_SEP} ".join(" ".join(word) for word in seq.words())
 
 
 def _decode_phonemes(text: str, lineno: int) -> PhonemeSequence | None:
     if not text:
         return None
-    words: list[list[str]] = [[]]
-    for part in text.split(" "):
-        if part == WORD_SEP:
-            words.append([])
-        elif part:
-            words[-1].append(part)
-        else:
-            raise ManifestParseError(lineno, "empty token in phoneme column")
-    return PhonemeSequence.from_words(words)
+    parts = text.split(" ")
+    if "" in parts:
+        raise ManifestParseError(lineno, "empty token in phoneme column")
+    # Delete each `|` in turn; the tokens before it are then parts[:k], so k is
+    # its word break. Repeated, leading and trailing ones break nothing.
+    cuts, k = {}, 0
+    for _ in range(parts.count(WORD_SEP)):
+        k = parts.index(WORD_SEP, k)
+        del parts[k]
+        cuts[k] = None
+    cuts.pop(0, None)
+    cuts.pop(len(parts), None)
+    return PhonemeSequence(tuple(parts), tuple(cuts))
 
 
 def _utf8_lines(f, path):

@@ -267,18 +267,25 @@ def write_vocab(vocab: Vocabulary, path):
 
 
 def read_vocab(path, inventory: PhonemeInventory) -> Vocabulary:
-    """Rebuild a vocabulary from its file, validated against an inventory."""
+    """Rebuild a vocabulary from its file, validated against an inventory;
+    an error in it, invalid UTF-8 included, names the file."""
     with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
+        try:
+            return _parse_vocab(f.read().splitlines(), inventory)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+
+def _parse_vocab(lines: list[str], inventory: PhonemeInventory) -> Vocabulary:
     if not lines or not lines[0].startswith("#variant="):
-        raise ValueError(f"{path}: missing vocabulary header")
+        raise ValueError("missing vocabulary header")
     header = dict(
         item.split("=", 1) for item in lines[0].lstrip("#").split() if "=" in item
     )
     variant = header.get("variant", "")
     units = lines[1:]
     if units[: len(SPECIALS)] != list(SPECIALS):
-        raise ValueError(f"{path}: expected specials {SPECIALS} first")
+        raise ValueError(f"expected specials {SPECIALS} first")
     atoms: list[str] = []
     bigrams: list[tuple[str, str]] = []
     for line in units[len(SPECIALS) :]:
@@ -288,8 +295,5 @@ def read_vocab(path, inventory: PhonemeInventory) -> Vocabulary:
         else:
             atoms.append(line)
     if tuple(atoms) != inventory.symbols:
-        raise ValueError(f"{path}: atom list does not match the given inventory")
-    try:
-        return Vocabulary(inventory, bigrams, variant)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise ValueError("atom list does not match the given inventory")
+    return Vocabulary(inventory, bigrams, variant)

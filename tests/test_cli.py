@@ -467,6 +467,10 @@ class TestTrainEvaluateErrors:
         assert (out / "sentences.txt").exists()
 
 
+BAD_UTF8_VOCAB = b"#variant=base\n\xff\n"
+BAD_UTF8_VOCAB_MESSAGE = "'utf-8' codec can't decode byte 0xff in position 14: invalid start byte"
+
+
 class TestInputErrors:
     @pytest.fixture()
     def vocab_path(self, tmp_path, augmented_manifest):
@@ -676,6 +680,23 @@ class TestInputErrors:
         assert err.count("\n") == 1
         assert not (tmp_path / "out.tsv").exists()
 
+    def test_bad_vocab_file_error_names_the_file_in_train(self, tmp_path, augmented_manifest,
+                                                          capsys):
+        bad = tmp_path / "base.vocab"
+        bad.write_bytes(BAD_UTF8_VOCAB)
+        assert main(train_args(augmented_manifest, bad, tmp_path / "run")) == 2
+        assert capsys.readouterr().err == f"bigphon: error: {bad}: {BAD_UTF8_VOCAB_MESSAGE}\n"
+
+    def test_bad_vocab_file_error_names_the_file_in_evaluate(self, tmp_path, augmented_manifest,
+                                                             checkpoint, capsys):
+        bad = tmp_path / "vocabs" / "base.vocab"
+        bad.parent.mkdir()
+        bad.write_bytes(BAD_UTF8_VOCAB)
+        capsys.readouterr()
+        assert main(["evaluate", "--ckpt", str(checkpoint), "--manifest", str(augmented_manifest),
+                     "--out", str(tmp_path / "eval"), "--vocab-dir", str(bad.parent)]) == 2
+        assert capsys.readouterr().err == f"bigphon: error: {bad}: {BAD_UTF8_VOCAB_MESSAGE}\n"
+
     @pytest.mark.parametrize("command, value", [
         ("train", np.nan), ("evaluate", np.inf), ("errors", -np.inf),
     ])
@@ -848,7 +869,8 @@ class TestDeterminism:
 
 
 def test_non_model_commands_load_no_numpy(tmp_path):
-    """`augment`, `vocab` and the scoring layers run without numpy."""
+    """`augment`, `vocab` and the scoring layers run without numpy, and
+    `augment` and `vocab` without `analysis`."""
     rng = np.random.default_rng(4)
     raw = write_raw_manifest(
         tmp_path, [" ".join(rng.choice(TOY_WORDS, size=4)) for _ in range(12)])
@@ -858,12 +880,13 @@ from bigphon.cli import main
 raw, out = sys.argv[1:]
 assert main(["augment", "--manifest", raw, "--out", out + "/corpus.tsv", "--split", "8,2,2"]) == 0
 assert main(["vocab", "--manifest", out + "/corpus.tsv", "--all", "--out", out + "/vocabs"]) == 0
+analysis_loaded = "bigphon.analysis" in sys.modules
 import bigphon.analysis, bigphon.bleu, bigphon.corpus, bigphon.g2p, bigphon.ipa, bigphon.vocab
-print("numpy" in sys.modules)
+print(analysis_loaded, "numpy" in sys.modules)
 """
     src = str(Path(bigphon.__file__).resolve().parent.parent)
     done = subprocess.run([sys.executable, "-c", script, str(raw), str(tmp_path)],
                           capture_output=True, text=True, check=True,
                           env={**os.environ, "PYTHONPATH": src})
     assert (tmp_path / "vocabs" / "total30.vocab").exists()
-    assert done.stdout.splitlines()[-1] == "False"
+    assert done.stdout.splitlines()[-1] == "False False"

@@ -17,6 +17,7 @@ from bigphon.corpus import (
     write_manifest,
 )
 from bigphon.g2p import UnmappableGrapheme
+from bigphon.ipa import PhonemeSequence
 
 
 def write_tsv(tmp_path, rows, name="corpus.tsv"):
@@ -75,6 +76,39 @@ class TestIngest:
             expected = m
         assert [u.text for u in expected.utterances] == ["eins", "zwei"]
         assert expected.split == {"b": "train"}
+
+
+class TestPhonemeColumn:
+    """Tokens are separated by single spaces; a `|` token is a word break."""
+
+    @pytest.mark.parametrize("column, tokens, boundaries", [
+        ("a | | b", ("a", "b"), (1,)),
+        ("| a", ("a",), ()),
+        ("a |", ("a",), ()),
+        ("|", (), ()),
+        ("a|b", ("a|b",), ()),
+    ], ids=["repeated-break", "leading-break", "trailing-break", "only-break", "bar-in-token"])
+    def test_parsed(self, tmp_path, column, tokens, boundaries):
+        path = write_tsv(tmp_path, [("u", "eins", column)])
+        assert ingest(path).utterances[0].phonemes == PhonemeSequence(tokens, boundaries)
+
+    @pytest.mark.parametrize("column", ["a  b", " a", "a "],
+                             ids=["double-space", "leading-space", "trailing-space"])
+    def test_empty_token_rejected(self, tmp_path, column):
+        path = write_tsv(tmp_path, [("u", "eins", "a"), ("v", "zwei", column, "train")])
+        with pytest.raises(ManifestParseError) as exc:
+            ingest(path)
+        assert str(exc.value) == "line 2: empty token in phoneme column"
+        assert exc.value.lineno == 2
+
+    def test_multi_token_words_round_trip(self, tmp_path):
+        words = [("a", "l", "s"), ("t͡s", "v", "aɪ"), ("iː",), ("d", "eː", "m")]
+        seq = PhonemeSequence.from_words(words)
+        path = tmp_path / "m.tsv"
+        write_manifest(CorpusManifest((Utterance("u", "als zwei ih dem", seq),)), path)
+        column = "a l s | t͡s v aɪ | iː | d eː m"
+        assert path.read_text(encoding="utf-8") == f"u\tals zwei ih dem\t{column}\t\t\n"
+        assert ingest(path).utterances[0].phonemes == seq
 
 
 class TestFilter:
