@@ -354,23 +354,22 @@ class ArticleReport:
         }
 
 
+def _hyp_positions(alignment: Alignment) -> list[int | None]:
+    """Each reference position's aligned hypothesis position, None if deleted."""
+    return [op.hyp_pos for op in alignment.ops if op.ref_pos is not None]
+
+
 def _aligned_span(
-    alignment: Alignment, hyp: Sequence[str], start: int, stop: int
+    hyp_at: list[int | None], hyp: Sequence[str], start: int, stop: int
 ) -> tuple[str, ...]:
-    """Hypothesis tokens covering reference positions [start, stop).
+    """Hypothesis tokens covering reference positions [start, stop), mapped by `hyp_at`.
 
     The span runs from the first to the last hypothesis position aligned
     (matched or substituted) to the reference span, so insertions inside it
     count against an exact match; pure deletions give an empty span. Edit
     scripts are monotone in hypothesis position, so the span is a slice.
     """
-    hyp_positions = [
-        op.hyp_pos
-        for op in alignment.ops
-        if op.ref_pos is not None
-        and start <= op.ref_pos < stop
-        and op.hyp_pos is not None
-    ]
+    hyp_positions = [j for j in hyp_at[start:stop] if j is not None]
     if not hyp_positions:
         return ()
     return tuple(hyp[hyp_positions[0] : hyp_positions[-1] + 1])
@@ -398,13 +397,13 @@ def article_accuracy(
     occurrences = {name: 0 for name in ARTICLES}
     hits = {name: 0 for name in ARTICLES}
     for ref, hyp in zip(refs, hyps):
-        alignment = align(ref.tokens, hyp)
+        hyp_at = _hyp_positions(align(ref.tokens, hyp))
         offset = 0
         for word in ref.words():
             for name in ARTICLES:
                 if word == forms[name]:
                     occurrences[name] += 1
-                    span = _aligned_span(alignment, hyp, offset, offset + len(word))
+                    span = _aligned_span(hyp_at, hyp, offset, offset + len(word))
                     if span == forms[name]:
                         hits[name] += 1
             offset += len(word)

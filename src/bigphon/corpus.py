@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import io
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .g2p import RuleTable, UnmappableGrapheme, transliterate
@@ -76,17 +76,22 @@ class CorpusManifest:
 
 
 def require_augmented(utterances) -> None:
-    """Raise ValueError naming the first utterance without a phoneme
-    transcription; callers check every row before doing any work."""
+    """Raise ValueError naming the first utterance whose phoneme transcription
+    is missing or empty; callers check every row before doing any work."""
     for utt in utterances:
         if utt.phonemes is None:
             raise ValueError(f"utterance {utt.utt_id!r} is not augmented")
+        if not utt.phonemes:
+            raise ValueError(f"utterance {utt.utt_id!r} has no phonemes: {utt.text!r}")
 
 
 def _encode_phonemes(seq: PhonemeSequence | None) -> str:
     if seq is None:
         return ""
-    return f" {WORD_SEP} ".join(" ".join(word) for word in seq.words())
+    tokens = list(seq.tokens)
+    for b in reversed(seq.boundaries):
+        tokens.insert(b, WORD_SEP)
+    return " ".join(tokens)
 
 
 def _decode_phonemes(text: str, lineno: int) -> PhonemeSequence | None:
@@ -212,7 +217,7 @@ def augment(
             ) from exc
         if not phonemes:
             raise ValueError(f"utterance {utt.utt_id!r} has no phonemes: {utt.text!r}")
-        out.append(replace(utt, phonemes=phonemes))
+        out.append(Utterance(utt.utt_id, utt.text, phonemes, utt.feature_path))
     return CorpusManifest(tuple(out), dict(manifest.split), manifest.seed)
 
 

@@ -13,6 +13,7 @@ import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
+from itertools import chain
 from typing import Iterable, Iterator
 
 LENGTH_MARK = ":"
@@ -284,14 +285,9 @@ def induce_inventory(
     corpus: Iterable[PhonemeSequence], table: ClassificationTable
 ) -> PhonemeInventory:
     """Collect the distinct tokens of a corpus, in first-occurrence order."""
-    seen: dict[str, None] = {}
-    empty = True
-    for seq in corpus:
-        empty = False
-        for tok in seq.tokens:
-            if tok not in seen:
-                seen[tok] = None
-    if empty:
+    seqs = list(corpus)
+    if not seqs:
         raise ValueError("cannot induce an inventory from an empty corpus")
+    seen = dict.fromkeys(chain.from_iterable(seq.tokens for seq in seqs))
     phonemes = tuple(Phoneme(sym, classify(sym, table)) for sym in seen)
     return PhonemeInventory(phonemes)

@@ -206,14 +206,20 @@ def infer_dims(params: dict[str, np.ndarray]) -> ModelDims:
 # primitives
 
 
+_PE_TABLES: dict[int, np.ndarray] = {}  # one read-only table per width, grown on demand
+
+
 def _pe(length: int, d: int) -> np.ndarray:
-    pos = np.arange(length, dtype=np.float64)[:, None]
-    idx = np.arange(d, dtype=np.float64)[None, :]
-    angles = pos / np.power(10000.0, (2.0 * np.floor(idx / 2.0)) / d)
-    pe = np.empty((length, d), dtype=np.float64)
-    pe[:, 0::2] = np.sin(angles[:, 0::2])
-    pe[:, 1::2] = np.cos(angles[:, 1::2])
-    return pe
+    pe = _PE_TABLES.get(d)
+    if pe is None or len(pe) < length:
+        pos = np.arange(length, dtype=np.float64)[:, None]
+        idx = np.arange(d, dtype=np.float64)[None, :]
+        angles = pos / np.power(10000.0, (2.0 * np.floor(idx / 2.0)) / d)
+        pe = _PE_TABLES[d] = np.empty((length, d), dtype=np.float64)
+        pe[:, 0::2] = np.sin(angles[:, 0::2])
+        pe[:, 1::2] = np.cos(angles[:, 1::2])
+        pe.flags.writeable = False
+    return pe[:length]
 
 
 def _linear_fwd(x, w, b):

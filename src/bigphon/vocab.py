@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .ipa import PhonemeInventory, PhonemeSequence, SoundClass
@@ -70,10 +71,13 @@ def count_bigrams(
     scope: BigramScope,
     inventory: PhonemeInventory,
 ) -> dict[tuple[str, str], int]:
-    """Count adjacent within-word token pairs passing the scope filter."""
-    counts = Counter(
-        pair for seq in corpus for word in seq.words() for pair in zip(word, word[1:])
-    )
+    """Count adjacent within-word token pairs passing the scope filter: each
+    distinct word's pairs once, weighted by its count, in first-occurrence
+    order (cheaper where words repeat, dearer where almost none do)."""
+    counts: Counter[tuple[str, str]] = Counter()
+    for word, n in Counter(chain.from_iterable(seq.words() for seq in corpus)).items():
+        for pair in zip(word, word[1:]):
+            counts[pair] += n
     return _in_scope(counts, scope, inventory)
 
 

@@ -6,6 +6,7 @@ reference training step that the in-place one is checked against."""
 from __future__ import annotations
 
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,25 @@ def synthetic_corpus() -> list[PhonemeSequence]:
         for b in SYNTH_CONSONANTS[:6]:
             words.append([a, b])
     return [PhonemeSequence.from_words([w]) for w in words]
+
+
+def zipf_corpus(seed: int, n_seqs: int = 1200) -> list[PhonemeSequence]:
+    """A seeded corpus whose words repeat as in running text: a 300-word
+    lexicon of the first 30 atoms, drawn with weight 1/rank, 1-12 words a
+    sequence. In the second half, one sequence in ten also carries a word
+    that mixes in the other 19 atoms, so some pairs first appear late."""
+    rng = random.Random(seed)
+    atoms = SYNTH_VOWELS + SYNTH_CONSONANTS
+    lexicon = [tuple(rng.choices(atoms[:30], k=rng.randint(1, 6))) for _ in range(300)]
+    late = [tuple(rng.choices(atoms, k=rng.randint(2, 6))) for _ in range(40)]
+    weights = [1 / rank for rank in range(1, len(lexicon) + 1)]
+    corpus = []
+    for i in range(n_seqs):
+        words = rng.choices(lexicon, weights, k=rng.randint(1, 12))
+        if 2 * i >= n_seqs and rng.random() < 0.1:
+            words.insert(rng.randint(0, len(words)), rng.choice(late))
+        corpus.append(PhonemeSequence.from_words(words))
+    return corpus
 
 
 @pytest.fixture(scope="session")

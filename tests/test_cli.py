@@ -20,6 +20,7 @@ import bigphon
 from bigphon import corpus, training, vocab
 from bigphon.cli import build_parser, main
 from bigphon.corpus import CorpusManifest, Utterance, ingest, write_manifest
+from bigphon.ipa import PhonemeSequence
 from bigphon.model import ModelConfig, NonFiniteGradient
 from bigphon.training import load_checkpoint, save_checkpoint
 from bigphon.vocab import EOS_ID
@@ -533,6 +534,38 @@ class TestInputErrors:
         }[command]
         assert main(args) == 2
         assert capsys.readouterr().err == f"bigphon: error: utterance {first!r} is not augmented\n"
+
+    @pytest.mark.parametrize("command", ["vocab", "train", "evaluate", "errors"])
+    def test_row_with_no_phonemes_exits_2(self, tmp_path, augmented_manifest, vocab_path, capsys,
+                                          command):
+        """A phoneme column of only `|` reads as an empty sequence, which
+        `augment` never writes; every command that reads phonemes rejects it."""
+        m = ingest(augmented_manifest)
+        empty = m.by_split("test")[0]
+        lines = augmented_manifest.read_text(encoding="utf-8").splitlines()
+        for i, line in enumerate(lines):
+            cols = line.split("\t")
+            if cols[0] == empty.utt_id:
+                cols[2] = "|"
+                lines[i] = "\t".join(cols)
+        mpath = tmp_path / "empty.tsv"
+        mpath.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert ingest(mpath).utterances[m.utterances.index(empty)].phonemes == PhonemeSequence()
+        run = tmp_path / "run"
+        assert main(train_args(augmented_manifest, vocab_path, run)) == 0
+        capsys.readouterr()
+        ckpt = str(run / "epoch0002.ckpt")
+        args = {
+            "vocab": ["vocab", "--manifest", str(mpath), "--all", "--out", str(tmp_path / "v")],
+            "train": train_args(mpath, vocab_path, tmp_path / "run2"),
+            "evaluate": ["evaluate", "--ckpt", ckpt, "--manifest", str(mpath),
+                         "--out", str(tmp_path / "e")],
+            "errors": ["errors", "--ckpt", ckpt, "--manifest", str(mpath),
+                       "--out", str(tmp_path / "x")],
+        }[command]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"bigphon: error: utterance {empty.utt_id!r} has no phonemes: {empty.text!r}\n")
 
     @pytest.mark.parametrize("command", ["evaluate", "errors"])
     def test_seed_flag_rejected(self, tmp_path, augmented_manifest, command):

@@ -25,6 +25,8 @@ from bigphon.ipa import (
     segment_ipa,
 )
 
+from conftest import zipf_corpus
+
 
 class TestSegmentIpa:
     def test_two_words(self, classes):
@@ -166,6 +168,21 @@ class TestInventory:
     def test_empty_corpus_rejected(self, classes):
         with pytest.raises(ValueError):
             induce_inventory([], classes)
+
+    def test_generator_same_as_list(self, classes):
+        corpus = zipf_corpus(7)
+        from_list = induce_inventory(corpus, classes)
+        from_generator = induce_inventory((seq for seq in corpus), classes)
+        assert from_generator.symbols == from_list.symbols
+        assert from_generator == from_list
+
+    def test_empty_generator_rejected_as_empty_list(self, classes):
+        messages = []
+        for empty in ([], (seq for seq in [])):
+            with pytest.raises(ValueError) as exc:
+                induce_inventory(empty, classes)
+            messages.append(str(exc.value))
+        assert messages == ["cannot induce an inventory from an empty corpus"] * 2
 
     def test_class_lookup(self, classes):
         inv = induce_inventory([PhonemeSequence(("a", "ʃ"))], classes)

@@ -507,6 +507,33 @@ class TestActivationMemory:
         assert max(entries) - min(entries) <= 4096, entries
 
 
+def fresh_pe(length, d):
+    """The sinusoidal table computed at exactly `length` rows."""
+    pos = np.arange(length, dtype=np.float64)[:, None]
+    idx = np.arange(d, dtype=np.float64)[None, :]
+    angles = pos / np.power(10000.0, (2.0 * np.floor(idx / 2.0)) / d)
+    pe = np.empty((length, d), dtype=np.float64)
+    pe[:, 0::2] = np.sin(angles[:, 0::2])
+    pe[:, 1::2] = np.cos(angles[:, 1::2])
+    return pe
+
+
+class TestPositionalTable:
+    @pytest.mark.parametrize("d", [16, 200])
+    def test_rows_equal_a_fresh_table_and_are_read_only(self, monkeypatch, d):
+        monkeypatch.setattr(model, "_PE_TABLES", {})
+        model._pe(3, d)
+        longest = model._pe(600, d)  # grows the table once
+        for length in range(1, 601):
+            pe = model._pe(length, d)
+            assert pe.shape == (length, d)
+            assert np.array_equal(pe, fresh_pe(length, d)), length
+            assert not pe.flags.writeable
+            assert np.shares_memory(pe, longest)  # a slice, not a rebuild
+        with pytest.raises(ValueError):
+            longest[0, 0] = 1.0
+
+
 class TestGreedyDecode:
     @pytest.fixture()
     def tiny_vocab(self, classes):

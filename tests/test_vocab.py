@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,8 @@ from bigphon.vocab import (
     write_vocab,
 )
 
-from conftest import SYNTH_CONSONANTS, SYNTH_VOWELS, make_toy_manifest, synthetic_corpus
+from conftest import (SYNTH_CONSONANTS, SYNTH_VOWELS, make_toy_manifest, synthetic_corpus,
+                      zipf_corpus)
 
 
 def seqs(*word_lists):
@@ -164,6 +167,30 @@ class TestOneCount:
         assert {label: v.n_bigrams for label, v in built.items()} == {
             "base": 0, "vowel10": 1, "const20": 2,
         }
+
+
+class TestWordTableCount:
+    """count_bigrams counts each distinct word once, weighted by its count;
+    on a corpus where words repeat it must agree with the per-occurrence
+    oracle in counts and in first-occurrence order."""
+
+    @pytest.mark.parametrize("seed", [3, 29])
+    @pytest.mark.parametrize("scope", list(BigramScope))
+    def test_zipf_corpus_matches_per_occurrence_reference(self, classes, scope, seed):
+        corpus = zipf_corpus(seed)
+        words = list(chain.from_iterable(seq.words() for seq in corpus))
+        assert len(corpus) >= 1000 and len(words) > 10 * len(set(words))
+        first_seen = {}
+        for i, seq in enumerate(corpus):
+            for word in seq.words():
+                for pair in zip(word, word[1:]):
+                    first_seen.setdefault(pair, i)
+        assert max(first_seen.values()) >= len(corpus) // 2  # some pairs first appear late
+        inv = induce_inventory(corpus, classes)
+        got = count_bigrams(corpus, scope, inv)
+        want = reference_count_bigrams(corpus, scope, inv)
+        assert got == want
+        assert list(got) == list(want)
 
 
 class TestTopN:
