@@ -1,14 +1,21 @@
-"""Model configuration and the non-finite failures, without numpy.
+"""Model configuration, the non-finite failures and input errors, without numpy.
 
 ``ModelConfig`` and the three exceptions live here so that the commands
 that never touch the model (``augment``, ``vocab``) and the scoring layers
 load no numpy; ``bigphon.model`` and ``bigphon.training`` re-export them.
+
+``reading`` owns the rule that an input error names its file: every reader
+(manifest, rule and classification tables, vocabulary, checkpoint, feature
+array) parses inside it, and none formats its own path into a message.
 """
 
 from __future__ import annotations
 
+import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 
 class NonFiniteLoss(ArithmeticError):
@@ -21,6 +28,27 @@ class NonFiniteGradient(ArithmeticError):
 
 class NonFiniteParameter(ArithmeticError):
     pass
+
+
+@contextmanager
+def reading(path):
+    """Put `path: ` in front of the message of a ValueError (any subclass)
+    or NonFiniteParameter raised inside, keeping its type and attributes.
+    Invalid UTF-8 reads `path: line N: invalid UTF-8 byte 0xXX`."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        raw = Path(path).read_bytes()  # the decoder's offset is within one chunk
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            before = io.StringIO(raw[: exc.start].decode("utf-8"), newline=None).read()
+            raise ValueError(f"{path}: line {before.count(chr(10)) + 1}: "
+                             f"invalid UTF-8 byte 0x{raw[exc.start]:02x}") from None
+        raise
+    except (ValueError, NonFiniteParameter) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 @dataclass(frozen=True)

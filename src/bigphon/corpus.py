@@ -12,11 +12,10 @@ Lines starting with `#` are comments/provenance headers.
 
 from __future__ import annotations
 
-import io
 import random
 from dataclasses import dataclass, field
-from pathlib import Path
 
+from .config import reading
 from .g2p import RuleTable, UnmappableGrapheme, transliterate
 from .ipa import ClassificationTable, PhonemeSequence
 
@@ -112,29 +111,13 @@ def _decode_phonemes(text: str, lineno: int) -> PhonemeSequence | None:
     return PhonemeSequence(tuple(parts), tuple(cuts))
 
 
-def _utf8_lines(f, path):
-    """The lines of `f`, a file opened as UTF-8 text. Invalid UTF-8 raises a
-    ValueError that names `path`, the line and the first bad byte."""
-    try:
-        yield from f
-    except UnicodeDecodeError:
-        raw = Path(path).read_bytes()  # the decoder's offset is within one chunk
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            before = io.StringIO(raw[: exc.start].decode("utf-8"), newline=None).read()
-            raise ValueError(f"{path}: line {before.count(chr(10)) + 1}: "
-                             f"invalid UTF-8 byte 0x{raw[exc.start]:02x}") from None
-        raise
-
-
 def ingest(path) -> CorpusManifest:
     """Read a manifest TSV, keeping file order. Ids must be unique."""
     utterances: list[Utterance] = []
     split: dict[str, str] = {}
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(_utf8_lines(f, path), start=1):
+    with reading(path), open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue

@@ -34,6 +34,7 @@ import unicodedata
 from dataclasses import dataclass
 from importlib import resources
 
+from .config import reading
 from .ipa import (
     ClassificationTable,
     PhonemeSequence,
@@ -56,9 +57,11 @@ WORD_CACHE_SIZE = 1 << 16
 
 
 class RuleParseError(ValueError):
-    def __init__(self, lineno: int, message: str):
+    """`lineno` is None for an error of the table as a whole."""
+
+    def __init__(self, lineno: int | None, message: str):
         self.lineno = lineno
-        super().__init__(f"line {lineno}: {message}")
+        super().__init__(message if lineno is None else f"line {lineno}: {message}")
 
 
 class UndeclaredClass(ValueError):
@@ -141,7 +144,7 @@ class RuleTable:
     ):
         self.rules = tuple(rules)
         if not self.rules:
-            raise RuleParseError(0, "rule table is empty (no fallback coverage)")
+            raise RuleParseError(None, "rule table is empty (no fallback coverage)")
         covered = frozenset(
             r.match for r in self.rules if len(r.match) == 1 and not r.left and not r.right
         )
@@ -149,7 +152,7 @@ class RuleTable:
         missing = sorted(self.alphabet - covered)
         if missing:
             raise RuleParseError(
-                0, f"no context-free fallback rule for {', '.join(map(repr, missing))}"
+                None, f"no context-free fallback rule for {', '.join(map(repr, missing))}"
             )
         # Buckets by the first two characters of the match (the one, for a
         # single character), longest match first; the sort is stable, so
@@ -210,12 +213,9 @@ def parse_rule_table(text: str) -> RuleTable:
 
 
 def load_rule_table(path) -> RuleTable:
-    """Parse a rule file; an error in it, invalid UTF-8 included, names the file."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            return parse_rule_table(f.read())
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+    """Parse a rule file; an error in it names the file."""
+    with reading(path), open(path, encoding="utf-8") as f:
+        return parse_rule_table(f.read())
 
 
 @functools.cache

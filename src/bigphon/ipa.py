@@ -16,6 +16,8 @@ from importlib import resources
 from itertools import chain
 from typing import Iterable, Iterator
 
+from .config import reading
+
 LENGTH_MARK = ":"
 TIE_BARS = ("͡", "͜")  # ͡ (top) and ͜ (bottom)
 
@@ -118,12 +120,9 @@ class ClassificationTable:
 
     @classmethod
     def load(cls, path) -> "ClassificationTable":
-        """Parse a classification file; an error in it, invalid UTF-8 included, names the file."""
-        with open(path, encoding="utf-8") as f:
-            try:
-                return cls.from_text(f.read())
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from exc
+        """Parse a classification file; an error in it names the file."""
+        with reading(path), open(path, encoding="utf-8") as f:
+            return cls.from_text(f.read())
 
 
 @functools.cache
@@ -167,19 +166,6 @@ class PhonemeSequence:
 
     def render(self) -> str:
         return " ".join("".join(word) for word in self.words())
-
-    @classmethod
-    def from_words(cls, words: Iterable[Iterable[str]]) -> "PhonemeSequence":
-        tokens: list[str] = []
-        boundaries: list[int] = []
-        for word in words:
-            word = tuple(word)
-            if not word:
-                continue
-            if tokens:
-                boundaries.append(len(tokens))
-            tokens.extend(word)
-        return cls(tuple(tokens), tuple(boundaries))
 
 
 def segment_ipa(raw: str, table: ClassificationTable) -> PhonemeSequence:

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .bleu import BleuReport, EmptyCorpus, corpus_bleu
-from .config import NonFiniteGradient, NonFiniteLoss, NonFiniteParameter
+from .config import NonFiniteGradient, NonFiniteLoss, NonFiniteParameter, reading
 from .corpus import CorpusManifest, Utterance, require_augmented
 from .ipa import Phoneme, PhonemeInventory, SoundClass
 from .model import (
@@ -103,15 +104,16 @@ class Checkpoint:
 
 
 def load_features(path) -> np.ndarray:
-    """Externally precomputed per-frame features: a (T, F) .npy array."""
-    arr = np.load(path, allow_pickle=False)
-    if arr.dtype.kind not in "iuf":
-        raise ValueError(f"{path}: expected real numeric feature frames, got dtype {arr.dtype}")
-    if arr.ndim != 2 or arr.shape[0] == 0:
-        raise ValueError(f"{path}: expected a non-empty 2-D (frames, dim) array, got {arr.shape}")
-    arr = np.asarray(arr, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{path}: feature frames hold NaN or infinite values")
+    """Externally precomputed per-frame features: one (T, F) .npy array."""
+    with reading(path), open(path, "rb") as f:
+        arr = np.lib.format.read_array(f, allow_pickle=False)
+        if arr.dtype.kind not in "iuf":
+            raise ValueError(f"expected real numeric feature frames, got dtype {arr.dtype}")
+        if arr.ndim != 2 or arr.shape[0] == 0:
+            raise ValueError(f"expected a non-empty 2-D (frames, dim) array, got {arr.shape}")
+        arr = np.asarray(arr, dtype=np.float64)
+        if not np.isfinite(arr).all():
+            raise ValueError("feature frames hold NaN or infinite values")
     return arr
 
 
@@ -166,62 +168,65 @@ def save_checkpoint(ckpt: Checkpoint, path):
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as f:
+    with reading(path), open(path, "rb") as f:
         magic = f.read(4)
         if magic != CHECKPOINT_MAGIC:
-            raise CheckpointFormatError(f"{path}: bad magic {magic!r}")
+            raise CheckpointFormatError(f"bad magic {magic!r}")
         version = int.from_bytes(f.read(4), "little")
         if version != CHECKPOINT_VERSION:
-            raise CheckpointFormatError(f"{path}: unsupported version {version}")
+            raise CheckpointFormatError(f"unsupported version {version}")
         header_len = int.from_bytes(f.read(8), "little")
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if header_len > left:
+            raise CheckpointFormatError(
+                f"header length {header_len} exceeds the {left} bytes left in the file")
         blob = f.read(header_len)
         flat = np.fromfile(f, dtype="<f8").astype(np.float64, copy=False)
         ragged = len(f.read())  # bytes after the last whole float64
-    try:
-        header = json.loads(blob.decode("utf-8"))
-        unknown = sorted(set(header["config"]) - {f.name for f in fields(ModelConfig)})
-        if unknown:
-            raise TypeError(f"unknown config keys {unknown}")
-        for key, kind in (("epoch", int), ("variant", str)):
-            if type(header[key]) is not kind:
-                raise TypeError(f"{key} must be {kind.__name__}, got {header[key]!r}")
-        config = ModelConfig(**header["config"])
-        vocab = _vocab_from_header(header["vocab"])
-        if header["variant"] != vocab.variant:
-            raise ValueError(f"variant {header['variant']!r} differs from vocab {vocab.variant!r}")
-        dims = ModelDims(
-            target_vocab=len(vocab),
-            source_vocab=header["source_vocab"],
-            feature_dim=header["feature_dim"],
-        )
-        expected = sum(int(np.prod(shape)) for _, shape in param_index(config, dims))
-        if ragged:
-            raise CheckpointFormatError(
-                f"{path}: parameter payload is {flat.nbytes + ragged} bytes, not a whole "
-                f"number of float64 values"
+        try:
+            header = json.loads(blob.decode("utf-8"))
+            unknown = sorted(set(header["config"]) - {f.name for f in fields(ModelConfig)})
+            if unknown:
+                raise TypeError(f"unknown config keys {unknown}")
+            for key, kind in (("epoch", int), ("variant", str)):
+                if type(header[key]) is not kind:
+                    raise TypeError(f"{key} must be {kind.__name__}, got {header[key]!r}")
+            config = ModelConfig(**header["config"])
+            vocab = _vocab_from_header(header["vocab"])
+            if header["variant"] != vocab.variant:
+                raise ValueError(
+                    f"variant {header['variant']!r} differs from vocab {vocab.variant!r}")
+            dims = ModelDims(
+                target_vocab=len(vocab),
+                source_vocab=header["source_vocab"],
+                feature_dim=header["feature_dim"],
             )
-        if flat.size != expected:
-            raise CheckpointFormatError(
-                f"{path}: parameter payload has {flat.size} values, expected {expected}"
-            )
-        stored_index = [(name, tuple(shape)) for name, shape in header["param_index"]]
-        if stored_index != param_index(config, dims):
-            raise CheckpointFormatError(f"{path}: parameter index mismatch")
-        chars = header["codec_chars"]
-        codec = SourceCodec(tuple(chars)) if chars is not None else None
-        codec_size = codec.size if codec is not None else None
-        if codec_size != dims.source_vocab:
-            raise ValueError(f"codec_chars give source_vocab {codec_size}, not {dims.source_vocab}")
-    except CheckpointFormatError:
-        raise
-    except KeyError as exc:
-        raise CheckpointFormatError(f"{path}: header has no key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise CheckpointFormatError(f"{path}: bad header: {exc}") from None
-    if not np.isfinite(flat).all():
-        params = unflatten_params(flat, param_index(config, dims))
-        name = next(name for name, arr in params.items() if not np.isfinite(arr).all())
-        raise NonFiniteParameter(f"{path}: parameter {name} holds NaN or infinite values")
+            expected = sum(int(np.prod(shape)) for _, shape in param_index(config, dims))
+            if ragged:
+                raise CheckpointFormatError(f"parameter payload is {flat.nbytes + ragged} bytes, "
+                                            f"not a whole number of float64 values")
+            if flat.size != expected:
+                raise CheckpointFormatError(
+                    f"parameter payload has {flat.size} values, expected {expected}")
+            stored_index = [(name, tuple(shape)) for name, shape in header["param_index"]]
+            if stored_index != param_index(config, dims):
+                raise CheckpointFormatError("parameter index mismatch")
+            chars = header["codec_chars"]
+            codec = SourceCodec(tuple(chars)) if chars is not None else None
+            codec_size = codec.size if codec is not None else None
+            if codec_size != dims.source_vocab:
+                raise ValueError(
+                    f"codec_chars give source_vocab {codec_size}, not {dims.source_vocab}")
+        except CheckpointFormatError:
+            raise
+        except KeyError as exc:
+            raise CheckpointFormatError(f"header has no key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise CheckpointFormatError(f"bad header: {exc}") from None
+        if not np.isfinite(flat).all():
+            params = unflatten_params(flat, param_index(config, dims))
+            name = next(name for name, arr in params.items() if not np.isfinite(arr).all())
+            raise NonFiniteParameter(f"parameter {name} holds NaN or infinite values")
     return Checkpoint(header["epoch"], config, header["variant"], dims, flat, vocab, codec)
 
 

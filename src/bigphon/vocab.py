@@ -15,6 +15,7 @@ from enum import Enum
 from itertools import chain
 from typing import Iterable, Sequence
 
+from .config import reading
 from .ipa import PhonemeInventory, PhonemeSequence, SoundClass
 
 SPECIALS = ("PAD", "BOS", "EOS", "UNK")
@@ -272,32 +273,23 @@ def write_vocab(vocab: Vocabulary, path):
 
 def read_vocab(path, inventory: PhonemeInventory) -> Vocabulary:
     """Rebuild a vocabulary from its file, validated against an inventory;
-    an error in it, invalid UTF-8 included, names the file."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            return _parse_vocab(f.read().splitlines(), inventory)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-
-
-def _parse_vocab(lines: list[str], inventory: PhonemeInventory) -> Vocabulary:
-    if not lines or not lines[0].startswith("#variant="):
-        raise ValueError("missing vocabulary header")
-    header = dict(
-        item.split("=", 1) for item in lines[0].lstrip("#").split() if "=" in item
-    )
-    variant = header.get("variant", "")
-    units = lines[1:]
-    if units[: len(SPECIALS)] != list(SPECIALS):
-        raise ValueError(f"expected specials {SPECIALS} first")
-    atoms: list[str] = []
-    bigrams: list[tuple[str, str]] = []
-    for line in units[len(SPECIALS) :]:
-        if "+" in line:
-            a, _, b = line.partition("+")
-            bigrams.append((a, b))
-        else:
-            atoms.append(line)
-    if tuple(atoms) != inventory.symbols:
-        raise ValueError("atom list does not match the given inventory")
-    return Vocabulary(inventory, bigrams, variant)
+    an error in it names the file."""
+    with reading(path), open(path, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+        if not lines or not lines[0].startswith("#variant="):
+            raise ValueError("missing vocabulary header")
+        header = dict(item.split("=", 1) for item in lines[0].lstrip("#").split() if "=" in item)
+        units = lines[1:]
+        if units[: len(SPECIALS)] != list(SPECIALS):
+            raise ValueError(f"expected specials {SPECIALS} first")
+        atoms: list[str] = []
+        bigrams: list[tuple[str, str]] = []
+        for line in units[len(SPECIALS) :]:
+            if "+" in line:
+                a, _, b = line.partition("+")
+                bigrams.append((a, b))
+            else:
+                atoms.append(line)
+        if tuple(atoms) != inventory.symbols:
+            raise ValueError("atom list does not match the given inventory")
+        return Vocabulary(inventory, bigrams, header.get("variant", ""))

@@ -86,6 +86,21 @@ def make_toy_manifest(n: int, seed: int, sizes=None, rules=None, classes=None):
     return manifest
 
 
+def from_words(words) -> PhonemeSequence:
+    """A phoneme sequence whose words are `words`, each an iterable of
+    tokens; empty words are skipped."""
+    tokens: list[str] = []
+    boundaries: list[int] = []
+    for word in words:
+        word = tuple(word)
+        if not word:
+            continue
+        if tokens:
+            boundaries.append(len(tokens))
+        tokens.extend(word)
+    return PhonemeSequence(tuple(tokens), tuple(boundaries))
+
+
 def last_checkpoint(outdir, config: ModelConfig) -> Checkpoint:
     """The last checkpoint that `train` wrote under `outdir` with `config`."""
     return load_checkpoint(Path(outdir) / f"epoch{config.epochs:04d}.ckpt")
@@ -100,7 +115,7 @@ def synthetic_corpus() -> list[PhonemeSequence]:
     for a in SYNTH_CONSONANTS[:6]:
         for b in SYNTH_CONSONANTS[:6]:
             words.append([a, b])
-    return [PhonemeSequence.from_words([w]) for w in words]
+    return [from_words([w]) for w in words]
 
 
 def zipf_corpus(seed: int, n_seqs: int = 1200) -> list[PhonemeSequence]:
@@ -118,7 +133,7 @@ def zipf_corpus(seed: int, n_seqs: int = 1200) -> list[PhonemeSequence]:
         words = rng.choices(lexicon, weights, k=rng.randint(1, 12))
         if 2 * i >= n_seqs and rng.random() < 0.1:
             words.insert(rng.randint(0, len(words)), rng.choice(late))
-        corpus.append(PhonemeSequence.from_words(words))
+        corpus.append(from_words(words))
     return corpus
 
 

@@ -16,7 +16,7 @@ from bigphon.analysis import align, detect_dropouts, detect_repetitions, detect_
 from bigphon.cli import main
 from bigphon.corpus import CorpusManifest, Utterance, augment, filter_by_length, split_corpus
 from bigphon.g2p import transliterate
-from bigphon.ipa import PhonemeSequence, induce_inventory, normalize_symbols, segment_ipa
+from bigphon.ipa import induce_inventory, normalize_symbols, segment_ipa
 from bigphon.model import (
     ModelConfig,
     ModelDims,
@@ -32,6 +32,7 @@ from bigphon.training import decode_split, encode_source, train
 from bigphon.vocab import VARIANT_LABELS, build_all_variants, build_variant, detokenize, parse_variant, tokenize
 
 from conftest import (
+    from_words,
     gradient,
     last_checkpoint,
     make_toy_manifest,
@@ -99,7 +100,7 @@ def test_criterion_03_tokenizer_round_trip(classes):
                 [symbols[i] for i in rng.integers(0, len(symbols), size=rng.integers(1, 8))]
                 for _ in range(n_words)
             ]
-            sequences.append(PhonemeSequence.from_words(words))
+            sequences.append(from_words(words))
         for label in VARIANT_LABELS:
             vocab = vocabs[label]
             for seq in sequences:

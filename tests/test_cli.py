@@ -469,7 +469,7 @@ class TestTrainEvaluateErrors:
 
 
 BAD_UTF8_VOCAB = b"#variant=base\n\xff\n"
-BAD_UTF8_VOCAB_MESSAGE = "'utf-8' codec can't decode byte 0xff in position 14: invalid start byte"
+BAD_UTF8_VOCAB_MESSAGE = "line 2: invalid UTF-8 byte 0xff"
 
 
 class TestInputErrors:
@@ -698,8 +698,8 @@ class TestInputErrors:
     @pytest.mark.parametrize("flag, content, message", [
         ("--rules", b"a\ta\t_\n", "line 1: expected 2 or 4 tab-separated fields, got 3"),
         ("--classes", b"a\tX\n", "bad classification line 1: 'a\\tX'"),
-        ("--rules", b"a\t\xff\n", "'utf-8' codec can't decode byte 0xff in position 2"),
-        ("--classes", b"\xff\tV\n", "'utf-8' codec can't decode byte 0xff in position 0"),
+        ("--rules", b"a\t\xff\n", "line 1: invalid UTF-8 byte 0xff"),
+        ("--classes", b"\xff\tV\n", "line 1: invalid UTF-8 byte 0xff"),
     ], ids=["rules", "classes", "rules-utf8", "classes-utf8"])
     def test_bad_table_file_error_names_the_file(self, tmp_path, capsys, flag, content,
                                                  message):

@@ -19,6 +19,8 @@ from bigphon.corpus import (
 from bigphon.g2p import UnmappableGrapheme
 from bigphon.ipa import PhonemeSequence
 
+from conftest import from_words
+
 
 def write_tsv(tmp_path, rows, name="corpus.tsv"):
     path = tmp_path / name
@@ -98,12 +100,12 @@ class TestPhonemeColumn:
         path = write_tsv(tmp_path, [("u", "eins", "a"), ("v", "zwei", column, "train")])
         with pytest.raises(ManifestParseError) as exc:
             ingest(path)
-        assert str(exc.value) == "line 2: empty token in phoneme column"
+        assert str(exc.value) == f"{path}: line 2: empty token in phoneme column"
         assert exc.value.lineno == 2
 
     def test_multi_token_words_round_trip(self, tmp_path):
         words = [("a", "l", "s"), ("t͡s", "v", "aɪ"), ("iː",), ("d", "eː", "m")]
-        seq = PhonemeSequence.from_words(words)
+        seq = from_words(words)
         path = tmp_path / "m.tsv"
         write_manifest(CorpusManifest((Utterance("u", "als zwei ih dem", seq),)), path)
         column = "a l s | t͡s v aɪ | iː | d eː m"

@@ -76,6 +76,15 @@ class TestParse:
             parse_rule_table("::alphabet = ab\na\ta\n")
         assert "fallback" in str(exc.value)
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "rule table is empty (no fallback coverage)"),
+        ("::alphabet = ab\na\ta\n", "no context-free fallback rule for 'b'"),
+    ], ids=["empty", "no-fallback"])
+    def test_whole_table_errors_claim_no_line(self, text, message):
+        with pytest.raises(RuleParseError) as exc:
+            parse_rule_table(text)
+        assert str(exc.value) == message and exc.value.lineno is None
+
     def test_bad_field_count(self):
         with pytest.raises(RuleParseError):
             parse_rule_table("a\ta\t_\n")

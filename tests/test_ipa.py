@@ -25,7 +25,7 @@ from bigphon.ipa import (
     segment_ipa,
 )
 
-from conftest import zipf_corpus
+from conftest import from_words, zipf_corpus
 
 
 class TestSegmentIpa:
@@ -126,7 +126,7 @@ class TestPhonemeSequence:
             PhonemeSequence(("a", "b", "c"), (2, 1))
 
     def test_from_words_skips_empty(self):
-        seq = PhonemeSequence.from_words([["a"], [], ["b", "c"]])
+        seq = from_words([["a"], [], ["b", "c"]])
         assert seq.tokens == ("a", "b", "c")
         assert seq.boundaries == (1,)
 

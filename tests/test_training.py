@@ -232,6 +232,16 @@ class TestCheckpointIO:
             load_checkpoint(path)
         assert str(exc.value).startswith(f"{path}: parameter payload is {payload} bytes,")
 
+    def test_header_length_past_the_end_is_a_format_error(self, tmp_path, saved):
+        """A corrupt length is checked against the file, not handed to read()."""
+        blob = saved.read_bytes()
+        path = tmp_path / "long.ckpt"
+        path.write_bytes(blob[:8] + (1 << 62).to_bytes(8, "little") + blob[16:])
+        with pytest.raises(CheckpointFormatError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == (
+            f"{path}: header length {1 << 62} exceeds the {len(blob) - 16} bytes left in the file")
+
     def test_non_finite_parameters_name_the_first(self, tmp_path, saved):
         ckpt = load_checkpoint(saved)
         ckpt.params["out_w"][3, 1] = np.nan
@@ -284,6 +294,19 @@ class TestFeatureMode:
             np.save(path, np.zeros(shape))
             with pytest.raises(ValueError):
                 load_features(path)
+
+    @pytest.mark.parametrize("write, message", [
+        (lambda f: None, "EOF: reading magic string, expected 8 bytes got 0"),
+        (lambda f: np.savez(f, frames=np.ones((4, 3))),
+         "the magic string is not correct; expected b'\\x93NUMPY', got b'PK\\x03\\x04-\\x00'"),
+    ], ids=["empty", "npz"])
+    def test_load_features_takes_only_one_npy_array(self, tmp_path, write, message):
+        path = tmp_path / "frames.npy"
+        with open(path, "wb") as f:
+            write(f)
+        with pytest.raises(ValueError) as exc:
+            load_features(path)
+        assert str(exc.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_load_features_rejects_non_finite_frames(self, tmp_path, value):

@@ -35,12 +35,12 @@ from bigphon.vocab import (
     write_vocab,
 )
 
-from conftest import (SYNTH_CONSONANTS, SYNTH_VOWELS, make_toy_manifest, synthetic_corpus,
-                      zipf_corpus)
+from conftest import (SYNTH_CONSONANTS, SYNTH_VOWELS, from_words, make_toy_manifest,
+                      synthetic_corpus, zipf_corpus)
 
 
 def seqs(*word_lists):
-    return [PhonemeSequence.from_words(w) for w in word_lists]
+    return [from_words(w) for w in word_lists]
 
 
 def reference_count_bigrams(corpus, scope, inventory):
@@ -354,7 +354,7 @@ class TestDetokenize:
                 [symbols[i] for i in rng.integers(0, 49, size=rng.integers(1, 7))]
                 for _ in range(n_words)
             ]
-            seq = PhonemeSequence.from_words(words)
+            seq = from_words(words)
             assert detokenize(tokenize(seq, vocab), vocab) == seq
 
 
