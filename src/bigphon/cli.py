@@ -17,13 +17,13 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
-from .config import ModelConfig, NonFiniteGradient, NonFiniteLoss, NonFiniteParameter
+from .config import ModelConfig, NonFiniteGradient, NonFiniteLoss, NonFiniteParameter, reading
 from .corpus import (
+    SPLIT_NAMES,
     augment,
     check_split_sizes,
     filter_by_length,
     ingest,
-    require_augmented,
     split_corpus,
     write_manifest,
 )
@@ -84,7 +84,8 @@ def cmd_augment(args) -> int:
     if removed and not manifest.utterances:
         raise ValueError(f"--max-chars {args.max_chars} removes all {n_in} rows")
     check_split_sizes(sizes, len(manifest))
-    manifest = augment(manifest, rules, table)
+    with reading(args.manifest):
+        manifest = augment(manifest, rules, table)
     manifest = split_corpus(manifest, sizes, args.seed)
     write_manifest(
         manifest,
@@ -101,19 +102,11 @@ def cmd_augment(args) -> int:
     return 0
 
 
-def _corpus_and_inventory(manifest, table):
-    require_augmented(manifest.utterances)
-    inventory = induce_inventory([u.phonemes for u in manifest.utterances], table)
-    train_seqs = [u.phonemes for u in manifest.by_split("train")]
-    if not train_seqs:
-        raise ValueError("manifest has no train split; run `bigphon augment` first")
-    return inventory, train_seqs
-
-
 def cmd_vocab(args) -> int:
     table = _load_classes(args)
-    manifest = ingest(args.manifest)
-    inventory, train_seqs = _corpus_and_inventory(manifest, table)
+    manifest = ingest(args.manifest, ("train",))
+    inventory = induce_inventory([u.phonemes for u in manifest.utterances], table)
+    train_seqs = [u.phonemes for u in manifest.by_split("train")]
     labels = VARIANT_LABELS if args.all else (args.variant,)
     out = Path(args.out)
     if args.all:
@@ -131,11 +124,8 @@ def cmd_train(args) -> int:
     from .training import train
 
     table = _load_classes(args)
-    manifest = ingest(args.manifest)
-    inventory, _ = _corpus_and_inventory(manifest, table)
-    if not manifest.by_split("valid"):
-        raise ValueError("manifest has no valid split, so valid loss cannot be measured; "
-                         "give `bigphon augment --split` a nonzero valid count")
+    manifest = ingest(args.manifest, ("train", "valid"))
+    inventory = induce_inventory([u.phonemes for u in manifest.utterances], table)
     vocab = read_vocab(args.vocab, inventory)
     config = ModelConfig(**{f.name: getattr(args, f.name) for f in fields(ModelConfig)})
     outdir = Path(args.outdir)
@@ -203,7 +193,7 @@ def cmd_evaluate(args) -> int:
                     for p in ([arg] if Path(arg).is_file() else glob.glob(arg))})
     if not paths:
         raise FileNotFoundError(f"no checkpoints match {args.ckpt}")
-    manifest = ingest(args.manifest)
+    manifest = ingest(args.manifest, (args.split,))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     grid: dict[int, dict[str, float]] = {}
@@ -230,7 +220,7 @@ def cmd_errors(args) -> int:
 
     check_repetition_bounds(args.min_period, args.min_copies)
     rules, table = _load_tables(args)
-    manifest = ingest(args.manifest)
+    manifest = ingest(args.manifest, (args.split,))
     ckpt = load_checkpoint(args.ckpt)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -323,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--vocab-dir", help="cross-check checkpoint vocabularies against files")
-    p.add_argument("--split", default="test")
+    p.add_argument("--split", choices=SPLIT_NAMES, default="test")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("errors", help="error analysis of one checkpoint on a split")
@@ -332,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--rules")
     p.add_argument("--classes")
-    p.add_argument("--split", default="test")
+    p.add_argument("--split", choices=SPLIT_NAMES, default="test")
     p.add_argument("--min-period", type=int, default=3)
     p.add_argument("--min-copies", type=int, default=2)
     p.set_defaults(func=cmd_errors)
@@ -341,14 +331,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    out = Path(getattr(args, "out", None) or args.outdir)
+    existed = out.exists()
     try:
         return args.func(args)
-    except NUMERIC_FAILURES as exc:
-        print(f"bigphon: numeric failure: {exc}", file=sys.stderr)
-        return 3
-    except INPUT_ERRORS as exc:
-        print(f"bigphon: error: {exc}", file=sys.stderr)
-        return 2
+    except (*NUMERIC_FAILURES, *INPUT_ERRORS) as exc:
+        if not existed and out.is_dir() and not any(out.iterdir()):
+            out.rmdir()  # a failed command leaves no empty output directory behind
+        label, code = ("numeric failure", 3) if isinstance(exc, NUMERIC_FAILURES) else ("error", 2)
+        print(f"bigphon: {label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

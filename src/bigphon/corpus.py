@@ -74,16 +74,6 @@ class CorpusManifest:
         return sizes
 
 
-def require_augmented(utterances) -> None:
-    """Raise ValueError naming the first utterance whose phoneme transcription
-    is missing or empty; callers check every row before doing any work."""
-    for utt in utterances:
-        if utt.phonemes is None:
-            raise ValueError(f"utterance {utt.utt_id!r} is not augmented")
-        if not utt.phonemes:
-            raise ValueError(f"utterance {utt.utt_id!r} has no phonemes: {utt.text!r}")
-
-
 def _encode_phonemes(seq: PhonemeSequence | None) -> str:
     if seq is None:
         return ""
@@ -111,8 +101,13 @@ def _decode_phonemes(text: str, lineno: int) -> PhonemeSequence | None:
     return PhonemeSequence(tuple(parts), tuple(cuts))
 
 
-def ingest(path) -> CorpusManifest:
-    """Read a manifest TSV, keeping file order. Ids must be unique."""
+def ingest(path, splits=()) -> CorpusManifest:
+    """Read a manifest TSV, keeping file order. Ids must be unique.
+
+    `splits` names the splits the caller reads. When it names any, every row
+    must hold phonemes and each named split must have a row. Each error
+    names the file, and a row's error its line.
+    """
     utterances: list[Utterance] = []
     split: dict[str, str] = {}
     seen: set[str] = set()
@@ -133,18 +128,20 @@ def ingest(path) -> CorpusManifest:
             seen.add(utt_id)
             if not text:
                 raise ManifestParseError(lineno, "missing text column")
-            utterances.append(
-                Utterance(
-                    utt_id,
-                    text,
-                    phonemes=_decode_phonemes(phon_col, lineno),
-                    feature_path=feat_col or None,
-                )
-            )
+            phonemes = _decode_phonemes(phon_col, lineno)
+            if splits and phonemes is None:
+                raise ManifestParseError(lineno, f"utterance {utt_id!r} is not augmented")
+            if splits and not phonemes:
+                raise ManifestParseError(lineno, f"utterance {utt_id!r} has no phonemes: {text!r}")
+            utterances.append(Utterance(utt_id, text, phonemes, feat_col or None))
             if split_col:
                 if split_col not in SPLIT_NAMES:
                     raise ManifestParseError(lineno, f"unknown split {split_col!r}")
                 split[utt_id] = split_col
+        for name in splits:
+            if name not in split.values():
+                raise ValueError(f"no {name!r} split; give `bigphon augment --split` "
+                                 f"a nonzero {name} count")
     return CorpusManifest(tuple(utterances), split)
 
 

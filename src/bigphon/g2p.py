@@ -179,7 +179,7 @@ def parse_rule_table(text: str) -> RuleTable:
     classes: dict[str, frozenset[str]] = {}
     alphabet: frozenset[str] | None = None
     rules: list[RewriteRule] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         if line.startswith("::"):

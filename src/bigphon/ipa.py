@@ -108,13 +108,13 @@ class ClassificationTable:
     @classmethod
     def from_text(cls, text: str) -> "ClassificationTable":
         mapping: dict[str, SoundClass] = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
+        for lineno, line in enumerate(text.split("\n"), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split("\t")
             if len(parts) != 2 or len(parts[0]) != 1 or parts[1] not in ("V", "C"):
-                raise ValueError(f"bad classification line {lineno}: {line!r}")
+                raise ValueError(f"line {lineno}: bad classification entry {line!r}")
             mapping[parts[0]] = SoundClass(parts[1])
         return cls(mapping)
 

@@ -17,14 +17,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .bleu import BleuReport, EmptyCorpus, corpus_bleu
+from .bleu import BleuReport, corpus_bleu
 from .config import NonFiniteGradient, NonFiniteLoss, NonFiniteParameter, reading
-from .corpus import CorpusManifest, Utterance, require_augmented
+from .corpus import CorpusManifest, Utterance
 from .ipa import Phoneme, PhonemeInventory, SoundClass
 from .model import (
     DecodeResult,
     ModelConfig,
     ModelDims,
+    ShapeMismatch,
     batch_loss_and_dlogits,
     flatten_params,
     forward_batch,
@@ -103,28 +104,32 @@ class Checkpoint:
         return unflatten_params(self.params_flat, param_index(self.config, self.dims))
 
 
-def load_features(path) -> np.ndarray:
-    """Externally precomputed per-frame features: one (T, F) .npy array."""
+def load_features(path, feature_dim: int | None = None) -> np.ndarray:
+    """Externally precomputed per-frame features: one (T, F) .npy array,
+    with F equal to `feature_dim` when that is given."""
     with reading(path), open(path, "rb") as f:
         arr = np.lib.format.read_array(f, allow_pickle=False)
         if arr.dtype.kind not in "iuf":
             raise ValueError(f"expected real numeric feature frames, got dtype {arr.dtype}")
         if arr.ndim != 2 or arr.shape[0] == 0:
             raise ValueError(f"expected a non-empty 2-D (frames, dim) array, got {arr.shape}")
+        if feature_dim is not None and arr.shape[1] != feature_dim:
+            raise ShapeMismatch(f"feature array {arr.shape} does not match "
+                                f"feature_dim={feature_dim}")
         arr = np.asarray(arr, dtype=np.float64)
         if not np.isfinite(arr).all():
             raise ValueError("feature frames hold NaN or infinite values")
     return arr
 
 
-def encode_source(utt: Utterance, codec: SourceCodec | None):
+def encode_source(utt: Utterance, codec: SourceCodec | None, feature_dim: int | None = None):
     """Model input for one utterance: its text's codec ids, or its features
     when there is no codec (feature mode)."""
     if codec is not None:
         return codec.encode(utt.text)
     if not utt.feature_path:
         raise ValueError(f"utterance {utt.utt_id!r} has no feature_path")
-    return load_features(utt.feature_path)
+    return load_features(utt.feature_path, feature_dim)
 
 
 def _vocab_header(vocab: Vocabulary) -> dict:
@@ -230,10 +235,10 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(header["epoch"], config, header["variant"], dims, flat, vocab, codec)
 
 
-def _prepare_examples(utterances, vocab: Vocabulary, codec: SourceCodec | None):
+def _prepare_examples(utterances, vocab: Vocabulary, codec: SourceCodec | None, feature_dim):
     sources, targets = [], []
     for utt in utterances:
-        sources.append(encode_source(utt, codec))
+        sources.append(encode_source(utt, codec, feature_dim))
         targets.append(tokenize(utt.phonemes, vocab).ids)
     return sources, targets
 
@@ -285,7 +290,6 @@ def train(
     valid_utts = manifest.by_split("valid")
     if not train_utts:
         raise ValueError("manifest has no train split")
-    require_augmented(train_utts + valid_utts)
 
     if source_mode == "text":
         codec = SourceCodec.from_texts([u.text for u in train_utts])
@@ -295,8 +299,8 @@ def train(
         first = encode_source(train_utts[0], None)
         dims = ModelDims(target_vocab=len(vocab), feature_dim=first.shape[1])
 
-    train_src, train_tgt = _prepare_examples(train_utts, vocab, codec)
-    valid_src, valid_tgt = _prepare_examples(valid_utts, vocab, codec)
+    train_src, train_tgt = _prepare_examples(train_utts, vocab, codec, dims.feature_dim)
+    valid_src, valid_tgt = _prepare_examples(valid_utts, vocab, codec, dims.feature_dim)
 
     seeds = np.random.SeedSequence(config.seed).spawn(3)
     rng_init = np.random.default_rng(seeds[0])
@@ -362,16 +366,15 @@ def decode_split(
     """Greedy-decode every utterance of a split under a checkpoint and
     BLEU-score the decodes against the reference atom sequences.
 
-    The split must be non-empty and augmented; both are checked before the
-    first decode.
+    It checks nothing: the commands read the manifest with `ingest(path,
+    (split,))`, which requires the split's rows and every row's phonemes.
+    An empty split raises `EmptyCorpus` from `corpus_bleu`.
     """
     utts = manifest.by_split(split)
-    if not utts:
-        raise EmptyCorpus(f"manifest has no {split!r} split")
-    require_augmented(utts)
     params = ckpt.params
     decoded = [
-        (utt, greedy_decode(params, ckpt.config, encode_source(utt, ckpt.codec), ckpt.vocab))
+        (utt, greedy_decode(params, ckpt.config,
+                            encode_source(utt, ckpt.codec, ckpt.dims.feature_dim), ckpt.vocab))
         for utt in utts
     ]
     report = corpus_bleu(

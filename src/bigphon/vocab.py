@@ -275,8 +275,8 @@ def read_vocab(path, inventory: PhonemeInventory) -> Vocabulary:
     """Rebuild a vocabulary from its file, validated against an inventory;
     an error in it names the file."""
     with reading(path), open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
-        if not lines or not lines[0].startswith("#variant="):
+        lines = f.read().removesuffix("\n").split("\n")
+        if not lines[0].startswith("#variant="):
             raise ValueError("missing vocabulary header")
         header = dict(item.split("=", 1) for item in lines[0].lstrip("#").split() if "=" in item)
         units = lines[1:]

@@ -96,7 +96,7 @@ class TestAugment:
         rc = main(["augment", "--manifest", str(raw), "--out", str(out), "--split", "3,0,0"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err == "bigphon: error: utterance 'u001' has no phonemes: '... !'\n"
+        assert err == f"bigphon: error: {raw}: utterance 'u001' has no phonemes: '... !'\n"
         assert not out.exists()
 
     def test_size_mismatch_exits_2(self, tmp_path):
@@ -311,9 +311,9 @@ class TestTrainEvaluateErrors:
         capsys.readouterr()
         outdir = tmp_path / "run"
         assert main(train_args(mpath, vocab_path, outdir)) == 2
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        assert err.startswith("bigphon: error: manifest has no valid split")
+        assert capsys.readouterr().err == (
+            f"bigphon: error: {mpath}: no 'valid' split; "
+            "give `bigphon augment --split` a nonzero valid count\n")
         assert not outdir.exists()
 
     def test_trace_row_count_matches_epochs(self, tmp_path, augmented_manifest):
@@ -514,11 +514,12 @@ class TestInputErrors:
         assert err.count("\n") == 1
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("command", ["train", "vocab", "evaluate"])
+    @pytest.mark.parametrize("command", ["train", "vocab", "evaluate", "errors"])
     def test_unaugmented_row_exits_2(self, tmp_path, augmented_manifest, vocab_path, capsys,
                                      command):
         m = ingest(augmented_manifest)
         first, second = (u.utt_id for u in m.by_split("test"))
+        lineno = [u.utt_id for u in m.utterances].index(first) + 1  # no header lines
         utts = tuple(replace(u, phonemes=None) if u.utt_id in (first, second) else u
                      for u in m.utterances)
         mpath = tmp_path / "bad.tsv"
@@ -531,9 +532,12 @@ class TestInputErrors:
             "vocab": ["vocab", "--manifest", str(mpath), "--all", "--out", str(tmp_path / "v")],
             "evaluate": ["evaluate", "--ckpt", str(run / "epoch0002.ckpt"),
                          "--manifest", str(mpath), "--out", str(tmp_path / "e")],
+            "errors": ["errors", "--ckpt", str(run / "epoch0002.ckpt"),
+                       "--manifest", str(mpath), "--out", str(tmp_path / "e")],
         }[command]
         assert main(args) == 2
-        assert capsys.readouterr().err == f"bigphon: error: utterance {first!r} is not augmented\n"
+        assert capsys.readouterr().err == (
+            f"bigphon: error: {mpath}: line {lineno}: utterance {first!r} is not augmented\n")
 
     @pytest.mark.parametrize("command", ["vocab", "train", "evaluate", "errors"])
     def test_row_with_no_phonemes_exits_2(self, tmp_path, augmented_manifest, vocab_path, capsys,
@@ -548,6 +552,7 @@ class TestInputErrors:
             if cols[0] == empty.utt_id:
                 cols[2] = "|"
                 lines[i] = "\t".join(cols)
+                lineno = i + 1
         mpath = tmp_path / "empty.tsv"
         mpath.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert ingest(mpath).utterances[m.utterances.index(empty)].phonemes == PhonemeSequence()
@@ -564,8 +569,19 @@ class TestInputErrors:
                        "--out", str(tmp_path / "x")],
         }[command]
         assert main(args) == 2
-        assert capsys.readouterr().err == (
-            f"bigphon: error: utterance {empty.utt_id!r} has no phonemes: {empty.text!r}\n")
+        assert capsys.readouterr().err == (f"bigphon: error: {mpath}: line {lineno}: "
+                                           f"utterance {empty.utt_id!r} has no phonemes: "
+                                           f"{empty.text!r}\n")
+
+    @pytest.mark.parametrize("command", ["evaluate", "errors"])
+    def test_unknown_split_rejected_by_argparse(self, tmp_path, augmented_manifest, capsys,
+                                                command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--ckpt", str(tmp_path / "x.ckpt"), "--manifest",
+                  str(augmented_manifest), "--out", str(tmp_path / "out"), "--split", "bogus"])
+        assert exc.value.code == 2
+        assert "argument --split: invalid choice: 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "errors"])
     def test_seed_flag_rejected(self, tmp_path, augmented_manifest, command):
@@ -697,7 +713,7 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("flag, content, message", [
         ("--rules", b"a\ta\t_\n", "line 1: expected 2 or 4 tab-separated fields, got 3"),
-        ("--classes", b"a\tX\n", "bad classification line 1: 'a\\tX'"),
+        ("--classes", b"a\tX\n", "line 1: bad classification entry 'a\\tX'"),
         ("--rules", b"a\t\xff\n", "line 1: invalid UTF-8 byte 0xff"),
         ("--classes", b"\xff\tV\n", "line 1: invalid UTF-8 byte 0xff"),
     ], ids=["rules", "classes", "rules-utf8", "classes-utf8"])
@@ -857,6 +873,7 @@ class TestInputErrors:
     ):
         m = ingest(augmented_manifest)
         last_test = m.by_split("test")[-1].utt_id
+        lineno = [u.utt_id for u in m.utterances].index(last_test) + 1  # no header lines
         if defect == "unaugmented":
             utts = tuple(replace(u, phonemes=None) if u.utt_id == last_test else u
                          for u in m.utterances)
@@ -874,8 +891,11 @@ class TestInputErrors:
                    "--out", str(tmp_path / "out")])
         assert rc == 2
         assert calls == []
-        expected = last_test if defect == "unaugmented" else "no 'test' split"
-        assert expected in capsys.readouterr().err
+        expected = (f"line {lineno}: utterance {last_test!r} is not augmented"
+                    if defect == "unaugmented" else
+                    "no 'test' split; give `bigphon augment --split` a nonzero test count")
+        assert capsys.readouterr().err == f"bigphon: error: {mpath}: {expected}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestDeterminism:

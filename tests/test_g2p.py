@@ -93,6 +93,18 @@ class TestParse:
         table = parse_rule_table("# a comment\n\n::alphabet = a\na\tx\n")
         assert len(table.rules) == 1
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c"],
+                             ids=["u2028", "u2029", "x85", "x0b", "x0c", "x1c"])
+    def test_lines_break_at_newline_only(self, separator):
+        """A comment holding another line separator stays one comment line, and
+        a later error names its line as newlines count it."""
+        text = f"# one{separator}two\n::alphabet = a\na\tx\n"
+        assert len(parse_rule_table(text).rules) == 1
+        with pytest.raises(RuleParseError) as exc:
+            parse_rule_table(text + "b\tx\t_\n")
+        assert str(exc.value) == "line 4: expected 2 or 4 tab-separated fields, got 3"
+        assert exc.value.lineno == 4
+
 
 class TestToyTransliterate:
     @pytest.fixture()

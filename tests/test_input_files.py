@@ -1,9 +1,10 @@
 """Every input file the commands read, corrupted, ends in exit 2 (3 for a
-non-finite parameter) and one stderr line that names the file.
+non-finite parameter), one stderr line that names the file, and no output.
 
 Each file gets a bad UTF-8 byte or garbage bytes, a truncation and a bad
-field, and each corrupted copy runs through `cli.main` in-process. This is
-a hand-listed table; a seeded mutator would draw the corruptions instead.
+field, and each corrupted copy runs through `cli.main` in-process, once for
+each command of its case that reads that file. This is a hand-listed table;
+a seeded mutator would draw the corruptions instead.
 """
 
 from __future__ import annotations
@@ -53,67 +54,127 @@ def _phoneme_column_cut(data: bytes) -> bytes:
     return data[: data.index(b" ", column) + 1]
 
 
-# (case id, file, corruption, exit code, expected message after `PATH: `).
-CASES = [
-    ("raw-utf8", "raw", _swap(b"kind", b"k\xffnd"), 2, "line 2: invalid UTF-8 byte 0xff"),
-    ("raw-truncated", "raw", _cut_after(b"u000\t", 4), 2, "line 1: missing text column"),
-    ("raw-split", "raw", _swap(b"als sie\n", b"als sie\t\tbogus\n"), 2,
-     "line 1: unknown split 'bogus'"),
-    ("manifest-garbage", "manifest", lambda data: b"\x80" + data, 2,
-     "line 1: invalid UTF-8 byte 0x80"),
-    ("manifest-truncated", "manifest", _phoneme_column_cut, 2,
-     "line 1: empty token in phoneme column"),
-    ("manifest-duplicate", "manifest", lambda data: data.split(b"\n", 1)[0] + b"\n" + data, 2,
-     "line 2: duplicate utterance id 'u0000'"),
-    ("rules-utf8", "rules", _swap(b"der\t", b"d\xffr\t"), 2, "line 18: invalid UTF-8 byte 0xff"),
-    ("rules-truncated", "rules", _cut_after(b"der\t", 3), 2,
-     "line 18: expected 2 or 4 tab-separated fields, got 1"),
-    ("rules-alphabet", "rules", _swap(b"\xc3\xbc\xc3\x9f\n", b"\xc3\xbc\xc3\x9f0\n"), 2,
-     "no context-free fallback rule for '0'"),
-    ("classes-utf8", "classes", _swap(b"a\tV", b"\xff\tV"), 2, "line 4: invalid UTF-8 byte 0xff"),
-    ("classes-truncated", "classes", _cut_after(b"a\tV", 2), 2, "bad classification line 4: 'a'"),
-    ("classes-class", "classes", _swap(b"a\tV", b"a\tX"), 2,
-     "bad classification line 4: 'a\\tX'"),
-    ("vocab-garbage", "vocab", lambda data: b"\xff" + data, 2, "line 1: invalid UTF-8 byte 0xff"),
-    ("vocab-truncated", "vocab", _cut_after(b"BOS\n", 4), 2,
-     "expected specials ('PAD', 'BOS', 'EOS', 'UNK') first"),
-    ("vocab-variant", "vocab", _swap(b"variant=base", b"variant=bogus"), 2,
-     "unknown vocabulary variant 'bogus'"),
-    ("vocab-dir-utf8", "vocab-dir", _swap(b"PAD", b"P\xffD"), 2,
+def _text_column_cut(data: bytes) -> bytes:
+    """Cut the last row three characters into its text column."""
+    last_row = data.rindex(b"\n", 0, len(data) - 1) + 1
+    return data[: data.index(b"\t", last_row) + 4]
+
+
+def _first_phoneme_column(column: bytes):
+    """Replace the first row's phoneme column."""
+    def edit(data: bytes) -> bytes:
+        first, rest = data.split(b"\n", 1)
+        cols = first.split(b"\t")
+        cols[2] = column
+        return b"\t".join(cols) + b"\n" + rest
+    return edit
+
+
+def _prepend(line: str, then):
+    """Put `line` before line 1, then apply `then`."""
+    return lambda data: line.encode("utf-8") + b"\n" + then(data)
+
+
+MODEL_COMMANDS = ("vocab", "train", "evaluate", "errors")
+FEATURE_COMMANDS = ("train", "evaluate")
+NO_SPLIT = "no '{0}' split; give `bigphon augment --split` a nonzero {0} count"
+
+# (case id, file, commands, corruption, exit code, expected message after
+# `PATH: `). The first command runs under the case id, each later one under
+# the id with `-COMMAND` appended.
+TABLE = [
+    ("raw-utf8", "raw", ("augment",), _swap(b"kind", b"k\xffnd"), 2,
      "line 2: invalid UTF-8 byte 0xff"),
-    ("vocab-dir-truncated", "vocab-dir", _cut_after(b"\n", 1), 2,
+    ("raw-truncated", "raw", ("augment",), _cut_after(b"u000\t", 4), 2,
+     "line 1: missing text column"),
+    ("raw-split", "raw", ("augment",), _swap(b"als sie\n", b"als sie\t\tbogus\n"), 2,
+     "line 1: unknown split 'bogus'"),
+    ("manifest-garbage", "manifest", MODEL_COMMANDS, lambda data: b"\x80" + data, 2,
+     "line 1: invalid UTF-8 byte 0x80"),
+    ("manifest-truncated", "manifest", MODEL_COMMANDS, _phoneme_column_cut, 2,
+     "line 1: empty token in phoneme column"),
+    ("manifest-duplicate", "manifest", MODEL_COMMANDS,
+     lambda data: data.split(b"\n", 1)[0] + b"\n" + data, 2,
+     "line 2: duplicate utterance id 'u0000'"),
+    ("manifest-text-cut", "manifest", MODEL_COMMANDS, _text_column_cut, 2,
+     "line 8: utterance 'u0007' is not augmented"),
+    ("manifest-bar-only", "manifest", MODEL_COMMANDS, _first_phoneme_column(b"|"), 2,
+     "line 1: utterance 'u0000' has no phonemes: 'von geist wurden geist regen blume'"),
+    ("manifest-no-valid", "manifest", ("train",),
+     lambda data: data.replace(b"\tvalid\t", b"\ttrain\t"), 2, NO_SPLIT.format("valid")),
+    ("manifest-no-test", "manifest", ("evaluate", "errors"),
+     lambda data: data.replace(b"\ttest\t", b"\ttrain\t"), 2, NO_SPLIT.format("test")),
+    ("rules-utf8", "rules", ("augment",), _swap(b"der\t", b"d\xffr\t"), 2,
+     "line 18: invalid UTF-8 byte 0xff"),
+    ("rules-truncated", "rules", ("augment",), _cut_after(b"der\t", 3), 2,
+     "line 18: expected 2 or 4 tab-separated fields, got 1"),
+    ("rules-alphabet", "rules", ("augment",),
+     _swap(b"\xc3\xbc\xc3\x9f\n", b"\xc3\xbc\xc3\x9f0\n"), 2,
+     "no context-free fallback rule for '0'"),
+    ("rules-u2028", "rules", ("augment",), _prepend("# one\u2028two", _cut_after(b"der\t", 3)),
+     2, "line 19: expected 2 or 4 tab-separated fields, got 1"),
+    ("classes-utf8", "classes", ("augment",), _swap(b"a\tV", b"\xff\tV"), 2,
+     "line 4: invalid UTF-8 byte 0xff"),
+    ("classes-truncated", "classes", ("augment",), _cut_after(b"a\tV", 2), 2,
+     "line 4: bad classification entry 'a'"),
+    ("classes-class", "classes", ("augment",), _swap(b"a\tV", b"a\tX"), 2,
+     "line 4: bad classification entry 'a\\tX'"),
+    ("classes-formfeed", "classes", ("augment",),
+     _prepend("# one\x0ctwo", _swap(b"a\tV", b"a\tX")), 2,
+     "line 5: bad classification entry 'a\\tX'"),
+    ("vocab-garbage", "vocab", ("train",), lambda data: b"\xff" + data, 2,
+     "line 1: invalid UTF-8 byte 0xff"),
+    ("vocab-truncated", "vocab", ("train",), _cut_after(b"BOS\n", 4), 2,
      "expected specials ('PAD', 'BOS', 'EOS', 'UNK') first"),
-    ("ckpt-garbage", "ckpt", lambda data: b"\x00garbage" + data, 2, "bad magic b'\\x00gar'"),
-    ("ckpt-version", "ckpt", lambda data: data[:4] + b"\x02" + data[5:], 2,
-     "unsupported version 2"),
-    ("ckpt-header-len", "ckpt",
+    ("vocab-variant", "vocab", ("train",), _swap(b"variant=base", b"variant=bogus"), 2,
+     "unknown vocabulary variant 'bogus'"),
+    ("vocab-dir-utf8", "vocab-dir", ("evaluate",), _swap(b"PAD", b"P\xffD"), 2,
+     "line 2: invalid UTF-8 byte 0xff"),
+    ("vocab-dir-truncated", "vocab-dir", ("evaluate",), _cut_after(b"\n", 1), 2,
+     "expected specials ('PAD', 'BOS', 'EOS', 'UNK') first"),
+    ("ckpt-garbage", "ckpt", ("evaluate", "errors"), lambda data: b"\x00garbage" + data, 2,
+     "bad magic b'\\x00gar'"),
+    ("ckpt-version", "ckpt", ("evaluate", "errors"),
+     lambda data: data[:4] + b"\x02" + data[5:], 2, "unsupported version 2"),
+    ("ckpt-header-len", "ckpt", ("evaluate", "errors"),
      lambda data: data[:8] + (1 << 62).to_bytes(8, "little") + data[16:], 2,
      "header length 4611686018427387904 exceeds the "),
-    ("ckpt-header-truncated", "ckpt", lambda data: data[:40], 2,
+    ("ckpt-header-truncated", "ckpt", ("evaluate", "errors"), lambda data: data[:40], 2,
      "header length "),
-    ("ckpt-payload-truncated", "ckpt", lambda data: data[:-3], 2, "parameter payload is "),
-    ("ckpt-nan", "ckpt", lambda data: data[:-8] + np.float64(np.nan).tobytes(), 3,
+    ("ckpt-payload-truncated", "ckpt", ("evaluate", "errors"), lambda data: data[:-3], 2,
+     "parameter payload is "),
+    ("ckpt-nan", "ckpt", ("evaluate", "errors"),
+     lambda data: data[:-8] + np.float64(np.nan).tobytes(), 3,
      "parameter out_b holds NaN or infinite values"),
-    ("npy-empty", "npy", lambda data: b"", 2,
+    ("npy-empty", "npy", FEATURE_COMMANDS, lambda data: b"", 2,
      "EOF: reading magic string, expected 8 bytes got 0"),
-    ("npy-npz", "npy", lambda data: _npz(), 2, "the magic string is not correct; "),
-    ("npy-truncated", "npy", lambda data: data[:-4], 2,
+    ("npy-npz", "npy", FEATURE_COMMANDS, lambda data: _npz(), 2,
+     "the magic string is not correct; "),
+    ("npy-truncated", "npy", FEATURE_COMMANDS, lambda data: data[:-4], 2,
      "Failed to read all data for array. "),
-    ("npy-object", "npy", _swap(b"'<f8'", b"'O'  "), 2,
+    ("npy-object", "npy", FEATURE_COMMANDS, _swap(b"'<f8'", b"'O'  "), 2,
      "Object arrays cannot be loaded when allow_pickle=False"),
-    ("npy-rank", "npy", lambda data: _npy(np.ones(5)), 2,
+    ("npy-rank", "npy", FEATURE_COMMANDS, lambda data: _npy(np.ones(5)), 2,
      "expected a non-empty 2-D (frames, dim) array, got (5,)"),
-    ("npy-nan", "npy", lambda data: _npy(np.full((4, 3), np.inf)), 2,
+    ("npy-nan", "npy", FEATURE_COMMANDS, lambda data: _npy(np.full((4, 3), np.inf)), 2,
      "feature frames hold NaN or infinite values"),
+    ("npy-width", "npy", FEATURE_COMMANDS, lambda data: _npy(np.ones((6, 4))), 2,
+     "feature array (6, 4) does not match feature_dim=3"),
 ]
+CASES = [pytest.param(kind, command, corrupt, code, message,
+                      id=case if i == 0 else f"{case}-{command}")
+         for case, kind, commands, corrupt, code, message in TABLE
+         for i, command in enumerate(commands)]
 
 
 @pytest.fixture(scope="module")
 def valid(tmp_path_factory):
-    """One valid file of each kind, and the checkpoint trained from them."""
+    """One valid file of each kind, and the checkpoints trained from them:
+    `ckpt` on text, `features-ckpt` on the feature files."""
     root = tmp_path_factory.mktemp("valid")
     files = {"raw": root / "raw.tsv", "manifest": root / "manifest.tsv",
-             "vocab": root / "base.vocab", "ckpt": root / "run" / "epoch0001.ckpt"}
+             "vocab": root / "base.vocab", "ckpt": root / "run" / "epoch0001.ckpt",
+             "features-ckpt": root / "features-run" / "epoch0001.ckpt"}
     files["raw"].write_text("u000\tals sie\nu001\tdas kind\nu002\tder wald\n", encoding="utf-8")
     for kind in ("rules", "classes"):
         files[kind] = root / f"german.{kind}"
@@ -127,50 +188,57 @@ def valid(tmp_path_factory):
         np.save(frames, rng.normal(size=(4, 3)))
         utts.append(replace(u, feature_path=str(frames)))
     write_manifest(CorpusManifest(tuple(utts), m.split), files["manifest"])
-    assert main(["vocab", "--manifest", str(files["manifest"]), "--variant", "base",
-                 "--out", str(files["vocab"])]) == 0
-    assert main(["train", "--manifest", str(files["manifest"]), "--vocab", str(files["vocab"]),
-                 "--outdir", str(root / "run")] + MODEL) == 0
-    files["npy"] = root / f"{m.by_split('train')[0].utt_id}.npy"
+    manifest, vocab = str(files["manifest"]), str(files["vocab"])
+    assert main(["vocab", "--manifest", manifest, "--variant", "base", "--out", vocab]) == 0
+    for source, ckpt in (("text", files["ckpt"]), ("features", files["features-ckpt"])):
+        assert main(["train", "--manifest", manifest, "--vocab", vocab, "--source", source,
+                     "--outdir", str(ckpt.parent)] + MODEL) == 0
+    # Frames that `train` reads after the first row's, which set the width,
+    # and frames that `evaluate` decodes.
+    files["npy"] = root / f"{m.by_split('train')[-1].utt_id}.npy"
+    files["npy-test"] = root / f"{m.by_split('test')[0].utt_id}.npy"
     return files
 
 
-def _command(kind, bad, valid, tmp_path):
-    """The argv that reads `bad` in place of the valid file of its kind."""
+def _command(kind, command, bad, valid, tmp_path):
+    """The argv of `command` that reads `bad` in place of the valid file of its kind."""
+    files = {k: str(v) for k, v in valid.items()}
+    if kind == "npy":  # a feature file, in a copy of the manifest
+        text = valid["manifest"].read_text(encoding="utf-8")
+        row = files["npy-test" if command == "evaluate" else "npy"]
+        features = tmp_path / "features.tsv"
+        features.write_text(text.replace(row, str(bad)), encoding="utf-8")
+        files.update(manifest=str(features), ckpt=files["features-ckpt"])
+    else:
+        files[kind] = str(bad.parent if kind == "vocab-dir" else bad)
     out = str(tmp_path / "out")
-    raw, manifest, vocab, ckpt = (str(valid[k]) for k in ("raw", "manifest", "vocab", "ckpt"))
-    augment = ["augment", "--manifest", raw, "--out", out, "--split", "3,0,0"]
-    if kind == "raw":
-        return ["augment", "--manifest", str(bad), "--out", out, "--split", "3,0,0"]
-    if kind in ("rules", "classes"):
-        return augment + [f"--{kind}", str(bad)]
-    if kind == "manifest":
-        return ["vocab", "--manifest", str(bad), "--variant", "base", "--out", out]
-    if kind == "vocab":
-        return ["train", "--manifest", manifest, "--vocab", str(bad), "--outdir", out] + MODEL
+    manifest, ckpt = files["manifest"], files["ckpt"]
+    argv = {
+        "augment": ["augment", "--manifest", files["raw"], "--out", out, "--split", "3,0,0",
+                    "--rules", files["rules"], "--classes", files["classes"]],
+        "vocab": ["vocab", "--manifest", manifest, "--variant", "base", "--out", out],
+        "train": ["train", "--manifest", manifest, "--vocab", files["vocab"],
+                  "--outdir", out] + MODEL,
+        "evaluate": ["evaluate", "--ckpt", ckpt, "--manifest", manifest, "--out", out],
+        "errors": ["errors", "--ckpt", ckpt, "--manifest", manifest, "--out", out],
+    }[command]
     if kind == "vocab-dir":
-        return ["evaluate", "--ckpt", ckpt, "--manifest", manifest, "--out", out,
-                "--vocab-dir", str(bad.parent)]
-    if kind == "ckpt":
-        return ["evaluate", "--ckpt", str(bad), "--manifest", manifest, "--out", out]
-    # A feature file: the first train row's frames, in a copy of the manifest.
-    text = valid["manifest"].read_text(encoding="utf-8")
-    features = tmp_path / "features.tsv"
-    features.write_text(text.replace(str(valid["npy"]), str(bad)), encoding="utf-8")
-    return ["train", "--manifest", str(features), "--vocab", vocab, "--outdir", out,
-            "--source", "features"] + MODEL
+        argv += ["--vocab-dir", files["vocab-dir"]]
+    if kind == "npy" and command == "train":
+        argv += ["--source", "features"]
+    return argv
 
 
-@pytest.mark.parametrize("kind, corrupt, code, message",
-                         [case[1:] for case in CASES], ids=[case[0] for case in CASES])
-def test_corrupt_input_file_exits_naming_it(valid, tmp_path, capsys, kind, corrupt, code,
-                                            message):
+@pytest.mark.parametrize("kind, command, corrupt, code, message", CASES)
+def test_corrupt_input_file_exits_naming_it(valid, tmp_path, capsys, kind, command, corrupt,
+                                            code, message):
     source = valid["vocab" if kind == "vocab-dir" else kind]
     bad = tmp_path / ("base.vocab" if kind == "vocab-dir" else f"bad{source.suffix}")
     bad.write_bytes(corrupt(source.read_bytes()))
     capsys.readouterr()
-    assert main(_command(kind, bad, valid, tmp_path)) == code
+    assert main(_command(kind, command, bad, valid, tmp_path)) == code
     err = capsys.readouterr().err
     label = "numeric failure" if code == 3 else "error"
     assert err.startswith(f"bigphon: {label}: {bad}: {message}"), err
     assert err.count("\n") == 1 and err.endswith("\n"), err
+    assert not (tmp_path / "out").exists()

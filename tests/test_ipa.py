@@ -212,6 +212,17 @@ class TestClassificationTable:
         with pytest.raises(ValueError):
             ClassificationTable.from_text("ab\tV\n")
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c"],
+                             ids=["u2028", "u2029", "x85", "x0b", "x0c", "x1c"])
+    def test_lines_break_at_newline_only(self, separator):
+        """A comment holding another line separator stays one comment line, and
+        a later error names its line as newlines count it."""
+        text = f"# one{separator}two\na\tV\n"
+        assert len(ClassificationTable.from_text(text)) == 1
+        with pytest.raises(ValueError) as exc:
+            ClassificationTable.from_text(text + "b\tX\n")
+        assert str(exc.value) == "line 3: bad classification entry 'b\\tX'"
+
     def test_normalize_symbols(self):
         assert normalize_symbols("vURd@n") == "vʊʁdən"
         assert normalize_symbols("SO:") == "ʃɔ:"

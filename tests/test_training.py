@@ -16,6 +16,7 @@ from bigphon.model import (
     ModelDims,
     NonFiniteGradient,
     NonFiniteLoss,
+    ShapeMismatch,
     batch_loss_and_dlogits,
     greedy_decode,
     init_params,
@@ -294,6 +295,14 @@ class TestFeatureMode:
             np.save(path, np.zeros(shape))
             with pytest.raises(ValueError):
                 load_features(path)
+
+    def test_load_features_checks_the_run_width(self, tmp_path):
+        path = tmp_path / "frames.npy"
+        np.save(path, np.ones((6, 4)))
+        assert load_features(path, 4).shape == (6, 4)
+        with pytest.raises(ShapeMismatch) as exc:
+            load_features(path, 3)
+        assert str(exc.value) == f"{path}: feature array (6, 4) does not match feature_dim=3"
 
     @pytest.mark.parametrize("write, message", [
         (lambda f: None, "EOF: reading magic string, expected 8 bytes got 0"),

@@ -370,6 +370,13 @@ class TestVocabFile:
         assert loaded.units == vocab.units
         assert loaded.variant == "const20"
 
+    def test_final_newline_optional(self, tmp_path, synthetic_inventory):
+        vocab = build_variant(synthetic_corpus(), synthetic_inventory, "const20")
+        path = tmp_path / "const20.vocab"
+        write_vocab(vocab, path)
+        path.write_text(path.read_text(encoding="utf-8").removesuffix("\n"), encoding="utf-8")
+        assert read_vocab(path, synthetic_inventory).units == vocab.units
+
     def test_merged_written_with_plus(self, tmp_path, classes):
         corpus = seqs([["a", "ɪ"]])
         inv = induce_inventory(corpus, classes)
