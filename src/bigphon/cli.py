@@ -12,12 +12,14 @@ from __future__ import annotations
 import argparse
 import glob
 import json
+import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
-from .config import ModelConfig, NonFiniteGradient, NonFiniteLoss, NonFiniteParameter, reading
+from .config import (BLAS_THREAD_VARS, ModelConfig, NonFiniteGradient, NonFiniteLoss,
+                     NonFiniteParameter, reading)
 from .corpus import (
     SPLIT_NAMES,
     augment,
@@ -120,11 +122,22 @@ def cmd_vocab(args) -> int:
     return 0
 
 
+def _require_feature_paths(args, manifest, splits) -> None:
+    """A feature-mode model reads each row of `splits` from its feature file:
+    check, blaming the manifest, that every one names a file, before any loads."""
+    from .training import require_feature_paths
+
+    with reading(args.manifest):
+        require_feature_paths([utt for split in splits for utt in manifest.by_split(split)])
+
+
 def cmd_train(args) -> int:
     from .training import train
 
     table = _load_classes(args)
     manifest = ingest(args.manifest, ("train", "valid"))
+    if args.source == "features":
+        _require_feature_paths(args, manifest, ("train", "valid"))
     inventory = induce_inventory([u.phonemes for u in manifest.utterances], table)
     vocab = read_vocab(args.vocab, inventory)
     config = ModelConfig(**{f.name: getattr(args, f.name) for f in fields(ModelConfig)})
@@ -174,6 +187,8 @@ def _evaluate_checkpoint(path, manifest, args, out: Path) -> tuple[int, str, flo
     from .training import VocabMismatch, decode_split, load_checkpoint
 
     ckpt = load_checkpoint(path)
+    if ckpt.codec is None:
+        _require_feature_paths(args, manifest, (args.split,))
     if args.vocab_dir:
         vocab_path = Path(args.vocab_dir) / f"{ckpt.variant}.vocab"
         stated = read_vocab(vocab_path, ckpt.vocab.inventory)
@@ -222,6 +237,8 @@ def cmd_errors(args) -> int:
     rules, table = _load_tables(args)
     manifest = ingest(args.manifest, (args.split,))
     ckpt = load_checkpoint(args.ckpt)
+    if ckpt.codec is None:
+        _require_feature_paths(args, manifest, (args.split,))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     decoded, bleu = decode_split(ckpt, manifest, split=args.split)
@@ -330,6 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules and not any(os.environ.get(v) for v in BLAS_THREAD_VARS):
+        # One BLAS thread unless the user set a count: the count changes training bytes.
+        os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     args = build_parser().parse_args(argv)
     out = Path(getattr(args, "out", None) or args.outdir)
     existed = out.exists()

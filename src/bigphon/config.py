@@ -7,6 +7,9 @@ load no numpy; ``bigphon.model`` and ``bigphon.training`` re-export them.
 ``reading`` owns the rule that an input error names its file: every reader
 (manifest, rule and classification tables, vocabulary, checkpoint, feature
 array) parses inside it, and none formats its own path into a message.
+
+``BLAS_THREAD_VARS`` names the variables that set the BLAS/OpenMP thread
+count, which changes training bytes; set them before numpy loads.
 """
 
 from __future__ import annotations
@@ -16,6 +19,10 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
+
+
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 class NonFiniteLoss(ArithmeticError):

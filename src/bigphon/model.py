@@ -457,17 +457,18 @@ def _output(entry):
     return state[0] if kind == "embed" else _ln_out(state[0])
 
 
-def _encoder_forward(params, config, dims, batch, p, rng, cache=None):
-    """Encoder output and additive source mask. Appends the encoder's entries
-    to the tape `cache` when given a list; without one, each sublayer's
-    activations die with it."""
+def _encoder_forward(params, config, batch, p, rng, cache=None):
+    """Encoder output and additive source mask. The parameters set the source
+    mode: token ids with `src_embed`, feature frames as wide as `src_proj_w`'s
+    rows without. Appends the encoder's entries to the tape `cache` when given
+    a list; without one, each sublayer's activations die with it."""
     d, heads = config.d_model, config.heads
-    if dims.source_vocab is not None:
+    if "src_embed" in params:
         if batch.src.ndim != 2:
             raise ShapeMismatch("token-mode source must be (B, S) ids")
         name, x = "src_embed", params["src_embed"][batch.src] * math.sqrt(d)
     else:
-        if batch.src.ndim != 3 or batch.src.shape[2] != dims.feature_dim:
+        if batch.src.ndim != 3 or batch.src.shape[2] != params["src_proj_w"].shape[0]:
             raise ShapeMismatch("feature-mode source must be (B, S, feature_dim)")
         name, x = "src_proj_w", _linear_fwd(batch.src, params["src_proj_w"], params["src_proj_b"])
     x += _pe(batch.src.shape[1], d)
@@ -525,7 +526,7 @@ def _decoder_forward(params, config, enc_out, src_add, tgt_in, p, rng, cache=Non
     return _linear_fwd(y, params["out_w"], params["out_b"])
 
 
-def forward_batch(params, config: ModelConfig, dims: ModelDims, batch: Batch, dropout_rng=None,
+def forward_batch(params, config: ModelConfig, batch: Batch, dropout_rng=None,
                   cache: dict | None = None) -> np.ndarray:
     """Logits (B,T,V). Pass a `cache` dict only when `backward_batch` follows:
     the forward then records the tapes `cache["enc"]` and `cache["dec"]`;
@@ -534,7 +535,7 @@ def forward_batch(params, config: ModelConfig, dims: ModelDims, batch: Batch, dr
     enc = dec = None
     if cache is not None:
         enc, dec = cache["enc"], cache["dec"] = [], []
-    enc_out, src_add = _encoder_forward(params, config, dims, batch, p, dropout_rng, enc)
+    enc_out, src_add = _encoder_forward(params, config, batch, p, dropout_rng, enc)
     return _decoder_forward(params, config, enc_out, src_add, batch.tgt_in, p, dropout_rng, dec)
 
 
@@ -618,10 +619,10 @@ def batch_loss_and_dlogits(logits: np.ndarray, tgt_out: np.ndarray):
     return float(loss), dlogits, n_tokens
 
 
-def loss_and_gradient(params, config, dims, batch, dropout_rng=None):
+def loss_and_gradient(params, config, batch, dropout_rng=None):
     """(loss, grads dict) for one batch; raises on non-finite values."""
     cache: dict = {}
-    logits = forward_batch(params, config, dims, batch, dropout_rng, cache)
+    logits = forward_batch(params, config, batch, dropout_rng, cache)
     loss, dlogits, n_tokens = batch_loss_and_dlogits(logits, batch.tgt_out)
     if not math.isfinite(loss):
         raise NonFiniteLoss(f"loss = {loss}")
@@ -651,9 +652,8 @@ def greedy_decode(params, config: ModelConfig, source, vocab: Vocabulary) -> Dec
     newest position through `_decoder_layer`, which stores its self-attention
     keys and values in the layer's buffer and attends over the positions so far.
     """
-    dims = infer_dims(params)
-    batch = make_batch([source], [[]], dims)
-    enc_out, src_add = _encoder_forward(params, config, dims, batch, 0.0, None)
+    batch = make_batch([source], [[]], infer_dims(params))
+    enc_out, src_add = _encoder_forward(params, config, batch, 0.0, None)
     d, heads, cap = config.d_model, config.heads, config.max_target_len
     scale = math.sqrt(d)
     pe = _pe(cap, d)

@@ -104,9 +104,10 @@ class Checkpoint:
         return unflatten_params(self.params_flat, param_index(self.config, self.dims))
 
 
-def load_features(path, feature_dim: int | None = None) -> np.ndarray:
+def load_features(path, feature_dim: int | None = None, width_from=None) -> np.ndarray:
     """Externally precomputed per-frame features: one (T, F) .npy array,
-    with F equal to `feature_dim` when that is given."""
+    with F equal to `feature_dim` when that is given; `width_from`, if
+    given, names the file whose width set it."""
     with reading(path), open(path, "rb") as f:
         arr = np.lib.format.read_array(f, allow_pickle=False)
         if arr.dtype.kind not in "iuf":
@@ -114,22 +115,31 @@ def load_features(path, feature_dim: int | None = None) -> np.ndarray:
         if arr.ndim != 2 or arr.shape[0] == 0:
             raise ValueError(f"expected a non-empty 2-D (frames, dim) array, got {arr.shape}")
         if feature_dim is not None and arr.shape[1] != feature_dim:
+            origin = f" from {width_from}" if width_from else ""
             raise ShapeMismatch(f"feature array {arr.shape} does not match "
-                                f"feature_dim={feature_dim}")
+                                f"feature_dim={feature_dim}{origin}")
         arr = np.asarray(arr, dtype=np.float64)
         if not np.isfinite(arr).all():
             raise ValueError("feature frames hold NaN or infinite values")
     return arr
 
 
-def encode_source(utt: Utterance, codec: SourceCodec | None, feature_dim: int | None = None):
+def require_feature_paths(utterances) -> None:
+    """Raise unless every utterance names the feature file that a
+    feature-mode model reads its source from."""
+    for utt in utterances:
+        if not utt.feature_path:
+            raise ValueError(f"utterance {utt.utt_id!r} has no feature_path")
+
+
+def encode_source(utt: Utterance, codec: SourceCodec | None, feature_dim: int | None = None,
+                  width_from=None):
     """Model input for one utterance: its text's codec ids, or its features
-    when there is no codec (feature mode)."""
+    when there is no codec (feature mode), checked as `load_features` does."""
     if codec is not None:
         return codec.encode(utt.text)
-    if not utt.feature_path:
-        raise ValueError(f"utterance {utt.utt_id!r} has no feature_path")
-    return load_features(utt.feature_path, feature_dim)
+    require_feature_paths((utt,))
+    return load_features(utt.feature_path, feature_dim, width_from)
 
 
 def _vocab_header(vocab: Vocabulary) -> dict:
@@ -235,10 +245,10 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(header["epoch"], config, header["variant"], dims, flat, vocab, codec)
 
 
-def _prepare_examples(utterances, vocab: Vocabulary, codec: SourceCodec | None, feature_dim):
+def _prepare_examples(utterances, vocab: Vocabulary, encode):
     sources, targets = [], []
     for utt in utterances:
-        sources.append(encode_source(utt, codec, feature_dim))
+        sources.append(encode(utt))
         targets.append(tokenize(utt.phonemes, vocab).ids)
     return sources, targets
 
@@ -253,7 +263,7 @@ def _epoch_valid_loss(params, config, dims, sources, targets) -> float:
             targets[start : start + config.batch_size],
             dims,
         )
-        logits = forward_batch(params, config, dims, batch)
+        logits = forward_batch(params, config, batch)
         loss, _, n = batch_loss_and_dlogits(logits, batch.tgt_out)
         total += loss * n
         tokens += n
@@ -291,16 +301,20 @@ def train(
     if not train_utts:
         raise ValueError("manifest has no train split")
 
-    if source_mode == "text":
-        codec = SourceCodec.from_texts([u.text for u in train_utts])
+    codec = SourceCodec.from_texts([u.text for u in train_utts]) if source_mode == "text" else None
+    head = train_utts[0]
+    first = encode_source(head, codec)  # encoded once; in feature mode its width is the run's
+    if codec is not None:
         dims = ModelDims(target_vocab=len(vocab), source_vocab=codec.size)
     else:
-        codec = None
-        first = encode_source(train_utts[0], None)
         dims = ModelDims(target_vocab=len(vocab), feature_dim=first.shape[1])
 
-    train_src, train_tgt = _prepare_examples(train_utts, vocab, codec, dims.feature_dim)
-    valid_src, valid_tgt = _prepare_examples(valid_utts, vocab, codec, dims.feature_dim)
+    def encode(utt):
+        return first if utt is head else encode_source(utt, codec, dims.feature_dim,
+                                                        head.feature_path)
+
+    train_src, train_tgt = _prepare_examples(train_utts, vocab, encode)
+    valid_src, valid_tgt = _prepare_examples(valid_utts, vocab, encode)
 
     seeds = np.random.SeedSequence(config.seed).spawn(3)
     rng_init = np.random.default_rng(seeds[0])
@@ -331,7 +345,7 @@ def train(
             )
             try:
                 loss, grads, ntok = loss_and_gradient(
-                    params, config, dims, batch, dropout_rng=rng_dropout
+                    params, config, batch, dropout_rng=rng_dropout
                 )
             except (NonFiniteLoss, NonFiniteGradient) as exc:
                 raise type(exc)(f"epoch {epoch}, step {step + 1}: {exc}") from exc

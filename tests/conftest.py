@@ -147,7 +147,7 @@ def forward(params, config: ModelConfig, source, target_prefix) -> np.ndarray:
     dims = infer_dims(params)
     batch = make_batch([source], [[]], dims)
     batch.tgt_in = np.asarray([target_prefix], dtype=np.int64)
-    logits = model.forward_batch(params, config, dims, batch)
+    logits = model.forward_batch(params, config, batch)
     return logits[0]
 
 
@@ -161,7 +161,7 @@ def loss(logits: np.ndarray, target) -> float:
 def gradient(params, config: ModelConfig, batch) -> np.ndarray:
     """Flat gradient vector in canonical parameter order (no dropout)."""
     dims = infer_dims(params)
-    _, grads, _ = model.loss_and_gradient(params, config, dims, batch)
+    _, grads, _ = model.loss_and_gradient(params, config, batch)
     return flatten_params(grads, param_index(config, dims))
 
 

@@ -19,6 +19,7 @@ import pytest
 import bigphon
 from bigphon import corpus, training, vocab
 from bigphon.cli import build_parser, main
+from bigphon.config import BLAS_THREAD_VARS
 from bigphon.corpus import CorpusManifest, Utterance, ingest, write_manifest
 from bigphon.ipa import PhonemeSequence
 from bigphon.model import ModelConfig, NonFiniteGradient
@@ -943,3 +944,28 @@ print(analysis_loaded, "numpy" in sys.modules)
                           env={**os.environ, "PYTHONPATH": src})
     assert (tmp_path / "vocabs" / "total30.vocab").exists()
     assert done.stdout.splitlines()[-1] == "False False"
+
+
+def test_training_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """One epoch of `train` at the default model config, run as a console
+    command, writes the same checkpoint and trace with no BLAS thread
+    variable set as with `OPENBLAS_NUM_THREADS=1`: unless the user sets a
+    count, `main` pins BLAS to one thread before numpy loads. Unpinned, the
+    feed-forward's product over d_ff = 400 splits across threads and rounds
+    differently. On a 1-CPU host BLAS runs one thread either way, so there
+    this test cannot fail."""
+    manifest, vocab_path = tmp_path / "corpus.tsv", tmp_path / "base.vocab"
+    write_manifest(make_toy_manifest(30, seed=1, sizes=(20, 5, 5)), manifest)
+    assert main(["vocab", "--manifest", str(manifest), "--variant", "base",
+                 "--out", str(vocab_path)]) == 0
+    src = str(Path(bigphon.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    outputs = []
+    for pinned in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+        outdir = tmp_path / f"run{len(outputs)}"
+        subprocess.run([sys.executable, "-m", "bigphon.cli", "train", "--manifest", str(manifest),
+                        "--vocab", str(vocab_path), "--outdir", str(outdir), "--epochs", "1",
+                        "--ckpt-interval", "1"],
+                       capture_output=True, check=True, env={**env, **pinned, "PYTHONPATH": src})
+        outputs.append([(outdir / name).read_bytes() for name in ("epoch0001.ckpt", "trace.csv")])
+    assert outputs[0] == outputs[1]

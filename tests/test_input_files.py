@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from bigphon.cli import main
-from bigphon.corpus import CorpusManifest, write_manifest
+from bigphon.corpus import CorpusManifest, ingest, write_manifest
 
 from conftest import make_toy_manifest
 
@@ -67,6 +67,15 @@ def _first_phoneme_column(column: bytes):
         cols = first.split(b"\t")
         cols[2] = column
         return b"\t".join(cols) + b"\n" + rest
+    return edit
+
+
+def _no_feature_path(utt_id: bytes):
+    """Empty the feature_path column of the row `utt_id`, not the first."""
+    def edit(data: bytes) -> bytes:
+        start = data.index(b"\n" + utt_id + b"\t") + 1
+        end = data.index(b"\n", start)
+        return data[: data.rindex(b"\t", start, end) + 1] + data[end:]
     return edit
 
 
@@ -146,6 +155,10 @@ TABLE = [
     ("ckpt-nan", "ckpt", ("evaluate", "errors"),
      lambda data: data[:-8] + np.float64(np.nan).tobytes(), 3,
      "parameter out_b holds NaN or infinite values"),
+    ("features-manifest-valid", "features-manifest", ("train",), _no_feature_path(b"u0001"), 2,
+     "utterance 'u0001' has no feature_path"),
+    ("features-manifest-test", "features-manifest", ("evaluate", "errors"),
+     _no_feature_path(b"u0003"), 2, "utterance 'u0003' has no feature_path"),
     ("npy-empty", "npy", FEATURE_COMMANDS, lambda data: b"", 2,
      "EOF: reading magic string, expected 8 bytes got 0"),
     ("npy-npz", "npy", FEATURE_COMMANDS, lambda data: _npz(), 2,
@@ -188,6 +201,7 @@ def valid(tmp_path_factory):
         np.save(frames, rng.normal(size=(4, 3)))
         utts.append(replace(u, feature_path=str(frames)))
     write_manifest(CorpusManifest(tuple(utts), m.split), files["manifest"])
+    files["features-manifest"] = files["manifest"]  # read by a feature run
     manifest, vocab = str(files["manifest"]), str(files["vocab"])
     assert main(["vocab", "--manifest", manifest, "--variant", "base", "--out", vocab]) == 0
     for source, ckpt in (("text", files["ckpt"]), ("features", files["features-ckpt"])):
@@ -209,6 +223,8 @@ def _command(kind, command, bad, valid, tmp_path):
         features = tmp_path / "features.tsv"
         features.write_text(text.replace(row, str(bad)), encoding="utf-8")
         files.update(manifest=str(features), ckpt=files["features-ckpt"])
+    elif kind == "features-manifest":
+        files.update(manifest=str(bad), ckpt=files["features-ckpt"])
     else:
         files[kind] = str(bad.parent if kind == "vocab-dir" else bad)
     out = str(tmp_path / "out")
@@ -224,7 +240,7 @@ def _command(kind, command, bad, valid, tmp_path):
     }[command]
     if kind == "vocab-dir":
         argv += ["--vocab-dir", files["vocab-dir"]]
-    if kind == "npy" and command == "train":
+    if kind in ("npy", "features-manifest") and command == "train":
         argv += ["--source", "features"]
     return argv
 
@@ -241,4 +257,21 @@ def test_corrupt_input_file_exits_naming_it(valid, tmp_path, capsys, kind, comma
     label = "numeric failure" if code == 3 else "error"
     assert err.startswith(f"bigphon: {label}: {bad}: {message}"), err
     assert err.count("\n") == 1 and err.endswith("\n"), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_feature_width_error_names_the_file_that_set_it(valid, tmp_path, capsys):
+    """In `train`, the first train row's file sets the run's width. When
+    that file is the odd one out, the error on the next file names it."""
+    first, second = (u.feature_path for u in ingest(valid["manifest"]).by_split("train")[:2])
+    wide = tmp_path / "wide.npy"
+    np.save(wide, np.ones((6, 4)))
+    manifest = tmp_path / "features.tsv"
+    text = valid["manifest"].read_text(encoding="utf-8")
+    manifest.write_text(text.replace(first, str(wide)), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["train", "--manifest", str(manifest), "--vocab", str(valid["vocab"]),
+                 "--outdir", str(tmp_path / "out"), "--source", "features"] + MODEL) == 2
+    assert capsys.readouterr().err == (f"bigphon: error: {second}: feature array (4, 3) does not "
+                                       f"match feature_dim=4 from {wide}\n")
     assert not (tmp_path / "out").exists()

@@ -97,6 +97,29 @@ class TestForward:
         with pytest.raises(ShapeMismatch):
             forward(params, SMALL, np.zeros((5, 4)), [BOS_ID])
 
+    @pytest.mark.parametrize("params_dims, batch_dims, message", [
+        (ModelDims(9, feature_dim=6), ModelDims(9, source_vocab=7),
+         "feature-mode source must be (B, S, feature_dim)"),
+        (ModelDims(9, feature_dim=6), ModelDims(9, feature_dim=4),
+         "feature-mode source must be (B, S, feature_dim)"),
+        (ModelDims(9, source_vocab=7), ModelDims(9, feature_dim=6),
+         "token-mode source must be (B, S) ids"),
+    ], ids=["tokens-on-features", "narrow-features", "features-on-tokens"])
+    def test_source_mode_comes_from_the_params(self, params_dims, batch_dims, message):
+        """The parameters set the source mode and feature width: a batch of
+        the other mode, or of another width, is a ShapeMismatch with the
+        mode's message, in the forward pass and in the training step."""
+        params = small_params(params_dims)
+        width = batch_dims.feature_dim
+        sources = [[1, 2, 3]] if width is None else [np.ones((3, width))]
+        batch = make_batch(sources, [(4, 5)], batch_dims)
+        with pytest.raises(ShapeMismatch) as exc:
+            forward_batch(params, SMALL, batch)
+        assert str(exc.value) == message
+        with pytest.raises(ShapeMismatch) as exc:
+            loss_and_gradient(params, SMALL, batch)
+        assert str(exc.value) == message
+
     def test_infer_dims(self):
         dims = ModelDims(target_vocab=9, source_vocab=7)
         assert infer_dims(small_params(dims)) == dims
@@ -133,7 +156,7 @@ class TestLoss:
         dims = ModelDims(target_vocab=9, source_vocab=7)
         params = small_params(dims, seed=5)
         batch = make_batch([[1, 2, 3], [4, 5]], [(4, 5, 6), (7,)], dims)
-        logits1 = forward_batch(params, SMALL, dims, batch)
+        logits1 = forward_batch(params, SMALL, batch)
         loss1, _, n1 = batch_loss_and_dlogits(logits1, batch.tgt_out)
         pad_col = np.full((2, 1), PAD_ID, dtype=np.int64)
         wider = Batch(
@@ -142,7 +165,7 @@ class TestLoss:
             np.hstack([batch.tgt_in, pad_col]),
             np.hstack([batch.tgt_out, pad_col]),
         )
-        logits2 = forward_batch(params, SMALL, dims, wider)
+        logits2 = forward_batch(params, SMALL, wider)
         loss2, _, n2 = batch_loss_and_dlogits(logits2, wider.tgt_out)
         assert loss1 == loss2
         assert n1 == n2
@@ -161,7 +184,7 @@ class TestGradient:
 
         def f(vec):
             p = unflatten_params(vec, index)
-            logits = forward_batch(p, SMALL, dims, batch)
+            logits = forward_batch(p, SMALL, batch)
             value, _, _ = batch_loss_and_dlogits(logits, batch.tgt_out)
             return value
 
@@ -186,7 +209,7 @@ class TestGradient:
         batch = make_batch([[1, 2]], [(y,)], dims)
         # keep only the first target position (the single token y)
         batch = Batch(batch.src, batch.src_mask, batch.tgt_in[:, :1], batch.tgt_out[:, :1])
-        _, grads, _ = loss_and_gradient(params, SMALL, dims, batch)
+        _, grads, _ = loss_and_gradient(params, SMALL, batch)
         p = np.exp(params["out_b"]) / np.exp(params["out_b"]).sum()
         expected = p.copy()
         expected[y] -= 1.0
@@ -197,8 +220,8 @@ class TestGradient:
         params = small_params(dims, seed=6)
         single = make_batch([[1, 2, 3]], [(4, 5)], dims)
         double = make_batch([[1, 2, 3], [1, 2, 3]], [(4, 5), (4, 5)], dims)
-        _, g1, _ = loss_and_gradient(params, SMALL, dims, single)
-        _, g2, _ = loss_and_gradient(params, SMALL, dims, double)
+        _, g1, _ = loss_and_gradient(params, SMALL, single)
+        _, g2, _ = loss_and_gradient(params, SMALL, double)
         for name in g1:
             assert np.allclose(g1[name], g2[name], atol=1e-12), name
 
@@ -214,7 +237,7 @@ class TestGradient:
 
         def f(vec):
             p = unflatten_params(vec, index)
-            logits = forward_batch(p, SMALL, dims, batch)
+            logits = forward_batch(p, SMALL, batch)
             value, _, _ = batch_loss_and_dlogits(logits, batch.tgt_out)
             return value
 
@@ -234,7 +257,7 @@ class TestGradient:
         params["out_b"] = params["out_b"] + np.nan
         batch = make_batch([[1, 2]], [(4,)], dims)
         with pytest.raises(NonFiniteLoss):
-            loss_and_gradient(params, SMALL, dims, batch)
+            loss_and_gradient(params, SMALL, batch)
 
     def test_dropout_reproducible_with_same_stream(self):
         dims = ModelDims(target_vocab=9, source_vocab=7)
@@ -244,8 +267,8 @@ class TestGradient:
         )
         params = small_params(dims)
         batch = make_batch([[1, 2, 3]], [(4, 5)], dims)
-        l1, g1, _ = loss_and_gradient(params, cfg, dims, batch, np.random.default_rng(9))
-        l2, g2, _ = loss_and_gradient(params, cfg, dims, batch, np.random.default_rng(9))
+        l1, g1, _ = loss_and_gradient(params, cfg, batch, np.random.default_rng(9))
+        l2, g2, _ = loss_and_gradient(params, cfg, batch, np.random.default_rng(9))
         assert l1 == l2
         for name in g1:
             assert np.array_equal(g1[name], g2[name])
@@ -283,7 +306,7 @@ class TestBitwiseOracle:
         for stream in (None, 5):
             rng = None if stream is None else np.random.default_rng(stream)
             ref_rng = None if stream is None else np.random.default_rng(stream)
-            value, grads, n = loss_and_gradient(params, config, dims, batch, rng)
+            value, grads, n = loss_and_gradient(params, config, batch, rng)
             ref_value, ref_grads, ref_n = conftest.loss_and_gradient(
                 params, config, dims, batch, ref_rng)
             assert np.array_equal(value, ref_value) and n == ref_n
@@ -300,14 +323,14 @@ class TestBitwiseOracle:
     @pytest.mark.parametrize("source", ["tokens", "features"])
     def test_eval_logits_match_reference(self, source):
         config, dims, params, batch = self.case(source, 2, (3, 2), 0.3, seed=1)
-        logits = forward_batch(params, config, dims, batch)
+        logits = forward_batch(params, config, batch)
         ref_logits, _ = conftest.forward_batch(params, config, dims, batch)
         assert np.array_equal(logits, ref_logits)
 
     def test_backward_consumes_the_cache(self):
         config, dims, params, batch = self.case("tokens", 2, (3, 2), 0.3)
         cache = {}
-        logits = forward_batch(params, config, dims, batch, np.random.default_rng(0), cache)
+        logits = forward_batch(params, config, batch, np.random.default_rng(0), cache)
         _, dlogits, _ = batch_loss_and_dlogits(logits, batch.tgt_out)
         model.backward_batch(dlogits, cache, params)
         assert cache["enc"] == [] and cache["dec"] == []
@@ -324,7 +347,7 @@ class TestBitwiseOracle:
             return bwd(dy, x, *rest)
 
         monkeypatch.setattr(model, "_linear_bwd", spy)
-        _, grads, _ = loss_and_gradient(params, config, dims, batch, np.random.default_rng(0))
+        _, grads, _ = loss_and_gradient(params, config, batch, np.random.default_rng(0))
         assert widths and dims.feature_dim not in widths
         assert np.any(grads["src_proj_w"]) and np.any(grads["src_proj_b"])
 
@@ -337,10 +360,11 @@ class TestBitwiseOracle:
         batch = make_batch([rng.integers(0, 30, size=60) for _ in range(8)],
                            [rng.integers(4, 20, size=40) for _ in range(8)], dims)
         peaks = []
-        for step in (conftest.loss_and_gradient, loss_and_gradient):
+        for step in (lambda rng: conftest.loss_and_gradient(params, config, dims, batch, rng),
+                     lambda rng: loss_and_gradient(params, config, batch, rng)):
             tracemalloc.start()
             try:
-                step(params, config, dims, batch, np.random.default_rng(0))
+                step(np.random.default_rng(0))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -378,7 +402,7 @@ class TestTape:
 
             monkeypatch.setattr(model, name, spy)
         cache = {}
-        forward_batch(params, config, dims, batch, np.random.default_rng(0), cache)
+        forward_batch(params, config, batch, np.random.default_rng(0), cache)
         assert cache.keys() == {"enc", "dec"}
         enc, dec = cache["enc"], cache["dec"]
         assert [kind for kind, _, _ in enc] == ["embed"] + ["self", "ln", "ff", "ln"] * 3
@@ -430,7 +454,7 @@ class TestActivationMemory:
 
         monkeypatch.setattr(model, "_ln_fwd", spy)
         cache = {}
-        forward_batch(params, config, dims, batch, np.random.default_rng(0), cache)
+        forward_batch(params, config, batch, np.random.default_rng(0), cache)
         assert len(outputs) == 3 * 2 + 2 * 3
         cached = list(self.arrays(cache))
         assert len(cached) > 50
@@ -452,7 +476,7 @@ class TestActivationMemory:
 
         monkeypatch.setattr(model, "_merge_heads", spy)
         cache = {}
-        forward_batch(params, config, dims, batch, np.random.default_rng(0), cache)
+        forward_batch(params, config, batch, np.random.default_rng(0), cache)
         assert len(merged) == 3 + 2 * 2  # one per attention
         cached = list(self.arrays(cache))
         assert [a.shape for a in cached if a.dtype == bool] == []
@@ -477,7 +501,7 @@ class TestActivationMemory:
         monkeypatch.setattr(model, "_mha_bwd", spy)
         tracemalloc.start()
         try:
-            loss_and_gradient(params, config, dims, batch, np.random.default_rng(0))
+            loss_and_gradient(params, config, batch, np.random.default_rng(0))
         finally:
             tracemalloc.stop()
         assert len(calls) == 5  # decoder cross and self, then three encoder layers
@@ -500,7 +524,7 @@ class TestActivationMemory:
         monkeypatch.setattr(model, "_mha_fwd", spy)
         tracemalloc.start()
         try:
-            model._encoder_forward(params, config, dims, batch, 0.0, None)
+            model._encoder_forward(params, config, batch, 0.0, None)
         finally:
             tracemalloc.stop()
         assert len(entries) == 3
@@ -679,12 +703,12 @@ class TestDecoderLayer:
     def test_teacher_forcing_runs_each_layer_once(self, calls):
         config, dims, params, batch = TestBitwiseOracle.case("tokens", 2, (1, 3), 0.3)
         cache = {}
-        forward_batch(params, config, dims, batch, np.random.default_rng(2), cache)
+        forward_batch(params, config, batch, np.random.default_rng(2), cache)
         t_len = batch.tgt_in.shape[1]
         assert calls == [(0, 0, t_len), (1, 0, t_len), (2, 0, t_len)]
         assert len(cache["dec"]) == 1 + 3 * 6  # the embedding, then six sublayers a layer
         calls.clear()
-        assert np.array_equal(forward_batch(params, config, dims, batch),
+        assert np.array_equal(forward_batch(params, config, batch),
                               conftest.forward_batch(params, config, dims, batch)[0])
         assert calls == [(0, 0, t_len), (1, 0, t_len), (2, 0, t_len)]
 

@@ -277,6 +277,18 @@ class TestFeatureMode:
         decoded, _ = decode_split(ckpt, m, split="test")
         assert len(decoded) == 1
 
+    def test_train_loads_each_feature_file_once(self, tmp_path, classes, rules, monkeypatch):
+        """The first train row's file sets the run's width and is not read again."""
+        m = self.make_feature_manifest(tmp_path, rules, classes)
+        loads = []
+        load = training.load_features
+        monkeypatch.setattr(training, "load_features",
+                            lambda path, *args: loads.append(path) or load(path, *args))
+        cfg = ModelConfig(epochs=1, checkpoint_interval=1, seed=0, **TINY)
+        train(m, toy_vocab(m, classes), cfg, tmp_path / "run", source_mode="features")
+        read = m.by_split("train") + m.by_split("valid")
+        assert loads == [u.feature_path for u in read]
+
     def test_checkpoint_round_trip(self, tmp_path, classes, rules):
         m = self.make_feature_manifest(tmp_path, rules, classes)
         vocab = toy_vocab(m, classes)

@@ -29,11 +29,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from bigphon.config import BLAS_THREAD_VARS  # noqa: E402  (loads no numpy)
+
+os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
 
 import numpy as np  # noqa: E402
 

@@ -58,6 +58,7 @@ REPEATS = 5
 PASSES = ("valid", "step", "decode")
 KINDS = ("time", "trace")
 
+# A copy of `bigphon.config.BLAS_THREAD_VARS`: `--src` may name a tree older than it.
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
@@ -163,7 +164,7 @@ def measure(pass_name: str, kind: str) -> dict:
             batch = make_batch(sources, targets, dims)
 
             def run():
-                loss, grads, _ = model.loss_and_gradient(params, config, dims, batch,
+                loss, grads, _ = model.loss_and_gradient(params, config, batch,
                                                          np.random.default_rng(1))
                 return loss, grads
 
