@@ -122,22 +122,11 @@ def cmd_vocab(args) -> int:
     return 0
 
 
-def _require_feature_paths(args, manifest, splits) -> None:
-    """A feature-mode model reads each row of `splits` from its feature file:
-    check, blaming the manifest, that every one names a file, before any loads."""
-    from .training import require_feature_paths
-
-    with reading(args.manifest):
-        require_feature_paths([utt for split in splits for utt in manifest.by_split(split)])
-
-
 def cmd_train(args) -> int:
     from .training import train
 
     table = _load_classes(args)
     manifest = ingest(args.manifest, ("train", "valid"))
-    if args.source == "features":
-        _require_feature_paths(args, manifest, ("train", "valid"))
     inventory = induce_inventory([u.phonemes for u in manifest.utterances], table)
     vocab = read_vocab(args.vocab, inventory)
     config = ModelConfig(**{f.name: getattr(args, f.name) for f in fields(ModelConfig)})
@@ -181,14 +170,17 @@ def _truncated(decoded) -> str:
     return f"{sum(result.truncated for _, result in decoded)}/{len(decoded)}"
 
 
-def _evaluate_checkpoint(path, manifest, args, out: Path) -> tuple[int, str, float]:
-    """Score one checkpoint; (epoch, variant, BLEU). Nothing of it outlives
-    the call, so the next checkpoint loads with this one released."""
+def _evaluate_checkpoint(path, manifest, args, scored: dict):
+    """Score one checkpoint and return its BleuReport, refusing a variant and
+    epoch already in `scored`. Nothing else of it outlives the call, so the
+    next checkpoint loads with this one released."""
     from .training import VocabMismatch, decode_split, load_checkpoint
 
     ckpt = load_checkpoint(path)
-    if ckpt.codec is None:
-        _require_feature_paths(args, manifest, (args.split,))
+    if (ckpt.variant, ckpt.epoch) in scored:
+        with reading(path):
+            raise ValueError(f"variant {ckpt.variant!r} epoch {ckpt.epoch} is already scored "
+                             f"from {scored[ckpt.variant, ckpt.epoch][0]}")
     if args.vocab_dir:
         vocab_path = Path(args.vocab_dir) / f"{ckpt.variant}.vocab"
         stated = read_vocab(vocab_path, ckpt.vocab.inventory)
@@ -197,10 +189,9 @@ def _evaluate_checkpoint(path, manifest, args, out: Path) -> tuple[int, str, flo
                 f"{vocab_path} does not match units stored in {path}"
             )
     decoded, report = decode_split(ckpt, manifest, split=args.split)
-    _write_json(out / f"bleu_{ckpt.variant}_epoch{ckpt.epoch:04d}.json", report)
     print(f"{path}: variant={ckpt.variant} epoch={ckpt.epoch} bleu={report.bleu:.2f} "
           f"truncated={_truncated(decoded)}")
-    return ckpt.epoch, ckpt.variant, report.bleu
+    return report
 
 
 def cmd_evaluate(args) -> int:
@@ -211,19 +202,19 @@ def cmd_evaluate(args) -> int:
     manifest = ingest(args.manifest, (args.split,))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    grid: dict[int, dict[str, float]] = {}
+    scored = {}  # (variant, epoch) -> (path, BleuReport)
     for path in paths:
-        epoch, variant, bleu = _evaluate_checkpoint(path, manifest, args, out)
-        grid.setdefault(epoch, {})[variant] = bleu
-    columns = [v for v in VARIANT_LABELS if any(v in row for row in grid.values())]
+        report = _evaluate_checkpoint(path, manifest, args, scored)
+        scored[report.variant, report.epoch] = path, report
+    # Nothing is written until every checkpoint has scored, so a failure leaves `out` empty.
+    for (variant, epoch), (_, report) in scored.items():
+        _write_json(out / f"bleu_{variant}_epoch{epoch:04d}.json", report)
+    bleu = {key: f"{report.bleu:.2f}" for key, (_, report) in scored.items()}
+    columns = [v for v in VARIANT_LABELS if any(v == variant for variant, _ in bleu)]
     lines = [f"# {h}" for h in _provenance(args, {"checkpoints": len(paths)})]
     lines.append("epoch," + ",".join(columns))
-    for epoch in sorted(grid):
-        row = [str(epoch)]
-        for v in columns:
-            value = grid[epoch].get(v)
-            row.append("" if value is None else f"{value:.2f}")
-        lines.append(",".join(row))
+    for epoch in sorted({epoch for _, epoch in bleu}):
+        lines.append(",".join([str(epoch)] + [bleu.get((v, epoch), "") for v in columns]))
     (out / "bleu_grid.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 
@@ -237,8 +228,6 @@ def cmd_errors(args) -> int:
     rules, table = _load_tables(args)
     manifest = ingest(args.manifest, (args.split,))
     ckpt = load_checkpoint(args.ckpt)
-    if ckpt.codec is None:
-        _require_feature_paths(args, manifest, (args.split,))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     decoded, bleu = decode_split(ckpt, manifest, split=args.split)

@@ -4,10 +4,11 @@ Manifests are UTF-8 TSV files, one utterance per line:
 
     id<TAB>text<TAB>phonemes<TAB>split<TAB>feature_path
 
-Later columns may be empty or missing on input. The phoneme column holds
-space-separated tokens with `|` marking word boundaries (tokens themselves
-may contain `:` and tie bars, so spaces alone cannot carry boundaries).
-Lines starting with `#` are comments/provenance headers.
+Later columns may be empty or missing on input; a sixth is an error. The
+phoneme column holds space-separated tokens with `|` marking word
+boundaries (tokens themselves may contain `:` and tie bars, so spaces
+alone cannot carry boundaries). Lines starting with `#` are
+comments/provenance headers.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ class CorpusManifest:
     utterances: tuple[Utterance, ...]
     split: dict[str, str] = field(default_factory=dict)
     seed: int | None = None
+    path: str | None = field(default=None, compare=False)  # the file `ingest` read
 
     def __len__(self) -> int:
         return len(self.utterances)
@@ -119,8 +121,11 @@ def ingest(path, splits=()) -> CorpusManifest:
             cols = line.split("\t")
             if len(cols) < 2:
                 raise ManifestParseError(lineno, "missing text column")
+            if len(cols) > 5:
+                raise ManifestParseError(
+                    lineno, f"expected at most 5 tab-separated columns, got {len(cols)}")
             cols += [""] * (5 - len(cols))
-            utt_id, text, phon_col, split_col, feat_col = cols[:5]
+            utt_id, text, phon_col, split_col, feat_col = cols
             if not utt_id:
                 raise ManifestParseError(lineno, "empty id")
             if utt_id in seen:
@@ -142,7 +147,7 @@ def ingest(path, splits=()) -> CorpusManifest:
             if name not in split.values():
                 raise ValueError(f"no {name!r} split; give `bigphon augment --split` "
                                  f"a nonzero {name} count")
-    return CorpusManifest(tuple(utterances), split)
+    return CorpusManifest(tuple(utterances), split, path=str(path))
 
 
 def write_manifest(manifest: CorpusManifest, path, header_lines: list[str] | None = None):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -124,22 +125,25 @@ def load_features(path, feature_dim: int | None = None, width_from=None) -> np.n
     return arr
 
 
-def require_feature_paths(utterances) -> None:
-    """Raise unless every utterance names the feature file that a
-    feature-mode model reads its source from."""
-    for utt in utterances:
-        if not utt.feature_path:
-            raise ValueError(f"utterance {utt.utt_id!r} has no feature_path")
-
-
-def encode_source(utt: Utterance, codec: SourceCodec | None, feature_dim: int | None = None,
-                  width_from=None):
-    """Model input for one utterance: its text's codec ids, or its features
-    when there is no codec (feature mode), checked as `load_features` does."""
+def read_sources(utts, codec: SourceCodec | None, feature_dim: int | None = None,
+                 manifest_path=None) -> list:
+    """Model inputs for `utts`, in order: each text's codec ids, or, with no
+    codec (feature mode), each row's feature file, loaded once. Before any
+    file loads, every row must name one; that error names `manifest_path`
+    when given. Every file must be `feature_dim` wide or, when that is
+    None, as wide as the first, which the width error then names."""
     if codec is not None:
-        return codec.encode(utt.text)
-    require_feature_paths((utt,))
-    return load_features(utt.feature_path, feature_dim, width_from)
+        return [codec.encode(utt.text) for utt in utts]
+    with reading(manifest_path) if manifest_path else nullcontext():
+        for utt in utts:
+            if not utt.feature_path:
+                raise ValueError(f"utterance {utt.utt_id!r} has no feature_path")
+    sources, width_from = [], None
+    for utt in utts:
+        sources.append(load_features(utt.feature_path, feature_dim, width_from))
+        if feature_dim is None:
+            feature_dim, width_from = sources[0].shape[1], utt.feature_path
+    return sources
 
 
 def _vocab_header(vocab: Vocabulary) -> dict:
@@ -245,14 +249,6 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(header["epoch"], config, header["variant"], dims, flat, vocab, codec)
 
 
-def _prepare_examples(utterances, vocab: Vocabulary, encode):
-    sources, targets = [], []
-    for utt in utterances:
-        sources.append(encode(utt))
-        targets.append(tokenize(utt.phonemes, vocab).ids)
-    return sources, targets
-
-
 def _epoch_valid_loss(params, config, dims, sources, targets) -> float:
     if not sources:
         return math.nan
@@ -302,19 +298,14 @@ def train(
         raise ValueError("manifest has no train split")
 
     codec = SourceCodec.from_texts([u.text for u in train_utts]) if source_mode == "text" else None
-    head = train_utts[0]
-    first = encode_source(head, codec)  # encoded once; in feature mode its width is the run's
+    sources = read_sources(train_utts + valid_utts, codec, manifest_path=manifest.path)
+    train_src, valid_src = sources[: len(train_utts)], sources[len(train_utts) :]
     if codec is not None:
         dims = ModelDims(target_vocab=len(vocab), source_vocab=codec.size)
     else:
-        dims = ModelDims(target_vocab=len(vocab), feature_dim=first.shape[1])
-
-    def encode(utt):
-        return first if utt is head else encode_source(utt, codec, dims.feature_dim,
-                                                        head.feature_path)
-
-    train_src, train_tgt = _prepare_examples(train_utts, vocab, encode)
-    valid_src, valid_tgt = _prepare_examples(valid_utts, vocab, encode)
+        dims = ModelDims(target_vocab=len(vocab), feature_dim=train_src[0].shape[1])
+    train_tgt = [tokenize(utt.phonemes, vocab).ids for utt in train_utts]
+    valid_tgt = [tokenize(utt.phonemes, vocab).ids for utt in valid_utts]
 
     seeds = np.random.SeedSequence(config.seed).spawn(3)
     rng_init = np.random.default_rng(seeds[0])
@@ -380,17 +371,17 @@ def decode_split(
     """Greedy-decode every utterance of a split under a checkpoint and
     BLEU-score the decodes against the reference atom sequences.
 
-    It checks nothing: the commands read the manifest with `ingest(path,
-    (split,))`, which requires the split's rows and every row's phonemes.
-    An empty split raises `EmptyCorpus` from `corpus_bleu`.
+    Every row's source is read and checked (`read_sources`) before the
+    first decode, so a feature-mode split holds all its frames at once.
+    The commands read the manifest with `ingest(path, (split,))`, which
+    requires the split's rows and every row's phonemes; an empty split
+    raises `EmptyCorpus` from `corpus_bleu`.
     """
     utts = manifest.by_split(split)
+    sources = read_sources(utts, ckpt.codec, ckpt.dims.feature_dim, manifest.path)
     params = ckpt.params
-    decoded = [
-        (utt, greedy_decode(params, ckpt.config,
-                            encode_source(utt, ckpt.codec, ckpt.dims.feature_dim), ckpt.vocab))
-        for utt in utts
-    ]
+    decoded = [(utt, greedy_decode(params, ckpt.config, source, ckpt.vocab))
+               for utt, source in zip(utts, sources)]
     report = corpus_bleu(
         [result.sequence.tokens for _, result in decoded],
         [utt.phonemes.tokens for utt, _ in decoded],

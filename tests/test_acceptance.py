@@ -28,7 +28,7 @@ from bigphon.model import (
     param_index,
     unflatten_params,
 )
-from bigphon.training import decode_split, encode_source, train
+from bigphon.training import decode_split, read_sources, train
 from bigphon.vocab import VARIANT_LABELS, build_all_variants, build_variant, detokenize, parse_variant, tokenize
 
 from conftest import (
@@ -200,8 +200,8 @@ def test_criterion_06_toy_training_behavior(tmp_path, classes, rules):
         ckpt = last_checkpoint(tmp_path / "five", overfit)
         decoded, report = decode_split(ckpt, five, split="train")
         assert report.bleu == 100.0
-        for utt, result in decoded:
-            source = encode_source(utt, ckpt.codec)
+        sources = read_sources(five.by_split("train"), ckpt.codec)
+        for (utt, result), source in zip(decoded, sources):
             assert result == reference_greedy_decode(ckpt.params, ckpt.config, source, ckpt.vocab)
         assert time.monotonic() - t0 < 300.0
 

@@ -363,7 +363,10 @@ class TestTrainEvaluateErrors:
     ):
         first = trained / "epoch0002.ckpt"
         second = tmp_path / "copy.ckpt"
-        second.write_bytes(first.read_bytes())
+        copy = load_checkpoint(first)
+        copy.epoch = 4  # evaluate refuses a variant and epoch it has already scored
+        save_checkpoint(copy, second)
+        del copy
         loaded, alive = [], []
         load = training.load_checkpoint
 

@@ -223,3 +223,11 @@ class TestRoundTrip:
         path = tmp_path / "m.tsv"
         write_manifest(CorpusManifest(utts), path)
         assert ingest(path).utterances[0].feature_path == "feats/a.npy"
+
+    def test_ingest_records_its_path_outside_equality(self, tmp_path):
+        utts = (Utterance("a", "eins"),)
+        path = tmp_path / "m.tsv"
+        write_manifest(CorpusManifest(utts), path)
+        read = ingest(path)
+        assert read.path == str(path)
+        assert read == CorpusManifest(utts)

@@ -16,8 +16,10 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from bigphon import training
 from bigphon.cli import main
 from bigphon.corpus import CorpusManifest, ingest, write_manifest
+from bigphon.training import load_checkpoint, save_checkpoint
 
 from conftest import make_toy_manifest
 
@@ -98,6 +100,8 @@ TABLE = [
      "line 1: missing text column"),
     ("raw-split", "raw", ("augment",), _swap(b"als sie\n", b"als sie\t\tbogus\n"), 2,
      "line 1: unknown split 'bogus'"),
+    ("raw-extra-column", "raw", ("augment",), _swap(b"als sie\n", b"als sie\t\t\t\tEXTRA\n"),
+     2, "line 1: expected at most 5 tab-separated columns, got 6"),
     ("manifest-garbage", "manifest", MODEL_COMMANDS, lambda data: b"\x80" + data, 2,
      "line 1: invalid UTF-8 byte 0x80"),
     ("manifest-truncated", "manifest", MODEL_COMMANDS, _phoneme_column_cut, 2,
@@ -107,6 +111,9 @@ TABLE = [
      "line 2: duplicate utterance id 'u0000'"),
     ("manifest-text-cut", "manifest", MODEL_COMMANDS, _text_column_cut, 2,
      "line 8: utterance 'u0007' is not augmented"),
+    ("manifest-extra-column", "manifest", MODEL_COMMANDS,
+     lambda data: data.replace(b"\n", b"\tEXTRA\n", 1), 2,
+     "line 1: expected at most 5 tab-separated columns, got 6"),
     ("manifest-bar-only", "manifest", MODEL_COMMANDS, _first_phoneme_column(b"|"), 2,
      "line 1: utterance 'u0000' has no phonemes: 'von geist wurden geist regen blume'"),
     ("manifest-no-valid", "manifest", ("train",),
@@ -274,4 +281,66 @@ def test_feature_width_error_names_the_file_that_set_it(valid, tmp_path, capsys)
                  "--outdir", str(tmp_path / "out"), "--source", "features"] + MODEL) == 2
     assert capsys.readouterr().err == (f"bigphon: error: {second}: feature array (4, 3) does not "
                                        f"match feature_dim=4 from {wide}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def _count_decodes(monkeypatch) -> list:
+    calls = []
+    decode = training.greedy_decode
+    monkeypatch.setattr(training, "greedy_decode",
+                        lambda *args: calls.append(args) or decode(*args))
+    return calls
+
+
+@pytest.mark.parametrize("command", ["evaluate", "errors"])
+def test_bad_last_feature_file_stops_the_split_before_any_decode(valid, tmp_path, monkeypatch,
+                                                                 capsys, command):
+    """Every file of the split is loaded and checked before the first decode."""
+    last = ingest(valid["manifest"]).by_split("test")[-1].feature_path
+    bad = tmp_path / "nan.npy"
+    np.save(bad, np.full((4, 3), np.nan))
+    manifest = tmp_path / "features.tsv"
+    text = valid["manifest"].read_text(encoding="utf-8")
+    manifest.write_text(text.replace(last, str(bad)), encoding="utf-8")
+    calls = _count_decodes(monkeypatch)
+    capsys.readouterr()
+    assert main([command, "--ckpt", str(valid["features-ckpt"]), "--manifest", str(manifest),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"bigphon: error: {bad}: feature frames hold NaN or infinite values\n")
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_failing_on_a_later_checkpoint_writes_nothing(valid, tmp_path, capsys):
+    """A text checkpoint scores first; the feature checkpoint after it meets
+    a test row with no feature file. No report of the first is left."""
+    text_ckpt = load_checkpoint(valid["ckpt"])
+    text_ckpt.epoch = 2
+    save_checkpoint(text_ckpt, tmp_path / "a.ckpt")
+    (tmp_path / "b.ckpt").write_bytes(valid["features-ckpt"].read_bytes())
+    first_test = ingest(valid["manifest"]).by_split("test")[0].utt_id
+    manifest = tmp_path / "features.tsv"
+    manifest.write_bytes(_no_feature_path(first_test.encode())(valid["manifest"].read_bytes()))
+    capsys.readouterr()
+    assert main(["evaluate", "--ckpt", str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt"),
+                 "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"bigphon: error: {manifest}: utterance {first_test!r} has no feature_path\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_evaluate_refuses_a_repeated_variant_and_epoch(valid, tmp_path, monkeypatch, capsys):
+    """A copy of a checkpoint would overwrite the first one's score: the
+    copy is refused when it loads, before it decodes."""
+    first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    for path in (first, second):
+        path.write_bytes(valid["ckpt"].read_bytes())
+    calls = _count_decodes(monkeypatch)
+    capsys.readouterr()
+    assert main(["evaluate", "--ckpt", str(first), str(second), "--manifest",
+                 str(valid["manifest"]), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"bigphon: error: {second}: variant 'base' epoch 1 is already scored from {first}\n")
+    assert len(calls) == len(ingest(valid["manifest"]).by_split("test"))
     assert not (tmp_path / "out").exists()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -288,6 +289,21 @@ class TestFeatureMode:
         train(m, toy_vocab(m, classes), cfg, tmp_path / "run", source_mode="features")
         read = m.by_split("train") + m.by_split("valid")
         assert loads == [u.feature_path for u in read]
+
+    @pytest.mark.parametrize("manifest_path", [None, "corpus.tsv"])
+    def test_read_sources_checks_every_row_before_any_load(self, tmp_path, classes, rules,
+                                                           monkeypatch, manifest_path):
+        """A row with no feature file is found before any file loads; the
+        error names the manifest's file when there is one."""
+        utts = self.make_feature_manifest(tmp_path, rules, classes).by_split("train")
+        utts = utts[:-1] + (replace(utts[-1], feature_path=None),)
+        loads = []
+        monkeypatch.setattr(training, "load_features", lambda *args: loads.append(args))
+        with pytest.raises(ValueError) as exc:
+            training.read_sources(utts, None, manifest_path=manifest_path)
+        prefix = f"{manifest_path}: " if manifest_path else ""
+        assert str(exc.value) == f"{prefix}utterance {utts[-1].utt_id!r} has no feature_path"
+        assert loads == []
 
     def test_checkpoint_round_trip(self, tmp_path, classes, rules):
         m = self.make_feature_manifest(tmp_path, rules, classes)
