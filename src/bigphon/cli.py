@@ -125,12 +125,15 @@ def cmd_vocab(args) -> int:
 def cmd_train(args) -> int:
     from .training import train
 
+    outdir = Path(args.outdir)
+    stale = min(outdir.glob("epoch*.ckpt"), default=None)
+    if stale:  # another run's checkpoints would sit beside this run's
+        raise FileExistsError(f"{outdir}: already holds {stale.name}; train into a new --outdir")
     table = _load_classes(args)
     manifest = ingest(args.manifest, ("train", "valid"))
     inventory = induce_inventory([u.phonemes for u in manifest.utterances], table)
     vocab = read_vocab(args.vocab, inventory)
     config = ModelConfig(**{f.name: getattr(args, f.name) for f in fields(ModelConfig)})
-    outdir = Path(args.outdir)
     trace = train(
         manifest,
         vocab,

@@ -27,11 +27,11 @@ inverse standard deviation and parameters, and each dropout mask, packed 8
 to a byte. The sublayer kernels compute in place on arrays they own, and
 each backward kernel frees its temporaries after their last use.
 
-One decoder-layer body, ``_decoder_layer``, serves teacher forcing (the
-whole target at once, causal mask) and greedy decoding (one position per
-step, against the layer's key/value buffer). Without a cache dict the
-forward records no tape: the valid-loss pass and the decoder's encoder run
-keep no sublayer's activations past that sublayer.
+One decoder entry, ``_decoder_forward``, serves teacher forcing and the
+valid pass (the whole target at once, causal mask) and each greedy step (the
+newest position, against each layer's key/value buffer). Without a cache
+dict the forward records no tape: the valid pass and greedy decoding keep no
+sublayer's activations past that sublayer.
 """
 
 from __future__ import annotations
@@ -210,12 +210,12 @@ _PE_TABLES: dict[int, np.ndarray] = {}  # one read-only table per width, grown o
 
 
 def _pe(length: int, d: int) -> np.ndarray:
-    pe = _PE_TABLES.get(d)
-    if pe is None or len(pe) < length:
-        pos = np.arange(length, dtype=np.float64)[:, None]
+    pe = _PE_TABLES.get(d, np.empty((0, d)))
+    if len(pe) < length:  # at least doubles, so a decode's steps seldom regrow it
+        pos = np.arange(max(length, 2 * len(pe)), dtype=np.float64)[:, None]
         idx = np.arange(d, dtype=np.float64)[None, :]
         angles = pos / np.power(10000.0, (2.0 * np.floor(idx / 2.0)) / d)
-        pe = _PE_TABLES[d] = np.empty((length, d), dtype=np.float64)
+        pe = _PE_TABLES[d] = np.empty((len(pos), d), dtype=np.float64)
         pe[:, 0::2] = np.sin(angles[:, 0::2])
         pe[:, 1::2] = np.cos(angles[:, 1::2])
         pe.flags.writeable = False
@@ -493,9 +493,8 @@ def _decoder_layer(params, config, i, y, t, self_kv, cross_kv, src_add, mask, p,
     Writes the positions' self-attention keys and values into `self_kv`,
     the layer's (2, B, heads, >= t+n, dh) buffer, and attends over its first
     t+n positions; `cross_kv` is `_kv_fwd` of the encoder output, computed
-    once per layer by the caller. Teacher forcing runs it once with t = 0,
-    the whole target and the causal mask; greedy decoding once per step with
-    n = 1 and no mask. Appends its entries to the tape `cache` unless None."""
+    once per layer by `_decoder_layers`. Appends its entries to the tape
+    `cache` unless None."""
     end, heads = t + y.shape[1], config.heads
     self_kv[0, :, :, t:end], self_kv[1, :, :, t:end] = _kv_fwd(y, params, f"dec{i}.self", heads)
     kv = (self_kv[0, :, :, :end], self_kv[1, :, :, :end])
@@ -509,20 +508,29 @@ def _decoder_layer(params, config, i, y, t, self_kv, cross_kv, src_add, mask, p,
     return _residual_ln_fwd(y, a, params, f"dec{i}.ln3", p, rng, cache)
 
 
-def _decoder_forward(params, config, enc_out, src_add, tgt_in, p, rng, cache=None):
-    """Teacher-forced logits (B, T, V); appends to the tape `cache` as
-    `_encoder_forward` does."""
-    d, heads = config.d_model, config.heads
-    b, t_len = tgt_in.shape
-    y = params["tgt_embed"][tgt_in] * math.sqrt(d) + _pe(t_len, d)
+def _decoder_layers(params, config, enc_out, length):
+    """Each decoder layer's (self_kv, cross_kv): an empty (2, B, heads, length,
+    dh) buffer for its self-attention keys and values, and `_kv_fwd` of the
+    encoder output for its cross-attention."""
+    heads = config.heads
+    shape = (2, enc_out.shape[0], heads, length, config.d_model // heads)
+    return [(np.empty(shape), _kv_fwd(enc_out, params, f"dec{i}.cross", heads))
+            for i in range(config.decoder_layers)]
+
+
+def _decoder_forward(params, config, layers, src_add, tgt_in, t, p, rng, cache=None):
+    """Logits (B, n, V) at target positions t..t+n of `tgt_in` (B, n), through
+    the `_decoder_layers` pairs `layers`, whose buffers hold the keys and
+    values of positions before t. The causal mask applies when n > 1, which
+    is only at t = 0. Appends to the tape `cache` as `_encoder_forward` does."""
+    d, n = config.d_model, tgt_in.shape[1]
+    y = params["tgt_embed"][tgt_in] * math.sqrt(d) + _pe(t + n, d)[t:]
     y, dcache = _dropout_fwd(y, p, rng)
     if cache is not None:
         cache.append(("embed", "tgt_embed", (y, dcache, tgt_in)))
-    causal = _causal_mask(t_len)
-    for i in range(config.decoder_layers):
-        y = _decoder_layer(params, config, i, y, 0, np.empty((2, b, heads, t_len, d // heads)),
-                           _kv_fwd(enc_out, params, f"dec{i}.cross", heads), src_add, causal,
-                           p, rng, cache)
+    mask = _causal_mask(n) if n > 1 else None
+    for i, (self_kv, cross_kv) in enumerate(layers):
+        y = _decoder_layer(params, config, i, y, t, self_kv, cross_kv, src_add, mask, p, rng, cache)
     return _linear_fwd(y, params["out_w"], params["out_b"])
 
 
@@ -536,7 +544,8 @@ def forward_batch(params, config: ModelConfig, batch: Batch, dropout_rng=None,
     if cache is not None:
         enc, dec = cache["enc"], cache["dec"] = [], []
     enc_out, src_add = _encoder_forward(params, config, batch, p, dropout_rng, enc)
-    return _decoder_forward(params, config, enc_out, src_add, batch.tgt_in, p, dropout_rng, dec)
+    layers = _decoder_layers(params, config, enc_out, batch.tgt_in.shape[1])
+    return _decoder_forward(params, config, layers, src_add, batch.tgt_in, 0, p, dropout_rng, dec)
 
 
 def _embed_bwd(dy, cache, grads, wname):
@@ -647,26 +656,16 @@ class DecodeResult:
 def greedy_decode(params, config: ModelConfig, source, vocab: Vocabulary) -> DecodeResult:
     """Argmax decoding from BOS until EOS or config.max_target_len (flagged).
 
-    Incremental: the encoder and each decoder layer's cross-attention keys
-    and values are computed once per source; each step then runs only the
-    newest position through `_decoder_layer`, which stores its self-attention
-    keys and values in the layer's buffer and attends over the positions so far.
-    """
+    The one decoder entry, `_decoder_forward`, that serves teacher forcing and
+    the valid pass runs each step on the newest position alone; the encoder and
+    the cross-attention keys and values run once per source."""
     batch = make_batch([source], [[]], infer_dims(params))
     enc_out, src_add = _encoder_forward(params, config, batch, 0.0, None)
-    d, heads, cap = config.d_model, config.heads, config.max_target_len
-    scale = math.sqrt(d)
-    pe = _pe(cap, d)
-    layers = [(np.empty((2, 1, heads, cap, d // heads)),
-               _kv_fwd(enc_out, params, f"dec{i}.cross", heads))
-              for i in range(config.decoder_layers)]
+    layers = _decoder_layers(params, config, enc_out, config.max_target_len)
     emitted: list[int] = []
     nxt = BOS_ID
-    for t in range(cap):
-        y = (params["tgt_embed"][nxt] * scale + pe[t])[None, None]
-        for i, (self_kv, cross_kv) in enumerate(layers):
-            y = _decoder_layer(params, config, i, y, t, self_kv, cross_kv, src_add, None, 0.0, None)
-        logits = _linear_fwd(y[0, 0], params["out_w"], params["out_b"])
+    for t in range(config.max_target_len):
+        logits = _decoder_forward(params, config, layers, src_add, np.array([[nxt]]), t, 0.0, None)
         nxt = int(logits.argmax())
         if nxt == EOS_ID:
             return DecodeResult(tuple(emitted), detokenize(emitted, vocab), False)

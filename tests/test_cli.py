@@ -317,6 +317,23 @@ class TestTrainEvaluateErrors:
             "give `bigphon augment --split` a nonzero valid count\n")
         assert not outdir.exists()
 
+    def test_train_into_outdir_with_checkpoints_exits_2_untouched(
+        self, tmp_path, augmented_manifest, trained, monkeypatch, capsys
+    ):
+        """A second run into the same --outdir would leave the first run's
+        checkpoints beside its own, under its run_config.json and trace.csv."""
+        before = {p.name: p.read_bytes() for p in trained.iterdir()}
+        calls = []
+        monkeypatch.setattr(training, "train", lambda *args, **kwargs: calls.append(args))
+        capsys.readouterr()
+        argv = train_args(augmented_manifest, tmp_path / "base.vocab", trained, 1, 1)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"bigphon: error: {trained}: already holds epoch0002.ckpt; "
+            "train into a new --outdir\n")
+        assert calls == []
+        assert {p.name: p.read_bytes() for p in trained.iterdir()} == before
+
     def test_trace_row_count_matches_epochs(self, tmp_path, augmented_manifest):
         vocab_path = tmp_path / "b.vocab"
         main(["vocab", "--manifest", str(augmented_manifest), "--variant", "base",

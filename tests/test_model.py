@@ -557,6 +557,13 @@ class TestPositionalTable:
         with pytest.raises(ValueError):
             longest[0, 0] = 1.0
 
+    def test_one_row_more_at_a_time_seldom_regrows(self, monkeypatch):
+        """A decode asks for one row more at each step; the table at least
+        doubles when it grows, so 400 steps build it 10 times, not 400."""
+        monkeypatch.setattr(model, "_PE_TABLES", {})
+        built = {len(model._pe(length, 16).base) for length in range(1, 401)}
+        assert built == {2 ** k for k in range(10)}
+
 
 class TestGreedyDecode:
     @pytest.fixture()
@@ -648,12 +655,19 @@ class TestIncrementalDecode:
     def test_never_reruns_decoder_over_prefix(self, vocab, monkeypatch):
         params, config, sources = self.random_model(vocab, "tokens", 2, 2, 50, seed=1)
         expected = [reference_greedy_decode(params, config, src, vocab) for src in sources]
+        steps = []
+        decode = model._decoder_forward
 
-        def rerun(*args):
-            raise AssertionError("greedy_decode reran the full decoder")
+        def spy(params, config, layers, src_add, tgt_in, t, *rest):
+            steps.append((tgt_in.shape, t))
+            return decode(params, config, layers, src_add, tgt_in, t, *rest)
 
-        monkeypatch.setattr(model, "_decoder_forward", rerun)
-        assert [greedy_decode(params, config, src, vocab) for src in sources] == expected
+        monkeypatch.setattr(model, "_decoder_forward", spy)
+        for src, want in zip(sources, expected):
+            steps.clear()
+            assert greedy_decode(params, config, src, vocab) == want
+            assert steps == [((1, 1), t) for t in range(len(steps))]
+            assert len(steps) == len(want.ids) + (0 if want.truncated else 1)
 
     def test_encoder_runs_once_per_decode(self, vocab, monkeypatch):
         params, config, sources = self.random_model(vocab, "tokens", 2, 2, 50, seed=1)
