@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import (BLAS_THREAD_VARS, ModelConfig, NonFiniteGradient, NonFiniteLoss,
-                     NonFiniteParameter, reading)
+                     NonFiniteParameter, reading, write_lines)
 from .corpus import (
     SPLIT_NAMES,
     augment,
@@ -63,8 +63,7 @@ def _parse_split_sizes(text: str) -> tuple[int, int, int]:
 
 
 def _write_json(path: Path, report) -> None:
-    text = json.dumps(report.to_dict(), ensure_ascii=False, indent=2)
-    path.write_text(text + "\n", encoding="utf-8")
+    write_lines(path, [json.dumps(report.to_dict(), ensure_ascii=False, indent=2)])
 
 
 def _provenance(args, extra: dict | None = None) -> list[str]:
@@ -142,23 +141,10 @@ def cmd_train(args) -> int:
         outdir=outdir,
         log=print if args.verbose else None,
     )
-    (outdir / "run_config.json").write_text(
-        json.dumps(
-            {
-                "tool": f"bigphon {__version__}",
-                "seed": args.seed,
-                "variant": vocab.variant,
-                "source_mode": args.source,
-                "manifest": str(args.manifest),
-                "vocab": str(args.vocab),
-                "config": asdict(config),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    run = {"tool": f"bigphon {__version__}", "seed": args.seed, "variant": vocab.variant,
+           "source_mode": args.source, "manifest": str(args.manifest), "vocab": str(args.vocab),
+           "config": asdict(config)}
+    write_lines(outdir / "run_config.json", [json.dumps(run, indent=2, sort_keys=True)])
     final_train, final_valid = trace.entries[-1]
     checkpoints = config.epochs // config.checkpoint_interval
     print(
@@ -214,11 +200,10 @@ def cmd_evaluate(args) -> int:
         _write_json(out / f"bleu_{variant}_epoch{epoch:04d}.json", report)
     bleu = {key: f"{report.bleu:.2f}" for key, (_, report) in scored.items()}
     columns = [v for v in VARIANT_LABELS if any(v == variant for variant, _ in bleu)]
-    lines = [f"# {h}" for h in _provenance(args, {"checkpoints": len(paths)})]
-    lines.append("epoch," + ",".join(columns))
+    lines = ["epoch," + ",".join(columns)]
     for epoch in sorted({epoch for _, epoch in bleu}):
         lines.append(",".join([str(epoch)] + [bleu.get((v, epoch), "") for v in columns]))
-    (out / "bleu_grid.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(out / "bleu_grid.csv", lines, header=_provenance(args, {"checkpoints": len(paths)}))
     return 0
 
 
@@ -252,21 +237,20 @@ def cmd_errors(args) -> int:
         rendered.append(f"  ref:  {utt.phonemes.render()}")
         rendered.append(f"  hyp:  {render_marked(diag.alignment)}")
     _write_json(out / "error_report.json", report)
-    (out / "sentences.txt").write_text("\n".join(rendered) + "\n", encoding="utf-8")
+    write_lines(out / "sentences.txt", rendered)
 
     refs = [utt.phonemes for utt, _ in decoded]
     hyps = [result.sequence.tokens for _, result in decoded]
     articles = article_accuracy(refs, hyps, rules, table)
     _write_json(out / "article_report.json", articles)
-    header = [f"# {h}" for h in _provenance(args, {"variant": ckpt.variant, "epoch": ckpt.epoch})]
     row = [ckpt.variant]
     for name in ARTICLES:
         acc = articles.scores[name].accuracy
         row.append("" if acc is None else f"{acc:.2f}")
     avg = articles.average
     row.append("" if avg is None else f"{avg:.3f}")
-    table3 = header + ["model," + ",".join(ARTICLES) + ",avg", ",".join(row)]
-    (out / "articles.csv").write_text("\n".join(table3) + "\n", encoding="utf-8")
+    write_lines(out / "articles.csv", ["model," + ",".join(ARTICLES) + ",avg", ",".join(row)],
+                header=_provenance(args, {"variant": ckpt.variant, "epoch": ckpt.epoch}))
 
     totals = report.totals()
     print(

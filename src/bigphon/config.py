@@ -1,4 +1,4 @@
-"""Model configuration, the non-finite failures and input errors, without numpy.
+"""Model configuration, the non-finite failures, input errors and output files, without numpy.
 
 ``ModelConfig`` and the three exceptions live here so that the commands
 that never touch the model (``augment``, ``vocab``) and the scoring layers
@@ -7,6 +7,10 @@ load no numpy; ``bigphon.model`` and ``bigphon.training`` re-export them.
 ``reading`` owns the rule that an input error names its file: every reader
 (manifest, rule and classification tables, vocabulary, checkpoint, feature
 array) parses inside it, and none formats its own path into a message.
+``writing`` is its mirror for output: every output file is written to a
+hidden temporary name beside its path and moved onto it whole, so it
+appears whole or not at all; ``write_lines`` puts the line format (UTF-8,
+newline-ended) and the `# k=v` provenance header in one place.
 
 ``BLAS_THREAD_VARS`` names the variables that set the BLAS/OpenMP thread
 count, which changes training bytes; set them before numpy loads.
@@ -16,7 +20,8 @@ from __future__ import annotations
 
 import io
 import math
-from contextlib import contextmanager
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -56,6 +61,39 @@ def reading(path):
     except (ValueError, NonFiniteParameter) as exc:
         exc.args = (f"{path}: {exc}",)
         raise
+
+
+@contextmanager
+def writing(path, mode="w"):
+    """Yield a file ("w": UTF-8 text with newline line ends, "wb": bytes) that
+    becomes `path` only if the block ends without an error. It is created
+    as `.NAME.XXXXXXXX.tmp` beside `path` (`open` mode "x": O_EXCL, 0o666
+    under the umask), flushed, fsync'd and `os.replace`d onto `path`; on
+    any exception it is removed. An OSError names `path`, never the
+    temporary name. The directory is not fsync'd: after a crash `path`
+    holds the old file or the new one, never part of one."""
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": "\n"}
+    try:
+        with open(tmp, mode.replace("w", "x"), **text) as f:
+            yield f
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with suppress(OSError):
+            os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from None
+        raise
+
+
+def write_lines(path, lines, header=()):
+    """Write `# {item}` for each header item, then each line, each ending in a newline."""
+    with writing(path) as f:
+        f.writelines(f"# {item}\n" for item in header)
+        f.writelines(f"{line}\n" for line in lines)
 
 
 @dataclass(frozen=True)

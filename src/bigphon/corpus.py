@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .config import reading
+from .config import reading, write_lines
 from .g2p import RuleTable, UnmappableGrapheme, transliterate
 from .ipa import ClassificationTable, PhonemeSequence
 
@@ -152,22 +152,9 @@ def ingest(path, splits=()) -> CorpusManifest:
 
 def write_manifest(manifest: CorpusManifest, path, header_lines: list[str] | None = None):
     """Write a manifest TSV, bit-exactly re-ingestable."""
-    with open(path, "w", encoding="utf-8") as f:
-        for line in header_lines or []:
-            f.write(f"# {line}\n")
-        for utt in manifest.utterances:
-            f.write(
-                "\t".join(
-                    (
-                        utt.utt_id,
-                        utt.text,
-                        _encode_phonemes(utt.phonemes),
-                        manifest.split.get(utt.utt_id, ""),
-                        utt.feature_path or "",
-                    )
-                )
-                + "\n"
-            )
+    write_lines(path, ("\t".join((utt.utt_id, utt.text, _encode_phonemes(utt.phonemes),
+                                   manifest.split.get(utt.utt_id, ""), utt.feature_path or ""))
+                       for utt in manifest.utterances), header=header_lines or ())
 
 
 def filter_by_length(

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .bleu import BleuReport, corpus_bleu
-from .config import NonFiniteGradient, NonFiniteLoss, NonFiniteParameter, reading
+from .config import (NonFiniteGradient, NonFiniteLoss, NonFiniteParameter, reading, write_lines,
+                     writing)
 from .corpus import CorpusManifest, Utterance
 from .ipa import Phoneme, PhonemeInventory, SoundClass
 from .model import (
@@ -83,11 +84,8 @@ class TrainingTrace:
     entries: list[tuple[float, float]] = field(default_factory=list)
 
     def write(self, path, header_lines: list[str] | None = None):
-        lines = [f"# {h}" for h in header_lines or []]
-        lines.append("epoch,train_loss,valid_loss")
-        for i, (tr, va) in enumerate(self.entries, start=1):
-            lines.append(f"{i},{tr!r},{va!r}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        rows = (f"{i},{tr!r},{va!r}" for i, (tr, va) in enumerate(self.entries, start=1))
+        write_lines(path, ["epoch,train_loss,valid_loss", *rows], header=header_lines or ())
 
 
 @dataclass
@@ -178,7 +176,7 @@ def save_checkpoint(ckpt: Checkpoint, path):
         "utf-8"
     )
     payload = np.ascontiguousarray(ckpt.params_flat, dtype="<f8")
-    with open(path, "wb") as f:
+    with writing(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
         f.write(CHECKPOINT_VERSION.to_bytes(4, "little"))
         f.write(len(blob).to_bytes(8, "little"))

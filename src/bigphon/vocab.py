@@ -15,7 +15,7 @@ from enum import Enum
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .config import reading
+from .config import reading, write_lines
 from .ipa import PhonemeInventory, PhonemeSequence, SoundClass
 
 SPECIALS = ("PAD", "BOS", "EOS", "UNK")
@@ -261,14 +261,10 @@ def detokenize(
 
 def write_vocab(vocab: Vocabulary, path):
     """One unit per line after a header; merged units join atoms with `+`."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(
-            f"#variant={vocab.variant} n={vocab.n_bigrams} "
-            f"inventory={len(vocab.inventory)}\n"
-        )
-        for unit in vocab.units:
-            pair = vocab.merged_pairs.get(unit)
-            f.write(f"{pair[0]}+{pair[1]}\n" if pair else f"{unit}\n")
+    pairs = vocab.merged_pairs
+    write_lines(path, [f"#variant={vocab.variant} n={vocab.n_bigrams} "
+                       f"inventory={len(vocab.inventory)}",
+                       *("+".join(pairs[u]) if u in pairs else u for u in vocab.units)])
 
 
 def read_vocab(path, inventory: PhonemeInventory) -> Vocabulary:

@@ -860,13 +860,24 @@ class TestInputErrors:
         assert calls == []
         assert capsys.readouterr().err == f"bigphon: error: {message}\n"
 
-    @pytest.mark.parametrize("command", ["vocab", "train", "evaluate", "errors"])
+    @pytest.mark.parametrize("command", ["vocab", "train", "evaluate", "errors",
+                                         "augment", "vocab-variant"])
     def test_output_path_that_is_a_file_exits_2(
         self, tmp_path, augmented_manifest, vocab_path, checkpoint, monkeypatch, capsys, command
     ):
+        """A directory command's --out is a file, or (`augment`, `vocab
+        --variant`) a file command's --out is a directory: exit 2 naming it."""
         taken = tmp_path / "taken"
-        taken.write_text("not a directory\n", encoding="utf-8")
+        file_out = command in ("augment", "vocab-variant")
+        if file_out:
+            taken.mkdir()
+        kept = taken / "kept" if file_out else taken
+        kept.write_text("not a directory\n", encoding="utf-8")
         argv = {
+            "augment": ["augment", "--manifest", str(augmented_manifest), "--split", "8,2,2",
+                        "--out", str(taken)],
+            "vocab-variant": ["vocab", "--manifest", str(augmented_manifest),
+                              "--variant", "base", "--out", str(taken)],
             "vocab": ["vocab", "--manifest", str(augmented_manifest), "--all",
                       "--out", str(taken)],
             "train": train_args(augmented_manifest, vocab_path, taken),
@@ -884,8 +895,12 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("bigphon: error: ") and str(taken) in err
         assert len(err.splitlines()) == 1
+        if file_out:
+            assert err == f"bigphon: error: [Errno 21] Is a directory: '{taken}'\n"
+            assert list(taken.iterdir()) == [kept]
         assert calls == []
-        assert taken.read_text(encoding="utf-8") == "not a directory\n"
+        assert kept.read_text(encoding="utf-8") == "not a directory\n"
+        assert list(tmp_path.glob(".taken.*")) == []
 
     @pytest.mark.parametrize("command", ["evaluate", "errors"])
     @pytest.mark.parametrize("defect", ["unaugmented", "empty"])

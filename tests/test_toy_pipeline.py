@@ -1,13 +1,26 @@
-"""`tools/toy_pipeline.py`: the whole CLI pipeline is byte-deterministic."""
+"""`tools/toy_pipeline.py`: the whole CLI pipeline is byte-deterministic,
+and its listing equals the committed one in `tests/golden`."""
 
 from __future__ import annotations
 
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
+
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "toy_pipeline.py"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# Outputs that no BLAS call produces; every other line comes from the model.
+BLAS_FREE = ("raw.tsv", "corpus.tsv", "vocabs/", "features/", "corpus_feat.tsv")
+
+
+def blas_fingerprint() -> list[str]:
+    """numpy's version and its BLAS build string, as in `toy_fingerprint.txt`."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return [f"numpy {np.__version__}", f"blas {blas.get('openblas configuration', blas)}"]
 
 
 def test_two_runs_print_identical_digests(tmp_path):
@@ -19,6 +32,17 @@ def test_two_runs_print_identical_digests(tmp_path):
     assert first == second
     paths = [line.split("  ", 1)[1] for line in first.splitlines()]
     assert paths == sorted(paths)
+    golden = (GOLDEN / "toy_listing.txt").read_text(encoding="utf-8").splitlines()
+    assert paths == [line.split("  ", 1)[1] for line in golden]
+    same_build = (GOLDEN / "toy_fingerprint.txt").read_text(encoding="utf-8").splitlines() \
+        == blas_fingerprint()
+    checked = [same_build or path.startswith(BLAS_FREE) for path in paths]
+    assert ([line for line, c in zip(first.splitlines(), checked) if c]
+            == [line for line, c in zip(golden, checked) if c])
+    if not same_build:
+        skipped = [path for path, c in zip(paths, checked) if not c]
+        warnings.warn(f"BLAS build differs from {GOLDEN / 'toy_fingerprint.txt'}: "
+                      f"{len(skipped)} model-derived lines not compared: {', '.join(skipped)}")
     for expected in ("stdout.txt", "corpus.tsv", "vocabs/total30.vocab",
                      "run_base/epoch0030.ckpt", "eval/bleu_grid.csv",
                      "errors_total10/articles.csv", "run_feat/epoch0010.ckpt",
