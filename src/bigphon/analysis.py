@@ -24,6 +24,9 @@ from .ipa import ClassificationTable, PhonemeSequence, classify
 
 ARTICLES = ("der", "des", "dem", "den", "die", "das")
 
+# Reference tokens reported on each side of a dropout.
+DROPOUT_CONTEXT = 2
+
 
 class EditKind(Enum):
     MATCH = "match"
@@ -177,16 +180,15 @@ class Dropout:
     right: tuple[str, ...]
 
 
-def detect_dropouts(alignment: Alignment, ref: Sequence[str], context: int = 2) -> list[Dropout]:
-    """Deleted reference tokens with +-context reference windows."""
+def detect_dropouts(alignment: Alignment, ref: Sequence[str]) -> list[Dropout]:
+    """Deleted reference tokens with +-DROPOUT_CONTEXT reference windows."""
     ref = tuple(ref)
     out = []
     for op in alignment.ops:
         if op.kind is EditKind.DELETE:
             p = op.ref_pos
-            out.append(
-                Dropout(p, op.ref_token, ref[max(0, p - context) : p], ref[p + 1 : p + 1 + context])
-            )
+            out.append(Dropout(p, op.ref_token, ref[max(0, p - DROPOUT_CONTEXT) : p],
+                               ref[p + 1 : p + 1 + DROPOUT_CONTEXT]))
     return out
 
 
@@ -375,7 +377,7 @@ def _aligned_span(
     return tuple(hyp[hyp_positions[0] : hyp_positions[-1] + 1])
 
 
-def article_forms(rules: RuleTable, table: ClassificationTable | None = None):
+def article_forms(rules: RuleTable, table: ClassificationTable):
     return {name: transliterate(name, rules, table).tokens for name in ARTICLES}
 
 
@@ -383,7 +385,7 @@ def article_accuracy(
     refs: Sequence[PhonemeSequence],
     hyps: Sequence[Sequence[str]],
     rules: RuleTable,
-    table: ClassificationTable | None = None,
+    table: ClassificationTable,
 ) -> ArticleReport:
     """Exact-span accuracy of the six definite articles.
 

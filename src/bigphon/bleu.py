@@ -26,20 +26,14 @@ def _ngrams(tokens: Sequence[str], n: int) -> Counter:
     return Counter(zip(*(tokens[k:] for k in range(n))))
 
 
-def modified_precision(hyps, refs, n: int) -> tuple[int, int]:
-    """Corpus-level clipped n-gram matches and totals.
-
-    Per sentence, hypothesis n-gram counts are clipped by the reference
-    counts; sentences shorter than n contribute zero to both sums.
-    """
-    clipped = 0
-    total = 0
-    for hyp, ref in zip(hyps, refs):
-        if len(hyp) < n:
-            continue
-        clipped += sum((_ngrams(hyp, n) & _ngrams(ref, n)).values())
-        total += len(hyp) - n + 1
-    return clipped, total
+def sentence_stats(hyp: Sequence[str], ref: Sequence[str]) -> tuple[int, ...]:
+    """The integers corpus BLEU sums over sentences: hypothesis length,
+    reference length, then for n = 1..4 the hypothesis n-grams clipped by
+    the reference's and the hypothesis n-gram count (0 and 0 below n)."""
+    stats = [len(hyp), len(ref)]
+    for n in range(1, MAX_ORDER + 1):
+        stats += sum((_ngrams(hyp, n) & _ngrams(ref, n)).values()), max(len(hyp) - n + 1, 0)
+    return tuple(stats)
 
 
 @dataclass(frozen=True)
@@ -81,12 +75,9 @@ def corpus_bleu(hyps, refs, variant: str | None = None, epoch: int | None = None
         raise EmptyCorpus("corpus_bleu needs non-empty aligned corpora")
     if len(hyps) != len(refs):
         raise EmptyCorpus(f"{len(hyps)} hypotheses vs {len(refs)} references")
-    c = sum(len(h) for h in hyps)
-    r = sum(len(x) for x in refs)
-    precisions = []
-    for n in range(1, MAX_ORDER + 1):
-        clipped, total = modified_precision(hyps, refs, n)
-        precisions.append(clipped / total if total else 0.0)
+    c, r, *counts = map(sum, zip(*map(sentence_stats, hyps, refs)))
+    precisions = [matches / total if total else 0.0
+                  for matches, total in zip(counts[::2], counts[1::2])]
     if c == 0:
         bp = 0.0
     elif c > r:

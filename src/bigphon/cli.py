@@ -66,11 +66,11 @@ def _write_json(path: Path, report) -> None:
     write_lines(path, [json.dumps(report.to_dict(), ensure_ascii=False, indent=2)])
 
 
-def _provenance(args, extra: dict | None = None) -> list[str]:
+def _provenance(args, extra: dict) -> list[str]:
     items = {"tool": f"bigphon {__version__}", "command": args.command}
     if hasattr(args, "seed"):
         items["seed"] = args.seed
-    items.update(extra or {})
+    items.update(extra)
     return [f"{k}={v}" for k, v in items.items()]
 
 
@@ -163,7 +163,7 @@ def _evaluate_checkpoint(path, manifest, args, scored: dict):
     """Score one checkpoint and return its BleuReport, refusing a variant and
     epoch already in `scored`. Nothing else of it outlives the call, so the
     next checkpoint loads with this one released."""
-    from .training import VocabMismatch, decode_split, load_checkpoint
+    from .training import decode_split, load_checkpoint
 
     ckpt = load_checkpoint(path)
     if (ckpt.variant, ckpt.epoch) in scored:
@@ -174,9 +174,7 @@ def _evaluate_checkpoint(path, manifest, args, scored: dict):
         vocab_path = Path(args.vocab_dir) / f"{ckpt.variant}.vocab"
         stated = read_vocab(vocab_path, ckpt.vocab.inventory)
         if stated.units != ckpt.vocab.units:
-            raise VocabMismatch(
-                f"{vocab_path} does not match units stored in {path}"
-            )
+            raise ValueError(f"{vocab_path} does not match units stored in {path}")
     decoded, report = decode_split(ckpt, manifest, split=args.split)
     print(f"{path}: variant={ckpt.variant} epoch={ckpt.epoch} bleu={report.bleu:.2f} "
           f"truncated={_truncated(decoded)}")
@@ -184,15 +182,17 @@ def _evaluate_checkpoint(path, manifest, args, scored: dict):
 
 
 def cmd_evaluate(args) -> int:
-    paths = sorted({p for arg in args.ckpt  # an existing file is used as written
-                    for p in ([arg] if Path(arg).is_file() else glob.glob(arg))})
-    if not paths:
-        raise FileNotFoundError(f"no checkpoints match {args.ckpt}")
+    paths = set()
+    for arg in args.ckpt:  # an existing file is used as written
+        matched = [arg] if Path(arg).is_file() else glob.glob(arg)
+        if not matched:  # a typo must not drop a checkpoint from the grid unseen
+            raise FileNotFoundError(f"no checkpoint matches {arg!r}")
+        paths.update(matched)
     manifest = ingest(args.manifest, (args.split,))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     scored = {}  # (variant, epoch) -> (path, BleuReport)
-    for path in paths:
+    for path in sorted(paths):
         report = _evaluate_checkpoint(path, manifest, args, scored)
         scored[report.variant, report.epoch] = path, report
     # Nothing is written until every checkpoint has scored, so a failure leaves `out` empty.
@@ -302,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="BLEU-score checkpoints on a split")
     p.add_argument("--ckpt", nargs="+", required=True,
-                   help="checkpoint paths or globs; an existing file is taken as written")
+                   help="checkpoint files or globs, each naming or matching at least one file; "
+                        "an existing file is taken as written")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--vocab-dir", help="cross-check checkpoint vocabularies against files")

@@ -173,9 +173,7 @@ def filter_by_length(
 
 
 def augment(
-    manifest: CorpusManifest,
-    rules: RuleTable,
-    table: ClassificationTable | None = None,
+    manifest: CorpusManifest, rules: RuleTable, table: ClassificationTable
 ) -> CorpusManifest:
     """Transliterate every utterance's text into its phoneme sequence;
     a text with no letters (punctuation only) is an input error."""

@@ -39,7 +39,6 @@ from .ipa import (
     ClassificationTable,
     PhonemeSequence,
     UnknownCharacter,
-    load_default_classification,
     normalize_symbols,
     segment_ipa,
     segment_tokens,
@@ -282,9 +281,7 @@ def _transliterate_whole(
     return segment_ipa(" ".join(word_ipa), table)
 
 
-def transliterate(
-    text: str, rules: RuleTable, table: ClassificationTable | None = None
-) -> PhonemeSequence:
+def transliterate(text: str, rules: RuleTable, table: ClassificationTable) -> PhonemeSequence:
     """Convert German text to a phoneme sequence.
 
     Input is NFC-normalized and lowercased; punctuation is dropped; word
@@ -292,8 +289,6 @@ def transliterate(
     rule applies (digits included, by design). Each distinct chunk is
     converted and segmented once per process and per pair of tables.
     """
-    if table is None:
-        table = load_default_classification()
     normalized = unicodedata.normalize("NFC", text).lower()
     tokens: list[str] = []
     boundaries: list[int] = []

@@ -43,12 +43,10 @@ from .vocab import Vocabulary, tokenize
 CHECKPOINT_MAGIC = b"BGPH"
 CHECKPOINT_VERSION = 1
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class CheckpointFormatError(ValueError):
-    pass
-
-
-class VocabMismatch(ValueError):
     pass
 
 
@@ -264,14 +262,14 @@ def _epoch_valid_loss(params, config, dims, sources, targets) -> float:
     return total / tokens if tokens else math.nan
 
 
-def adam_step(flat, grad_flat, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    m *= beta1
-    m += (1.0 - beta1) * grad_flat
-    v *= beta2
-    v += (1.0 - beta2) * grad_flat * grad_flat
-    mhat = m / (1.0 - beta1**t)
-    vhat = v / (1.0 - beta2**t)
-    flat -= lr * mhat / (np.sqrt(vhat) + eps)
+def adam_step(flat, grad_flat, m, v, t, lr):
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grad_flat
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grad_flat * grad_flat
+    mhat = m / (1.0 - ADAM_BETA1**t)
+    vhat = v / (1.0 - ADAM_BETA2**t)
+    flat -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def train(

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from bigphon.bleu import EmptyCorpus, corpus_bleu, modified_precision
+from bigphon.bleu import BleuReport, EmptyCorpus, corpus_bleu, sentence_stats
 
 
 def oracle_bleu(hyps, refs):
@@ -36,21 +38,70 @@ def oracle_bleu(hyps, refs):
     return 100.0 * bp * geo
 
 
+def per_order_bleu(hyps, refs):
+    """Reference scorer for `corpus_bleu`: one corpus pass per n-gram order,
+    summing clipped matches and totals, with no per-sentence counts."""
+
+    def ngrams(tokens, n):
+        return Counter(zip(*(tokens[k:] for k in range(n))))
+
+    def modified_precision(hyps, refs, n):
+        clipped = 0
+        total = 0
+        for hyp, ref in zip(hyps, refs):
+            if len(hyp) < n:
+                continue
+            clipped += sum((ngrams(hyp, n) & ngrams(ref, n)).values())
+            total += len(hyp) - n + 1
+        return clipped, total
+
+    hyps = [tuple(h) for h in hyps]
+    refs = [tuple(r) for r in refs]
+    c = sum(len(h) for h in hyps)
+    r = sum(len(x) for x in refs)
+    precisions = []
+    for n in range(1, 5):
+        clipped, total = modified_precision(hyps, refs, n)
+        precisions.append(clipped / total if total else 0.0)
+    if c == 0:
+        bp = 0.0
+    elif c > r:
+        bp = 1.0
+    else:
+        bp = math.exp(1.0 - r / c)
+    if min(precisions) > 0.0:
+        score = 100.0 * bp * math.exp(sum(0.25 * math.log(p) for p in precisions))
+    else:
+        score = 0.0
+    return BleuReport(score, tuple(precisions), c, r, bp)
+
+
+def order_counts(hyp, ref, n):
+    """(clipped matches, hypothesis n-grams) at order n from `sentence_stats`."""
+    stats = sentence_stats(hyp, ref)
+    return stats[2 * n], stats[2 * n + 1]
+
+
 class TestModifiedPrecision:
+    """Modified n-gram precision counts, per sentence, from `sentence_stats`."""
+
     def test_hand_enumeration(self):
-        got = modified_precision([list("abcde")], [list("abcd")], 2)
-        assert got == (3, 4)
+        assert order_counts(list("abcde"), list("abcd"), 2) == (3, 4)
+        assert sentence_stats(list("abcde"), list("abcd")) == (5, 4, 4, 5, 3, 4, 2, 3, 1, 2)
 
     def test_identity(self):
         for n in (1, 2, 3):
-            got = modified_precision([list("abc")], [list("abc")], n)
-            assert got == (3 - n + 1, 3 - n + 1)
+            assert order_counts(list("abc"), list("abc"), n) == (3 - n + 1, 3 - n + 1)
+        assert sentence_stats(list("abc"), list("abc")) == (3, 3, 3, 3, 2, 2, 1, 1, 0, 0)
 
     def test_clipping(self):
-        assert modified_precision([list("aaa")], [list("a")], 1) == (1, 3)
+        assert order_counts(list("aaa"), list("a"), 1) == (1, 3)
+        assert sentence_stats(list("aaa"), list("a")) == (3, 1, 1, 3, 0, 2, 0, 1, 0, 0)
 
     def test_short_sentences_contribute_nothing(self):
-        assert modified_precision([list("ab")], [list("ab")], 3) == (0, 0)
+        assert order_counts(list("ab"), list("ab"), 3) == (0, 0)
+        assert sentence_stats(list("ab"), list("ab")) == (2, 2, 2, 2, 1, 1, 0, 0, 0, 0)
+        assert sentence_stats([], list("abc")) == (0, 3, 0, 0, 0, 0, 0, 0, 0, 0)
 
     def test_clipping_bounds(self):
         rng = np.random.default_rng(0)
@@ -58,7 +109,7 @@ class TestModifiedPrecision:
             hyp = [str(x) for x in rng.integers(0, 4, size=rng.integers(1, 10))]
             ref = [str(x) for x in rng.integers(0, 4, size=rng.integers(1, 10))]
             for n in (1, 2):
-                clipped, total = modified_precision([hyp], [ref], n)
+                clipped, total = order_counts(hyp, ref, n)
                 assert clipped <= total
                 assert clipped <= max(len(ref) - n + 1, 0)
 
@@ -116,6 +167,17 @@ class TestCorpusBleu:
             assert corpus_bleu(hyps, refs).bleu == pytest.approx(
                 oracle_bleu(hyps, refs), abs=1e-9
             )
+
+    def test_equals_the_per_order_loop(self):
+        """Summing per-sentence counts scores every corpus bit-identically."""
+        rng = random.Random(27)
+        for _ in range(300):
+            hyps, refs = [], []
+            for _ in range(rng.randint(1, 6)):
+                alpha = "abcdef"[: rng.randint(1, 6)]
+                hyps.append(rng.choices(alpha, k=rng.randint(0, 12)))
+                refs.append(rng.choices(alpha, k=rng.randint(0, 12)))
+            assert repr(corpus_bleu(hyps, refs)) == repr(per_order_bleu(hyps, refs))
 
     def test_report_json_fields(self):
         report = corpus_bleu([list("abcd")], [list("abcd")], variant="vowel30", epoch=80)

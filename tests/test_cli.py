@@ -470,6 +470,21 @@ class TestTrainEvaluateErrors:
                    "--manifest", str(augmented_manifest), "--out", str(tmp_path / "e3")])
         assert rc == 2
 
+    @pytest.mark.parametrize("arg", ["epoch0099.ckpt", "typo*/*.ckpt"])
+    def test_a_checkpoint_argument_that_matches_nothing_exits_2(
+        self, tmp_path, augmented_manifest, trained, monkeypatch, capsys, arg
+    ):
+        """Beside a valid checkpoint, a missing path or an unmatched glob is an
+        error before any checkpoint loads, not a variant dropped from the grid."""
+        loads = []
+        monkeypatch.setattr(training, "load_checkpoint", loads.append)
+        missing = str(trained / arg)
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--ckpt", str(trained / "epoch0002.ckpt"), missing,
+                     "--manifest", str(augmented_manifest), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"bigphon: error: no checkpoint matches {missing!r}\n"
+        assert loads == [] and not out.exists()
+
     def test_errors_outputs(self, tmp_path, augmented_manifest, trained, capsys):
         out = tmp_path / "errors"
         rc = main(["errors", "--ckpt", str(trained / "epoch0002.ckpt"),
