@@ -159,23 +159,33 @@ def _truncated(decoded) -> str:
     return f"{sum(result.truncated for _, result in decoded)}/{len(decoded)}"
 
 
-def _evaluate_checkpoint(path, manifest, args, scored: dict):
-    """Score one checkpoint and return its BleuReport, refusing a variant and
-    epoch already in `scored`. Nothing else of it outlives the call, so the
-    next checkpoint loads with this one released."""
-    from .training import decode_split, load_checkpoint
+def _check_checkpoint(path, args, checked: dict):
+    """Read the header of the checkpoint at `path`, without its parameters,
+    and return its (variant, epoch), refusing one already in `checked` and,
+    with --vocab-dir, a vocabulary that differs from the stated file."""
+    from .training import read_checkpoint_header
 
-    ckpt = load_checkpoint(path)
-    if (ckpt.variant, ckpt.epoch) in scored:
+    ckpt = read_checkpoint_header(path)
+    key = ckpt.variant, ckpt.epoch
+    if key in checked:
         with reading(path):
-            raise ValueError(f"variant {ckpt.variant!r} epoch {ckpt.epoch} is already scored "
-                             f"from {scored[ckpt.variant, ckpt.epoch][0]}")
+            raise ValueError(f"variant {ckpt.variant!r} epoch {ckpt.epoch} is already in "
+                             f"{checked[key]}")
     if args.vocab_dir:
         vocab_path = Path(args.vocab_dir) / f"{ckpt.variant}.vocab"
         stated = read_vocab(vocab_path, ckpt.vocab.inventory)
         if stated.units != ckpt.vocab.units:
             raise ValueError(f"{vocab_path} does not match units stored in {path}")
-    decoded, report = decode_split(ckpt, manifest, split=args.split)
+    return key
+
+
+def _evaluate_checkpoint(path, manifest, split):
+    """Score one checkpoint and return its BleuReport. Nothing else of it
+    outlives the call, so the next checkpoint loads with this one released."""
+    from .training import decode_split, load_checkpoint
+
+    ckpt = load_checkpoint(path)
+    decoded, report = decode_split(ckpt, manifest, split=split)
     print(f"{path}: variant={ckpt.variant} epoch={ckpt.epoch} bleu={report.bleu:.2f} "
           f"truncated={_truncated(decoded)}")
     return report
@@ -189,16 +199,17 @@ def cmd_evaluate(args) -> int:
             raise FileNotFoundError(f"no checkpoint matches {arg!r}")
         paths.update(matched)
     manifest = ingest(args.manifest, (args.split,))
+    checked = {}  # (variant, epoch) -> path
+    for path in sorted(paths):  # every header, before any checkpoint decodes
+        checked[_check_checkpoint(path, args, checked)] = path
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    scored = {}  # (variant, epoch) -> (path, BleuReport)
-    for path in sorted(paths):
-        report = _evaluate_checkpoint(path, manifest, args, scored)
-        scored[report.variant, report.epoch] = path, report
+    scored = {key: _evaluate_checkpoint(path, manifest, args.split)
+              for key, path in checked.items()}
     # Nothing is written until every checkpoint has scored, so a failure leaves `out` empty.
-    for (variant, epoch), (_, report) in scored.items():
+    for (variant, epoch), report in scored.items():
         _write_json(out / f"bleu_{variant}_epoch{epoch:04d}.json", report)
-    bleu = {key: f"{report.bleu:.2f}" for key, (_, report) in scored.items()}
+    bleu = {key: f"{report.bleu:.2f}" for key, report in scored.items()}
     columns = [v for v in VARIANT_LABELS if any(v == variant for variant, _ in bleu)]
     lines = ["epoch," + ",".join(columns)]
     for epoch in sorted({epoch for _, epoch in bleu}):

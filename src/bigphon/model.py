@@ -21,11 +21,15 @@ embedding; every later one is a sublayer, an attention (``"self"`` or
 the tape holds only for the embedding: a layer norm's output is rebuilt bit
 for bit from its cache by ``_output``. ``backward_batch`` pops the decoder's
 tape and then the encoder's, so each entry is freed once used. The state
-keeps only what backward cannot rebuild: the attention's split heads and
-probabilities, the feed-forward's hidden layer, each layer norm's xhat,
-inverse standard deviation and parameters, and each dropout mask, packed 8
-to a byte. The sublayer kernels compute in place on arrays they own, and
-each backward kernel frees its temporaries after their last use.
+keeps only what backward cannot rebuild cheaply: the attention's split heads
+and its additive mask (shared with the forward, not copied), the
+feed-forward's hidden layer, each layer norm's xhat, inverse standard
+deviation and parameters, and each dropout mask, packed 8 to a byte.
+Attention runs its core one batch row at a time in both directions, and
+backward rebuilds each row's probabilities bit for bit, so no (B, heads, Tq,
+Tk) float array is ever whole. The sublayer kernels compute in place on
+arrays they own, and each backward kernel frees its temporaries after their
+last use.
 
 One decoder entry, ``_decoder_forward``, serves teacher forcing and the
 valid pass (the whole target at once, causal mask) and each greedy step (the
@@ -282,9 +286,23 @@ def _dropout_fwd(x, p, rng):
     """x * mask / (1 - p). The cache holds the mask packed 8 to a byte."""
     if p <= 0.0 or rng is None:
         return x, None
+    keep = np.empty(x.shape, dtype=bool)
+    return _drop(x, keep, p, rng), (np.packbits(keep), x.shape, p)
+
+
+def _drop(x, keep, p, rng):
+    """x * keep / (1 - p) in a new buffer, after filling `keep` (x's shape)
+    from fresh draws. Drawing one batch row at a time takes the generator's
+    stream in the same order as drawing the whole array at once."""
     draws = rng.random(x.shape)
-    mask = draws >= p
-    return _apply_mask(x, mask, p, out=draws), (np.packbits(mask), x.shape, p)
+    np.greater_equal(draws, p, out=keep)
+    return _apply_mask(x, keep, p, out=draws)
+
+
+def _keep_mask(cache):
+    """The bool keep mask and the rate of a dropout cache, unpacked."""
+    bits, shape, p = cache
+    return np.unpackbits(bits, count=math.prod(shape)).reshape(shape).view(bool), p
 
 
 def _dropout_bwd(dy, cache, out=None):
@@ -292,9 +310,7 @@ def _dropout_bwd(dy, cache, out=None):
     unpacked from the cache."""
     if cache is None:
         return dy
-    bits, shape, p = cache
-    mask = np.unpackbits(bits, count=math.prod(shape)).reshape(shape).view(bool)
-    return _apply_mask(dy, mask, p, out)
+    return _apply_mask(dy, *_keep_mask(cache), out)
 
 
 def _apply_mask(x, mask, p, out=None):
@@ -317,21 +333,49 @@ def _merge_heads(xh):
     return xh.transpose(0, 2, 1, 3).reshape(b, t, heads * dh)
 
 
-def _attend_fwd(qh, kh, vh, params, prefix, mask, p_drop, rng):
-    """Scaled dot-product attention over split heads, merged through wo.
-    Also returns `attn` and the dropout cache, from which backward rebuilds
-    attn_d and then the merged context."""
-    dh = qh.shape[-1]
-    attn = qh @ kh.transpose(0, 1, 3, 2)
-    attn /= math.sqrt(dh)
+def _attn_probs(qh, kh, mask):
+    """Attention probabilities (heads, Tq, Tk) of one batch row: its query
+    heads (heads, Tq, dh) against its key heads (heads, Tk, dh), scaled, plus
+    the row's additive `mask`, through a softmax. Backward calls it again on
+    the same row to rebuild the forward's bits."""
+    attn = qh @ kh.transpose(0, 2, 1)
+    attn /= math.sqrt(qh.shape[-1])
     if mask is not None:
         attn += mask
     attn -= attn.max(-1, keepdims=True)
     np.exp(attn, out=attn)
     attn /= attn.sum(-1, keepdims=True)
-    attn_d, dcache = _dropout_fwd(attn, p_drop, rng)
-    merged = _merge_heads(attn_d @ vh)
-    return _linear_fwd(merged, params[f"{prefix}.wo"], params[f"{prefix}.bo"]), attn, dcache
+    return attn
+
+
+def _row_mask(mask, i):
+    """Batch row i's additive mask, a view: the source mask (B, 1, 1, S) has
+    one row per batch row, and every row shares the causal mask (1, 1, T, T)."""
+    return None if mask is None else mask[i % len(mask)]
+
+
+def _attend_fwd(qh, kh, vh, params, prefix, mask, p_drop, rng):
+    """Scaled dot-product attention over split heads, merged through wo.
+    Runs one batch row at a time, so one row's probabilities and dropout
+    draws are alive at once. Also returns the dropout cache, every row's
+    keep mask packed 8 to a byte, from which backward rebuilds each row's
+    dropped probabilities."""
+    b, heads, tq, _ = qh.shape
+    ctx = np.empty(qh.shape)
+    keep = None
+    if p_drop > 0.0 and rng is not None:
+        keep = np.empty((b, heads, tq, kh.shape[2]), dtype=bool)
+    for i in range(b):
+        attn = _attn_probs(qh[i], kh[i], _row_mask(mask, i))
+        if keep is not None:
+            attn = _drop(attn, keep[i], p_drop, rng)
+        np.matmul(attn, vh[i], out=ctx[i])
+        del attn
+    dcache = None if keep is None else (np.packbits(keep), keep.shape, p_drop)
+    del keep
+    merged = _merge_heads(ctx)
+    del ctx
+    return _linear_fwd(merged, params[f"{prefix}.wo"], params[f"{prefix}.bo"]), dcache
 
 
 def _kv_fwd(x, params, prefix, heads):
@@ -341,42 +385,55 @@ def _kv_fwd(x, params, prefix, heads):
 
 def _mha_fwd(q_in, kv, params, prefix, kind, mask, heads, p_drop, rng, tape):
     """Attention of q_in over kv = (kh, vh), as `_kv_fwd` returns. Appends a
-    `kind` ("self" or "cross") entry with what backward needs, but neither
-    input, to `tape` unless None."""
+    `kind` ("self" or "cross") entry of the query heads, kv, the mask and the
+    dropout cache to `tape` unless None: no probabilities, which backward
+    rebuilds, and neither input."""
     qh = _heads_fwd(q_in, params, prefix, "q", heads)
-    out, attn, dcache = _attend_fwd(qh, *kv, params, prefix, mask, p_drop, rng)
+    out, dcache = _attend_fwd(qh, *kv, params, prefix, mask, p_drop, rng)
     if tape is not None:
-        tape.append((kind, prefix, (qh, kv, attn, dcache)))
+        tape.append((kind, prefix, (qh, kv, mask, dcache)))
     return out
 
 
 def _mha_bwd(dout, cache, params, grads, prefix, q_src, kv_src):
     """Gradients into `_mha_fwd`'s q_in and into the input of its keys and
     values, which it rebuilds from the tape entries that output them
-    (`_output`), once if one entry serves both. The caller has popped
-    `cache`, so every array here is freed after its last use."""
-    qh, (kh, vh), attn, dcache = cache
+    (`_output`), once if one entry serves both. One batch row at a time, it
+    rebuilds the row's probabilities and dropped probabilities with the
+    forward's ops, then takes the row's context and its value, query and key
+    head gradients; wo's gradient comes from the merged context after the
+    loop. The caller has popped `cache`, so every array here is freed after
+    its last use."""
+    qh, (kh, vh), mask, dcache = cache
     del cache
     b, heads, tq, dh = qh.shape
-    attn_d = _dropout_bwd(attn, dcache)  # rebuilt into a new buffer, or attn itself
-    merged = _merge_heads(attn_d @ vh)  # rebuilt with the forward's ops and shapes
-    dmerged = _linear_bwd(dout, merged, params, grads, f"{prefix}.wo", f"{prefix}.bo")
+    dctx = (dout @ params[f"{prefix}.wo"].T).reshape(b, tq, heads, dh).transpose(0, 2, 1, 3)
+    keep, p = (None, 0.0) if dcache is None else _keep_mask(dcache)
+    ctx, dqh = np.empty(qh.shape), np.empty(qh.shape)
+    dkh, dvh = np.empty(kh.shape), np.empty(kh.shape)
+    for i in range(b):
+        attn = _attn_probs(qh[i], kh[i], _row_mask(mask, i))
+        attn_d = attn if keep is None else _apply_mask(attn, keep[i], p)
+        np.matmul(attn_d, vh[i], out=ctx[i])
+        np.matmul(attn_d.transpose(0, 2, 1), dctx[i], out=dvh[i])
+        del attn_d
+        dattn = dctx[i] @ vh[i].transpose(0, 2, 1)
+        if keep is not None:
+            _apply_mask(dattn, keep[i], p, out=dattn)
+        prod = dattn * attn
+        dattn -= prod.sum(-1, keepdims=True)
+        del prod
+        dattn *= attn
+        del attn
+        dattn /= math.sqrt(dh)
+        np.matmul(dattn, kh[i], out=dqh[i])
+        np.matmul(dattn.transpose(0, 2, 1), qh[i], out=dkh[i])
+        del dattn
+    del dctx, keep, qh, kh, vh
+    merged = _merge_heads(ctx)
+    del ctx
+    _linear_grads(dout, merged, grads, f"{prefix}.wo", f"{prefix}.bo")
     del merged
-    dctx = dmerged.reshape(b, tq, heads, dh).transpose(0, 2, 1, 3)
-    dvh = attn_d.transpose(0, 1, 3, 2) @ dctx
-    del attn_d
-    dattn = dctx @ vh.transpose(0, 1, 3, 2)
-    del dmerged, dctx, vh
-    _dropout_bwd(dattn, dcache, out=dattn)
-    prod = dattn * attn
-    dattn -= prod.sum(-1, keepdims=True)
-    del prod
-    dattn *= attn
-    del attn
-    dattn /= math.sqrt(dh)
-    dqh = dattn @ kh
-    dkh = dattn.transpose(0, 1, 3, 2) @ qh
-    del dattn, qh, kh
     dq = _merge_heads(dqh)
     del dqh
     x = _output(q_src)

@@ -92,7 +92,7 @@ class Checkpoint:
     config: ModelConfig
     variant: str
     dims: ModelDims
-    params_flat: np.ndarray
+    params_flat: np.ndarray | None  # None from `read_checkpoint_header`
     vocab: Vocabulary
     codec: SourceCodec | None = None  # None in feature mode
 
@@ -182,67 +182,82 @@ def save_checkpoint(ckpt: Checkpoint, path):
         f.write(payload.data)
 
 
+def _read_header(f) -> Checkpoint:
+    """The checkpoint described by the magic, version and header of the open
+    file `f`, checked against the length of the parameter payload after them,
+    with `params_flat` None; `f` is left at the payload's start."""
+    magic = f.read(4)
+    if magic != CHECKPOINT_MAGIC:
+        raise CheckpointFormatError(f"bad magic {magic!r}")
+    version = int.from_bytes(f.read(4), "little")
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointFormatError(f"unsupported version {version}")
+    header_len = int.from_bytes(f.read(8), "little")
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if header_len > left:
+        raise CheckpointFormatError(
+            f"header length {header_len} exceeds the {left} bytes left in the file")
+    blob = f.read(header_len)
+    payload_bytes = left - header_len
+    try:
+        header = json.loads(blob.decode("utf-8"))
+        unknown = sorted(set(header["config"]) - {f.name for f in fields(ModelConfig)})
+        if unknown:
+            raise TypeError(f"unknown config keys {unknown}")
+        for key, kind in (("epoch", int), ("variant", str)):
+            if type(header[key]) is not kind:
+                raise TypeError(f"{key} must be {kind.__name__}, got {header[key]!r}")
+        config = ModelConfig(**header["config"])
+        vocab = _vocab_from_header(header["vocab"])
+        if header["variant"] != vocab.variant:
+            raise ValueError(
+                f"variant {header['variant']!r} differs from vocab {vocab.variant!r}")
+        dims = ModelDims(
+            target_vocab=len(vocab),
+            source_vocab=header["source_vocab"],
+            feature_dim=header["feature_dim"],
+        )
+        expected = sum(int(np.prod(shape)) for _, shape in param_index(config, dims))
+        if payload_bytes % 8:
+            raise CheckpointFormatError(f"parameter payload is {payload_bytes} bytes, "
+                                        f"not a whole number of float64 values")
+        if payload_bytes // 8 != expected:
+            raise CheckpointFormatError(
+                f"parameter payload has {payload_bytes // 8} values, expected {expected}")
+        stored_index = [(name, tuple(shape)) for name, shape in header["param_index"]]
+        if stored_index != param_index(config, dims):
+            raise CheckpointFormatError("parameter index mismatch")
+        chars = header["codec_chars"]
+        codec = SourceCodec(tuple(chars)) if chars is not None else None
+        codec_size = codec.size if codec is not None else None
+        if codec_size != dims.source_vocab:
+            raise ValueError(
+                f"codec_chars give source_vocab {codec_size}, not {dims.source_vocab}")
+    except CheckpointFormatError:
+        raise
+    except KeyError as exc:
+        raise CheckpointFormatError(f"header has no key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise CheckpointFormatError(f"bad header: {exc}") from None
+    return Checkpoint(header["epoch"], config, header["variant"], dims, None, vocab, codec)
+
+
+def read_checkpoint_header(path) -> Checkpoint:
+    """The checkpoint at `path`, every check of `load_checkpoint` made but
+    the parameters' finiteness, with no parameter read: `params_flat` is
+    None."""
+    with reading(path), open(path, "rb") as f:
+        return _read_header(f)
+
+
 def load_checkpoint(path) -> Checkpoint:
     with reading(path), open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise CheckpointFormatError(f"bad magic {magic!r}")
-        version = int.from_bytes(f.read(4), "little")
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointFormatError(f"unsupported version {version}")
-        header_len = int.from_bytes(f.read(8), "little")
-        left = os.fstat(f.fileno()).st_size - f.tell()
-        if header_len > left:
-            raise CheckpointFormatError(
-                f"header length {header_len} exceeds the {left} bytes left in the file")
-        blob = f.read(header_len)
-        flat = np.fromfile(f, dtype="<f8").astype(np.float64, copy=False)
-        ragged = len(f.read())  # bytes after the last whole float64
-        try:
-            header = json.loads(blob.decode("utf-8"))
-            unknown = sorted(set(header["config"]) - {f.name for f in fields(ModelConfig)})
-            if unknown:
-                raise TypeError(f"unknown config keys {unknown}")
-            for key, kind in (("epoch", int), ("variant", str)):
-                if type(header[key]) is not kind:
-                    raise TypeError(f"{key} must be {kind.__name__}, got {header[key]!r}")
-            config = ModelConfig(**header["config"])
-            vocab = _vocab_from_header(header["vocab"])
-            if header["variant"] != vocab.variant:
-                raise ValueError(
-                    f"variant {header['variant']!r} differs from vocab {vocab.variant!r}")
-            dims = ModelDims(
-                target_vocab=len(vocab),
-                source_vocab=header["source_vocab"],
-                feature_dim=header["feature_dim"],
-            )
-            expected = sum(int(np.prod(shape)) for _, shape in param_index(config, dims))
-            if ragged:
-                raise CheckpointFormatError(f"parameter payload is {flat.nbytes + ragged} bytes, "
-                                            f"not a whole number of float64 values")
-            if flat.size != expected:
-                raise CheckpointFormatError(
-                    f"parameter payload has {flat.size} values, expected {expected}")
-            stored_index = [(name, tuple(shape)) for name, shape in header["param_index"]]
-            if stored_index != param_index(config, dims):
-                raise CheckpointFormatError("parameter index mismatch")
-            chars = header["codec_chars"]
-            codec = SourceCodec(tuple(chars)) if chars is not None else None
-            codec_size = codec.size if codec is not None else None
-            if codec_size != dims.source_vocab:
-                raise ValueError(
-                    f"codec_chars give source_vocab {codec_size}, not {dims.source_vocab}")
-        except CheckpointFormatError:
-            raise
-        except KeyError as exc:
-            raise CheckpointFormatError(f"header has no key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise CheckpointFormatError(f"bad header: {exc}") from None
-        if not np.isfinite(flat).all():
-            params = unflatten_params(flat, param_index(config, dims))
-            name = next(name for name, arr in params.items() if not np.isfinite(arr).all())
+        ckpt = _read_header(f)
+        ckpt.params_flat = np.fromfile(f, dtype="<f8").astype(np.float64, copy=False)
+        if not np.isfinite(ckpt.params_flat).all():
+            name = next(name for name, arr in ckpt.params.items() if not np.isfinite(arr).all())
             raise NonFiniteParameter(f"parameter {name} holds NaN or infinite values")
-    return Checkpoint(header["epoch"], config, header["variant"], dims, flat, vocab, codec)
+    return ckpt
 
 
 def _epoch_valid_loss(params, config, dims, sources, targets) -> float:

@@ -485,6 +485,26 @@ class TestTrainEvaluateErrors:
         assert capsys.readouterr().err == f"bigphon: error: no checkpoint matches {missing!r}\n"
         assert loads == [] and not out.exists()
 
+    def test_a_path_that_is_no_checkpoint_exits_2_before_any_decode(
+        self, tmp_path, augmented_manifest, trained, monkeypatch, capsys
+    ):
+        """`DIR/*` matches the run's checkpoint and its other files. Every
+        header is read first, so the first file that is no checkpoint ends
+        the command before the checkpoint sorted ahead of it decodes."""
+        decodes = []
+        decode = training.decode_split
+        monkeypatch.setattr(training, "decode_split",
+                            lambda *args, **kw: decodes.append(args) or decode(*args, **kw))
+        out = tmp_path / "eval"
+        capsys.readouterr()
+        assert main(["evaluate", "--ckpt", str(trained / "*"),
+                     "--manifest", str(augmented_manifest), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"bigphon: error: {trained / 'run_config.json'}: bad magic b'{{\\n  '\n")
+        assert decodes == [] and not out.exists()
+
     def test_errors_outputs(self, tmp_path, augmented_manifest, trained, capsys):
         out = tmp_path / "errors"
         rc = main(["errors", "--ckpt", str(trained / "epoch0002.ckpt"),

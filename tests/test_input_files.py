@@ -332,7 +332,7 @@ def test_evaluate_failing_on_a_later_checkpoint_writes_nothing(valid, tmp_path, 
 
 def test_evaluate_refuses_a_repeated_variant_and_epoch(valid, tmp_path, monkeypatch, capsys):
     """A copy of a checkpoint would overwrite the first one's score: the
-    copy is refused when it loads, before it decodes."""
+    copy is refused when its header is read, before any checkpoint decodes."""
     first, second = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     for path in (first, second):
         path.write_bytes(valid["ckpt"].read_bytes())
@@ -341,6 +341,6 @@ def test_evaluate_refuses_a_repeated_variant_and_epoch(valid, tmp_path, monkeypa
     assert main(["evaluate", "--ckpt", str(first), str(second), "--manifest",
                  str(valid["manifest"]), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == (
-        f"bigphon: error: {second}: variant 'base' epoch 1 is already scored from {first}\n")
-    assert len(calls) == len(ingest(valid["manifest"]).by_split("test"))
+        f"bigphon: error: {second}: variant 'base' epoch 1 is already in {first}\n")
+    assert calls == []
     assert not (tmp_path / "out").exists()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import itertools
 import math
 import tracemalloc
 from dataclasses import asdict, replace
@@ -302,8 +303,11 @@ class TestBitwiseOracle:
     def test_step_matches_reference(self, source, heads, layers, dropout):
         config, dims, params, batch = self.case(source, heads, layers, dropout)
         params_before = {k: v.copy() for k, v in params.items()}
-        batch_before = asdict(batch)  # deep-copies the arrays
-        for stream in (None, 5):
+        # The second batch is row 1 alone: its source mask (1, 1, 1, S) has one
+        # row on the batch axis, as the causal mask (1, 1, T, T) has.
+        one_row = Batch(**{name: a[1:2] for name, a in asdict(batch).items()})
+        for batch, stream in itertools.product((batch, one_row), (None, 5)):
+            batch_before = asdict(batch)  # deep-copies the arrays
             rng = None if stream is None else np.random.default_rng(stream)
             ref_rng = None if stream is None else np.random.default_rng(stream)
             value, grads, n = loss_and_gradient(params, config, batch, rng)
@@ -418,7 +422,8 @@ class TestTape:
 
 class TestActivationMemory:
     """What the forward and backward keep and allocate beyond their results:
-    no layer-norm output in the backward cache, attention-backward
+    no layer-norm output or attention probabilities in the backward cache,
+    one batch row of attention alive at a time, attention-backward
     temporaries freed after their last use, and without a cache nothing of
     one encoder layer left when the next starts."""
 
@@ -481,6 +486,48 @@ class TestActivationMemory:
         cached = list(self.arrays(cache))
         assert [a.shape for a in cached if a.dtype == bool] == []
         assert [a.shape for m in merged for a in cached if np.shares_memory(a, m)] == []
+
+    def test_cache_holds_no_attention_probabilities(self):
+        """Backward rebuilds each attention's probabilities one batch row at a
+        time, so no (B, heads, Tq, Tk) float array waits on the tape."""
+        config, dims, params, batch = TestBitwiseOracle.case("tokens", 2, (3, 2), 0.3)
+        (b, s), t = batch.src.shape, batch.tgt_in.shape[1]
+        shapes = {(b, config.heads, tq, tk) for tq, tk in ((s, s), (t, t), (t, s))}
+        cache = {}
+        forward_batch(params, config, batch, np.random.default_rng(0), cache)
+        cached = list(self.arrays(cache))
+        assert len(cached) > 50
+        assert [a.shape for a in cached if a.dtype.kind == "f" and a.shape in shapes] == []
+
+    def test_attention_forward_holds_one_row(self, monkeypatch):
+        """Above its entry memory, `_attend_fwd` holds the split and merged
+        context or the merged context and the output, every row's bool keep
+        mask, and at most three one-row float64 buffers at once: a row's
+        probabilities, its dropout draws and a numpy iteration buffer."""
+        config, dims, params, batch = self.medium_case()
+        assert config.dropout > 0
+        calls = []
+        attend_fwd = model._attend_fwd
+
+        def spy(qh, kh, *rest):
+            entry = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = attend_fwd(qh, kh, *rest)
+            calls.append((tracemalloc.get_traced_memory()[1] - entry, qh.shape, kh.shape[2]))
+            return out
+
+        monkeypatch.setattr(model, "_attend_fwd", spy)
+        tracemalloc.start()
+        try:
+            forward_batch(params, config, batch, np.random.default_rng(0), {})
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == 5  # three encoder layers, then decoder self and cross
+        for rise, (b, heads, tq, dh), tk in calls:
+            merged_bytes = b * tq * heads * dh * 8
+            keep_bytes = b * heads * tq * tk
+            row_bytes = heads * tq * tk * 8
+            assert rise <= 2 * merged_bytes + keep_bytes + 3 * row_bytes + 4096, (rise, tq, tk)
 
     def test_attention_backward_rise_is_bounded(self, monkeypatch):
         """Above its entry memory, `_mha_bwd` holds at most two attention-sized

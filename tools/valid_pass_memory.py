@@ -1,22 +1,31 @@
-"""Memory and time of the valid-loss pass, of one training step and of
-greedy decoding, in the paper's model config.
+"""Memory and time of the valid-loss pass, of one training step on text
+and on speech-length features, and of greedy decoding, in the paper's model
+config.
 
     python tools/valid_pass_memory.py [--src DIR]
 
 Each measurement runs in a fresh interpreter, with BLAS pinned to one
 thread. It builds seeded synthetic inputs in the paper's model config
 (d_model 200, 2 heads, d_ff 400, 4 encoder and 1 decoder layer), with
-sources of 80-200 characters, and runs one of three passes over them:
+sources of 80-200 characters unless said otherwise, and runs one of four
+passes over them:
 
 - `valid`: `training._epoch_valid_loss` over one batch of 32 rows with
   targets of 60-148 units, the pass `train` runs after every epoch;
 - `step`: one `model.loss_and_gradient` with dropout, drawn from a seeded
   generator, on the same batch: the forward with a backward cache, the loss
   and the backward;
+- `speech`: the same step on 32 rows of seeded 80-dim feature frames,
+  450-550 frames each (about 5 s of speech at 100 frames/s), with targets
+  drawn as `valid`'s. Encoder self-attention's work grows with the square
+  of the source length and each encoder layer's tape with the length, so
+  this is where the step's memory binds. One step takes
+  about 13 s on a 2-vCPU Xeon at one BLAS thread, and a `trace` run, which
+  runs it twice, about 30 s;
 - `decode`: `model.greedy_decode` of 16 sources, one at a time, at a cap of
   128 steps, as perfbench's `evaluate` workload decodes its test split.
 
-Each pass has two kinds of run, and the six alternate, five of each:
+Each pass has two kinds of run, and the eight alternate, five of each:
 
 - `time`: the seconds the pass takes and the process's max RSS in MB,
   before the pass and after it. `decode` runs also print the number of
@@ -32,10 +41,10 @@ Each pass has two kinds of run, and the six alternate, five of each:
   profiled frame's locals, which keeps some arrays alive a little longer,
   so that run's peak is printed apart, as `hooked_peak_mb`.
 
-`valid` and `step` runs print the loss's repr; `step` runs also print a
-sha256 of the gradients in canonical parameter order, and `decode` runs a
-sha256 of the emitted ids, so two versions of the code can be compared bit
-for bit. `--src` selects the `bigphon` to import (default: this checkout's
+`valid`, `step` and `speech` runs print the loss's repr; `step` and
+`speech` runs also print a sha256 of the gradients in canonical parameter
+order, and `decode` runs a sha256 of the emitted ids, so two versions of the
+code can be compared bit for bit. A whole run takes about 5 minutes. `--src` selects the `bigphon` to import (default: this checkout's
 `src`). The last line of output is one JSON object with every run and the
 medians of each pass.
 """
@@ -55,7 +64,9 @@ ROWS = 32  # the paper config's batch size
 DECODE_SOURCES = 16  # the size of perfbench's evaluate test split
 DECODE_CAP = 128  # its decode cap
 REPEATS = 5
-PASSES = ("valid", "step", "decode")
+SPEECH_FRAMES = (450, 550)  # about 5 s of speech at 100 frames/s
+FEATURE_DIM = 80
+PASSES = ("valid", "step", "speech", "decode")
 KINDS = ("time", "trace")
 
 # A copy of `bigphon.config.BLAS_THREAD_VARS`: `--src` may name a tree older than it.
@@ -129,6 +140,8 @@ def measure(pass_name: str, kind: str) -> dict:
         vocab = Vocabulary(induce_inventory([PhonemeSequence(tuple(atoms))], classes), (), "base")
         config = replace(config, max_target_len=DECODE_CAP)
         dims = ModelDims(target_vocab=len(vocab), source_vocab=60)
+    elif pass_name == "speech":
+        dims = ModelDims(target_vocab=80, feature_dim=FEATURE_DIM)
     else:
         dims = ModelDims(target_vocab=80, source_vocab=60)
     rng = np.random.default_rng(0)
@@ -155,7 +168,11 @@ def measure(pass_name: str, kind: str) -> dict:
             return {"ids_sha256": digest.hexdigest(), "steps": steps,
                     "truncated": sum(r.truncated for r in results)}
     else:
-        sources = [rng.integers(2, 60, size=n) for n in rng.integers(80, 201, size=ROWS)]
+        if pass_name == "speech":
+            lengths = rng.integers(SPEECH_FRAMES[0], SPEECH_FRAMES[1] + 1, size=ROWS)
+            sources = [rng.normal(size=(n, FEATURE_DIM)) for n in lengths]
+        else:
+            sources = [rng.integers(2, 60, size=n) for n in rng.integers(80, 201, size=ROWS)]
         targets = [rng.integers(4, 80, size=n) for n in rng.integers(60, 149, size=ROWS)]
         if pass_name == "valid":
             def run():
