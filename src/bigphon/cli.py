@@ -161,7 +161,7 @@ def _truncated(decoded) -> str:
 
 def _check_checkpoint(path, args, checked: dict):
     """Read the header of the checkpoint at `path`, without its parameters,
-    and return its (variant, epoch), refusing one already in `checked` and,
+    and return it, refusing a (variant, epoch) already a key of `checked` and,
     with --vocab-dir, a vocabulary that differs from the stated file."""
     from .training import read_checkpoint_header
 
@@ -170,28 +170,30 @@ def _check_checkpoint(path, args, checked: dict):
     if key in checked:
         with reading(path):
             raise ValueError(f"variant {ckpt.variant!r} epoch {ckpt.epoch} is already in "
-                             f"{checked[key]}")
+                             f"{checked[key][0]}")
     if args.vocab_dir:
         vocab_path = Path(args.vocab_dir) / f"{ckpt.variant}.vocab"
         stated = read_vocab(vocab_path, ckpt.vocab.inventory)
         if stated.units != ckpt.vocab.units:
             raise ValueError(f"{vocab_path} does not match units stored in {path}")
-    return key
+    return ckpt
 
 
-def _evaluate_checkpoint(path, manifest, split):
-    """Score one checkpoint and return its BleuReport. Nothing else of it
-    outlives the call, so the next checkpoint loads with this one released."""
+def _evaluate_checkpoint(path, utts, sources):
+    """Score one checkpoint on `utts` and return its BleuReport. Nothing else of
+    it outlives the call, so the next checkpoint loads with this one released."""
     from .training import decode_split, load_checkpoint
 
     ckpt = load_checkpoint(path)
-    decoded, report = decode_split(ckpt, manifest, split=split)
+    decoded, report = decode_split(ckpt, utts, sources)
     print(f"{path}: variant={ckpt.variant} epoch={ckpt.epoch} bleu={report.bleu:.2f} "
           f"truncated={_truncated(decoded)}")
     return report
 
 
 def cmd_evaluate(args) -> int:
+    from .training import read_sources
+
     paths = set()
     for arg in args.ckpt:  # an existing file is used as written
         matched = [arg] if Path(arg).is_file() else glob.glob(arg)
@@ -199,13 +201,19 @@ def cmd_evaluate(args) -> int:
             raise FileNotFoundError(f"no checkpoint matches {arg!r}")
         paths.update(matched)
     manifest = ingest(args.manifest, (args.split,))
-    checked = {}  # (variant, epoch) -> path
-    for path in sorted(paths):  # every header, before any checkpoint decodes
-        checked[_check_checkpoint(path, args, checked)] = path
+    utts = manifest.by_split(args.split)
+    # (variant, epoch) -> (path, source form); source form (codec chars or feature width) -> sources
+    checked, sources = {}, {}
+    for path in sorted(paths):  # every header and source form, before any checkpoint decodes
+        ckpt = _check_checkpoint(path, args, checked)
+        form = ckpt.codec.chars if ckpt.codec is not None else ckpt.dims.feature_dim
+        if form not in sources:
+            sources[form] = read_sources(utts, ckpt.codec, ckpt.dims.feature_dim, manifest.path)
+        checked[ckpt.variant, ckpt.epoch] = path, form
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    scored = {key: _evaluate_checkpoint(path, manifest, args.split)
-              for key, path in checked.items()}
+    scored = {key: _evaluate_checkpoint(path, utts, sources[form])
+              for key, (path, form) in checked.items()}
     # Nothing is written until every checkpoint has scored, so a failure leaves `out` empty.
     for (variant, epoch), report in scored.items():
         _write_json(out / f"bleu_{variant}_epoch{epoch:04d}.json", report)
@@ -221,15 +229,17 @@ def cmd_evaluate(args) -> int:
 def cmd_errors(args) -> int:
     from .analysis import (ARTICLES, ErrorReport, article_accuracy, check_repetition_bounds,
                            diagnose_sentence, render_marked)
-    from .training import decode_split, load_checkpoint
+    from .training import decode_split, load_checkpoint, read_sources
 
     check_repetition_bounds(args.min_period, args.min_copies)
     rules, table = _load_tables(args)
     manifest = ingest(args.manifest, (args.split,))
     ckpt = load_checkpoint(args.ckpt)
+    utts = manifest.by_split(args.split)
+    sources = read_sources(utts, ckpt.codec, ckpt.dims.feature_dim, manifest.path)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    decoded, bleu = decode_split(ckpt, manifest, split=args.split)
+    decoded, bleu = decode_split(ckpt, utts, sources)
 
     report = ErrorReport()
     rendered: list[str] = []

@@ -88,24 +88,26 @@ class Batch:
     tgt_out: np.ndarray  # (B,T): unit ids + EOS, PAD-padded
 
 
-def make_batch(sources, targets, dims: ModelDims) -> Batch:
-    """Assemble a padded batch from per-example sources and target id lists."""
+def make_batch(sources, targets) -> Batch:
+    """Assemble a padded batch from per-example sources and target id lists.
+
+    The first source sets the form: a (frames, width) array gives a float64
+    (B,S,width) batch, a list or 1-D array of ids an int64 (B,S) one; a
+    later source of another trailing shape is a ShapeMismatch. Copying a
+    source into the batch is its only dtype conversion."""
     if len(sources) != len(targets):
         raise LengthMismatch(f"{len(sources)} sources vs {len(targets)} targets")
     n = len(sources)
-    features = () if dims.feature_dim is None else (dims.feature_dim,)  # trailing source axis
-    s_max = max([len(s) for s in sources] + [1])
-    src = np.zeros((n, s_max, *features), dtype=np.float64 if features else np.int64)
+    shapes = [getattr(s, "shape", (len(s),)) for s in sources]  # no array made of an id list
+    trailing = shapes[0][1:] if shapes else ()
+    s_max = max([shape[0] for shape in shapes] + [1])
+    src = np.zeros((n, s_max, *trailing), dtype=np.float64 if trailing else np.int64)
     src_mask = np.zeros((n, s_max), dtype=bool)
-    for i, s in enumerate(sources):
-        if features:
-            s = np.asarray(s, dtype=np.float64)
-            if s.shape[1:] != features:
-                raise ShapeMismatch(
-                    f"feature array {s.shape} does not match feature_dim={dims.feature_dim}"
-                )
-        src[i, : len(s)] = s
-        src_mask[i, : len(s)] = True
+    for i, (s, shape) in enumerate(zip(sources, shapes)):
+        if shape[1:] != trailing:
+            raise ShapeMismatch(f"source {shape} does not match the first source's {shapes[0]}")
+        src[i, : shape[0]] = s
+        src_mask[i, : shape[0]] = True
     t_max = max([len(t) for t in targets] + [0]) + 1  # room for BOS/EOS shift
     tgt_in = np.full((n, t_max), PAD_ID, dtype=np.int64)
     tgt_out = np.full((n, t_max), PAD_ID, dtype=np.int64)
@@ -197,13 +199,6 @@ def unflatten_params(flat: np.ndarray, index) -> dict[str, np.ndarray]:
     if offset != flat.size:
         raise ShapeMismatch(f"flat vector has {flat.size} entries, expected {offset}")
     return params
-
-
-def infer_dims(params: dict[str, np.ndarray]) -> ModelDims:
-    target_vocab = params["out_b"].shape[0]
-    if "src_embed" in params:
-        return ModelDims(target_vocab, source_vocab=params["src_embed"].shape[0])
-    return ModelDims(target_vocab, feature_dim=params["src_proj_w"].shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +300,11 @@ def _keep_mask(cache):
     return np.unpackbits(bits, count=math.prod(shape)).reshape(shape).view(bool), p
 
 
-def _dropout_bwd(dy, cache, out=None):
-    """dy * mask / (1 - p), into `out` if given, with the forward's mask
-    unpacked from the cache."""
+def _dropout_bwd(dy, cache):
+    """dy * mask / (1 - p), with the forward's mask unpacked from the cache."""
     if cache is None:
         return dy
-    return _apply_mask(dy, *_keep_mask(cache), out)
+    return _apply_mask(dy, *_keep_mask(cache))
 
 
 def _apply_mask(x, mask, p, out=None):
@@ -544,7 +538,7 @@ def _encoder_forward(params, config, batch, p, rng, cache=None):
     return x, src_add
 
 
-def _decoder_layer(params, config, i, y, t, self_kv, cross_kv, src_add, mask, p, rng, cache=None):
+def _decoder_layer(params, config, i, y, t, self_kv, cross_kv, src_add, mask, p, rng, cache):
     """Decoder layer i over target positions t..t+n of y (B, n, d).
 
     Writes the positions' self-attention keys and values into `self_kv`,
@@ -716,7 +710,7 @@ def greedy_decode(params, config: ModelConfig, source, vocab: Vocabulary) -> Dec
     The one decoder entry, `_decoder_forward`, that serves teacher forcing and
     the valid pass runs each step on the newest position alone; the encoder and
     the cross-attention keys and values run once per source."""
-    batch = make_batch([source], [[]], infer_dims(params))
+    batch = make_batch([source], [[]])
     enc_out, src_add = _encoder_forward(params, config, batch, 0.0, None)
     layers = _decoder_layers(params, config, enc_out, config.max_target_len)
     emitted: list[int] = []

@@ -102,8 +102,9 @@ class Checkpoint:
 
 
 def load_features(path, feature_dim: int | None = None, width_from=None) -> np.ndarray:
-    """Externally precomputed per-frame features: one (T, F) .npy array,
-    with F equal to `feature_dim` when that is given; `width_from`, if
+    """Externally precomputed per-frame features: one (T, F) .npy array of
+    finite real numbers, kept in its stored dtype (`make_batch` converts
+    it), with F equal to `feature_dim` when that is given; `width_from`, if
     given, names the file whose width set it."""
     with reading(path), open(path, "rb") as f:
         arr = np.lib.format.read_array(f, allow_pickle=False)
@@ -115,7 +116,6 @@ def load_features(path, feature_dim: int | None = None, width_from=None) -> np.n
             origin = f" from {width_from}" if width_from else ""
             raise ShapeMismatch(f"feature array {arr.shape} does not match "
                                 f"feature_dim={feature_dim}{origin}")
-        arr = np.asarray(arr, dtype=np.float64)
         if not np.isfinite(arr).all():
             raise ValueError("feature frames hold NaN or infinite values")
     return arr
@@ -124,7 +124,7 @@ def load_features(path, feature_dim: int | None = None, width_from=None) -> np.n
 def read_sources(utts, codec: SourceCodec | None, feature_dim: int | None = None,
                  manifest_path=None) -> list:
     """Model inputs for `utts`, in order: each text's codec ids, or, with no
-    codec (feature mode), each row's feature file, loaded once. Before any
+    codec (feature mode), each row's feature frames as stored. Before any
     file loads, every row must name one; that error names `manifest_path`
     when given. Every file must be `feature_dim` wide or, when that is
     None, as wide as the first, which the width error then names."""
@@ -260,16 +260,13 @@ def load_checkpoint(path) -> Checkpoint:
     return ckpt
 
 
-def _epoch_valid_loss(params, config, dims, sources, targets) -> float:
+def _epoch_valid_loss(params, config, sources, targets) -> float:
     if not sources:
         return math.nan
     total, tokens = 0.0, 0
     for start in range(0, len(sources), config.batch_size):
-        batch = make_batch(
-            sources[start : start + config.batch_size],
-            targets[start : start + config.batch_size],
-            dims,
-        )
+        chunk = slice(start, start + config.batch_size)
+        batch = make_batch(sources[chunk], targets[chunk])
         logits = forward_batch(params, config, batch)
         loss, _, n = batch_loss_and_dlogits(logits, batch.tgt_out)
         total += loss * n
@@ -340,11 +337,7 @@ def train(
         total, tokens = 0.0, 0
         for start in range(0, n, config.batch_size):
             chosen = order[start : start + config.batch_size]
-            batch = make_batch(
-                [train_src[i] for i in chosen],
-                [train_tgt[i] for i in chosen],
-                dims,
-            )
+            batch = make_batch([train_src[i] for i in chosen], [train_tgt[i] for i in chosen])
             try:
                 loss, grads, ntok = loss_and_gradient(
                     params, config, batch, dropout_rng=rng_dropout
@@ -356,7 +349,7 @@ def train(
             total += loss * ntok
             tokens += ntok
         train_loss = total / tokens if tokens else math.nan
-        valid_loss = _epoch_valid_loss(params, config, dims, valid_src, valid_tgt)
+        valid_loss = _epoch_valid_loss(params, config, valid_src, valid_tgt)
         trace.entries.append((train_loss, valid_loss))
         if log is not None:
             log(f"epoch {epoch}: train_loss={train_loss:.6f} valid_loss={valid_loss:.6f}")
@@ -377,22 +370,17 @@ def train(
 
 
 def decode_split(
-    ckpt: Checkpoint, manifest: CorpusManifest, split: str = "test"
+    ckpt: Checkpoint, utts: list[Utterance], sources: list
 ) -> tuple[list[tuple[Utterance, DecodeResult]], BleuReport]:
-    """Greedy-decode every utterance of a split under a checkpoint and
+    """Greedy-decode each utterance from its source under a checkpoint and
     BLEU-score the decodes against the reference atom sequences.
 
-    Every row's source is read and checked (`read_sources`) before the
-    first decode, so a feature-mode split holds all its frames at once.
-    The commands read the manifest with `ingest(path, (split,))`, which
-    requires the split's rows and every row's phonemes; an empty split
-    raises `EmptyCorpus` from `corpus_bleu`.
+    The caller reads `sources` (`read_sources`) before the first decode; this
+    reads no file. An empty `utts` raises `EmptyCorpus` from `corpus_bleu`.
     """
-    utts = manifest.by_split(split)
-    sources = read_sources(utts, ckpt.codec, ckpt.dims.feature_dim, manifest.path)
     params = ckpt.params
     decoded = [(utt, greedy_decode(params, ckpt.config, source, ckpt.vocab))
-               for utt, source in zip(utts, sources)]
+               for utt, source in zip(utts, sources, strict=True)]
     report = corpus_bleu(
         [result.sequence.tokens for _, result in decoded],
         [utt.phonemes.tokens for utt, _ in decoded],

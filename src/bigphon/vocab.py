@@ -268,8 +268,8 @@ def write_vocab(vocab: Vocabulary, path):
 
 
 def read_vocab(path, inventory: PhonemeInventory) -> Vocabulary:
-    """Rebuild a vocabulary from its file, validated against an inventory;
-    an error in it names the file."""
+    """Rebuild a vocabulary from its file, validated against an inventory
+    and against the counts in its own header; an error in it names the file."""
     with reading(path), open(path, encoding="utf-8") as f:
         lines = f.read().removesuffix("\n").split("\n")
         if not lines[0].startswith("#variant="):
@@ -288,4 +288,8 @@ def read_vocab(path, inventory: PhonemeInventory) -> Vocabulary:
                 atoms.append(line)
         if tuple(atoms) != inventory.symbols:
             raise ValueError("atom list does not match the given inventory")
-        return Vocabulary(inventory, bigrams, header.get("variant", ""))
+        vocab = Vocabulary(inventory, bigrams, header.get("variant", ""))
+        for key, count, kind in (("n", len(bigrams), "bigram"), ("inventory", len(atoms), "atom")):
+            if header.get(key) != str(count):
+                raise ValueError(f"header has {key}={header.get(key)}, but {count} {kind}s follow")
+        return vocab

@@ -34,7 +34,6 @@ from bigphon.model import (
     _pe,
     batch_loss_and_dlogits,
     flatten_params,
-    infer_dims,
     make_batch,
     param_index,
 )
@@ -142,10 +141,18 @@ def synthetic_inventory(classes):
     return induce_inventory(synthetic_corpus(), classes)
 
 
+def infer_dims(params: dict[str, np.ndarray]) -> ModelDims:
+    """The sizes that built `params`, for the reference step below and for
+    `param_index`."""
+    target_vocab = params["out_b"].shape[0]
+    if "src_embed" in params:
+        return ModelDims(target_vocab, source_vocab=params["src_embed"].shape[0])
+    return ModelDims(target_vocab, feature_dim=params["src_proj_w"].shape[0])
+
+
 def forward(params, config: ModelConfig, source, target_prefix) -> np.ndarray:
     """Logits (len(target_prefix), vocab) for one teacher-forced prefix."""
-    dims = infer_dims(params)
-    batch = make_batch([source], [[]], dims)
+    batch = make_batch([source], [[]])
     batch.tgt_in = np.asarray([target_prefix], dtype=np.int64)
     logits = model.forward_batch(params, config, batch)
     return logits[0]
@@ -170,7 +177,7 @@ def reference_greedy_decode(params, config: ModelConfig, source, vocab: Vocabula
     step below over the growing prefix at every step and take the argmax of
     its last row."""
     dims = infer_dims(params)
-    batch = make_batch([source], [[]], dims)
+    batch = make_batch([source], [[]])
     enc_out, src_add = _encoder_forward(params, config, dims, batch, 0.0, None, {})
     prefix = [BOS_ID]
     emitted: list[int] = []

@@ -134,7 +134,6 @@ def test_criterion_05_gradient_check():
         batch = make_batch(
             [[1, 2, 3, 4, 5, 6], [7, 8, 9], [10, 11, 12, 13]],
             [(4, 5, 6, 7, 8), (9, 10), (11, 4, 5)],
-            dims,
         )
         analytic = gradient(params, config, batch)
         flat = flatten_params(params, index)
@@ -198,9 +197,9 @@ def test_criterion_06_toy_training_behavior(tmp_path, classes, rules):
         overfit = _toy_config(200, encoder_layers=1, batch_size=5, dropout=0.0, seed=1)
         train(five, vocab5, overfit, tmp_path / "five")
         ckpt = last_checkpoint(tmp_path / "five", overfit)
-        decoded, report = decode_split(ckpt, five, split="train")
-        assert report.bleu == 100.0
         sources = read_sources(five.by_split("train"), ckpt.codec)
+        decoded, report = decode_split(ckpt, five.by_split("train"), sources)
+        assert report.bleu == 100.0
         for (utt, result), source in zip(decoded, sources):
             assert result == reference_greedy_decode(ckpt.params, ckpt.config, source, ckpt.vocab)
         assert time.monotonic() - t0 < 300.0

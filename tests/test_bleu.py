@@ -195,7 +195,7 @@ class TestEvaluateCheckpoint:
         """Random-init checkpoints should stay under BLEU 5, seed-averaged."""
         from bigphon.ipa import induce_inventory
         from bigphon.model import ModelConfig, ModelDims, flatten_params, init_params, param_index
-        from bigphon.training import Checkpoint, SourceCodec, decode_split
+        from bigphon.training import Checkpoint, SourceCodec, decode_split, read_sources
         from bigphon.vocab import build_variant
         from conftest import make_toy_manifest
 
@@ -216,5 +216,6 @@ class TestEvaluateCheckpoint:
                 params_flat=flatten_params(params, param_index(cfg, dims)),
                 vocab=vocab, codec=codec,
             )
-            scores.append(decode_split(ckpt, m)[1].bleu)
+            utts = m.by_split("test")
+            scores.append(decode_split(ckpt, utts, read_sources(utts, codec))[1].bleu)
         assert sum(scores) / len(scores) < 5.0

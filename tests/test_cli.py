@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import bigphon
-from bigphon import corpus, training, vocab
+from bigphon import corpus, model, training, vocab
 from bigphon.cli import build_parser, main
 from bigphon.config import BLAS_THREAD_VARS
 from bigphon.corpus import CorpusManifest, Utterance, ingest, write_manifest
@@ -484,6 +484,23 @@ class TestTrainEvaluateErrors:
                      "--manifest", str(augmented_manifest), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"bigphon: error: no checkpoint matches {missing!r}\n"
         assert loads == [] and not out.exists()
+
+    def test_evaluate_reads_the_split_once_for_checkpoints_of_one_codec(
+        self, tmp_path, augmented_manifest, trained, monkeypatch
+    ):
+        ckpt = load_checkpoint(trained / "epoch0002.ckpt")
+        ckpt.epoch = 1
+        save_checkpoint(ckpt, trained / "epoch0001.ckpt")
+        reads = []
+        read = training.read_sources
+        monkeypatch.setattr(training, "read_sources",
+                            lambda *args: reads.append(args) or read(*args))
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--ckpt", str(trained / "*.ckpt"),
+                     "--manifest", str(augmented_manifest), "--out", str(out)]) == 0
+        assert len(reads) == 1
+        assert sorted(p.name for p in out.glob("bleu_*.json")) == [
+            "bleu_base_epoch0001.json", "bleu_base_epoch0002.json"]
 
     def test_a_path_that_is_no_checkpoint_exits_2_before_any_decode(
         self, tmp_path, augmented_manifest, trained, monkeypatch, capsys
@@ -980,6 +997,46 @@ class TestDeterminism:
                          "--split", "2,1,1", "--seed", "3"]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_float32_frames_match_their_float64_copies(self, tmp_path, augmented_manifest,
+                                                        monkeypatch):
+        """Frames reach `make_batch` as stored, and float32 frames give the
+        same checkpoint, trace and scores as float64 copies of them."""
+        vocab_path = tmp_path / "v.vocab"
+        assert main(["vocab", "--manifest", str(augmented_manifest), "--variant", "base",
+                     "--out", str(vocab_path)]) == 0
+        m = ingest(augmented_manifest)
+        rng = np.random.default_rng(2)
+        frames = {u.utt_id: rng.normal(size=(rng.integers(5, 9), 3)).astype(np.float32)
+                  for u in m.utterances}
+        dtypes = set()
+        make_batch = model.make_batch
+
+        def spy(sources, targets):
+            dtypes.update(s.dtype for s in sources)
+            return make_batch(sources, targets)
+
+        monkeypatch.setattr(training, "make_batch", spy)
+        monkeypatch.setattr(model, "make_batch", spy)
+        outputs = {}
+        for dtype in ("float32", "float64"):
+            utts = []
+            for u in m.utterances:
+                path = tmp_path / f"{u.utt_id}.{dtype}.npy"
+                np.save(path, frames[u.utt_id].astype(dtype))
+                utts.append(replace(u, feature_path=str(path)))
+            mpath = tmp_path / f"{dtype}.tsv"
+            write_manifest(CorpusManifest(tuple(utts), m.split), mpath)
+            run, out = tmp_path / f"run-{dtype}", tmp_path / f"eval-{dtype}"
+            assert main(train_args(mpath, vocab_path, run) + ["--source", "features"]) == 0
+            assert main(["evaluate", "--ckpt", str(run / "epoch0002.ckpt"),
+                         "--manifest", str(mpath), "--out", str(out)]) == 0
+            files = [run / "epoch0002.ckpt", run / "trace.csv", *sorted(out.glob("bleu_*.json"))]
+            outputs[dtype] = [(path.name, path.read_bytes()) for path in files]
+            assert dtypes == {np.dtype(dtype)}
+            dtypes.clear()
+        assert len(outputs["float32"]) == 3
+        assert outputs["float32"] == outputs["float64"]
 
     def test_train_twice_byte_identical(self, tmp_path, augmented_manifest):
         vocab_path = tmp_path / "v.vocab"

@@ -144,10 +144,16 @@ TABLE = [
      "expected specials ('PAD', 'BOS', 'EOS', 'UNK') first"),
     ("vocab-variant", "vocab", ("train",), _swap(b"variant=base", b"variant=bogus"), 2,
      "unknown vocabulary variant 'bogus'"),
+    ("vocab-bigram-count", "vocab", ("train",), _swap(b" n=0 ", b" n=99 "), 2,
+     "header has n=99, but 0 bigrams follow"),
+    ("vocab-atom-count", "vocab", ("train",), _swap(b" inventory=", b" inventory=9"), 2,
+     "header has inventory=9"),
     ("vocab-dir-utf8", "vocab-dir", ("evaluate",), _swap(b"PAD", b"P\xffD"), 2,
      "line 2: invalid UTF-8 byte 0xff"),
     ("vocab-dir-truncated", "vocab-dir", ("evaluate",), _cut_after(b"\n", 1), 2,
      "expected specials ('PAD', 'BOS', 'EOS', 'UNK') first"),
+    ("vocab-dir-bigram-count", "vocab-dir", ("evaluate",), _swap(b" n=0 ", b" n=7 "), 2,
+     "header has n=7, but 0 bigrams follow"),
     ("ckpt-garbage", "ckpt", ("evaluate", "errors"), lambda data: b"\x00garbage" + data, 2,
      "bad magic b'\\x00gar'"),
     ("ckpt-version", "ckpt", ("evaluate", "errors"),
@@ -312,9 +318,11 @@ def test_bad_last_feature_file_stops_the_split_before_any_decode(valid, tmp_path
     assert not (tmp_path / "out").exists()
 
 
-def test_evaluate_failing_on_a_later_checkpoint_writes_nothing(valid, tmp_path, capsys):
-    """A text checkpoint scores first; the feature checkpoint after it meets
-    a test row with no feature file. No report of the first is left."""
+def test_evaluate_failing_on_a_later_checkpoint_writes_nothing(valid, tmp_path, monkeypatch,
+                                                               capsys):
+    """A text checkpoint sorts first; the feature checkpoint after it meets
+    a test row with no feature file. Every source form is read before the
+    first decode, so neither checkpoint decodes and nothing is left."""
     text_ckpt = load_checkpoint(valid["ckpt"])
     text_ckpt.epoch = 2
     save_checkpoint(text_ckpt, tmp_path / "a.ckpt")
@@ -322,11 +330,15 @@ def test_evaluate_failing_on_a_later_checkpoint_writes_nothing(valid, tmp_path, 
     first_test = ingest(valid["manifest"]).by_split("test")[0].utt_id
     manifest = tmp_path / "features.tsv"
     manifest.write_bytes(_no_feature_path(first_test.encode())(valid["manifest"].read_bytes()))
+    calls = _count_decodes(monkeypatch)
     capsys.readouterr()
     assert main(["evaluate", "--ckpt", str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt"),
                  "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err == (
+    captured = capsys.readouterr()
+    assert captured.err == (
         f"bigphon: error: {manifest}: utterance {first_test!r} has no feature_path\n")
+    assert captured.out == ""
+    assert calls == []
     assert not (tmp_path / "out").exists()
 
 

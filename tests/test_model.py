@@ -24,7 +24,6 @@ from bigphon.model import (
     flatten_params,
     forward_batch,
     greedy_decode,
-    infer_dims,
     init_params,
     loss_and_gradient,
     make_batch,
@@ -113,7 +112,7 @@ class TestForward:
         params = small_params(params_dims)
         width = batch_dims.feature_dim
         sources = [[1, 2, 3]] if width is None else [np.ones((3, width))]
-        batch = make_batch(sources, [(4, 5)], batch_dims)
+        batch = make_batch(sources, [(4, 5)])
         with pytest.raises(ShapeMismatch) as exc:
             forward_batch(params, SMALL, batch)
         assert str(exc.value) == message
@@ -121,11 +120,23 @@ class TestForward:
             loss_and_gradient(params, SMALL, batch)
         assert str(exc.value) == message
 
+    def test_make_batch_takes_the_source_form_from_the_first_source(self):
+        """Frames of any real dtype become a float64 batch and ids an int64
+        one; a source of another trailing shape is a ShapeMismatch."""
+        frames = np.arange(6, dtype=np.float32).reshape(2, 3)
+        batch = make_batch([frames, frames[:1]], [(4,), (5,)])
+        assert batch.src.dtype == np.float64 and np.array_equal(batch.src[0], frames)
+        ids = make_batch([[1, 2], np.array([3])], [(4,), (5,)])
+        assert ids.src.dtype == np.int64 and ids.src.tolist() == [[1, 2], [3, 0]]
+        for sources in ([frames, np.ones((2, 4))], [[1, 2], frames], [frames, [1, 2]]):
+            with pytest.raises(ShapeMismatch):
+                make_batch(sources, [(4,), (5,)])
+
     def test_infer_dims(self):
         dims = ModelDims(target_vocab=9, source_vocab=7)
-        assert infer_dims(small_params(dims)) == dims
+        assert conftest.infer_dims(small_params(dims)) == dims
         fdims = ModelDims(target_vocab=9, feature_dim=6)
-        assert infer_dims(small_params(fdims)) == fdims
+        assert conftest.infer_dims(small_params(fdims)) == fdims
 
 
 class TestLoss:
@@ -156,7 +167,7 @@ class TestLoss:
     def test_appending_pad_leaves_loss_unchanged(self):
         dims = ModelDims(target_vocab=9, source_vocab=7)
         params = small_params(dims, seed=5)
-        batch = make_batch([[1, 2, 3], [4, 5]], [(4, 5, 6), (7,)], dims)
+        batch = make_batch([[1, 2, 3], [4, 5]], [(4, 5, 6), (7,)])
         logits1 = forward_batch(params, SMALL, batch)
         loss1, _, n1 = batch_loss_and_dlogits(logits1, batch.tgt_out)
         pad_col = np.full((2, 1), PAD_ID, dtype=np.int64)
@@ -177,9 +188,7 @@ class TestGradient:
         dims = ModelDims(target_vocab=9, source_vocab=11)
         params = small_params(dims, seed=42)
         index = param_index(SMALL, dims)
-        batch = make_batch(
-            [[1, 2, 3, 4, 5], [6, 7, 8]], [(4, 5, 6, 7), (8, 4)], dims
-        )
+        batch = make_batch([[1, 2, 3, 4, 5], [6, 7, 8]], [(4, 5, 6, 7), (8, 4)])
         flat = flatten_params(params, index)
         analytic = gradient(params, SMALL, batch)
 
@@ -207,7 +216,7 @@ class TestGradient:
         params["out_w"] = np.zeros_like(params["out_w"])
         params["out_b"] = np.linspace(-1.0, 1.0, 6)
         y = 3
-        batch = make_batch([[1, 2]], [(y,)], dims)
+        batch = make_batch([[1, 2]], [(y,)])
         # keep only the first target position (the single token y)
         batch = Batch(batch.src, batch.src_mask, batch.tgt_in[:, :1], batch.tgt_out[:, :1])
         _, grads, _ = loss_and_gradient(params, SMALL, batch)
@@ -219,8 +228,8 @@ class TestGradient:
     def test_duplicated_example_mean_semantics(self):
         dims = ModelDims(target_vocab=9, source_vocab=7)
         params = small_params(dims, seed=6)
-        single = make_batch([[1, 2, 3]], [(4, 5)], dims)
-        double = make_batch([[1, 2, 3], [1, 2, 3]], [(4, 5), (4, 5)], dims)
+        single = make_batch([[1, 2, 3]], [(4, 5)])
+        double = make_batch([[1, 2, 3], [1, 2, 3]], [(4, 5), (4, 5)])
         _, g1, _ = loss_and_gradient(params, SMALL, single)
         _, g2, _ = loss_and_gradient(params, SMALL, double)
         for name in g1:
@@ -232,7 +241,7 @@ class TestGradient:
         index = param_index(SMALL, dims)
         rng = np.random.default_rng(0)
         batch = make_batch([rng.normal(size=(4, 4)), rng.normal(size=(2, 4))],
-                           [(4, 5), (6,)], dims)
+                           [(4, 5), (6,)])
         flat = flatten_params(params, index)
         analytic = gradient(params, SMALL, batch)
 
@@ -256,7 +265,7 @@ class TestGradient:
         dims = ModelDims(target_vocab=9, source_vocab=7)
         params = small_params(dims)
         params["out_b"] = params["out_b"] + np.nan
-        batch = make_batch([[1, 2]], [(4,)], dims)
+        batch = make_batch([[1, 2]], [(4,)])
         with pytest.raises(NonFiniteLoss):
             loss_and_gradient(params, SMALL, batch)
 
@@ -267,7 +276,7 @@ class TestGradient:
             epochs=10, checkpoint_interval=10, dropout=0.3, seed=0,
         )
         params = small_params(dims)
-        batch = make_batch([[1, 2, 3]], [(4, 5)], dims)
+        batch = make_batch([[1, 2, 3]], [(4, 5)])
         l1, g1, _ = loss_and_gradient(params, cfg, batch, np.random.default_rng(9))
         l2, g2, _ = loss_and_gradient(params, cfg, batch, np.random.default_rng(9))
         assert l1 == l2
@@ -294,7 +303,7 @@ class TestBitwiseOracle:
             sources = [rng.normal(size=(n, 5)) for n in src_lens]
         targets = [rng.integers(4, 11, size=n) for n in tgt_lens]
         params = init_params(config, dims, rng)
-        return config, dims, params, make_batch(sources, targets, dims)
+        return config, dims, params, make_batch(sources, targets)
 
     @pytest.mark.parametrize("dropout", [0.0, 0.3])
     @pytest.mark.parametrize("layers", [(1, 1), (3, 2)])
@@ -362,7 +371,7 @@ class TestBitwiseOracle:
         rng = np.random.default_rng(3)
         params = init_params(config, dims, rng)
         batch = make_batch([rng.integers(0, 30, size=60) for _ in range(8)],
-                           [rng.integers(4, 20, size=40) for _ in range(8)], dims)
+                           [rng.integers(4, 20, size=40) for _ in range(8)])
         peaks = []
         for step in (lambda rng: conftest.loss_and_gradient(params, config, dims, batch, rng),
                      lambda rng: loss_and_gradient(params, config, batch, rng)):
@@ -434,7 +443,7 @@ class TestActivationMemory:
         rng = np.random.default_rng(3)
         params = init_params(config, dims, rng)
         batch = make_batch([rng.integers(0, 30, size=60) for _ in range(8)],
-                           [rng.integers(4, 20, size=40) for _ in range(8)], dims)
+                           [rng.integers(4, 20, size=40) for _ in range(8)])
         return config, dims, params, batch
 
     @staticmethod

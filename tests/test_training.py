@@ -32,6 +32,7 @@ from bigphon.training import (
     decode_split,
     load_checkpoint,
     load_features,
+    read_sources,
     save_checkpoint,
     train,
 )
@@ -174,7 +175,8 @@ class TestOverfit:
         )
         train(m, vocab, cfg, tmp_path)
         ckpt = last_checkpoint(tmp_path, cfg)
-        ((utt, res),), _ = decode_split(ckpt, m, split="train")
+        utts = m.by_split("train")
+        ((utt, res),), _ = decode_split(ckpt, utts, read_sources(utts, ckpt.codec))
         assert res.sequence.tokens == utt.phonemes.tokens
         assert not res.truncated
 
@@ -275,7 +277,8 @@ class TestFeatureMode:
         ckpt = last_checkpoint(tmp_path / "run", cfg)
         assert ckpt.codec is None
         assert ckpt.dims.feature_dim == 5
-        decoded, _ = decode_split(ckpt, m, split="test")
+        utts = m.by_split("test")
+        decoded, _ = decode_split(ckpt, utts, read_sources(utts, ckpt.codec))
         assert len(decoded) == 1
 
     def test_train_loads_each_feature_file_once(self, tmp_path, classes, rules, monkeypatch):
@@ -304,6 +307,13 @@ class TestFeatureMode:
         prefix = f"{manifest_path}: " if manifest_path else ""
         assert str(exc.value) == f"{prefix}utterance {utts[-1].utt_id!r} has no feature_path"
         assert loads == []
+
+    def test_read_sources_keeps_frames_as_stored(self, tmp_path):
+        frames = np.arange(12, dtype=np.float32).reshape(4, 3)
+        np.save(tmp_path / "f.npy", frames)
+        utt = Utterance("u0", "x", feature_path=str(tmp_path / "f.npy"))
+        (source,) = read_sources([utt], None)
+        assert source.dtype == np.float32 and np.array_equal(source, frames)
 
     def test_checkpoint_round_trip(self, tmp_path, classes, rules):
         m = self.make_feature_manifest(tmp_path, rules, classes)
@@ -356,13 +366,14 @@ class TestFeatureMode:
         assert str(exc.value) == f"{path}: feature frames hold NaN or infinite values"
 
 
-def reference_valid_loss(params, config, dims, sources, targets) -> float:
+def reference_valid_loss(params, config, sources, targets) -> float:
     """The valid loss through conftest's reference forward, which builds
     the whole backward cache, batch by batch as `_epoch_valid_loss` goes."""
+    dims = conftest.infer_dims(params)
     total, tokens = 0.0, 0
     for start in range(0, len(sources), config.batch_size):
         chunk = slice(start, start + config.batch_size)
-        batch = make_batch(sources[chunk], targets[chunk], dims)
+        batch = make_batch(sources[chunk], targets[chunk])
         logits, _ = conftest.forward_batch(params, config, dims, batch)
         loss, _, n = batch_loss_and_dlogits(logits, batch.tgt_out)
         total += loss * n
@@ -385,7 +396,7 @@ class TestValidLoss:
             dims = ModelDims(target_vocab=20, feature_dim=6)
             sources = [rng.normal(size=(n, 6)) for n in rng.integers(20, 90, size=12)]
         targets = [rng.integers(4, 20, size=n) for n in rng.integers(10, 60, size=12)]
-        return init_params(config, dims, rng), config, dims, sources, targets
+        return init_params(config, dims, rng), config, sources, targets
 
     @pytest.mark.parametrize("source", ["tokens", "features"])
     def test_matches_reference_bitwise(self, source):

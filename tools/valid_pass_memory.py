@@ -44,9 +44,12 @@ Each pass has two kinds of run, and the eight alternate, five of each:
 `valid`, `step` and `speech` runs print the loss's repr; `step` and
 `speech` runs also print a sha256 of the gradients in canonical parameter
 order, and `decode` runs a sha256 of the emitted ids, so two versions of the
-code can be compared bit for bit. A whole run takes about 5 minutes. `--src` selects the `bigphon` to import (default: this checkout's
-`src`). The last line of output is one JSON object with every run and the
-medians of each pass.
+code can be compared bit for bit. A whole run takes about 5 minutes. `--src`
+selects the `bigphon` to import (default: this checkout's `src`). The tool
+calls `make_batch` and `_epoch_valid_loss` with no `ModelDims`, so it cannot
+import a tree whose calls still take one: to compare two versions, run each
+tree's own copy of the tool. The last line of output is one JSON object with
+every run and the medians of each pass.
 """
 
 from __future__ import annotations
@@ -176,9 +179,9 @@ def measure(pass_name: str, kind: str) -> dict:
         targets = [rng.integers(4, 80, size=n) for n in rng.integers(60, 149, size=ROWS)]
         if pass_name == "valid":
             def run():
-                return training._epoch_valid_loss(params, config, dims, sources, targets), None
+                return training._epoch_valid_loss(params, config, sources, targets), None
         else:
-            batch = make_batch(sources, targets, dims)
+            batch = make_batch(sources, targets)
 
             def run():
                 loss, grads, _ = model.loss_and_gradient(params, config, batch,
