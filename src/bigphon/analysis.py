@@ -27,6 +27,10 @@ ARTICLES = ("der", "des", "dem", "den", "die", "das")
 # Reference tokens reported on each side of a dropout.
 DROPOUT_CONTEXT = 2
 
+# A repeat is at least MIN_COPIES consecutive copies of a unit of at least
+# MIN_PERIOD tokens.
+MIN_PERIOD, MIN_COPIES = 3, 2
+
 
 class EditKind(Enum):
     MATCH = "match"
@@ -120,26 +124,14 @@ class Repetition:
         return self.start + self.period * self.copies
 
 
-def check_repetition_bounds(min_period: int, min_copies: int) -> None:
-    """A repeat is at least two copies of a non-empty unit; smaller bounds
-    would never end (period 0) or call every token a repeat (one copy)."""
-    if min_period < 1:
-        raise ValueError("min_period must be at least 1")
-    if min_copies < 2:
-        raise ValueError("min_copies must be at least 2")
-
-
-def detect_repetitions(
-    hyp: Sequence[str], min_period: int = 3, min_copies: int = 2
-) -> list[Repetition]:
+def detect_repetitions(hyp: Sequence[str]) -> list[Repetition]:
     """Leftmost, non-overlapping maximal tandem repeats.
 
-    A tandem repeat is >= min_copies consecutive copies of the same token
-    span of length >= min_period. At each starting position the candidate
+    A tandem repeat is >= MIN_COPIES consecutive copies of the same token
+    span of length >= MIN_PERIOD. At each starting position the candidate
     covering the most tokens wins (shorter period on ties); the scan then
     resumes after it.
     """
-    check_repetition_bounds(min_period, min_copies)
     hyp = tuple(hyp)
     where: dict[str, list[int]] = {}  # each token's positions, ascending
     for p, token in enumerate(hyp):
@@ -149,10 +141,10 @@ def detect_repetitions(
     n = len(hyp)
     while pos < n:
         best: Repetition | None = None
-        max_period = (n - pos) // min_copies
+        max_period = (n - pos) // MIN_COPIES
         # Two copies need the unit's first token again one period on.
         at = where[hyp[pos]]
-        for q in at[bisect_left(at, pos + min_period) :]:
+        for q in at[bisect_left(at, pos + MIN_PERIOD) :]:
             period = q - pos
             if period > max_period:
                 break
@@ -160,7 +152,7 @@ def detect_repetitions(
             copies = 1
             while hyp[pos + copies * period : pos + (copies + 1) * period] == unit:
                 copies += 1
-            if copies >= min_copies:
+            if copies >= MIN_COPIES:
                 cand = Repetition(pos, period, copies, unit)
                 if best is None or cand.period * cand.copies > best.period * best.copies:
                     best = cand
@@ -268,8 +260,6 @@ def diagnose_sentence(
     ref: PhonemeSequence,
     hyp: Sequence[str],
     table: ClassificationTable,
-    min_period: int = 3,
-    min_copies: int = 2,
 ) -> SentenceDiagnosis:
     alignment = align(ref.tokens, hyp)
     return SentenceDiagnosis(
@@ -277,7 +267,7 @@ def diagnose_sentence(
         ref=ref,
         hyp=tuple(hyp),
         alignment=alignment,
-        repetitions=detect_repetitions(hyp, min_period, min_copies),
+        repetitions=detect_repetitions(hyp),
         dropouts=detect_dropouts(alignment, ref.tokens),
         substitutions=detect_substitutions(alignment, table),
     )

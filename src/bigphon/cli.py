@@ -95,11 +95,9 @@ def cmd_augment(args) -> int:
             args, {"max_chars": args.max_chars, "split": args.split}
         ),
     )
-    counts = manifest.split_sizes()
-    print(
-        f"ingested={n_in} removed={removed} kept={len(manifest)} "
-        f"train={counts['train']} valid={counts['valid']} test={counts['test']}"
-    )
+    n_train, n_valid, n_test = sizes
+    print(f"ingested={n_in} removed={removed} kept={len(manifest)} "
+          f"train={n_train} valid={n_valid} test={n_test}")
     return 0
 
 
@@ -122,7 +120,7 @@ def cmd_vocab(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .training import train
+    from .training import source_mode, train
 
     outdir = Path(args.outdir)
     stale = min(outdir.glob("epoch*.ckpt"), default=None)
@@ -137,13 +135,12 @@ def cmd_train(args) -> int:
         manifest,
         vocab,
         config,
-        source_mode=args.source,
         outdir=outdir,
         log=print if args.verbose else None,
     )
     run = {"tool": f"bigphon {__version__}", "seed": args.seed, "variant": vocab.variant,
-           "source_mode": args.source, "manifest": str(args.manifest), "vocab": str(args.vocab),
-           "config": asdict(config)}
+           "source_mode": source_mode(manifest), "manifest": str(args.manifest),
+           "vocab": str(args.vocab), "config": asdict(config)}
     write_lines(outdir / "run_config.json", [json.dumps(run, indent=2, sort_keys=True)])
     final_train, final_valid = trace.entries[-1]
     checkpoints = config.epochs // config.checkpoint_interval
@@ -227,11 +224,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_errors(args) -> int:
-    from .analysis import (ARTICLES, ErrorReport, article_accuracy, check_repetition_bounds,
-                           diagnose_sentence, render_marked)
+    from .analysis import ARTICLES, ErrorReport, article_accuracy, diagnose_sentence, render_marked
     from .training import decode_split, load_checkpoint, read_sources
 
-    check_repetition_bounds(args.min_period, args.min_copies)
     rules, table = _load_tables(args)
     manifest = ingest(args.manifest, (args.split,))
     ckpt = load_checkpoint(args.ckpt)
@@ -244,14 +239,7 @@ def cmd_errors(args) -> int:
     report = ErrorReport()
     rendered: list[str] = []
     for utt, result in decoded:
-        diag = diagnose_sentence(
-            utt.utt_id,
-            utt.phonemes,
-            result.sequence.tokens,
-            table,
-            min_period=args.min_period,
-            min_copies=args.min_copies,
-        )
+        diag = diagnose_sentence(utt.utt_id, utt.phonemes, result.sequence.tokens, table)
         report.sentences.append(diag)
         rendered.append(f"{utt.utt_id}")
         rendered.append(f"  text: {utt.text}")
@@ -314,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--outdir", required=True)
     p.add_argument("--classes")
-    p.add_argument("--source", choices=("text", "features"), default="text")
     p.add_argument("--verbose", action="store_true")
     for f in fields(ModelConfig):
         flag = FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
@@ -338,8 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules")
     p.add_argument("--classes")
     p.add_argument("--split", choices=SPLIT_NAMES, default="test")
-    p.add_argument("--min-period", type=int, default=3)
-    p.add_argument("--min-copies", type=int, default=2)
     p.set_defaults(func=cmd_errors)
     return parser
 

@@ -69,12 +69,6 @@ class CorpusManifest:
             raise ValueError(f"unknown split {name!r}")
         return tuple(u for u in self.utterances if self.split.get(u.utt_id) == name)
 
-    def split_sizes(self) -> dict[str, int]:
-        sizes = {name: 0 for name in SPLIT_NAMES}
-        for name in self.split.values():
-            sizes[name] += 1
-        return sizes
-
 
 def _encode_phonemes(seq: PhonemeSequence | None) -> str:
     if seq is None:

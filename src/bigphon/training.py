@@ -142,6 +142,13 @@ def read_sources(utts, codec: SourceCodec | None, feature_dim: int | None = None
     return sources
 
 
+def source_mode(manifest: CorpusManifest) -> str:
+    """The run's source form: "features" when any train or valid row names a
+    feature file, else "text" (the character proxy)."""
+    rows = manifest.by_split("train") + manifest.by_split("valid")
+    return "features" if any(utt.feature_path for utt in rows) else "text"
+
+
 def _vocab_header(vocab: Vocabulary) -> dict:
     return {
         "variant": vocab.variant,
@@ -289,23 +296,23 @@ def train(
     vocab: Vocabulary,
     config: ModelConfig,
     outdir,
-    source_mode: str = "text",
     log=None,
 ) -> TrainingTrace:
     """Teacher-forced training with per-epoch loss tracking; returns the trace.
 
-    At every multiple of checkpoint_interval the live parameters are written
-    to `outdir/epochNNNN.ckpt` before the next step changes them; no copy is
+    The manifest picks the source form (`source_mode`); in feature mode every
+    train and valid row must name a feature file. At every multiple of
+    checkpoint_interval the live parameters are written to
+    `outdir/epochNNNN.ckpt` before the next step changes them; no copy is
     kept in memory. The trace goes to `outdir/trace.csv` after the last epoch.
     """
-    if source_mode not in ("text", "features"):
-        raise ValueError(f"unknown source_mode {source_mode!r}")
     train_utts = manifest.by_split("train")
     valid_utts = manifest.by_split("valid")
     if not train_utts:
         raise ValueError("manifest has no train split")
 
-    codec = SourceCodec.from_texts([u.text for u in train_utts]) if source_mode == "text" else None
+    codec = (SourceCodec.from_texts([u.text for u in train_utts])
+             if source_mode(manifest) == "text" else None)
     sources = read_sources(train_utts + valid_utts, codec, manifest_path=manifest.path)
     train_src, valid_src = sources[: len(train_utts)], sources[len(train_utts) :]
     if codec is not None:

@@ -119,8 +119,7 @@ class Vocabulary:
         bigrams: Sequence[tuple[str, str]],
         variant: str,
     ):
-        if variant not in VARIANT_LABELS:
-            raise UnknownVariant(variant)
+        scope, n = parse_variant(variant)
         self.inventory = inventory
         self.variant = variant
         self.n_bigrams = len(bigrams)
@@ -137,6 +136,14 @@ class Vocabulary:
             taken.add(unit)
             merged_pairs[unit] = (a, b)
             units.append(unit)
+        # The label bounds the bigrams: at most n, each of the scope's class.
+        if len(bigrams) > n:
+            raise ValueError(f"variant {variant!r} holds at most {n} bigrams, got {len(bigrams)}")
+        wanted = _SCOPE_CLASS.get(scope)
+        for a, b in bigrams:
+            if wanted and {inventory.class_of(a), inventory.class_of(b)} != {wanted}:
+                raise ValueError(f"variant {variant!r} merges only {wanted.name.lower()} pairs, "
+                                 f"got {a}+{b}")
         self.units = tuple(units)
         self.merged_pairs = merged_pairs
         self._unit_to_id = {u: i for i, u in enumerate(self.units)}

@@ -7,6 +7,7 @@ print; under plain `pytest` they appear in captured output.
 from __future__ import annotations
 
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -297,8 +298,7 @@ def test_criterion_10_pipeline_counts():
 
         valid = tuple(Utterance(f"v{i:05d}", "kurzer satz") for i in range(7425))
         split = split_corpus(CorpusManifest(valid), (6425, 500, 500), seed=0)
-        sizes = split.split_sizes()
-        assert (sizes["train"], sizes["valid"], sizes["test"]) == (6425, 500, 500)
+        assert Counter(split.split.values()) == Counter(train=6425, valid=500, test=500)
 
 
 def test_criterion_11_g2p_fixture(rules, classes):

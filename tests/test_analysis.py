@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from bigphon import analysis
 from bigphon.analysis import (
     ARTICLES,
     Alignment,
@@ -19,7 +20,6 @@ from bigphon.analysis import (
     _hyp_positions,
     align,
     article_accuracy,
-    check_repetition_bounds,
     detect_dropouts,
     detect_repetitions,
     detect_substitutions,
@@ -89,7 +89,7 @@ def reference_align(ref, hyp):
 def reference_detect_repetitions(hyp, min_period=3, min_copies=2):
     """The scan that tried every period at every position, before
     `detect_repetitions` skipped periods whose second copy cannot start."""
-    check_repetition_bounds(min_period, min_copies)
+    assert min_period >= 1 and min_copies >= 2
     hyp = tuple(hyp)
     found: list[Repetition] = []
     pos = 0
@@ -290,7 +290,7 @@ class TestRepetitions:
         assert detect_repetitions(hyp) == []
 
     def test_short_period_ignored(self):
-        assert detect_repetitions(["a", "a", "a", "a"], min_period=3) == []
+        assert detect_repetitions(["a", "a", "a", "a"]) == []
 
     def test_non_overlapping_leftmost(self):
         hyp = ["x", "y", "z"] * 2 + ["q"] + ["u", "v", "w"] * 3
@@ -302,39 +302,41 @@ class TestRepetitions:
         got = detect_repetitions(hyp)
         assert got[0].copies == 2
 
-    @pytest.mark.parametrize("bounds, message", [
-        ((0, 2), "min_period must be at least 1"),
-        ((-1, 2), "min_period must be at least 1"),
-        ((3, 1), "min_copies must be at least 2"),
-        ((3, 0), "min_copies must be at least 2"),
-    ])
-    def test_degenerate_bounds_rejected(self, bounds, message):
-        """Period 0 would never end and one copy would make every token a
-        repeat; the empty hypothesis shows the check runs before any scan."""
-        with pytest.raises(ValueError, match=message):
-            detect_repetitions([], *bounds)
+    def test_bounds_are_not_degenerate(self):
+        """The paper's bounds. Period 0 would never end and one copy would
+        make every token a repeat."""
+        assert (analysis.MIN_PERIOD, analysis.MIN_COPIES) == (3, 2)
 
 
 REPETITION_BOUNDS = [(1, 2), (2, 2), (3, 2), (2, 3), (3, 3), (5, 2), (1, 4)]
 
 
 class TestRepetitionOracle:
-    """`detect_repetitions` finds exactly the repeats of the unpruned scan."""
+    """`detect_repetitions` finds exactly the repeats of the unpruned scan,
+    under the library's bounds and under others set in their place."""
+
+    @pytest.fixture()
+    def with_bounds(self, monkeypatch):
+        def set_bounds(min_period, min_copies):
+            monkeypatch.setattr(analysis, "MIN_PERIOD", min_period)
+            monkeypatch.setattr(analysis, "MIN_COPIES", min_copies)
+        return set_bounds
 
     @pytest.mark.parametrize("bounds", [(1, 2), (3, 2), (2, 3)])
     @pytest.mark.parametrize("size", [2, 3])
-    def test_every_sequence_up_to_length_9(self, size, bounds):
+    def test_every_sequence_up_to_length_9(self, with_bounds, size, bounds):
+        with_bounds(*bounds)
         alphabet = "abc"[:size]
         checked = 0
         for n in range(10):
             for hyp in itertools.product(alphabet, repeat=n):
-                assert detect_repetitions(hyp, *bounds) == reference_detect_repetitions(
-                    hyp, *bounds)
+                assert detect_repetitions(hyp) == reference_detect_repetitions(hyp, *bounds)
                 checked += 1
         assert checked == sum(size**n for n in range(10))
 
     @pytest.mark.parametrize("bounds", REPETITION_BOUNDS)
-    def test_seeded_hypotheses_with_spliced_repeats(self, bounds):
+    def test_seeded_hypotheses_with_spliced_repeats(self, with_bounds, bounds):
+        with_bounds(*bounds)
         rng = np.random.default_rng(sum(bounds) * 10 + bounds[0])
         found = 0
         for _ in range(150):
@@ -346,7 +348,7 @@ class TestRepetitionOracle:
                 loop = unit * int(rng.integers(2, 6)) + unit[: int(rng.integers(0, len(unit)))]
                 at = int(rng.integers(0, len(hyp) + 1))
                 hyp[at:at] = loop
-            got = detect_repetitions(hyp, *bounds)
+            got = detect_repetitions(hyp)
             assert got == reference_detect_repetitions(hyp, *bounds)
             found += len(got)
         assert found > 0

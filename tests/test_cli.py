@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -44,6 +45,11 @@ def augmented_manifest(tmp_path):
     return path
 
 
+def command_flags(command):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {f for a in sub.choices[command]._actions for f in a.option_strings}
+
+
 def train_args(manifest, vocab, outdir, epochs=2, interval=2):
     return [
         "train",
@@ -71,8 +77,7 @@ class TestAugment:
         m = ingest(out)
         assert len(m) == 5
         assert all(u.phonemes is not None for u in m.utterances)
-        sizes = m.split_sizes()
-        assert (sizes["train"], sizes["valid"], sizes["test"]) == (3, 1, 1)
+        assert Counter(m.split.values()) == Counter(train=3, valid=1, test=1)
 
     def test_invalid_utf8_manifest_exits_2_naming_it(self, tmp_path, capsys):
         raw = write_raw_manifest(tmp_path, ["als sie", "und dem geist"])
@@ -275,14 +280,16 @@ class TestTrainFlags:
         assert parsed_config(flag, str(value)) == replace(ModelConfig(), **{name: value})
 
     def test_flag_spellings(self):
-        sub = next(a for a in build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        flags = {f for a in sub.choices["train"]._actions for f in a.option_strings}
-        assert flags == {
-            "-h", "--help", "--manifest", "--vocab", "--outdir", "--classes", "--source",
-            "--verbose", "--d-model", "--heads", "--d-ff", "--encoder-layers",
-            "--decoder-layers", "--epochs", "--ckpt-interval", "--max-target-len", "--seed",
-            "--lr", "--batch-size", "--dropout",
+        assert command_flags("train") == {
+            "-h", "--help", "--manifest", "--vocab", "--outdir", "--classes", "--verbose",
+            "--d-model", "--heads", "--d-ff", "--encoder-layers", "--decoder-layers", "--epochs",
+            "--ckpt-interval", "--max-target-len", "--seed", "--lr", "--batch-size", "--dropout",
+        }
+
+    def test_errors_flag_spellings(self):
+        """The repeat bounds are constants of `analysis`, not flags."""
+        assert command_flags("errors") == {
+            "-h", "--help", "--ckpt", "--manifest", "--out", "--rules", "--classes", "--split",
         }
 
 
@@ -676,10 +683,27 @@ class TestInputErrors:
             utts.append(replace(u, feature_path=None if u.utt_id == missing_id else str(path)))
         mpath = tmp_path / "features.tsv"
         write_manifest(CorpusManifest(tuple(utts), m.split), mpath)
-        args = train_args(mpath, vocab_path, tmp_path / "run") + ["--source", "features"]
-        assert main(args) == 2
-        err = capsys.readouterr().err
-        assert missing_id in err and len(err.splitlines()) == 1
+        assert main(train_args(mpath, vocab_path, tmp_path / "run")) == 2
+        assert capsys.readouterr().err == (
+            f"bigphon: error: {mpath}: utterance {missing_id!r} has no feature_path\n")
+        assert not (tmp_path / "run").exists()
+
+    def test_train_takes_features_from_the_manifest(self, tmp_path, augmented_manifest,
+                                                    vocab_path):
+        """With no flag, a manifest whose rows all name frames trains on them."""
+        m = ingest(augmented_manifest)
+        utts = []
+        for u in m.utterances:
+            path = tmp_path / f"{u.utt_id}.npy"
+            np.save(path, np.ones((4, 3)))
+            utts.append(replace(u, feature_path=str(path)))
+        mpath = tmp_path / "features.tsv"
+        write_manifest(CorpusManifest(tuple(utts), m.split), mpath)
+        run = tmp_path / "run"
+        assert main(train_args(mpath, vocab_path, run)) == 0
+        ckpt = load_checkpoint(run / "epoch0002.ckpt")
+        assert ckpt.codec is None and ckpt.dims.feature_dim == 3
+        assert json.loads((run / "run_config.json").read_text())["source_mode"] == "features"
 
     @pytest.fixture()
     def checkpoint(self, tmp_path, augmented_manifest, vocab_path):
@@ -834,7 +858,7 @@ class TestInputErrors:
         mpath = tmp_path / "features.tsv"
         write_manifest(CorpusManifest(tuple(utts), m.split), mpath)
         run = tmp_path / "run"
-        assert main(train_args(mpath, vocab_path, run) + ["--source", "features"]) == 0
+        assert main(train_args(mpath, vocab_path, run)) == 0
         split = "train" if command == "train" else "test"
         bad = tmp_path / f"{m.by_split(split)[-1].utt_id}.npy"
         frames = np.load(bad)
@@ -842,7 +866,7 @@ class TestInputErrors:
         np.save(bad, frames)
         capsys.readouterr()
         argv = {
-            "train": train_args(mpath, vocab_path, tmp_path / "run2") + ["--source", "features"],
+            "train": train_args(mpath, vocab_path, tmp_path / "run2"),
             "evaluate": ["evaluate", "--ckpt", str(run / "epoch0002.ckpt"),
                          "--manifest", str(mpath), "--out", str(tmp_path / "out")],
             "errors": ["errors", "--ckpt", str(run / "epoch0002.ckpt"),
@@ -868,7 +892,7 @@ class TestInputErrors:
         mpath = tmp_path / "features.tsv"
         write_manifest(CorpusManifest(tuple(utts), m.split), mpath)
         capsys.readouterr()
-        args = train_args(mpath, vocab_path, tmp_path / "run") + ["--source", "features"]
+        args = train_args(mpath, vocab_path, tmp_path / "run")
         assert main(args) == 2
         assert capsys.readouterr().err == (
             f"bigphon: error: {bad}: expected real numeric feature frames, "
@@ -885,32 +909,6 @@ class TestInputErrors:
                      "--split", "1,1,0"]) == 2
         assert capsys.readouterr().err == (
             f"bigphon: error: [Errno 13] Permission denied: '{raw}'\n")
-
-    @pytest.mark.parametrize("flag, value, message", [
-        ("--min-period", "0", "min_period must be at least 1"),
-        ("--min-copies", "0", "min_copies must be at least 2"),
-        ("--min-copies", "1", "min_copies must be at least 2"),
-    ])
-    def test_degenerate_repetition_bounds_exit_2_before_decoding(
-        self, tmp_path, augmented_manifest, checkpoint, monkeypatch, capsys, flag, value, message
-    ):
-        """On a checkpoint that emits EOS at once every hypothesis is empty,
-        so a missing check would show as exit 0, not as a hang."""
-        ckpt = load_checkpoint(checkpoint)
-        ckpt.params_flat[:] = 0.0
-        ckpt.params["out_b"][EOS_ID] = 5.0
-        path = tmp_path / "eos.ckpt"
-        save_checkpoint(ckpt, path)
-        calls = []
-        decode = training.greedy_decode
-        monkeypatch.setattr(training, "greedy_decode",
-                            lambda *args: calls.append(args) or decode(*args))
-        capsys.readouterr()
-        rc = main(["errors", "--ckpt", str(path), "--manifest", str(augmented_manifest),
-                   "--out", str(tmp_path / "diag"), flag, value])
-        assert rc == 2
-        assert calls == []
-        assert capsys.readouterr().err == f"bigphon: error: {message}\n"
 
     @pytest.mark.parametrize("command", ["vocab", "train", "evaluate", "errors",
                                          "augment", "vocab-variant"])
@@ -1028,7 +1026,7 @@ class TestDeterminism:
             mpath = tmp_path / f"{dtype}.tsv"
             write_manifest(CorpusManifest(tuple(utts), m.split), mpath)
             run, out = tmp_path / f"run-{dtype}", tmp_path / f"eval-{dtype}"
-            assert main(train_args(mpath, vocab_path, run) + ["--source", "features"]) == 0
+            assert main(train_args(mpath, vocab_path, run)) == 0
             assert main(["evaluate", "--ckpt", str(run / "epoch0002.ckpt"),
                          "--manifest", str(mpath), "--out", str(out)]) == 0
             files = [run / "epoch0002.ckpt", run / "trace.csv", *sorted(out.glob("bleu_*.json"))]

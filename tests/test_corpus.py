@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from bigphon.corpus import (
@@ -172,8 +174,7 @@ class TestSplit:
 
     def test_partition_cardinalities(self):
         m = split_corpus(self.make(7), (4, 2, 1), seed=0)
-        sizes = m.split_sizes()
-        assert (sizes["train"], sizes["valid"], sizes["test"]) == (4, 2, 1)
+        assert Counter(m.split.values()) == Counter(train=4, valid=2, test=1)
         assert set(m.split) == {u.utt_id for u in m.utterances}
 
     def test_all_train(self):

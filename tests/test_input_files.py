@@ -81,6 +81,14 @@ def _no_feature_path(utt_id: bytes):
     return edit
 
 
+def _relabel(label: str, *bigrams: str):
+    """Label the base vocabulary `label` and append `bigrams` ("a+b") to it."""
+    def edit(data: bytes) -> bytes:
+        data = data.replace(b"variant=base n=0", f"variant={label} n={len(bigrams)}".encode())
+        return data + "".join(f"{pair}\n" for pair in bigrams).encode("utf-8")
+    return edit
+
+
 def _prepend(line: str, then):
     """Put `line` before line 1, then apply `then`."""
     return lambda data: line.encode("utf-8") + b"\n" + then(data)
@@ -146,6 +154,12 @@ TABLE = [
      "unknown vocabulary variant 'bogus'"),
     ("vocab-bigram-count", "vocab", ("train",), _swap(b" n=0 ", b" n=99 "), 2,
      "header has n=99, but 0 bigrams follow"),
+    ("vocab-label-count", "vocab", ("train",), _relabel("base", "f+o:"), 2,
+     "variant 'base' holds at most 0 bigrams, got 1"),
+    ("vocab-label-vowel", "vocab", ("train",), _relabel("vowel10", "a+ɪ", "f+n"), 2,
+     "variant 'vowel10' merges only vowel pairs, got f+n"),
+    ("vocab-label-const", "vocab", ("train",), _relabel("const10", "n+o:"), 2,
+     "variant 'const10' merges only consonant pairs, got n+o:"),
     ("vocab-atom-count", "vocab", ("train",), _swap(b" inventory=", b" inventory=9"), 2,
      "header has inventory=9"),
     ("vocab-dir-utf8", "vocab-dir", ("evaluate",), _swap(b"PAD", b"P\xffD"), 2,
@@ -215,10 +229,12 @@ def valid(tmp_path_factory):
         utts.append(replace(u, feature_path=str(frames)))
     write_manifest(CorpusManifest(tuple(utts), m.split), files["manifest"])
     files["features-manifest"] = files["manifest"]  # read by a feature run
+    text_manifest = root / "text-manifest.tsv"  # the same rows with no frames: a text run
+    write_manifest(m, text_manifest)
     manifest, vocab = str(files["manifest"]), str(files["vocab"])
     assert main(["vocab", "--manifest", manifest, "--variant", "base", "--out", vocab]) == 0
-    for source, ckpt in (("text", files["ckpt"]), ("features", files["features-ckpt"])):
-        assert main(["train", "--manifest", manifest, "--vocab", vocab, "--source", source,
+    for source, ckpt in ((text_manifest, files["ckpt"]), (manifest, files["features-ckpt"])):
+        assert main(["train", "--manifest", str(source), "--vocab", vocab,
                      "--outdir", str(ckpt.parent)] + MODEL) == 0
     # Frames that `train` reads after the first row's, which set the width,
     # and frames that `evaluate` decodes.
@@ -253,8 +269,6 @@ def _command(kind, command, bad, valid, tmp_path):
     }[command]
     if kind == "vocab-dir":
         argv += ["--vocab-dir", files["vocab-dir"]]
-    if kind in ("npy", "features-manifest") and command == "train":
-        argv += ["--source", "features"]
     return argv
 
 
@@ -284,7 +298,7 @@ def test_feature_width_error_names_the_file_that_set_it(valid, tmp_path, capsys)
     manifest.write_text(text.replace(first, str(wide)), encoding="utf-8")
     capsys.readouterr()
     assert main(["train", "--manifest", str(manifest), "--vocab", str(valid["vocab"]),
-                 "--outdir", str(tmp_path / "out"), "--source", "features"] + MODEL) == 2
+                 "--outdir", str(tmp_path / "out")] + MODEL) == 2
     assert capsys.readouterr().err == (f"bigphon: error: {second}: feature array (4, 3) does not "
                                        f"match feature_dim=4 from {wide}\n")
     assert not (tmp_path / "out").exists()

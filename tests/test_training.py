@@ -273,7 +273,7 @@ class TestFeatureMode:
         m = self.make_feature_manifest(tmp_path, rules, classes)
         vocab = toy_vocab(m, classes)
         cfg = ModelConfig(epochs=2, checkpoint_interval=2, seed=0, **TINY)
-        train(m, vocab, cfg, tmp_path / "run", source_mode="features")
+        train(m, vocab, cfg, tmp_path / "run")
         ckpt = last_checkpoint(tmp_path / "run", cfg)
         assert ckpt.codec is None
         assert ckpt.dims.feature_dim == 5
@@ -289,7 +289,7 @@ class TestFeatureMode:
         monkeypatch.setattr(training, "load_features",
                             lambda path, *args: loads.append(path) or load(path, *args))
         cfg = ModelConfig(epochs=1, checkpoint_interval=1, seed=0, **TINY)
-        train(m, toy_vocab(m, classes), cfg, tmp_path / "run", source_mode="features")
+        train(m, toy_vocab(m, classes), cfg, tmp_path / "run")
         read = m.by_split("train") + m.by_split("valid")
         assert loads == [u.feature_path for u in read]
 
@@ -308,6 +308,16 @@ class TestFeatureMode:
         assert str(exc.value) == f"{prefix}utterance {utts[-1].utt_id!r} has no feature_path"
         assert loads == []
 
+    def test_source_mode_comes_from_the_train_and_valid_rows(self, tmp_path, classes, rules):
+        m = self.make_feature_manifest(tmp_path, rules, classes)
+        assert training.source_mode(m) == "features"
+        test_id = m.by_split("test")[0].utt_id
+        valid_id = m.by_split("valid")[0].utt_id
+        for keep, mode in ((set(), "text"), ({test_id}, "text"), ({valid_id}, "features")):
+            utts = tuple(u if u.utt_id in keep else replace(u, feature_path=None)
+                         for u in m.utterances)
+            assert training.source_mode(replace(m, utterances=utts)) == mode
+
     def test_read_sources_keeps_frames_as_stored(self, tmp_path):
         frames = np.arange(12, dtype=np.float32).reshape(4, 3)
         np.save(tmp_path / "f.npy", frames)
@@ -319,7 +329,7 @@ class TestFeatureMode:
         m = self.make_feature_manifest(tmp_path, rules, classes)
         vocab = toy_vocab(m, classes)
         cfg = ModelConfig(epochs=2, checkpoint_interval=2, seed=0, **TINY)
-        train(m, vocab, cfg, tmp_path / "run", source_mode="features")
+        train(m, vocab, cfg, tmp_path / "run")
         ckpt = last_checkpoint(tmp_path / "run", cfg)
         path = tmp_path / "f.ckpt"
         save_checkpoint(ckpt, path)

@@ -9,8 +9,9 @@ numpy seed 42), then runs, inside OUTDIR and with relative paths:
 - `train` of `base` and `total10`, 30 epochs, a checkpoint every 10;
 - `evaluate --vocab-dir` on all six checkpoints;
 - `errors` on `base` epoch 30 and `total10` epoch 20;
-- a feature leg: random (5-8, 3) `.npy` features (numpy seed 7),
-  `train --source features` of `base` for 10 epochs, `evaluate`, `errors`.
+- a feature leg: random (5-8, 3) `.npy` features (numpy seed 7) named in
+  a copy of the manifest, so `train` of `base` for 10 epochs runs on them,
+  then `evaluate`, `errors`.
 
 Every command's stdout is collected in `stdout.txt`. The output is one
 `sha256  path` line per file under OUTDIR, sorted by path, so two runs (or
@@ -93,8 +94,7 @@ def pipeline() -> None:
 
     write_feature_manifest("corpus.tsv", "corpus_feat.tsv")
     run("train", "--manifest", "corpus_feat.tsv", "--vocab", "vocabs/base.vocab",
-        "--outdir", "run_feat", "--source", "features", "--epochs", "10",
-        "--ckpt-interval", "10", *MODEL_FLAGS)
+        "--outdir", "run_feat", "--epochs", "10", "--ckpt-interval", "10", *MODEL_FLAGS)
     run("evaluate", "--ckpt", "run_feat/*.ckpt", "--manifest", "corpus_feat.tsv",
         "--out", "eval_feat")
     run("errors", "--ckpt", "run_feat/epoch0010.ckpt", "--manifest", "corpus_feat.tsv",

@@ -2,7 +2,7 @@
 and on speech-length features, and of greedy decoding, in the paper's model
 config.
 
-    python tools/valid_pass_memory.py [--src DIR]
+    python tools/valid_pass_memory.py
 
 Each measurement runs in a fresh interpreter, with BLAS pinned to one
 thread. It builds seeded synthetic inputs in the paper's model config
@@ -44,12 +44,11 @@ Each pass has two kinds of run, and the eight alternate, five of each:
 `valid`, `step` and `speech` runs print the loss's repr; `step` and
 `speech` runs also print a sha256 of the gradients in canonical parameter
 order, and `decode` runs a sha256 of the emitted ids, so two versions of the
-code can be compared bit for bit. A whole run takes about 5 minutes. `--src`
-selects the `bigphon` to import (default: this checkout's `src`). The tool
-calls `make_batch` and `_epoch_valid_loss` with no `ModelDims`, so it cannot
-import a tree whose calls still take one: to compare two versions, run each
-tree's own copy of the tool. The last line of output is one JSON object with
-every run and the medians of each pass.
+code can be compared bit for bit. A whole run takes about 5 minutes. The
+tool imports the `bigphon` of its own checkout and calls its internals, so
+to compare two versions, run each tree's own copy of the tool. The last
+line of output is one JSON object with every run and the medians of each
+pass.
 """
 
 from __future__ import annotations
@@ -63,6 +62,12 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from bigphon.config import BLAS_THREAD_VARS  # noqa: E402  (loads no numpy)
+
+os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))  # inherited by each child run
+
 ROWS = 32  # the paper config's batch size
 DECODE_SOURCES = 16  # the size of perfbench's evaluate test split
 DECODE_CAP = 128  # its decode cap
@@ -71,10 +76,6 @@ SPEECH_FRAMES = (450, 550)  # about 5 s of speech at 100 frames/s
 FEATURE_DIM = 80
 PASSES = ("valid", "step", "speech", "decode")
 KINDS = ("time", "trace")
-
-# A copy of `bigphon.config.BLAS_THREAD_VARS`: `--src` may name a tree older than it.
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 class PeakPosition:
@@ -231,21 +232,18 @@ def measure(pass_name: str, kind: str) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
     parser.add_argument("--child", nargs=2, metavar=("PASS", "KIND"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
         print(json.dumps(measure(*args.child)))
         return 0
-    env = dict(os.environ, PYTHONPATH=str(Path(args.src).resolve()))
-    env.update({var: "1" for var in THREAD_VARS})
     runs = []
     for _ in range(REPEATS):
         for pass_name in PASSES:
             for kind in KINDS:
                 proc = subprocess.run(
                     [sys.executable, __file__, "--child", pass_name, kind],
-                    env=env, capture_output=True, text=True, check=True)
+                    capture_output=True, text=True, check=True)
                 runs.append(json.loads(proc.stdout))
                 print(runs[-1])
     keys = ("seconds", "rss_before_mb", "max_rss_mb", "tracemalloc_peak_mb", "hooked_peak_mb",
@@ -261,7 +259,7 @@ def main(argv=None) -> int:
         for k in ("loss", "grad_sha256", "ids_sha256", "steps"):  # each should have one value
             if k in mine[0]:
                 summary[pass_name][k] = sorted({r[k] for r in mine})
-    print(json.dumps({"src": args.src, "rows": ROWS, "passes": summary, "runs": runs}))
+    print(json.dumps({"rows": ROWS, "passes": summary, "runs": runs}))
     return 0
 
 
