@@ -132,6 +132,11 @@ def detect_repetitions(hyp: Sequence[str]) -> list[Repetition]:
     covering the most tokens wins (shorter period on ties); the scan then
     resumes after it.
     """
+    # Period 0 would never end and one copy would make every token a repeat.
+    if MIN_PERIOD < 1:
+        raise ValueError(f"min_period must be at least 1, MIN_PERIOD is {MIN_PERIOD}")
+    if MIN_COPIES < 2:
+        raise ValueError(f"min_copies must be at least 2, MIN_COPIES is {MIN_COPIES}")
     hyp = tuple(hyp)
     where: dict[str, list[int]] = {}  # each token's positions, ascending
     for p, token in enumerate(hyp):

@@ -302,6 +302,21 @@ class TestRepetitions:
         got = detect_repetitions(hyp)
         assert got[0].copies == 2
 
+    @pytest.mark.parametrize("bounds, message", [
+        ((0, 2), "min_period must be at least 1"),
+        ((-1, 2), "min_period must be at least 1"),
+        ((3, 1), "min_copies must be at least 2"),
+        ((3, 0), "min_copies must be at least 2"),
+    ])
+    def test_degenerate_bounds_rejected(self, monkeypatch, bounds, message):
+        """Period 0 would never end and one copy would make every token a
+        repeat, so bounds set in place of the constants are checked; the
+        empty hypothesis shows the check runs before any scan."""
+        monkeypatch.setattr(analysis, "MIN_PERIOD", bounds[0])
+        monkeypatch.setattr(analysis, "MIN_COPIES", bounds[1])
+        with pytest.raises(ValueError, match=message):
+            detect_repetitions([])
+
     def test_bounds_are_not_degenerate(self):
         """The paper's bounds. Period 0 would never end and one copy would
         make every token a repeat."""
