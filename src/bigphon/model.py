@@ -18,18 +18,20 @@ forward order, ``(kind, name, state)``. The first entry is the stack's
 embedding; every later one is a sublayer, an attention (``"self"`` or
 ``"cross"``), a feed-forward (``"ff"``) or a residual layer norm
 (``"ln"``). A sublayer's input is the output of the entry below it, which
-the tape holds only for the embedding: a layer norm's output is rebuilt bit
-for bit from its cache by ``_output``. ``backward_batch`` pops the decoder's
-tape and then the encoder's, so each entry is freed once used. The state
-keeps only what backward cannot rebuild cheaply: the attention's split heads
-and its additive mask (shared with the forward, not copied), the
-feed-forward's hidden layer, each layer norm's xhat, inverse standard
-deviation and parameters, and each dropout mask, packed 8 to a byte.
-Attention runs its core one batch row at a time in both directions, and
-backward rebuilds each row's probabilities bit for bit, so no (B, heads, Tq,
-Tk) float array is ever whole. The sublayer kernels compute in place on
-arrays they own, and each backward kernel frees its temporaries after their
-last use.
+no entry holds: ``_output`` rebuilds it bit for bit, a layer norm's output
+from its cache and the embedding's from its ids or frames. Only the
+feature projection's rebuild costs a matmul, as narrow as a frame.
+``backward_batch`` pops the decoder's tape and then the encoder's, so each
+entry is freed once used, and makes each gradient's zero buffer at its
+first write. The state keeps only what backward cannot rebuild cheaply: the
+attention's split heads and its additive mask (shared with the forward, not
+copied), the feed-forward's hidden layer, each layer norm's xhat, inverse
+standard deviation and parameters, the embedding's ids or frames, and each
+dropout mask, packed 8 to a byte. Attention runs its core one batch row at
+a time in both directions, and backward rebuilds each row's probabilities
+bit for bit, so no (B, heads, Tq, Tk) float array is ever whole. The
+sublayer kernels compute in place on arrays they own, and each backward
+kernel frees its temporaries after their last use.
 
 One decoder entry, ``_decoder_forward``, serves teacher forcing and the
 valid pass (the whole target at once, causal mask) and each greedy step (the
@@ -430,12 +432,12 @@ def _mha_bwd(dout, cache, params, grads, prefix, q_src, kv_src):
     del merged
     dq = _merge_heads(dqh)
     del dqh
-    x = _output(q_src)
+    x = _output(q_src, params)
     dq_in = _linear_bwd(dq, x, params, grads, f"{prefix}.wq", f"{prefix}.bq")
     del dq
     if kv_src is not q_src:
         del x
-        x = _output(kv_src)
+        x = _output(kv_src, params)
     dk = _merge_heads(dkh)
     del dkh
     dkv_in = _linear_bwd(dk, x, params, grads, f"{prefix}.wk", f"{prefix}.bk")
@@ -479,7 +481,7 @@ def _ff_bwd(dy, h, params, grads, prefix, x_src):
     dh = _linear_bwd(dy, h, params, grads, f"{prefix}.w2", f"{prefix}.b2")
     dh *= h > 0  # h = relu(pre) is positive exactly where pre is
     del h
-    return _linear_bwd(dh, _output(x_src), params, grads, f"{prefix}.w1", f"{prefix}.b1")
+    return _linear_bwd(dh, _output(x_src, params), params, grads, f"{prefix}.w1", f"{prefix}.b1")
 
 
 def _causal_mask(t: int) -> np.ndarray:
@@ -490,22 +492,40 @@ def _causal_mask(t: int) -> np.ndarray:
 # forward / backward
 #
 # A stack's tape lists its (kind, name, state) entries in forward order. The
-# first is the embedding, ("embed", weight name, (dropped output, dropout
-# cache, ids or features)), the weight being `src_embed`, `src_proj_w` or
-# `tgt_embed`. Then each encoder layer appends "self", "ln", "ff", "ln"
-# entries, and each decoder layer "self", "ln", "cross", "ln", "ff", "ln",
-# named by their parameter prefixes. An attention's or feed-forward's input
-# is the output of the entry below it (`_output`), and cross-attention's keys
-# and values are computed from the output of the encoder tape's top entry.
-# Backward pops the tapes, so a layer norm's entry is still there when the
-# entries that consumed its output are popped.
+# first is the embedding, ("embed", weight name, (dropout cache, ids or
+# features)), the weight being `src_embed`, `src_proj_w` or `tgt_embed`.
+# Then each encoder layer appends "self", "ln", "ff", "ln" entries, and each
+# decoder layer "self", "ln", "cross", "ln", "ff", "ln", named by their
+# parameter prefixes. An attention's or feed-forward's input is the output
+# of the entry below it (`_output`), and cross-attention's keys and values
+# are computed from the output of the encoder tape's top entry. Backward pops
+# the tapes, so an entry is still there when the entries that consumed its
+# output are popped.
 
 
-def _output(entry):
-    """The output of an "embed" entry, or of an "ln" entry, rebuilt from its
-    layer norm's cache."""
-    kind, _, state = entry
-    return state[0] if kind == "embed" else _ln_out(state[0])
+def _embed(params, name, src, t=0):
+    """The embedding before dropout of `src` at positions t..: the lookup of
+    ids in `src_embed` or `tgt_embed` times sqrt(d), or the projection of
+    frames through `src_proj_w`, plus the positional encoding."""
+    d = params[name].shape[1]
+    if name == "src_proj_w":
+        x = _linear_fwd(src, params["src_proj_w"], params["src_proj_b"])
+    else:
+        x = params[name][src] * math.sqrt(d)
+    x += _pe(t + src.shape[1], d)[t:]
+    return x
+
+
+def _output(entry, params):
+    """The output of a tape entry, rebuilt bit for bit: an "embed" entry's
+    from its ids or frames, through `_embed` and its dropout mask with the
+    ops `_drop` used, and an "ln" entry's from its layer norm's cache."""
+    kind, name, state = entry
+    if kind == "ln":
+        return _ln_out(state[0])
+    dcache, src = state
+    x = _embed(params, name, src)
+    return x if dcache is None else _apply_mask(x, *_keep_mask(dcache), out=x)
 
 
 def _encoder_forward(params, config, batch, p, rng, cache=None):
@@ -513,19 +533,18 @@ def _encoder_forward(params, config, batch, p, rng, cache=None):
     mode: token ids with `src_embed`, feature frames as wide as `src_proj_w`'s
     rows without. Appends the encoder's entries to the tape `cache` when given
     a list; without one, each sublayer's activations die with it."""
-    d, heads = config.d_model, config.heads
+    heads = config.heads
     if "src_embed" in params:
         if batch.src.ndim != 2:
             raise ShapeMismatch("token-mode source must be (B, S) ids")
-        name, x = "src_embed", params["src_embed"][batch.src] * math.sqrt(d)
+        name = "src_embed"
     else:
         if batch.src.ndim != 3 or batch.src.shape[2] != params["src_proj_w"].shape[0]:
             raise ShapeMismatch("feature-mode source must be (B, S, feature_dim)")
-        name, x = "src_proj_w", _linear_fwd(batch.src, params["src_proj_w"], params["src_proj_b"])
-    x += _pe(batch.src.shape[1], d)
-    x, dcache = _dropout_fwd(x, p, rng)
+        name = "src_proj_w"
+    x, dcache = _dropout_fwd(_embed(params, name, batch.src), p, rng)
     if cache is not None:
-        cache.append(("embed", name, (x, dcache, batch.src)))
+        cache.append(("embed", name, (dcache, batch.src)))
     src_add = np.where(batch.src_mask, 0.0, NEG)[:, None, None, :]
     for i in range(config.encoder_layers):
         a = _mha_fwd(x, _kv_fwd(x, params, f"enc{i}.attn", heads), params, f"enc{i}.attn",
@@ -574,11 +593,10 @@ def _decoder_forward(params, config, layers, src_add, tgt_in, t, p, rng, cache=N
     the `_decoder_layers` pairs `layers`, whose buffers hold the keys and
     values of positions before t. The causal mask applies when n > 1, which
     is only at t = 0. Appends to the tape `cache` as `_encoder_forward` does."""
-    d, n = config.d_model, tgt_in.shape[1]
-    y = params["tgt_embed"][tgt_in] * math.sqrt(d) + _pe(t + n, d)[t:]
-    y, dcache = _dropout_fwd(y, p, rng)
+    n = tgt_in.shape[1]
+    y, dcache = _dropout_fwd(_embed(params, "tgt_embed", tgt_in, t), p, rng)
     if cache is not None:
-        cache.append(("embed", "tgt_embed", (y, dcache, tgt_in)))
+        cache.append(("embed", "tgt_embed", (dcache, tgt_in)))
     mask = _causal_mask(n) if n > 1 else None
     for i, (self_kv, cross_kv) in enumerate(layers):
         y = _decoder_layer(params, config, i, y, t, self_kv, cross_kv, src_add, mask, p, rng, cache)
@@ -602,9 +620,9 @@ def forward_batch(params, config: ModelConfig, batch: Batch, dropout_rng=None,
 def _embed_bwd(dy, cache, grads, wname):
     """Adds the gradient of the embedding weight `wname` (a lookup table, or
     the feature projection `src_proj_w` and its bias), given `dy` into the
-    embedding's dropped output."""
-    dcache, src = cache[1:]
-    del cache  # and with it the dropped output
+    embedding's dropped output and the entry's state `cache`, its dropout
+    cache and its ids or frames."""
+    dcache, src = cache
     dy = _dropout_bwd(dy, dcache)
     if wname == "src_proj_w":
         _linear_grads(dy, src, grads, wname, "src_proj_b")
@@ -642,17 +660,31 @@ def _backprop_tape(tape, dy, params, grads, memory=None):
     return dmem
 
 
+class _Gradients(dict):
+    """Gradient buffers keyed by parameter name, each made as zeros like its
+    parameter at its first read, which is the first write's `+=`."""
+
+    def __init__(self, params):
+        super().__init__()
+        self.params = params
+
+    def __missing__(self, name):
+        grad = self[name] = np.zeros_like(self.params[name])
+        return grad
+
+
 def backward_batch(dlogits, cache, params) -> dict[str, np.ndarray]:
-    """Gradients of every parameter. Consumes `cache`: the decoder's tape and
-    then the encoder's are popped to empty, so each entry is freed as soon as
-    it is used. The decoder's walk returns the gradient into the encoder's
-    output, where the encoder's walk starts."""
-    grads = {name: np.zeros_like(arr) for name, arr in params.items()}
+    """Gradients of every parameter, in the order of `params`. Consumes
+    `cache`: the decoder's tape and then the encoder's are popped to empty,
+    so each entry is freed as soon as it is used, and each gradient's buffer
+    is made when a kernel first adds to it. The decoder's walk returns the
+    gradient into the encoder's output, where the encoder's walk starts."""
+    grads = _Gradients(params)
     enc, dec = cache["enc"], cache["dec"]
     _backprop_tape(enc, _backprop_tape(
-        dec, _linear_bwd(dlogits, _output(dec[-1]), params, grads, "out_w", "out_b"),
+        dec, _linear_bwd(dlogits, _output(dec[-1], params), params, grads, "out_w", "out_b"),
         params, grads, enc), params, grads)
-    return grads
+    return {name: grads[name] for name in params}
 
 
 def batch_loss_and_dlogits(logits: np.ndarray, tgt_out: np.ndarray):
@@ -684,6 +716,7 @@ def loss_and_gradient(params, config, batch, dropout_rng=None):
     cache: dict = {}
     logits = forward_batch(params, config, batch, dropout_rng, cache)
     loss, dlogits, n_tokens = batch_loss_and_dlogits(logits, batch.tgt_out)
+    del logits
     if not math.isfinite(loss):
         raise NonFiniteLoss(f"loss = {loss}")
     grads = backward_batch(dlogits, cache, params)

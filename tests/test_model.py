@@ -18,6 +18,7 @@ from bigphon.model import (
     LengthMismatch,
     ModelConfig,
     ModelDims,
+    NonFiniteGradient,
     NonFiniteLoss,
     ShapeMismatch,
     batch_loss_and_dlogits,
@@ -349,6 +350,46 @@ class TestBitwiseOracle:
         assert cache["enc"] == [] and cache["dec"] == []
         assert "out" not in cache
 
+    def test_gradients_are_made_at_their_first_write(self, monkeypatch):
+        """No gradient buffer waits, zeroed, for a kernel to reach it: when the
+        output projection's kernel runs first, only its two gradients exist."""
+        config, dims, params, batch = self.case("tokens", 2, (3, 2), 0.3)
+        seen = []
+
+        def spy(dy, x, grads, *names, linear_grads=model._linear_grads):
+            seen.append(set(grads))
+            linear_grads(dy, x, grads, *names)
+            seen.append(set(grads))
+
+        monkeypatch.setattr(model, "_linear_grads", spy)
+        loss_and_gradient(params, config, batch, np.random.default_rng(0))
+        assert seen[:2] == [set(), {"out_w", "out_b"}]
+
+    @pytest.mark.parametrize("source", ["tokens", "features"])
+    def test_gradients_come_in_param_index_order(self, source):
+        config, dims, params, batch = self.case(source, 2, (3, 2), 0.3)
+        _, grads, _ = loss_and_gradient(params, config, batch, np.random.default_rng(0))
+        assert list(grads) == [name for name, _ in param_index(config, dims)]
+        assert type(grads) is dict
+        for name, grad in grads.items():
+            assert grad.shape == params[name].shape and grad.dtype == np.float64, name
+
+    def test_non_finite_gradient_names_the_earlier_parameter(self, monkeypatch):
+        """With NaN planted in the gradients of two parameters, the error names
+        the one earlier in parameter order, though backward writes the other
+        first."""
+        config, dims, params, batch = self.case("tokens", 2, (3, 2), 0.3)
+        planted = ("dec1.ff.w1", "enc0.attn.wq")  # in the order backward writes them
+
+        def spy(dy, x, grads, wname, bname, linear_grads=model._linear_grads):
+            linear_grads(dy, x, grads, wname, bname)
+            if wname in planted:
+                grads[wname][0, 0] = np.nan
+
+        monkeypatch.setattr(model, "_linear_grads", spy)
+        with pytest.raises(NonFiniteGradient, match=r"^non-finite gradient in enc0\.attn\.wq$"):
+            loss_and_gradient(params, config, batch, np.random.default_rng(0))
+
     def test_feature_backward_computes_no_gradient_into_the_features(self, monkeypatch):
         """The features are an input, not a parameter: the feature projection's
         backward adds its weight and bias gradients and stops there."""
@@ -421,11 +462,11 @@ class TestTape:
         assert [kind for kind, _, _ in enc] == ["embed"] + ["self", "ln", "ff", "ln"] * 3
         assert [kind for kind, _, _ in dec] == ["embed"] + [
             "self", "ln", "cross", "ln", "ff", "ln"] * 2
-        below = [model._output(tape[k - 1]) for tape in (enc, dec)
+        below = [model._output(tape[k - 1], params) for tape in (enc, dec)
                  for k, (kind, _, _) in enumerate(tape) if kind in ("self", "cross", "ff")]
         assert len(below) == len(inputs) == 3 * 2 + 2 * 3
         assert len(memories) == 2
-        for got, want in zip(below + [model._output(enc[-1])] * 2, inputs + memories):
+        for got, want in zip(below + [model._output(enc[-1], params)] * 2, inputs + memories):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -475,6 +516,19 @@ class TestActivationMemory:
         shared = [(k, a.shape) for k, y in enumerate(outputs) for a in cached
                   if np.shares_memory(a, y)]
         assert shared == []
+
+    @pytest.mark.parametrize("source", ["tokens", "features"])
+    def test_embed_entries_hold_only_dropout_bits_and_inputs(self, source):
+        """Backward rebuilds each embedding's dropped output from its ids or
+        frames, so an "embed" entry holds no float array but the frames."""
+        config, dims, params, batch = TestBitwiseOracle.case(source, 2, (3, 2), 0.3)
+        cache = {}
+        forward_batch(params, config, batch, np.random.default_rng(0), cache)
+        for tape, inputs in ((cache["enc"], batch.src), (cache["dec"], batch.tgt_in)):
+            kind, _, state = tape[0]
+            held = list(self.arrays(state))
+            assert kind == "embed" and sum(a is inputs for a in held) == 1
+            assert [a.dtype for a in held if a is not inputs] == [np.uint8]
 
     def test_cache_holds_no_bool_array_or_merged_context(self, monkeypatch):
         """Dropout masks are cached packed 8 to a byte, and backward rebuilds

@@ -20,8 +20,8 @@ passes over them:
   drawn as `valid`'s. Encoder self-attention's work grows with the square
   of the source length and each encoder layer's tape with the length, so
   this is where the step's memory binds. One step takes
-  about 13 s on a 2-vCPU Xeon at one BLAS thread, and a `trace` run, which
-  runs it twice, about 30 s;
+  about 11-12 s on a 2-vCPU Xeon at one BLAS thread, and a `trace` run,
+  which runs it twice, about 23 s;
 - `decode`: `model.greedy_decode` of 16 sources, one at a time, at a cap of
   128 steps, as perfbench's `evaluate` workload decodes its test split.
 
