@@ -33,6 +33,20 @@ bit for bit, so no (B, heads, Tq, Tk) float array is ever whole. The
 sublayer kernels compute in place on arrays they own, and each backward
 kernel frees its temporaries after their last use.
 
+The encoder runs on the real source positions alone, packed out of the
+padded (B, S) layout by a `_Pack` of the batch's source mask: its embedding,
+projections, feed-forward, layer norms, dropout and residuals, and so its
+"ln" and "ff" tape entries, hold N real rows, not B * S; its "embed" entry
+holds the batch's own ids or frames. Padding comes back only where the bits
+depend on it: each attention core runs per batch row at the padded shapes,
+on zero-padded queries, keys and values, and every backward matmul runs on
+the zero-padded layout (`_linear_bwd`), so each reduces over the rows, and
+runs at the shapes, of the unpacked computation. The forward's matmuls run
+the N rows in calls of S rows each (`_Pack.matmul`), the shape the unpacked
+computation calls the BLAS with, so the BLAS picks the same kernel for any
+source length. Dropout draws the whole padded stream. The decoder's targets
+and a lone decoded source have no padding, and their packs copy nothing.
+
 One decoder entry, ``_decoder_forward``, serves teacher forcing and the
 valid pass (the whole target at once, causal mask) and each greedy step (the
 newest position, against each layer's key/value buffer). Without a cache
@@ -223,8 +237,59 @@ def _pe(length: int, d: int) -> np.ndarray:
     return pe[:length]
 
 
-def _linear_fwd(x, w, b):
-    y = x @ w
+@dataclass(frozen=True)
+class _Pack:
+    """The real positions of a padded (B, S) layout, `mask`, or None when all
+    are real. `take` turns a padded (B, S, ...) array into its N real rows
+    (N, ...), in batch-row order, and `pad` zero-fills N rows back into the
+    padded layout. With no padding both return their argument as it is: a
+    greedy decode's single source, and the decoder's targets, which are
+    never packed, copy nothing and keep their (B, S, ...) shape."""
+
+    shape: tuple[int, int]
+    mask: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, mask):
+        return cls(mask.shape, None if mask.all() else mask)
+
+    def take(self, x):
+        return x if self.mask is None else x[self.mask]
+
+    def positions(self, table):
+        """Row s of `table` (S, ...) for each real position (b, s), in the
+        order `take` keeps; with no padding, `table` itself, which broadcasts
+        over the batch rows."""
+        return table if self.mask is None else table[self.mask.nonzero()[1]]
+
+    def pad(self, x):
+        if self.mask is None:
+            return x
+        out = np.zeros((*self.shape, *x.shape[1:]), dtype=x.dtype)
+        out[self.mask] = x
+        return out
+
+    def matmul(self, x, w):
+        """x @ w. For N real rows x, the product runs in calls of S rows, the
+        last zero-filled to S: numpy runs a padded (B, S, k) @ w as one BLAS
+        call per batch row, and OpenBLAS picks its kernel, and so its order
+        of summation, by the shape of a call (a small-matrix one below about
+        10**6 products), so calls of any other row count could change bits."""
+        if self.mask is None:
+            return x @ w
+        (n, k), s = x.shape, self.shape[1]
+        y = np.empty((n, w.shape[1]))
+        full = n - n % s
+        np.matmul(x[:full].reshape(-1, s, k), w, out=y[:full].reshape(-1, s, w.shape[1]))
+        if full < n:
+            last = np.zeros((s, k))
+            last[:n - full] = x[full:]
+            y[full:] = (last @ w)[:n - full]
+        return y
+
+
+def _linear_fwd(x, w, b, pack):
+    y = pack.matmul(x, w)
     y += b
     return y
 
@@ -237,7 +302,12 @@ def _linear_grads(dy, x, grads, wname, bname):
 
 
 def _linear_bwd(dy, x, params, grads, wname, bname):
-    """Gradient into x of x @ w + b, after adding dw and db to `grads`."""
+    """Gradient into x of x @ w + b, after adding dw and db to `grads`. The
+    encoder's kernels call it on the padded layout, zeros included, which
+    keeps every BLAS call of the unpacked computation: dw reduces over B*S
+    rows, and dy @ w.T runs per batch row on S rows. OpenBLAS picks its
+    kernel, and so its order of summation, by the shape of a call, so a call
+    on the N real rows would change bits."""
     _linear_grads(dy, x, grads, wname, bname)
     return dy @ params[wname].T
 
@@ -279,18 +349,23 @@ def _ln_bwd(dy, cache, grads, gname, bname):
     return dx
 
 
-def _dropout_fwd(x, p, rng):
-    """x * mask / (1 - p). The cache holds the mask packed 8 to a byte."""
+def _dropout_fwd(x, p, rng, pack):
+    """x * mask / (1 - p), in place on x, the rows `pack` keeps of a padded
+    layout. The draws cover the whole padded layout, as if no row were
+    packed, so every later draw comes from the same place in the stream; the
+    mask is the real rows' part of them. The cache holds it packed 8 to a
+    byte."""
     if p <= 0.0 or rng is None:
         return x, None
-    keep = np.empty(x.shape, dtype=bool)
-    return _drop(x, keep, p, rng), (np.packbits(keep), x.shape, p)
+    keep = pack.take(rng.random((*pack.shape, x.shape[-1])) >= p)
+    return _apply_mask(x, keep, p, out=x), (np.packbits(keep), keep.shape, p)
 
 
 def _drop(x, keep, p, rng):
     """x * keep / (1 - p) in a new buffer, after filling `keep` (x's shape)
-    from fresh draws. Drawing one batch row at a time takes the generator's
-    stream in the same order as drawing the whole array at once."""
+    from fresh draws: attention's dropout, one batch row at a time. Drawing
+    one row at a time takes the generator's stream in the same order as
+    drawing the whole array at once."""
     draws = rng.random(x.shape)
     np.greater_equal(draws, p, out=keep)
     return _apply_mask(x, keep, p, out=draws)
@@ -316,17 +391,21 @@ def _apply_mask(x, mask, p, out=None):
     return out
 
 
-def _heads_fwd(x, params, prefix, nm, heads):
-    """Project x (B,T,d) through `{prefix}.w{nm}`/`b{nm}`, split to (B,heads,T,dh)."""
-    y = _linear_fwd(x, params[f"{prefix}.w{nm}"], params[f"{prefix}.b{nm}"])
+def _heads_fwd(x, params, prefix, nm, heads, pack):
+    """Project x, the real rows `pack` keeps, through `{prefix}.w{nm}`/`b{nm}`,
+    zero-fill the padded positions and split to (B,heads,T,dh)."""
+    y = pack.pad(_linear_fwd(x, params[f"{prefix}.w{nm}"], params[f"{prefix}.b{nm}"], pack))
     b, t, d = y.shape
     return y.reshape(b, t, heads, d // heads).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(xh):
-    """(B,heads,T,dh) -> (B,T,heads*dh)."""
-    b, heads, t, dh = xh.shape
-    return xh.transpose(0, 2, 1, 3).reshape(b, t, heads * dh)
+def _merge_heads(xh, pack=None):
+    """(B,heads,T,dh) -> (B,T,heads*dh), or its real rows (N,heads*dh) that
+    `pack` keeps, with no padded copy made."""
+    rows = xh.transpose(0, 2, 1, 3)
+    if pack is not None:
+        rows = pack.take(rows)
+    return rows.reshape(*rows.shape[:-2], -1)
 
 
 def _attn_probs(qh, kh, mask):
@@ -350,12 +429,12 @@ def _row_mask(mask, i):
     return None if mask is None else mask[i % len(mask)]
 
 
-def _attend_fwd(qh, kh, vh, params, prefix, mask, p_drop, rng):
-    """Scaled dot-product attention over split heads, merged through wo.
-    Runs one batch row at a time, so one row's probabilities and dropout
-    draws are alive at once. Also returns the dropout cache, every row's
-    keep mask packed 8 to a byte, from which backward rebuilds each row's
-    dropped probabilities."""
+def _attend_fwd(qh, kh, vh, params, prefix, mask, p_drop, rng, pack):
+    """Scaled dot-product attention over split heads, merged through wo for
+    the query rows `pack` keeps. Runs one batch row at a time, so one row's
+    probabilities and dropout draws are alive at once. Also returns the
+    dropout cache, every row's keep mask packed 8 to a byte, from which
+    backward rebuilds each row's dropped probabilities."""
     b, heads, tq, _ = qh.shape
     ctx = np.empty(qh.shape)
     keep = None
@@ -369,40 +448,45 @@ def _attend_fwd(qh, kh, vh, params, prefix, mask, p_drop, rng):
         del attn
     dcache = None if keep is None else (np.packbits(keep), keep.shape, p_drop)
     del keep
-    merged = _merge_heads(ctx)
+    merged = _merge_heads(ctx, pack)
     del ctx
-    return _linear_fwd(merged, params[f"{prefix}.wo"], params[f"{prefix}.bo"]), dcache
+    return _linear_fwd(merged, params[f"{prefix}.wo"], params[f"{prefix}.bo"], pack), dcache
 
 
-def _kv_fwd(x, params, prefix, heads):
-    """Keys and values of x, split to heads."""
-    return _heads_fwd(x, params, prefix, "k", heads), _heads_fwd(x, params, prefix, "v", heads)
+def _kv_fwd(x, params, prefix, heads, pack):
+    """Keys and values of x, the real rows `pack` keeps, split to heads with
+    the padded positions zero."""
+    return (_heads_fwd(x, params, prefix, "k", heads, pack),
+            _heads_fwd(x, params, prefix, "v", heads, pack))
 
 
-def _mha_fwd(q_in, kv, params, prefix, kind, mask, heads, p_drop, rng, tape):
-    """Attention of q_in over kv = (kh, vh), as `_kv_fwd` returns. Appends a
-    `kind` ("self" or "cross") entry of the query heads, kv, the mask and the
-    dropout cache to `tape` unless None: no probabilities, which backward
-    rebuilds, and neither input."""
-    qh = _heads_fwd(q_in, params, prefix, "q", heads)
-    out, dcache = _attend_fwd(qh, *kv, params, prefix, mask, p_drop, rng)
+def _mha_fwd(q_in, kv, params, prefix, kind, mask, heads, p_drop, rng, tape, pack):
+    """Attention of q_in, the real rows `pack` keeps, over kv = (kh, vh), as
+    `_kv_fwd` returns. Appends a `kind` ("self" or "cross") entry of the
+    query heads, kv, the mask and the dropout cache to `tape` unless None: no
+    probabilities, which backward rebuilds, and neither input."""
+    qh = _heads_fwd(q_in, params, prefix, "q", heads, pack)
+    out, dcache = _attend_fwd(qh, *kv, params, prefix, mask, p_drop, rng, pack)
     if tape is not None:
         tape.append((kind, prefix, (qh, kv, mask, dcache)))
     return out
 
 
-def _mha_bwd(dout, cache, params, grads, prefix, q_src, kv_src):
+def _mha_bwd(dout, cache, params, grads, prefix, q_src, kv_src, q_pack, kv_pack):
     """Gradients into `_mha_fwd`'s q_in and into the input of its keys and
-    values, which it rebuilds from the tape entries that output them
-    (`_output`), once if one entry serves both. One batch row at a time, it
-    rebuilds the row's probabilities and dropped probabilities with the
-    forward's ops, then takes the row's context and its value, query and key
-    head gradients; wo's gradient comes from the merged context after the
-    loop. The caller has popped `cache`, so every array here is freed after
-    its last use."""
+    values, as the real rows `q_pack` and `kv_pack` keep; it rebuilds both
+    inputs from the tape entries that output them (`_output`), once if one
+    entry serves both. One batch row at a time, it rebuilds the row's
+    probabilities and dropped probabilities with the forward's ops, then
+    takes the row's context and its value, query and key head gradients;
+    wo's gradient comes from the merged context after the loop. Every matmul
+    runs on the padded layout, for the reason `_linear_bwd` gives. The
+    caller has popped `cache`, so every array here is freed after its last
+    use."""
     qh, (kh, vh), mask, dcache = cache
     del cache
     b, heads, tq, dh = qh.shape
+    dout = q_pack.pad(dout)
     dctx = (dout @ params[f"{prefix}.wo"].T).reshape(b, tq, heads, dh).transpose(0, 2, 1, 3)
     keep, p = (None, 0.0) if dcache is None else _keep_mask(dcache)
     ctx, dqh = np.empty(qh.shape), np.empty(qh.shape)
@@ -429,15 +513,15 @@ def _mha_bwd(dout, cache, params, grads, prefix, q_src, kv_src):
     merged = _merge_heads(ctx)
     del ctx
     _linear_grads(dout, merged, grads, f"{prefix}.wo", f"{prefix}.bo")
-    del merged
+    del merged, dout
     dq = _merge_heads(dqh)
     del dqh
-    x = _output(q_src, params)
-    dq_in = _linear_bwd(dq, x, params, grads, f"{prefix}.wq", f"{prefix}.bq")
+    x = q_pack.pad(_output(q_src, params))
+    dq_in = q_pack.take(_linear_bwd(dq, x, params, grads, f"{prefix}.wq", f"{prefix}.bq"))
     del dq
     if kv_src is not q_src:
         del x
-        x = _output(kv_src, params)
+        x = kv_pack.pad(_output(kv_src, params))
     dk = _merge_heads(dkh)
     del dkh
     dkv_in = _linear_bwd(dk, x, params, grads, f"{prefix}.wk", f"{prefix}.bk")
@@ -445,14 +529,14 @@ def _mha_bwd(dout, cache, params, grads, prefix, q_src, kv_src):
     dv = _merge_heads(dvh)
     del dvh
     dkv_in += _linear_bwd(dv, x, params, grads, f"{prefix}.wv", f"{prefix}.bv")
-    return dq_in, dkv_in
+    return dq_in, kv_pack.take(dkv_in)
 
 
-def _residual_ln_fwd(x, sub_out, params, prefix, p_drop, rng, tape):
-    """LayerNorm(x + dropout(sub_out)); overwrites sub_out, which no tape
-    holds. Appends an "ln" entry of its layer norm's cache and the dropout
-    mask to `tape`."""
-    summed, dcache = _dropout_fwd(sub_out, p_drop, rng)
+def _residual_ln_fwd(x, sub_out, params, prefix, p_drop, rng, tape, pack):
+    """LayerNorm(x + dropout(sub_out)) of the real rows `pack` keeps;
+    overwrites sub_out, which no tape holds. Appends an "ln" entry of its
+    layer norm's cache and the dropout mask to `tape`."""
+    summed, dcache = _dropout_fwd(sub_out, p_drop, rng, pack)
     summed += x
     y, lncache = _ln_fwd(summed, params[f"{prefix}.g"], params[f"{prefix}.b"])
     if tape is not None:
@@ -466,22 +550,26 @@ def _residual_ln_bwd(dy, cache, grads, prefix):
     return dsummed, _dropout_bwd(dsummed, dcache)
 
 
-def _ff_fwd(x, params, prefix, tape):
-    """relu(x @ w1 + b1) @ w2 + b2; appends an "ff" entry of the hidden layer
-    to `tape`."""
-    h = _linear_fwd(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"])
+def _ff_fwd(x, params, prefix, tape, pack):
+    """relu(x @ w1 + b1) @ w2 + b2 of the real rows `pack` keeps; appends an
+    "ff" entry of the hidden layer to `tape`."""
+    h = _linear_fwd(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"], pack)
     np.maximum(h, 0.0, out=h)
-    y = _linear_fwd(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
+    y = _linear_fwd(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"], pack)
     if tape is not None:
         tape.append(("ff", prefix, h))
     return y
 
 
-def _ff_bwd(dy, h, params, grads, prefix, x_src):
-    dh = _linear_bwd(dy, h, params, grads, f"{prefix}.w2", f"{prefix}.b2")
+def _ff_bwd(dy, h, params, grads, prefix, x_src, pack):
+    """Gradient into `_ff_fwd`'s x, the real rows `pack` keeps, computed on
+    the padded layout, for the reason `_linear_bwd` gives."""
+    h = pack.pad(h)
+    dh = _linear_bwd(pack.pad(dy), h, params, grads, f"{prefix}.w2", f"{prefix}.b2")
     dh *= h > 0  # h = relu(pre) is positive exactly where pre is
     del h
-    return _linear_bwd(dh, _output(x_src, params), params, grads, f"{prefix}.w1", f"{prefix}.b1")
+    x = pack.pad(_output(x_src, params))
+    return pack.take(_linear_bwd(dh, x, params, grads, f"{prefix}.w1", f"{prefix}.b1"))
 
 
 def _causal_mask(t: int) -> np.ndarray:
@@ -493,46 +581,57 @@ def _causal_mask(t: int) -> np.ndarray:
 #
 # A stack's tape lists its (kind, name, state) entries in forward order. The
 # first is the embedding, ("embed", weight name, (dropout cache, ids or
-# features)), the weight being `src_embed`, `src_proj_w` or `tgt_embed`.
-# Then each encoder layer appends "self", "ln", "ff", "ln" entries, and each
-# decoder layer "self", "ln", "cross", "ln", "ff", "ln", named by their
-# parameter prefixes. An attention's or feed-forward's input is the output
-# of the entry below it (`_output`), and cross-attention's keys and values
-# are computed from the output of the encoder tape's top entry. Backward pops
-# the tapes, so an entry is still there when the entries that consumed its
-# output are popped.
+# features, pack)), the weight being `src_embed`, `src_proj_w` or
+# `tgt_embed`, the ids or features the batch's own padded array, and `pack`
+# the stack's `_Pack`. Then each encoder layer appends "self", "ln", "ff",
+# "ln" entries, and each decoder layer "self", "ln", "cross", "ln", "ff",
+# "ln", named by their parameter prefixes. An attention's or feed-forward's
+# input is the output of the entry below it (`_output`), and
+# cross-attention's keys and values are computed from the output of the
+# encoder tape's top entry. Backward pops the tapes, so an entry is still
+# there when the entries that consumed its output are popped. The encoder's
+# "ln" and "ff" entries and its embedding's dropout mask hold its N real
+# rows, its pack's `take` of the padded layout; its "self" entries hold
+# query, key and value heads in the padded layout, zero at padded positions.
+# The decoder's pack keeps every position, so its entries hold the whole
+# padded layout.
 
 
-def _embed(params, name, src, t=0):
-    """The embedding before dropout of `src` at positions t..: the lookup of
-    ids in `src_embed` or `tgt_embed` times sqrt(d), or the projection of
-    frames through `src_proj_w`, plus the positional encoding."""
+def _embed(params, name, src, pack, t=0):
+    """The embedding before dropout of the real rows `pack` keeps of `src`, a
+    padded batch's ids or frames, at positions t..: the lookup of ids in
+    `src_embed` or `tgt_embed` times sqrt(d), or the projection of frames
+    through `src_proj_w`, plus the positional encoding."""
     d = params[name].shape[1]
+    src = pack.take(src)
     if name == "src_proj_w":
-        x = _linear_fwd(src, params["src_proj_w"], params["src_proj_b"])
+        x = _linear_fwd(src, params["src_proj_w"], params["src_proj_b"], pack)
     else:
-        x = params[name][src] * math.sqrt(d)
-    x += _pe(t + src.shape[1], d)[t:]
+        x = params[name][src]
+        x *= math.sqrt(d)
+    x += pack.positions(_pe(t + pack.shape[1], d)[t:])
     return x
 
 
 def _output(entry, params):
     """The output of a tape entry, rebuilt bit for bit: an "embed" entry's
     from its ids or frames, through `_embed` and its dropout mask with the
-    ops `_drop` used, and an "ln" entry's from its layer norm's cache."""
+    ops `_dropout_fwd` used, and an "ln" entry's from its layer norm's cache."""
     kind, name, state = entry
     if kind == "ln":
         return _ln_out(state[0])
-    dcache, src = state
-    x = _embed(params, name, src)
+    dcache, src, pack = state
+    x = _embed(params, name, src, pack)
     return x if dcache is None else _apply_mask(x, *_keep_mask(dcache), out=x)
 
 
 def _encoder_forward(params, config, batch, p, rng, cache=None):
-    """Encoder output and additive source mask. The parameters set the source
-    mode: token ids with `src_embed`, feature frames as wide as `src_proj_w`'s
-    rows without. Appends the encoder's entries to the tape `cache` when given
-    a list; without one, each sublayer's activations die with it."""
+    """Encoder output on the real source positions, the additive source mask,
+    and the `_Pack` of `batch.src_mask` that keeps those positions. The
+    parameters set the source mode: token ids with `src_embed`, feature
+    frames as wide as `src_proj_w`'s rows without. Appends the encoder's
+    entries to the tape `cache` when given a list; without one, each
+    sublayer's activations die with it."""
     heads = config.heads
     if "src_embed" in params:
         if batch.src.ndim != 2:
@@ -542,23 +641,26 @@ def _encoder_forward(params, config, batch, p, rng, cache=None):
         if batch.src.ndim != 3 or batch.src.shape[2] != params["src_proj_w"].shape[0]:
             raise ShapeMismatch("feature-mode source must be (B, S, feature_dim)")
         name = "src_proj_w"
-    x, dcache = _dropout_fwd(_embed(params, name, batch.src), p, rng)
+    pack = _Pack.of(batch.src_mask)
+    x, dcache = _dropout_fwd(_embed(params, name, batch.src, pack), p, rng, pack)
     if cache is not None:
-        cache.append(("embed", name, (dcache, batch.src)))
+        cache.append(("embed", name, (dcache, batch.src, pack)))
     src_add = np.where(batch.src_mask, 0.0, NEG)[:, None, None, :]
     for i in range(config.encoder_layers):
-        a = _mha_fwd(x, _kv_fwd(x, params, f"enc{i}.attn", heads), params, f"enc{i}.attn",
-                     "self", src_add, heads, p, rng, cache)
-        x = _residual_ln_fwd(x, a, params, f"enc{i}.ln1", p, rng, cache)
+        a = _mha_fwd(x, _kv_fwd(x, params, f"enc{i}.attn", heads, pack), params,
+                     f"enc{i}.attn", "self", src_add, heads, p, rng, cache, pack)
+        x = _residual_ln_fwd(x, a, params, f"enc{i}.ln1", p, rng, cache, pack)
         del a  # overwritten by the residual: a dead buffer, or the layer norm's xhat
-        a = _ff_fwd(x, params, f"enc{i}.ff", cache)
-        x = _residual_ln_fwd(x, a, params, f"enc{i}.ln2", p, rng, cache)
+        a = _ff_fwd(x, params, f"enc{i}.ff", cache, pack)
+        x = _residual_ln_fwd(x, a, params, f"enc{i}.ln2", p, rng, cache, pack)
         del a
-    return x, src_add
+    return x, src_add, pack
 
 
-def _decoder_layer(params, config, i, y, t, self_kv, cross_kv, src_add, mask, p, rng, cache):
-    """Decoder layer i over target positions t..t+n of y (B, n, d).
+def _decoder_layer(params, config, i, y, t, self_kv, cross_kv, src_add, mask, p, rng, cache,
+                   pack):
+    """Decoder layer i over target positions t..t+n of y (B, n, d), whose
+    `pack` keeps every position.
 
     Writes the positions' self-attention keys and values into `self_kv`,
     the layer's (2, B, heads, >= t+n, dh) buffer, and attends over its first
@@ -566,25 +668,27 @@ def _decoder_layer(params, config, i, y, t, self_kv, cross_kv, src_add, mask, p,
     once per layer by `_decoder_layers`. Appends its entries to the tape
     `cache` unless None."""
     end, heads = t + y.shape[1], config.heads
-    self_kv[0, :, :, t:end], self_kv[1, :, :, t:end] = _kv_fwd(y, params, f"dec{i}.self", heads)
+    self_kv[0, :, :, t:end], self_kv[1, :, :, t:end] = _kv_fwd(y, params, f"dec{i}.self",
+                                                               heads, pack)
     kv = (self_kv[0, :, :, :end], self_kv[1, :, :, :end])
-    a = _mha_fwd(y, kv, params, f"dec{i}.self", "self", mask, heads, p, rng, cache)
-    y = _residual_ln_fwd(y, a, params, f"dec{i}.ln1", p, rng, cache)
+    a = _mha_fwd(y, kv, params, f"dec{i}.self", "self", mask, heads, p, rng, cache, pack)
+    y = _residual_ln_fwd(y, a, params, f"dec{i}.ln1", p, rng, cache, pack)
     del a
-    a = _mha_fwd(y, cross_kv, params, f"dec{i}.cross", "cross", src_add, heads, p, rng, cache)
-    y = _residual_ln_fwd(y, a, params, f"dec{i}.ln2", p, rng, cache)
+    a = _mha_fwd(y, cross_kv, params, f"dec{i}.cross", "cross", src_add, heads, p, rng, cache,
+                 pack)
+    y = _residual_ln_fwd(y, a, params, f"dec{i}.ln2", p, rng, cache, pack)
     del a
-    a = _ff_fwd(y, params, f"dec{i}.ff", cache)
-    return _residual_ln_fwd(y, a, params, f"dec{i}.ln3", p, rng, cache)
+    a = _ff_fwd(y, params, f"dec{i}.ff", cache, pack)
+    return _residual_ln_fwd(y, a, params, f"dec{i}.ln3", p, rng, cache, pack)
 
 
-def _decoder_layers(params, config, enc_out, length):
+def _decoder_layers(params, config, enc_out, enc_pack, length):
     """Each decoder layer's (self_kv, cross_kv): an empty (2, B, heads, length,
     dh) buffer for its self-attention keys and values, and `_kv_fwd` of the
-    encoder output for its cross-attention."""
+    encoder output, the rows `enc_pack` keeps, for its cross-attention."""
     heads = config.heads
-    shape = (2, enc_out.shape[0], heads, length, config.d_model // heads)
-    return [(np.empty(shape), _kv_fwd(enc_out, params, f"dec{i}.cross", heads))
+    shape = (2, enc_pack.shape[0], heads, length, config.d_model // heads)
+    return [(np.empty(shape), _kv_fwd(enc_out, params, f"dec{i}.cross", heads, enc_pack))
             for i in range(config.decoder_layers)]
 
 
@@ -594,13 +698,15 @@ def _decoder_forward(params, config, layers, src_add, tgt_in, t, p, rng, cache=N
     values of positions before t. The causal mask applies when n > 1, which
     is only at t = 0. Appends to the tape `cache` as `_encoder_forward` does."""
     n = tgt_in.shape[1]
-    y, dcache = _dropout_fwd(_embed(params, "tgt_embed", tgt_in, t), p, rng)
+    pack = _Pack(tgt_in.shape)
+    y, dcache = _dropout_fwd(_embed(params, "tgt_embed", tgt_in, pack, t), p, rng, pack)
     if cache is not None:
-        cache.append(("embed", "tgt_embed", (dcache, tgt_in)))
+        cache.append(("embed", "tgt_embed", (dcache, tgt_in, pack)))
     mask = _causal_mask(n) if n > 1 else None
     for i, (self_kv, cross_kv) in enumerate(layers):
-        y = _decoder_layer(params, config, i, y, t, self_kv, cross_kv, src_add, mask, p, rng, cache)
-    return _linear_fwd(y, params["out_w"], params["out_b"])
+        y = _decoder_layer(params, config, i, y, t, self_kv, cross_kv, src_add, mask, p, rng,
+                           cache, pack)
+    return _linear_fwd(y, params["out_w"], params["out_b"], pack)
 
 
 def forward_batch(params, config: ModelConfig, batch: Batch, dropout_rng=None,
@@ -612,22 +718,24 @@ def forward_batch(params, config: ModelConfig, batch: Batch, dropout_rng=None,
     enc = dec = None
     if cache is not None:
         enc, dec = cache["enc"], cache["dec"] = [], []
-    enc_out, src_add = _encoder_forward(params, config, batch, p, dropout_rng, enc)
-    layers = _decoder_layers(params, config, enc_out, batch.tgt_in.shape[1])
+    enc_out, src_add, pack = _encoder_forward(params, config, batch, p, dropout_rng, enc)
+    layers = _decoder_layers(params, config, enc_out, pack, batch.tgt_in.shape[1])
+    del enc_out
     return _decoder_forward(params, config, layers, src_add, batch.tgt_in, 0, p, dropout_rng, dec)
 
 
 def _embed_bwd(dy, cache, grads, wname):
     """Adds the gradient of the embedding weight `wname` (a lookup table, or
     the feature projection `src_proj_w` and its bias), given `dy` into the
-    embedding's dropped output and the entry's state `cache`, its dropout
-    cache and its ids or frames."""
-    dcache, src = cache
+    embedding's dropped output at the real rows its pack keeps, and the
+    entry's state `cache`: its dropout cache, its padded ids or frames and
+    its pack."""
+    dcache, src, pack = cache
     dy = _dropout_bwd(dy, dcache)
     if wname == "src_proj_w":
-        _linear_grads(dy, src, grads, wname, "src_proj_b")
+        _linear_grads(pack.pad(dy), src, grads, wname, "src_proj_b")
     else:
-        np.add.at(grads[wname], src, dy * math.sqrt(dy.shape[-1]))
+        np.add.at(grads[wname], pack.take(src), dy * math.sqrt(dy.shape[-1]))
 
 
 def _backprop_tape(tape, dy, params, grads, memory=None):
@@ -636,17 +744,21 @@ def _backprop_tape(tape, dy, params, grads, memory=None):
     "cross" entry takes its keys and values from the output of the top entry
     of the tape `memory`; returns the gradient into that output, or None if
     there is no "cross" entry. Each popped state goes straight to its kernel,
-    bound to no name here, so the kernel frees it after its last use."""
+    bound to no name here, so the kernel frees it after its last use. Each
+    tape's pack is the last item of its embedding entry's state."""
+    pack = tape[0][2][-1]
+    mem_pack = None if memory is None else memory[0][2][-1]
     dmem = None
     while len(tape) > 1:  # a residual layer norm's entry, then its sublayer's
         name = tape[-1][1]
         dy, dsub = _residual_ln_bwd(dy, tape.pop()[2], grads, name)
         kind, name = tape[-1][:2]
         if kind == "ff":
-            dy += _ff_bwd(dsub, tape.pop()[2], params, grads, name, tape[-1])
+            dy += _ff_bwd(dsub, tape.pop()[2], params, grads, name, tape[-1], pack)
             continue
+        cross = kind == "cross"
         dq, dkv = _mha_bwd(dsub, tape.pop()[2], params, grads, name, tape[-1],
-                           memory[-1] if kind == "cross" else tape[-1])
+                           memory[-1] if cross else tape[-1], pack, mem_pack if cross else pack)
         dy += dq
         if kind == "self":
             dy += dkv
@@ -744,8 +856,9 @@ def greedy_decode(params, config: ModelConfig, source, vocab: Vocabulary) -> Dec
     the valid pass runs each step on the newest position alone; the encoder and
     the cross-attention keys and values run once per source."""
     batch = make_batch([source], [[]])
-    enc_out, src_add = _encoder_forward(params, config, batch, 0.0, None)
-    layers = _decoder_layers(params, config, enc_out, config.max_target_len)
+    enc_out, src_add, pack = _encoder_forward(params, config, batch, 0.0, None)
+    layers = _decoder_layers(params, config, enc_out, pack, config.max_target_len)
+    del enc_out
     emitted: list[int] = []
     nxt = BOS_ID
     for t in range(config.max_target_len):

@@ -6,7 +6,7 @@ import inspect
 import itertools
 import math
 import tracemalloc
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -334,6 +334,40 @@ class TestBitwiseOracle:
             for name, before in batch_before.items():
                 assert np.array_equal(getattr(batch, name), before), name
 
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    @pytest.mark.parametrize("d_model, d_ff, source, src_lens", [
+        (128, 256, "tokens", (130, 60, 95, 71)), (128, 256, "tokens", (95, 95, 95, 95)),
+        (200, 400, "tokens", (10, 5, 8, 12)), (200, 400, "features", (10, 5, 8, 12))])
+    def test_step_matches_reference_at_paper_kernel_sizes(self, d_model, d_ff, source, src_lens,
+                                                          dropout):
+        """At d_model 128 and d_ff 256, with rows this long, every matmul runs
+        OpenBLAS's large-matrix kernels, as the paper's config does; the
+        d_model 12 cases above reach only its small-matrix ones. The second
+        batch has no padded source row. The last two, at the paper's d_model
+        200 and d_ff 400, reach both: OpenBLAS runs a matmul of up to 10**6
+        products with its small-matrix kernel, whose sums round differently
+        from the large one's on the feed-forward's (S, 400) @ (400, 200)
+        product. The padded computation calls it per batch row on S = 12
+        rows; the packed encoder must call it on S rows too, not on its
+        N = 35 real rows at once."""
+        config = replace(SMALL, d_model=d_model, heads=2, d_ff=d_ff, dropout=dropout)
+        rng = np.random.default_rng(7)
+        if source == "tokens":
+            dims = ModelDims(target_vocab=40, source_vocab=30)
+            sources = [rng.integers(0, 30, size=n) for n in src_lens]
+        else:
+            dims = ModelDims(target_vocab=40, feature_dim=80)
+            sources = [rng.normal(size=(n, 80)) for n in src_lens]
+        params = init_params(config, dims, rng)
+        batch = make_batch(sources, [rng.integers(4, 40, size=n) for n in (40, 71, 25, 60)])
+        step_rng, ref_rng = (np.random.default_rng(5), np.random.default_rng(5)) if dropout else (
+            None, None)
+        value, grads, _ = loss_and_gradient(params, config, batch, step_rng)
+        ref_value, ref_grads, _ = conftest.loss_and_gradient(params, config, dims, batch, ref_rng)
+        assert value == ref_value
+        for name in ref_grads:
+            assert np.array_equal(grads[name], ref_grads[name]), name
+
     @pytest.mark.parametrize("source", ["tokens", "features"])
     def test_eval_logits_match_reference(self, source):
         config, dims, params, batch = self.case(source, 2, (3, 2), 0.3, seed=1)
@@ -478,23 +512,32 @@ class TestActivationMemory:
     one encoder layer left when the next starts."""
 
     @staticmethod
-    def medium_case():
+    def medium_case(padded):
+        """Eight sources of 60 ids, on which the encoder runs at the padded
+        layout, or of 22 to 60, on whose real positions, about two thirds of
+        the padded ones, it runs packed. The memory bounds check both."""
         config = replace(SMALL, d_model=32, d_ff=64, encoder_layers=3, dropout=0.1)
         dims = ModelDims(target_vocab=20, source_vocab=30)
         rng = np.random.default_rng(3)
         params = init_params(config, dims, rng)
-        batch = make_batch([rng.integers(0, 30, size=60) for _ in range(8)],
+        lengths = (60, 35, 48, 22, 60, 41, 53, 30) if padded else (60,) * 8
+        batch = make_batch([rng.integers(0, 30, size=n) for n in lengths],
                            [rng.integers(4, 20, size=40) for _ in range(8)])
+        assert batch.src_mask.all() != padded
         return config, dims, params, batch
 
     @staticmethod
     def arrays(obj):
-        """Every array reachable from a cache through dicts, lists and tuples."""
+        """Every array reachable from a cache through dicts, lists, tuples and
+        dataclasses, such as a `_Pack`."""
         if isinstance(obj, np.ndarray):
             yield obj
         elif isinstance(obj, (dict, list, tuple)):
             for item in obj.values() if isinstance(obj, dict) else obj:
                 yield from TestActivationMemory.arrays(item)
+        elif is_dataclass(obj):
+            for field in fields(obj):
+                yield from TestActivationMemory.arrays(getattr(obj, field.name))
 
     @pytest.mark.parametrize("source", ["tokens", "features"])
     def test_cache_holds_no_layer_norm_output(self, source, monkeypatch):
@@ -520,15 +563,57 @@ class TestActivationMemory:
     @pytest.mark.parametrize("source", ["tokens", "features"])
     def test_embed_entries_hold_only_dropout_bits_and_inputs(self, source):
         """Backward rebuilds each embedding's dropped output from its ids or
-        frames, so an "embed" entry holds no float array but the frames."""
+        frames, so an "embed" entry holds no float array but the frames, and
+        those are the batch's own. The encoder's pack holds the batch's
+        source mask itself; the decoder's, no mask."""
         config, dims, params, batch = TestBitwiseOracle.case(source, 2, (3, 2), 0.3)
+        assert not batch.src_mask.all()
         cache = {}
         forward_batch(params, config, batch, np.random.default_rng(0), cache)
-        for tape, inputs in ((cache["enc"], batch.src), (cache["dec"], batch.tgt_in)):
+        for tape, inputs, mask in ((cache["enc"], batch.src, batch.src_mask),
+                                   (cache["dec"], batch.tgt_in, None)):
             kind, _, state = tape[0]
             held = list(self.arrays(state))
             assert kind == "embed" and sum(a is inputs for a in held) == 1
-            assert [a.dtype for a in held if a is not inputs] == [np.uint8]
+            assert sum(a is mask for a in held) == (mask is not None)
+            assert [a.dtype for a in held if a is not inputs and a is not mask] == [np.uint8]
+
+    @pytest.mark.parametrize("source", ["tokens", "features"])
+    def test_encoder_entries_hold_only_real_rows(self, source):
+        """The encoder runs on the real source positions alone: its "ln" and
+        "ff" entries hold one row per real position, in each layer norm's
+        xhat and inverse deviation, each hidden layer and each dropout mask,
+        the embedding's included."""
+        config, dims, params, batch = TestBitwiseOracle.case(source, 2, (3, 2), 0.3)
+        n = int(batch.src_mask.sum())
+        assert n < batch.src_mask.size
+        cache = {}
+        forward_batch(params, config, batch, np.random.default_rng(0), cache)
+        rows, masks = [], []
+        for kind, _, state in cache["enc"]:
+            if kind == "embed":
+                masks.append(state[0][1])
+            elif kind == "ln":
+                (xhat, inv, _, _), dcache = state
+                rows += [len(xhat), len(inv)]
+                masks.append(dcache[1])
+            elif kind == "ff":
+                rows.append(len(state))
+        assert rows == [n] * (3 * 5)  # 2 layer norms and 1 ff a layer
+        assert masks == [(n, config.d_model)] * (1 + 3 * 2)
+
+    def test_pack_copies_nothing_without_padding(self):
+        """`_Pack` takes the real rows and zero-fills them back; with no padded
+        position, as in every greedy decode's batch, it returns views."""
+        x = np.arange(2 * 3 * 4, dtype=np.float64).reshape(2, 3, 4)
+        mask = np.array([[True, True, False], [True, False, False]])
+        pack = model._Pack.of(mask)
+        assert np.array_equal(pack.take(x), x[mask])
+        assert np.array_equal(pack.pad(pack.take(x)), np.where(mask[..., None], x, 0.0))
+        dense = model._Pack.of(make_batch([[5, 6, 7]], [[]]).src_mask)
+        rows = x[:1]
+        assert np.shares_memory(dense.take(rows), rows)
+        assert np.shares_memory(dense.pad(dense.take(rows)), rows)
 
     def test_cache_holds_no_bool_array_or_merged_context(self, monkeypatch):
         """Dropout masks are cached packed 8 to a byte, and backward rebuilds
@@ -537,8 +622,8 @@ class TestActivationMemory:
         merged = []
         merge_heads = model._merge_heads
 
-        def spy(xh):
-            out = merge_heads(xh)
+        def spy(xh, *rest):
+            out = merge_heads(xh, *rest)
             merged.append(out)  # kept alive, so no cached array can reuse its memory
             return out
 
@@ -547,7 +632,8 @@ class TestActivationMemory:
         forward_batch(params, config, batch, np.random.default_rng(0), cache)
         assert len(merged) == 3 + 2 * 2  # one per attention
         cached = list(self.arrays(cache))
-        assert [a.shape for a in cached if a.dtype == bool] == []
+        assert sum(a is batch.src_mask for a in cached) == 1  # the encoder's pack
+        assert [a.shape for a in cached if a.dtype == bool and a is not batch.src_mask] == []
         assert [a.shape for m in merged for a in cached if np.shares_memory(a, m)] == []
 
     def test_cache_holds_no_attention_probabilities(self):
@@ -567,8 +653,6 @@ class TestActivationMemory:
         context or the merged context and the output, every row's bool keep
         mask, and at most three one-row float64 buffers at once: a row's
         probabilities, its dropout draws and a numpy iteration buffer."""
-        config, dims, params, batch = self.medium_case()
-        assert config.dropout > 0
         calls = []
         attend_fwd = model._attend_fwd
 
@@ -580,50 +664,57 @@ class TestActivationMemory:
             return out
 
         monkeypatch.setattr(model, "_attend_fwd", spy)
-        tracemalloc.start()
-        try:
-            forward_batch(params, config, batch, np.random.default_rng(0), {})
-        finally:
-            tracemalloc.stop()
-        assert len(calls) == 5  # three encoder layers, then decoder self and cross
-        for rise, (b, heads, tq, dh), tk in calls:
-            merged_bytes = b * tq * heads * dh * 8
-            keep_bytes = b * heads * tq * tk
-            row_bytes = heads * tq * tk * 8
-            assert rise <= 2 * merged_bytes + keep_bytes + 3 * row_bytes + 4096, (rise, tq, tk)
+        for padded in (False, True):
+            config, dims, params, batch = self.medium_case(padded)
+            assert config.dropout > 0
+            calls.clear()
+            tracemalloc.start()
+            try:
+                forward_batch(params, config, batch, np.random.default_rng(0), {})
+            finally:
+                tracemalloc.stop()
+            assert len(calls) == 5  # three encoder layers, then decoder self and cross
+            for rise, (b, heads, tq, dh), tk in calls:
+                merged_bytes = b * tq * heads * dh * 8
+                keep_bytes = b * heads * tq * tk
+                row_bytes = heads * tq * tk * 8
+                assert rise <= 2 * merged_bytes + keep_bytes + 3 * row_bytes + 4096, (
+                    padded, rise, tq, tk)
 
     def test_attention_backward_rise_is_bounded(self, monkeypatch):
         """Above its entry memory, `_mha_bwd` holds at most two attention-sized
         buffers, the value gradient and a 64 KiB numpy iteration buffer at
         once: within the merged query and key gradients and two
         attention-sized buffers."""
-        config, dims, params, batch = self.medium_case()
         calls = []
         mha_bwd = model._mha_bwd
 
         def spy(*args):
             entry = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            dq_in, dkv_in = mha_bwd(*args)
-            calls.append((tracemalloc.get_traced_memory()[1] - entry, dq_in.shape, dkv_in.shape))
-            return dq_in, dkv_in
+            out = mha_bwd(*args)
+            calls.append(tracemalloc.get_traced_memory()[1] - entry)
+            return out
 
         monkeypatch.setattr(model, "_mha_bwd", spy)
-        tracemalloc.start()
-        try:
-            loss_and_gradient(params, config, batch, np.random.default_rng(0))
-        finally:
-            tracemalloc.stop()
-        assert len(calls) == 5  # decoder cross and self, then three encoder layers
-        for rise, (b, tq, d), (_, tk, _) in calls:
-            q_bytes, k_bytes = b * tq * d * 8, b * tk * d * 8
-            attn_bytes = b * config.heads * tq * tk * 8
-            assert rise <= q_bytes + k_bytes + 2 * attn_bytes + 4096, (rise, tq, tk)
+        for padded in (False, True):
+            config, dims, params, batch = self.medium_case(padded)
+            calls.clear()
+            tracemalloc.start()
+            try:
+                loss_and_gradient(params, config, batch, np.random.default_rng(0))
+            finally:
+                tracemalloc.stop()
+            (b, s), t, d = batch.src.shape, batch.tgt_in.shape[1], config.d_model
+            assert len(calls) == 5  # decoder cross and self, then three encoder layers
+            for rise, (tq, tk) in zip(calls, [(t, s), (t, t), (s, s), (s, s), (s, s)]):
+                q_bytes, k_bytes = b * tq * d * 8, b * tk * d * 8
+                attn_bytes = b * config.heads * tq * tk * 8
+                assert rise <= q_bytes + k_bytes + 2 * attn_bytes + 4096, (padded, rise, tq, tk)
 
     def test_encoder_layers_without_cache_start_alike(self, monkeypatch):
         """The valid pass and the decoder's encoder run keep no cache: each
         encoder layer's attention starts with the same memory traced."""
-        config, dims, params, batch = self.medium_case()
         entries = []
         mha_fwd = model._mha_fwd
 
@@ -632,13 +723,16 @@ class TestActivationMemory:
             return mha_fwd(*args, **kwargs)
 
         monkeypatch.setattr(model, "_mha_fwd", spy)
-        tracemalloc.start()
-        try:
-            model._encoder_forward(params, config, batch, 0.0, None)
-        finally:
-            tracemalloc.stop()
-        assert len(entries) == 3
-        assert max(entries) - min(entries) <= 4096, entries
+        for padded in (False, True):
+            config, dims, params, batch = self.medium_case(padded)
+            entries.clear()
+            tracemalloc.start()
+            try:
+                model._encoder_forward(params, config, batch, 0.0, None)
+            finally:
+                tracemalloc.stop()
+            assert len(entries) == 3
+            assert max(entries) - min(entries) <= 4096, (padded, entries)
 
 
 def fresh_pe(length, d):

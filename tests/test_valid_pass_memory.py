@@ -17,3 +17,4 @@ def test_one_timed_valid_pass_prints_a_finite_loss():
     run = json.loads(proc.stdout)
     assert (run["pass"], run["kind"]) == ("valid", "time")
     assert math.isfinite(float(run["loss"])) and run["seconds"] > 0
+    assert 0 <= run["src_pad_frac"] < 1 and 0 <= run["tgt_pad_frac"] < 1

@@ -20,8 +20,8 @@ passes over them:
   drawn as `valid`'s. Encoder self-attention's work grows with the square
   of the source length and each encoder layer's tape with the length, so
   this is where the step's memory binds. One step takes
-  about 11-12 s on a 2-vCPU Xeon at one BLAS thread, and a `trace` run,
-  which runs it twice, about 23 s;
+  11-17 s on a shared 2-vCPU Xeon at one BLAS thread, by the host's load,
+  and a `trace` run, which runs it twice, about twice that;
 - `decode`: `model.greedy_decode` of 16 sources, one at a time, at a cap of
   128 steps, as perfbench's `evaluate` workload decodes its test split.
 
@@ -41,14 +41,18 @@ Each pass has two kinds of run, and the eight alternate, five of each:
   profiled frame's locals, which keeps some arrays alive a little longer,
   so that run's peak is printed apart, as `hooked_peak_mb`.
 
-`valid`, `step` and `speech` runs print the loss's repr; `step` and
-`speech` runs also print a sha256 of the gradients in canonical parameter
-order, and `decode` runs a sha256 of the emitted ids, so two versions of the
-code can be compared bit for bit. A whole run takes about 5 minutes. The
-tool imports the `bigphon` of its own checkout and calls its internals, so
-to compare two versions, run each tree's own copy of the tool. The last
-line of output is one JSON object with every run and the medians of each
-pass.
+Every run prints its batch's `src_pad_frac` and `tgt_pad_frac`, the
+padded share of the source and of the target cells as perfbench counts them,
+so its figures can be read against padding: about 0.33 and 0.27 for the
+text batch, 0.10 and 0.26 for the speech batch, and 0 for a decode, whose
+batch is one source. `valid`, `step` and `speech` runs print the loss's
+repr; `step` and `speech` runs also print a sha256 of the gradients in
+canonical parameter order, and `decode` runs a sha256 of the emitted ids, so
+two versions of the code can be compared bit for bit. A whole run takes 5-6
+minutes. The tool imports the `bigphon` of its own checkout and calls its
+internals, so to compare two versions, run each tree's own copy of the
+tool. The last line of output is one JSON object with every run and the
+medians of each pass.
 """
 
 from __future__ import annotations
@@ -122,6 +126,16 @@ class PeakPosition:
     def finish(self):
         self._charge()
         return self.best
+
+
+def pad_fractions(sources, targets) -> dict:
+    """The padded share of the source cells and of the target cells of one
+    batch of `sources` and `targets`, as perfbench's `model.src_pad_frac` and
+    `model.tgt_pad_frac` count them: a target row is its units and EOS."""
+    src = [len(s) for s in sources]
+    tgt = [len(t) + 1 for t in targets]
+    return {"src_pad_frac": 1 - sum(src) / (len(src) * max(src)),
+            "tgt_pad_frac": 1 - sum(tgt) / (len(tgt) * max(tgt))}
 
 
 def measure(pass_name: str, kind: str) -> dict:
@@ -200,6 +214,9 @@ def measure(pass_name: str, kind: str) -> dict:
             return out
 
     out = {"pass": pass_name, "kind": kind}
+    # each decode's batch is one source with an empty target
+    out.update(pad_fractions(*([sources[:1], [[]]] if pass_name == "decode"
+                               else [sources, targets])))
     if kind == "trace":
         tracemalloc.start()
         result = run()
@@ -256,7 +273,8 @@ def main(argv=None) -> int:
                         for k in keys if any(k in r for r in mine)},
             "peak_positions": sorted({r["peak_position"] for r in mine if "peak_position" in r}),
         }
-        for k in ("loss", "grad_sha256", "ids_sha256", "steps"):  # each should have one value
+        for k in ("loss", "grad_sha256", "ids_sha256", "steps", "src_pad_frac",
+                  "tgt_pad_frac"):  # each should have one value
             if k in mine[0]:
                 summary[pass_name][k] = sorted({r[k] for r in mine})
     print(json.dumps({"rows": ROWS, "passes": summary, "runs": runs}))
