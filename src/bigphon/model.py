@@ -33,19 +33,23 @@ bit for bit, so no (B, heads, Tq, Tk) float array is ever whole. The
 sublayer kernels compute in place on arrays they own, and each backward
 kernel frees its temporaries after their last use.
 
-The encoder runs on the real source positions alone, packed out of the
-padded (B, S) layout by a `_Pack` of the batch's source mask: its embedding,
-projections, feed-forward, layer norms, dropout and residuals, and so its
-"ln" and "ff" tape entries, hold N real rows, not B * S; its "embed" entry
-holds the batch's own ids or frames. Padding comes back only where the bits
-depend on it: each attention core runs per batch row at the padded shapes,
-on zero-padded queries, keys and values, and every backward matmul runs on
-the zero-padded layout (`_linear_bwd`), so each reduces over the rows, and
-runs at the shapes, of the unpacked computation. The forward's matmuls run
+Both stacks run on their real positions alone, packed out of the padded
+layout by a `_Pack`: the encoder's of the batch's source mask, the
+decoder's of its target lengths (`tgt_out` not PAD; never of token values,
+since a greedy decode may emit PAD_ID and feed it back). Each stack's
+embedding, projections, feed-forward, layer norms, dropout and residuals,
+and so its "ln" and "ff" tape entries, hold its N real rows, not B * S; its
+"embed" entry holds the batch's own ids or frames. Padding comes back, as
+zeros, only where the bits depend on it: each attention core runs per batch
+row at the padded shapes, on zero-padded queries, keys and values; each
+weight gradient, x.T @ dy, reduces over the zero-padded layout; and the
+output projection, whose width is the vocabulary size, runs on it too.
+Every other matmul, forward and backward (dy @ w.T, `_linear_bwd`), runs
 the N rows in calls of S rows each (`_Pack.matmul`), the shape the unpacked
-computation calls the BLAS with, so the BLAS picks the same kernel for any
-source length. Dropout draws the whole padded stream. The decoder's targets
-and a lone decoded source have no padding, and their packs copy nothing.
+computation calls the BLAS with, so the BLAS picks the same kernel at any
+length; `_Pack.matmul` says at which widths that keeps every bit. Dropout
+draws the whole padded stream. A greedy decode's lone source and each of
+its steps have no padding, and their packs copy nothing.
 
 One decoder entry, ``_decoder_forward``, serves teacher forcing and the
 valid pass (the whole target at once, causal mask) and each greedy step (the
@@ -243,8 +247,8 @@ class _Pack:
     are real. `take` turns a padded (B, S, ...) array into its N real rows
     (N, ...), in batch-row order, and `pad` zero-fills N rows back into the
     padded layout. With no padding both return their argument as it is: a
-    greedy decode's single source, and the decoder's targets, which are
-    never packed, copy nothing and keep their (B, S, ...) shape."""
+    greedy decode's single source and each of its steps' one target
+    position copy nothing and keep their (B, S, ...) shape."""
 
     shape: tuple[int, int]
     mask: np.ndarray | None = None
@@ -274,7 +278,13 @@ class _Pack:
         last zero-filled to S: numpy runs a padded (B, S, k) @ w as one BLAS
         call per batch row, and OpenBLAS picks its kernel, and so its order
         of summation, by the shape of a call (a small-matrix one below about
-        10**6 products), so calls of any other row count could change bits."""
+        10**6 products), so calls of any other row count could change bits.
+        A row's place in its call can differ from its place in the padded
+        computation; on the OpenBLAS build this was measured on, that keeps
+        its bits at every output width sampled that is a multiple of 8, such
+        as the paper's d_model 200 and d_ff 400, but not at every other
+        width: at 42, a row's place in a call of 19 rows changes the bits of
+        its last 2 columns."""
         if self.mask is None:
             return x @ w
         (n, k), s = x.shape, self.shape[1]
@@ -301,15 +311,17 @@ def _linear_grads(dy, x, grads, wname, bname):
     grads[bname] += dy.reshape(-1, dout).sum(axis=0)
 
 
-def _linear_bwd(dy, x, params, grads, wname, bname):
-    """Gradient into x of x @ w + b, after adding dw and db to `grads`. The
-    encoder's kernels call it on the padded layout, zeros included, which
-    keeps every BLAS call of the unpacked computation: dw reduces over B*S
-    rows, and dy @ w.T runs per batch row on S rows. OpenBLAS picks its
-    kernel, and so its order of summation, by the shape of a call, so a call
-    on the N real rows would change bits."""
-    _linear_grads(dy, x, grads, wname, bname)
-    return dy @ params[wname].T
+def _linear_bwd(dy, x, params, grads, wname, bname, pack):
+    """Gradient into x of x @ w + b at the N real rows `pack` keeps, given
+    `dy` at those rows and `x` in the zero-padded layout, after adding dw and
+    db to `grads`. dw reduces over the padded layout, zeros included, as the
+    unpacked computation does: its bits depend on how OpenBLAS blocks that
+    reduction of B*S rows. dy @ w.T runs on the real rows, in calls of S rows
+    (`_Pack.matmul`), the shape at which the unpacked computation calls the
+    BLAS, so it keeps the same kernel and its order of summation."""
+    _linear_grads(pack.pad(dy), x, grads, wname, bname)
+    del x  # frees a padded input that only the call holds, as `_ff_bwd`'s are
+    return pack.matmul(dy, params[wname].T)
 
 
 def _ln_fwd(x, g, b):
@@ -474,20 +486,21 @@ def _mha_fwd(q_in, kv, params, prefix, kind, mask, heads, p_drop, rng, tape, pac
 
 def _mha_bwd(dout, cache, params, grads, prefix, q_src, kv_src, q_pack, kv_pack):
     """Gradients into `_mha_fwd`'s q_in and into the input of its keys and
-    values, as the real rows `q_pack` and `kv_pack` keep; it rebuilds both
-    inputs from the tape entries that output them (`_output`), once if one
-    entry serves both. One batch row at a time, it rebuilds the row's
-    probabilities and dropped probabilities with the forward's ops, then
-    takes the row's context and its value, query and key head gradients;
-    wo's gradient comes from the merged context after the loop. Every matmul
-    runs on the padded layout, for the reason `_linear_bwd` gives. The
-    caller has popped `cache`, so every array here is freed after its last
-    use."""
+    values, as the real rows `q_pack` and `kv_pack` keep, given `dout` at
+    q_in's real rows; it rebuilds both inputs from the tape entries that
+    output them (`_output`), once if one entry serves both. One batch row at
+    a time, it rebuilds the row's probabilities and dropped probabilities
+    with the forward's ops, then takes the row's context and its value, query
+    and key head gradients; wo's gradient comes from the merged context after
+    the loop. The attention core runs on the padded layout, and each
+    projection's backward as `_linear_bwd` runs it: the input gradient on
+    the real rows, the weight gradient on the padded layout. The caller has
+    popped `cache`, so every array here is freed after its last use."""
     qh, (kh, vh), mask, dcache = cache
     del cache
     b, heads, tq, dh = qh.shape
-    dout = q_pack.pad(dout)
-    dctx = (dout @ params[f"{prefix}.wo"].T).reshape(b, tq, heads, dh).transpose(0, 2, 1, 3)
+    dctx = q_pack.pad(q_pack.matmul(dout, params[f"{prefix}.wo"].T))
+    dctx = dctx.reshape(b, tq, heads, dh).transpose(0, 2, 1, 3)
     keep, p = (None, 0.0) if dcache is None else _keep_mask(dcache)
     ctx, dqh = np.empty(qh.shape), np.empty(qh.shape)
     dkh, dvh = np.empty(kh.shape), np.empty(kh.shape)
@@ -512,24 +525,24 @@ def _mha_bwd(dout, cache, params, grads, prefix, q_src, kv_src, q_pack, kv_pack)
     del dctx, keep, qh, kh, vh
     merged = _merge_heads(ctx)
     del ctx
-    _linear_grads(dout, merged, grads, f"{prefix}.wo", f"{prefix}.bo")
+    _linear_grads(q_pack.pad(dout), merged, grads, f"{prefix}.wo", f"{prefix}.bo")
     del merged, dout
-    dq = _merge_heads(dqh)
+    dq = _merge_heads(dqh, q_pack)
     del dqh
     x = q_pack.pad(_output(q_src, params))
-    dq_in = q_pack.take(_linear_bwd(dq, x, params, grads, f"{prefix}.wq", f"{prefix}.bq"))
+    dq_in = _linear_bwd(dq, x, params, grads, f"{prefix}.wq", f"{prefix}.bq", q_pack)
     del dq
     if kv_src is not q_src:
         del x
         x = kv_pack.pad(_output(kv_src, params))
-    dk = _merge_heads(dkh)
+    dk = _merge_heads(dkh, kv_pack)
     del dkh
-    dkv_in = _linear_bwd(dk, x, params, grads, f"{prefix}.wk", f"{prefix}.bk")
+    dkv_in = _linear_bwd(dk, x, params, grads, f"{prefix}.wk", f"{prefix}.bk", kv_pack)
     del dk
-    dv = _merge_heads(dvh)
+    dv = _merge_heads(dvh, kv_pack)
     del dvh
-    dkv_in += _linear_bwd(dv, x, params, grads, f"{prefix}.wv", f"{prefix}.bv")
-    return dq_in, kv_pack.take(dkv_in)
+    dkv_in += _linear_bwd(dv, x, params, grads, f"{prefix}.wv", f"{prefix}.bv", kv_pack)
+    return dq_in, dkv_in
 
 
 def _residual_ln_fwd(x, sub_out, params, prefix, p_drop, rng, tape, pack):
@@ -562,14 +575,15 @@ def _ff_fwd(x, params, prefix, tape, pack):
 
 
 def _ff_bwd(dy, h, params, grads, prefix, x_src, pack):
-    """Gradient into `_ff_fwd`'s x, the real rows `pack` keeps, computed on
-    the padded layout, for the reason `_linear_bwd` gives."""
-    h = pack.pad(h)
-    dh = _linear_bwd(pack.pad(dy), h, params, grads, f"{prefix}.w2", f"{prefix}.b2")
+    """Gradient into `_ff_fwd`'s x, given `dy`, both at the real rows `pack`
+    keeps. Each linear's backward runs as `_linear_bwd` runs it, which pads
+    `dy`, the hidden layer, its gradient and the rebuilt x once each, for the
+    weight gradients only."""
+    dh = _linear_bwd(dy, pack.pad(h), params, grads, f"{prefix}.w2", f"{prefix}.b2", pack)
     dh *= h > 0  # h = relu(pre) is positive exactly where pre is
     del h
     x = pack.pad(_output(x_src, params))
-    return pack.take(_linear_bwd(dh, x, params, grads, f"{prefix}.w1", f"{prefix}.b1"))
+    return _linear_bwd(dh, x, params, grads, f"{prefix}.w1", f"{prefix}.b1", pack)
 
 
 def _causal_mask(t: int) -> np.ndarray:
@@ -589,12 +603,10 @@ def _causal_mask(t: int) -> np.ndarray:
 # input is the output of the entry below it (`_output`), and
 # cross-attention's keys and values are computed from the output of the
 # encoder tape's top entry. Backward pops the tapes, so an entry is still
-# there when the entries that consumed its output are popped. The encoder's
+# there when the entries that consumed its output are popped. Each stack's
 # "ln" and "ff" entries and its embedding's dropout mask hold its N real
-# rows, its pack's `take` of the padded layout; its "self" entries hold
+# rows, its pack's `take` of the padded layout; its attention entries hold
 # query, key and value heads in the padded layout, zero at padded positions.
-# The decoder's pack keeps every position, so its entries hold the whole
-# padded layout.
 
 
 def _embed(params, name, src, pack, t=0):
@@ -659,15 +671,15 @@ def _encoder_forward(params, config, batch, p, rng, cache=None):
 
 def _decoder_layer(params, config, i, y, t, self_kv, cross_kv, src_add, mask, p, rng, cache,
                    pack):
-    """Decoder layer i over target positions t..t+n of y (B, n, d), whose
-    `pack` keeps every position.
+    """Decoder layer i over target positions t..t+n of y, the real rows
+    `pack` keeps of a padded (B, n) layout.
 
     Writes the positions' self-attention keys and values into `self_kv`,
     the layer's (2, B, heads, >= t+n, dh) buffer, and attends over its first
     t+n positions; `cross_kv` is `_kv_fwd` of the encoder output, computed
     once per layer by `_decoder_layers`. Appends its entries to the tape
     `cache` unless None."""
-    end, heads = t + y.shape[1], config.heads
+    end, heads = t + pack.shape[1], config.heads
     self_kv[0, :, :, t:end], self_kv[1, :, :, t:end] = _kv_fwd(y, params, f"dec{i}.self",
                                                                heads, pack)
     kv = (self_kv[0, :, :, :end], self_kv[1, :, :, :end])
@@ -692,13 +704,13 @@ def _decoder_layers(params, config, enc_out, enc_pack, length):
             for i in range(config.decoder_layers)]
 
 
-def _decoder_forward(params, config, layers, src_add, tgt_in, t, p, rng, cache=None):
-    """Logits (B, n, V) at target positions t..t+n of `tgt_in` (B, n), through
-    the `_decoder_layers` pairs `layers`, whose buffers hold the keys and
-    values of positions before t. The causal mask applies when n > 1, which
-    is only at t = 0. Appends to the tape `cache` as `_encoder_forward` does."""
+def _decoder_forward(params, config, layers, src_add, tgt_in, t, pack, p, rng, cache=None):
+    """Logits (B, n, V) at target positions t..t+n of `tgt_in` (B, n), zero
+    at the positions `pack` does not keep, through the `_decoder_layers`
+    pairs `layers`, whose buffers hold the keys and values of positions
+    before t. The causal mask applies when n > 1, which is only at t = 0.
+    Appends to the tape `cache` as `_encoder_forward` does."""
     n = tgt_in.shape[1]
-    pack = _Pack(tgt_in.shape)
     y, dcache = _dropout_fwd(_embed(params, "tgt_embed", tgt_in, pack, t), p, rng, pack)
     if cache is not None:
         cache.append(("embed", "tgt_embed", (dcache, tgt_in, pack)))
@@ -706,14 +718,25 @@ def _decoder_forward(params, config, layers, src_add, tgt_in, t, p, rng, cache=N
     for i, (self_kv, cross_kv) in enumerate(layers):
         y = _decoder_layer(params, config, i, y, t, self_kv, cross_kv, src_add, mask, p, rng,
                            cache, pack)
-    return _linear_fwd(y, params["out_w"], params["out_b"], pack)
+    # The output projection runs on the padded layout: its width, the
+    # vocabulary size, need not be one at which `_Pack.matmul` keeps bits.
+    logits = pack.pad(y) @ params["out_w"]
+    logits += params["out_b"]
+    if pack.mask is not None:
+        logits[~pack.mask] = 0.0
+    return logits
 
 
 def forward_batch(params, config: ModelConfig, batch: Batch, dropout_rng=None,
                   cache: dict | None = None) -> np.ndarray:
-    """Logits (B,T,V). Pass a `cache` dict only when `backward_batch` follows:
-    the forward then records the tapes `cache["enc"]` and `cache["dec"]`;
-    otherwise it keeps no activation past its layer."""
+    """Logits (B,T,V), zero at the padded target positions, where `tgt_out`
+    is PAD: the decoder runs on the real ones alone, packed by the target
+    lengths, never by token values, since a decoded PAD_ID may be fed back.
+    Pass a `cache` dict only when `backward_batch` follows: the forward then
+    records the tapes `cache["enc"]` and `cache["dec"]`; otherwise it keeps
+    no activation past its layer."""
+    if batch.tgt_in.shape != batch.tgt_out.shape:
+        raise LengthMismatch(f"tgt_in {batch.tgt_in.shape} vs tgt_out {batch.tgt_out.shape}")
     p = config.dropout if dropout_rng is not None else 0.0
     enc = dec = None
     if cache is not None:
@@ -721,7 +744,8 @@ def forward_batch(params, config: ModelConfig, batch: Batch, dropout_rng=None,
     enc_out, src_add, pack = _encoder_forward(params, config, batch, p, dropout_rng, enc)
     layers = _decoder_layers(params, config, enc_out, pack, batch.tgt_in.shape[1])
     del enc_out
-    return _decoder_forward(params, config, layers, src_add, batch.tgt_in, 0, p, dropout_rng, dec)
+    return _decoder_forward(params, config, layers, src_add, batch.tgt_in, 0,
+                            _Pack.of(batch.tgt_out != PAD_ID), p, dropout_rng, dec)
 
 
 def _embed_bwd(dy, cache, grads, wname):
@@ -793,9 +817,10 @@ def backward_batch(dlogits, cache, params) -> dict[str, np.ndarray]:
     gradient into the encoder's output, where the encoder's walk starts."""
     grads = _Gradients(params)
     enc, dec = cache["enc"], cache["dec"]
-    _backprop_tape(enc, _backprop_tape(
-        dec, _linear_bwd(dlogits, _output(dec[-1], params), params, grads, "out_w", "out_b"),
-        params, grads, enc), params, grads)
+    pack = dec[0][2][-1]
+    dy = _linear_bwd(pack.take(dlogits), pack.pad(_output(dec[-1], params)), params, grads,
+                     "out_w", "out_b", pack)
+    _backprop_tape(enc, _backprop_tape(dec, dy, params, grads, enc), params, grads)
     return {name: grads[name] for name in params}
 
 
@@ -859,10 +884,12 @@ def greedy_decode(params, config: ModelConfig, source, vocab: Vocabulary) -> Dec
     enc_out, src_add, pack = _encoder_forward(params, config, batch, 0.0, None)
     layers = _decoder_layers(params, config, enc_out, pack, config.max_target_len)
     del enc_out
+    step = _Pack((1, 1))  # the newest position, always real: the pack copies nothing
     emitted: list[int] = []
     nxt = BOS_ID
     for t in range(config.max_target_len):
-        logits = _decoder_forward(params, config, layers, src_add, np.array([[nxt]]), t, 0.0, None)
+        logits = _decoder_forward(params, config, layers, src_add, np.array([[nxt]]), t, step,
+                                  0.0, None)
         nxt = int(logits.argmax())
         if nxt == EOS_ID:
             return DecodeResult(tuple(emitted), detokenize(emitted, vocab), False)

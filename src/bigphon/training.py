@@ -282,13 +282,24 @@ def _epoch_valid_loss(params, config, sources, targets) -> float:
 
 
 def adam_step(flat, grad_flat, m, v, t, lr):
+    """Adam's update of `flat` at step t, and of its moments `m` and `v`, in
+    place. Each operation of m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g
+    and flat -= lr mhat / (sqrt(vhat) + eps) runs in the textbook order,
+    into two scratch buffers rather than a new array each."""
+    a = np.multiply(1.0 - ADAM_BETA1, grad_flat)
     m *= ADAM_BETA1
-    m += (1.0 - ADAM_BETA1) * grad_flat
+    m += a
+    np.multiply(1.0 - ADAM_BETA2, grad_flat, out=a)
+    a *= grad_flat
     v *= ADAM_BETA2
-    v += (1.0 - ADAM_BETA2) * grad_flat * grad_flat
-    mhat = m / (1.0 - ADAM_BETA1**t)
-    vhat = v / (1.0 - ADAM_BETA2**t)
-    flat -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    v += a
+    b = np.divide(v, 1.0 - ADAM_BETA2**t)  # vhat
+    np.sqrt(b, out=b)
+    b += ADAM_EPS
+    np.divide(m, 1.0 - ADAM_BETA1**t, out=a)  # mhat
+    a *= lr
+    a /= b
+    flat -= a
 
 
 def train(

@@ -151,9 +151,11 @@ def infer_dims(params: dict[str, np.ndarray]) -> ModelDims:
 
 
 def forward(params, config: ModelConfig, source, target_prefix) -> np.ndarray:
-    """Logits (len(target_prefix), vocab) for one teacher-forced prefix."""
+    """Logits (len(target_prefix), vocab) for one teacher-forced prefix. The
+    decoder runs on the positions whose `tgt_out` is not PAD: here, all."""
     batch = make_batch([source], [[]])
     batch.tgt_in = np.asarray([target_prefix], dtype=np.int64)
+    batch.tgt_out = np.full_like(batch.tgt_in, EOS_ID)
     logits = model.forward_batch(params, config, batch)
     return logits[0]
 

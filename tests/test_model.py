@@ -92,6 +92,13 @@ class TestForward:
         assert logits.shape == (3, 9)
         assert np.all(np.isfinite(logits))
 
+    def test_target_shapes_must_match(self):
+        dims = ModelDims(target_vocab=9, source_vocab=7)
+        batch = make_batch([[1, 2, 3]], [(4, 5)])
+        batch.tgt_out = batch.tgt_out[:, :2]
+        with pytest.raises(LengthMismatch, match=r"^tgt_in \(1, 3\) vs tgt_out \(1, 2\)$"):
+            forward_batch(small_params(dims), SMALL, batch)
+
     def test_feature_shape_mismatch(self):
         dims = ModelDims(target_vocab=9, feature_dim=6)
         params = small_params(dims)
@@ -368,12 +375,44 @@ class TestBitwiseOracle:
         for name in ref_grads:
             assert np.array_equal(grads[name], ref_grads[name]), name
 
+    @pytest.mark.parametrize("target_vocab", [41, 42, 43, 48])
+    def test_step_matches_reference_at_any_vocabulary_size(self, target_vocab):
+        """The output projection's width is the vocabulary size. At 41 to 43,
+        OpenBLAS gives a row's last columns other bits at another place in a
+        call of 19 rows, so the projection must run on the padded layout,
+        where each row keeps its place."""
+        config = replace(SMALL, d_model=16, d_ff=32, dropout=0.1)
+        dims = ModelDims(target_vocab=target_vocab, source_vocab=30)
+        rng = np.random.default_rng(6)
+        params = init_params(config, dims, rng)
+        batch = make_batch([rng.integers(0, 30, size=n) for n in (22, 15, 27, 17)],
+                           [rng.integers(4, target_vocab, size=n) for n in (13, 7, 18, 10)])
+        self.assert_logits_match_reference(forward_batch(params, config, batch),
+                                           conftest.forward_batch(params, config, dims, batch)[0],
+                                           batch)
+        value, grads, _ = loss_and_gradient(params, config, batch, np.random.default_rng(5))
+        ref_value, ref_grads, _ = conftest.loss_and_gradient(params, config, dims, batch,
+                                                             np.random.default_rng(5))
+        assert value == ref_value
+        for name in ref_grads:
+            assert np.array_equal(grads[name], ref_grads[name]), name
+
+    @staticmethod
+    def assert_logits_match_reference(logits, ref_logits, batch):
+        """The decoder runs on the real target positions alone: there the
+        logits equal the reference's bit for bit, and at the padded ones,
+        which no loss reads, they are exactly zero."""
+        real = batch.tgt_out != PAD_ID
+        assert not real.all() and logits.shape == ref_logits.shape
+        assert np.array_equal(logits[real], ref_logits[real])
+        assert not np.any(logits[~real])
+
     @pytest.mark.parametrize("source", ["tokens", "features"])
     def test_eval_logits_match_reference(self, source):
         config, dims, params, batch = self.case(source, 2, (3, 2), 0.3, seed=1)
         logits = forward_batch(params, config, batch)
         ref_logits, _ = conftest.forward_batch(params, config, dims, batch)
-        assert np.array_equal(logits, ref_logits)
+        self.assert_logits_match_reference(logits, ref_logits, batch)
 
     def test_backward_consumes_the_cache(self):
         config, dims, params, batch = self.case("tokens", 2, (3, 2), 0.3)
@@ -565,18 +604,19 @@ class TestActivationMemory:
         """Backward rebuilds each embedding's dropped output from its ids or
         frames, so an "embed" entry holds no float array but the frames, and
         those are the batch's own. The encoder's pack holds the batch's
-        source mask itself; the decoder's, no mask."""
+        source mask itself; the decoder's, the mask of the real targets."""
         config, dims, params, batch = TestBitwiseOracle.case(source, 2, (3, 2), 0.3)
         assert not batch.src_mask.all()
         cache = {}
         forward_batch(params, config, batch, np.random.default_rng(0), cache)
         for tape, inputs, mask in ((cache["enc"], batch.src, batch.src_mask),
-                                   (cache["dec"], batch.tgt_in, None)):
+                                   (cache["dec"], batch.tgt_in, batch.tgt_out != PAD_ID)):
             kind, _, state = tape[0]
-            held = list(self.arrays(state))
+            held, pack = list(self.arrays(state)), state[-1]
             assert kind == "embed" and sum(a is inputs for a in held) == 1
-            assert sum(a is mask for a in held) == (mask is not None)
-            assert [a.dtype for a in held if a is not inputs and a is not mask] == [np.uint8]
+            assert sum(a is pack.mask for a in held) == 1 and np.array_equal(pack.mask, mask)
+            assert [a.dtype for a in held if a is not inputs and a is not pack.mask] == [np.uint8]
+        assert cache["enc"][0][2][-1].mask is batch.src_mask
 
     @pytest.mark.parametrize("source", ["tokens", "features"])
     def test_encoder_entries_hold_only_real_rows(self, source):
@@ -602,18 +642,58 @@ class TestActivationMemory:
         assert rows == [n] * (3 * 5)  # 2 layer norms and 1 ff a layer
         assert masks == [(n, config.d_model)] * (1 + 3 * 2)
 
-    def test_pack_copies_nothing_without_padding(self):
+    @pytest.mark.parametrize("source", ["tokens", "features"])
+    def test_decoder_entries_hold_only_real_rows(self, source):
+        """The decoder runs on the real target positions alone: its "ln" and
+        "ff" entries and each of its dropout masks, the embedding's
+        included, hold one row per position where `tgt_out` is not PAD."""
+        config, dims, params, batch = TestBitwiseOracle.case(source, 2, (3, 2), 0.3)
+        n = int((batch.tgt_out != PAD_ID).sum())
+        assert n < batch.tgt_out.size
+        cache = {}
+        forward_batch(params, config, batch, np.random.default_rng(0), cache)
+        rows, masks = [], []
+        for kind, _, state in cache["dec"]:
+            if kind == "embed":
+                masks.append(state[0][1])
+            elif kind == "ln":
+                (xhat, inv, _, _), dcache = state
+                rows += [len(xhat), len(inv)]
+                masks.append(dcache[1])
+            elif kind == "ff":
+                rows.append(len(state))
+        assert rows == [n] * (2 * 7)  # 3 layer norms and 1 ff a layer
+        assert masks == [(n, config.d_model)] * (1 + 2 * 3)
+
+    def test_pack_copies_nothing_without_padding(self, classes):
         """`_Pack` takes the real rows and zero-fills them back; with no padded
-        position, as in every greedy decode's batch, it returns views."""
+        position, as in every greedy decode's source and in each of its
+        steps, it returns views."""
         x = np.arange(2 * 3 * 4, dtype=np.float64).reshape(2, 3, 4)
         mask = np.array([[True, True, False], [True, False, False]])
         pack = model._Pack.of(mask)
         assert np.array_equal(pack.take(x), x[mask])
         assert np.array_equal(pack.pad(pack.take(x)), np.where(mask[..., None], x, 0.0))
-        dense = model._Pack.of(make_batch([[5, 6, 7]], [[]]).src_mask)
-        rows = x[:1]
-        assert np.shares_memory(dense.take(rows), rows)
-        assert np.shares_memory(dense.pad(dense.take(rows)), rows)
+        vocab = Vocabulary(induce_inventory([PhonemeSequence(tuple("alsiemn"))], classes), (),
+                           "base")
+        params, config, sources = TestIncrementalDecode.random_model(
+            vocab, "tokens", 2, 2, 5, seed=0)
+        packs = []
+        embed = model._embed
+
+        def spy(params, name, src, pack, *rest):
+            packs.append((name, pack))
+            return embed(params, name, src, pack, *rest)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model, "_embed", spy)
+            greedy_decode(params, config, sources[-1], vocab)
+        assert [name for name, _ in packs] == ["src_embed"] + ["tgt_embed"] * 5
+        for _, dense in packs:
+            rows = np.zeros((*dense.shape, 4))
+            assert dense.mask is None
+            assert np.shares_memory(dense.take(rows), rows)
+            assert np.shares_memory(dense.pad(dense.take(rows)), rows)
 
     def test_cache_holds_no_bool_array_or_merged_context(self, monkeypatch):
         """Dropout masks are cached packed 8 to a byte, and backward rebuilds
@@ -632,8 +712,11 @@ class TestActivationMemory:
         forward_batch(params, config, batch, np.random.default_rng(0), cache)
         assert len(merged) == 3 + 2 * 2  # one per attention
         cached = list(self.arrays(cache))
-        assert sum(a is batch.src_mask for a in cached) == 1  # the encoder's pack
-        assert [a.shape for a in cached if a.dtype == bool and a is not batch.src_mask] == []
+        packs = [tape[0][2][-1].mask for tape in (cache["enc"], cache["dec"])]
+        assert packs[0] is batch.src_mask and np.array_equal(packs[1], batch.tgt_out != PAD_ID)
+        assert [sum(a is mask for a in cached) for mask in packs] == [1, 1]
+        assert [a.shape for a in cached
+                if a.dtype == bool and not any(a is mask for mask in packs)] == []
         assert [a.shape for m in merged for a in cached if np.shares_memory(a, m)] == []
 
     def test_cache_holds_no_attention_probabilities(self):
@@ -856,6 +939,26 @@ class TestIncrementalDecode:
             assert result == reference_greedy_decode(params, config, src, vocab)
             assert (len(result.ids), result.truncated) == (expect_len, truncated)
 
+    @pytest.mark.parametrize("source", ["tokens", "features"])
+    def test_pad_emitting_model_matches_prefix_rerun(self, vocab, source):
+        """A model biased to emit PAD_ID feeds PAD back as its next input.
+        The decoder's positions come from the target lengths, not from token
+        values, so the decode still matches the prefix re-run, and the
+        teacher-forced logits of the PAD-filled prefix match the reference's
+        at every position."""
+        params, config, sources = self.random_model(vocab, source, 2, 2, 12, seed=0)
+        params["out_b"][PAD_ID] = 50.0
+        dims = conftest.infer_dims(params)
+        for src in sources:
+            result = greedy_decode(params, config, src, vocab)
+            assert result == reference_greedy_decode(params, config, src, vocab)
+            assert result.ids == (PAD_ID,) * 12 and result.truncated
+            batch = make_batch([src], [[]])
+            batch.tgt_in = np.asarray([[BOS_ID, *result.ids]], dtype=np.int64)
+            batch.tgt_out = np.full_like(batch.tgt_in, EOS_ID)  # every position real
+            assert np.array_equal(forward_batch(params, config, batch),
+                                  conftest.forward_batch(params, config, dims, batch)[0])
+
     def test_never_reruns_decoder_over_prefix(self, vocab, monkeypatch):
         params, config, sources = self.random_model(vocab, "tokens", 2, 2, 50, seed=1)
         expected = [reference_greedy_decode(params, config, src, vocab) for src in sources]
@@ -912,7 +1015,7 @@ class TestDecoderLayer:
         layer = model._decoder_layer
 
         def spy(params, config, i, y, t, *rest):
-            seen.append((i, t, y.shape[1]))
+            seen.append((i, t, rest[-1].shape[1]))  # the pack's padded layout (B, n)
             return layer(params, config, i, y, t, *rest)
 
         monkeypatch.setattr(model, "_decoder_layer", spy)
@@ -926,8 +1029,9 @@ class TestDecoderLayer:
         assert calls == [(0, 0, t_len), (1, 0, t_len), (2, 0, t_len)]
         assert len(cache["dec"]) == 1 + 3 * 6  # the embedding, then six sublayers a layer
         calls.clear()
-        assert np.array_equal(forward_batch(params, config, batch),
-                              conftest.forward_batch(params, config, dims, batch)[0])
+        TestBitwiseOracle.assert_logits_match_reference(
+            forward_batch(params, config, batch),
+            conftest.forward_batch(params, config, dims, batch)[0], batch)
         assert calls == [(0, 0, t_len), (1, 0, t_len), (2, 0, t_len)]
 
     def test_greedy_decode_steps_each_layer(self, calls, classes):

@@ -29,6 +29,7 @@ from bigphon.training import (
     NonFiniteParameter,
     SourceCodec,
     TrainingTrace,
+    adam_step,
     decode_split,
     load_checkpoint,
     load_features,
@@ -138,6 +139,38 @@ class TestTrainLoop:
             with pytest.raises(NonFiniteLoss) as exc:
                 train(m, vocab, cfg, tmp_path)
         assert "epoch" in str(exc.value)
+
+
+def reference_adam_step(flat, grad_flat, m, v, t, lr):
+    """Adam as `adam_step` computed it before it wrote into scratch buffers:
+    a new array per operation."""
+    m *= training.ADAM_BETA1
+    m += (1.0 - training.ADAM_BETA1) * grad_flat
+    v *= training.ADAM_BETA2
+    v += (1.0 - training.ADAM_BETA2) * grad_flat * grad_flat
+    mhat = m / (1.0 - training.ADAM_BETA1**t)
+    vhat = v / (1.0 - training.ADAM_BETA2**t)
+    flat -= lr * mhat / (np.sqrt(vhat) + training.ADAM_EPS)
+
+
+class TestAdam:
+    def test_matches_reference_bit_for_bit(self):
+        """Three steps on gradients spanning many magnitudes, zeros among
+        them, leave the same parameters and moments as the reference."""
+        rng = np.random.default_rng(11)
+        flat = rng.normal(size=5000)
+        grads = [rng.normal(size=flat.size) * 10.0 ** rng.integers(-12, 4, size=flat.size)
+                 for _ in range(3)]
+        for g in grads:
+            g[rng.random(flat.size) < 0.1] = 0.0
+        got = (flat.copy(), np.zeros_like(flat), np.zeros_like(flat))  # flat, m, v
+        want = tuple(a.copy() for a in got)
+        for step, g in enumerate(grads, start=1):
+            adam_step(got[0], g, got[1], got[2], step, 1e-3)
+            reference_adam_step(want[0], g, want[1], want[2], step, 1e-3)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+        assert not np.array_equal(got[0], flat)
 
 
 class TestTrainMemory:
