@@ -41,15 +41,14 @@ embedding, projections, feed-forward, layer norms, dropout and residuals,
 and so its "ln" and "ff" tape entries, hold its N real rows, not B * S; its
 "embed" entry holds the batch's own ids or frames. Padding comes back, as
 zeros, only where the bits depend on it: each attention core runs per batch
-row at the padded shapes, on zero-padded queries, keys and values; each
-weight gradient, x.T @ dy, reduces over the zero-padded layout; and the
-output projection, whose width is the vocabulary size, runs on it too.
-Every other matmul, forward and backward (dy @ w.T, `_linear_bwd`), runs
-the N rows in calls of S rows each (`_Pack.matmul`), the shape the unpacked
-computation calls the BLAS with, so the BLAS picks the same kernel at any
-length; `_Pack.matmul` says at which widths that keeps every bit. Dropout
-draws the whole padded stream. A greedy decode's lone source and each of
-its steps have no padding, and their packs copy nothing.
+row at the padded shapes, on zero-padded queries, keys and values, and each
+weight gradient, x.T @ dy, reduces over the zero-padded layout. Every other
+matmul, forward and backward (dy @ w.T, `_linear_bwd`), the output
+projection's included, goes through `_Pack.matmul`, the one place that
+decides how a product of real rows runs so that it keeps the unpacked
+computation's bits at any width. Dropout draws the whole padded stream, an
+attention's one batch row at a time. A greedy decode's lone source and each
+of its steps have no padding, and their packs copy nothing.
 
 One decoder entry, ``_decoder_forward``, serves teacher forcing and the
 valid pass (the whole target at once, causal mask) and each greedy step (the
@@ -274,19 +273,18 @@ class _Pack:
         return out
 
     def matmul(self, x, w):
-        """x @ w. For N real rows x, the product runs in calls of S rows, the
-        last zero-filled to S: numpy runs a padded (B, S, k) @ w as one BLAS
-        call per batch row, and OpenBLAS picks its kernel, and so its order
-        of summation, by the shape of a call (a small-matrix one below about
-        10**6 products), so calls of any other row count could change bits.
-        A row's place in its call can differ from its place in the padded
-        computation; on the OpenBLAS build this was measured on, that keeps
-        its bits at every output width sampled that is a multiple of 8, such
-        as the paper's d_model 200 and d_ff 400, but not at every other
-        width: at 42, a row's place in a call of 19 rows changes the bits of
-        its last 2 columns."""
+        """x @ w of the N real rows x, with the bits the padded (B, S, k) @ w
+        gives them, which numpy runs as one BLAS call per batch row. OpenBLAS
+        picks its kernel, and so its order of summation, by a call's shape (a
+        small-matrix one below about 10**6 products), and at output widths
+        that are not a multiple of 8 a row's bits also depend on its place in
+        its call. So at a width that is a multiple of 8 the N rows run in
+        calls of S rows, the last zero-filled to S, and at any other width
+        the padded product runs and its real rows are kept."""
         if self.mask is None:
             return x @ w
+        if w.shape[1] % 8:
+            return self.take(self.pad(x) @ w)
         (n, k), s = x.shape, self.shape[1]
         y = np.empty((n, w.shape[1]))
         full = n - n % s
@@ -316,9 +314,8 @@ def _linear_bwd(dy, x, params, grads, wname, bname, pack):
     `dy` at those rows and `x` in the zero-padded layout, after adding dw and
     db to `grads`. dw reduces over the padded layout, zeros included, as the
     unpacked computation does: its bits depend on how OpenBLAS blocks that
-    reduction of B*S rows. dy @ w.T runs on the real rows, in calls of S rows
-    (`_Pack.matmul`), the shape at which the unpacked computation calls the
-    BLAS, so it keeps the same kernel and its order of summation."""
+    reduction of B*S rows. dy @ w.T runs on the real rows through
+    `_Pack.matmul`, which keeps the unpacked computation's bits."""
     _linear_grads(pack.pad(dy), x, grads, wname, bname)
     del x  # frees a padded input that only the call holds, as `_ff_bwd`'s are
     return pack.matmul(dy, params[wname].T)
@@ -366,21 +363,12 @@ def _dropout_fwd(x, p, rng, pack):
     layout. The draws cover the whole padded layout, as if no row were
     packed, so every later draw comes from the same place in the stream; the
     mask is the real rows' part of them. The cache holds it packed 8 to a
-    byte."""
+    byte. An attention's probabilities come one batch row at a time, with a
+    pack of their (heads, Tq) layout, which has no padding."""
     if p <= 0.0 or rng is None:
         return x, None
     keep = pack.take(rng.random((*pack.shape, x.shape[-1])) >= p)
     return _apply_mask(x, keep, p, out=x), (np.packbits(keep), keep.shape, p)
-
-
-def _drop(x, keep, p, rng):
-    """x * keep / (1 - p) in a new buffer, after filling `keep` (x's shape)
-    from fresh draws: attention's dropout, one batch row at a time. Drawing
-    one row at a time takes the generator's stream in the same order as
-    drawing the whole array at once."""
-    draws = rng.random(x.shape)
-    np.greater_equal(draws, p, out=keep)
-    return _apply_mask(x, keep, p, out=draws)
 
 
 def _keep_mask(cache):
@@ -444,22 +432,23 @@ def _row_mask(mask, i):
 def _attend_fwd(qh, kh, vh, params, prefix, mask, p_drop, rng, pack):
     """Scaled dot-product attention over split heads, merged through wo for
     the query rows `pack` keeps. Runs one batch row at a time, so one row's
-    probabilities and dropout draws are alive at once. Also returns the
-    dropout cache, every row's keep mask packed 8 to a byte, from which
-    backward rebuilds each row's dropped probabilities."""
+    probabilities and dropout draws are alive at once. With dropout on, also
+    returns each row's `_dropout_fwd` cache, its keep mask packed 8 to a
+    byte, from which backward rebuilds the row's dropped probabilities;
+    drawing row by row takes the generator's stream in the order one draw of
+    the whole (B, heads, Tq, Tk) array would."""
     b, heads, tq, _ = qh.shape
     ctx = np.empty(qh.shape)
-    keep = None
+    dcache = row = None
     if p_drop > 0.0 and rng is not None:
-        keep = np.empty((b, heads, tq, kh.shape[2]), dtype=bool)
+        dcache, row = [], _Pack((heads, tq))
     for i in range(b):
         attn = _attn_probs(qh[i], kh[i], _row_mask(mask, i))
-        if keep is not None:
-            attn = _drop(attn, keep[i], p_drop, rng)
+        if row is not None:
+            attn, cache = _dropout_fwd(attn, p_drop, rng, row)
+            dcache.append(cache)
         np.matmul(attn, vh[i], out=ctx[i])
         del attn
-    dcache = None if keep is None else (np.packbits(keep), keep.shape, p_drop)
-    del keep
     merged = _merge_heads(ctx, pack)
     del ctx
     return _linear_fwd(merged, params[f"{prefix}.wo"], params[f"{prefix}.bo"], pack), dcache
@@ -475,8 +464,9 @@ def _kv_fwd(x, params, prefix, heads, pack):
 def _mha_fwd(q_in, kv, params, prefix, kind, mask, heads, p_drop, rng, tape, pack):
     """Attention of q_in, the real rows `pack` keeps, over kv = (kh, vh), as
     `_kv_fwd` returns. Appends a `kind` ("self" or "cross") entry of the
-    query heads, kv, the mask and the dropout cache to `tape` unless None: no
-    probabilities, which backward rebuilds, and neither input."""
+    query heads, kv, the mask and the per-row dropout caches to `tape`
+    unless None: no probabilities, which backward rebuilds, and neither
+    input."""
     qh = _heads_fwd(q_in, params, prefix, "q", heads, pack)
     out, dcache = _attend_fwd(qh, *kv, params, prefix, mask, p_drop, rng, pack)
     if tape is not None:
@@ -489,8 +479,9 @@ def _mha_bwd(dout, cache, params, grads, prefix, q_src, kv_src, q_pack, kv_pack)
     values, as the real rows `q_pack` and `kv_pack` keep, given `dout` at
     q_in's real rows; it rebuilds both inputs from the tape entries that
     output them (`_output`), once if one entry serves both. One batch row at
-    a time, it rebuilds the row's probabilities and dropped probabilities
-    with the forward's ops, then takes the row's context and its value, query
+    a time, it rebuilds the row's probabilities with the forward's ops, and
+    its dropped probabilities from the row's dropout cache, unpacking only
+    that row's keep mask, then takes the row's context and its value, query
     and key head gradients; wo's gradient comes from the merged context after
     the loop. The attention core runs on the padded layout, and each
     projection's backward as `_linear_bwd` runs it: the input gradient on
@@ -501,18 +492,18 @@ def _mha_bwd(dout, cache, params, grads, prefix, q_src, kv_src, q_pack, kv_pack)
     b, heads, tq, dh = qh.shape
     dctx = q_pack.pad(q_pack.matmul(dout, params[f"{prefix}.wo"].T))
     dctx = dctx.reshape(b, tq, heads, dh).transpose(0, 2, 1, 3)
-    keep, p = (None, 0.0) if dcache is None else _keep_mask(dcache)
     ctx, dqh = np.empty(qh.shape), np.empty(qh.shape)
     dkh, dvh = np.empty(kh.shape), np.empty(kh.shape)
     for i in range(b):
         attn = _attn_probs(qh[i], kh[i], _row_mask(mask, i))
-        attn_d = attn if keep is None else _apply_mask(attn, keep[i], p)
+        keep, p = (None, 0.0) if dcache is None else _keep_mask(dcache[i])
+        attn_d = attn if keep is None else _apply_mask(attn, keep, p)
         np.matmul(attn_d, vh[i], out=ctx[i])
         np.matmul(attn_d.transpose(0, 2, 1), dctx[i], out=dvh[i])
         del attn_d
         dattn = dctx[i] @ vh[i].transpose(0, 2, 1)
         if keep is not None:
-            _apply_mask(dattn, keep[i], p, out=dattn)
+            _apply_mask(dattn, keep, p, out=dattn)
         prod = dattn * attn
         dattn -= prod.sum(-1, keepdims=True)
         del prod
@@ -522,7 +513,7 @@ def _mha_bwd(dout, cache, params, grads, prefix, q_src, kv_src, q_pack, kv_pack)
         np.matmul(dattn, kh[i], out=dqh[i])
         np.matmul(dattn.transpose(0, 2, 1), qh[i], out=dkh[i])
         del dattn
-    del dctx, keep, qh, kh, vh
+    del dctx, dcache, qh, kh, vh
     merged = _merge_heads(ctx)
     del ctx
     _linear_grads(q_pack.pad(dout), merged, grads, f"{prefix}.wo", f"{prefix}.bo")
@@ -718,13 +709,7 @@ def _decoder_forward(params, config, layers, src_add, tgt_in, t, pack, p, rng, c
     for i, (self_kv, cross_kv) in enumerate(layers):
         y = _decoder_layer(params, config, i, y, t, self_kv, cross_kv, src_add, mask, p, rng,
                            cache, pack)
-    # The output projection runs on the padded layout: its width, the
-    # vocabulary size, need not be one at which `_Pack.matmul` keeps bits.
-    logits = pack.pad(y) @ params["out_w"]
-    logits += params["out_b"]
-    if pack.mask is not None:
-        logits[~pack.mask] = 0.0
-    return logits
+    return pack.pad(_linear_fwd(y, params["out_w"], params["out_b"], pack))
 
 
 def forward_batch(params, config: ModelConfig, batch: Batch, dropout_rng=None,

@@ -110,7 +110,7 @@ def load_features(path, feature_dim: int | None = None, width_from=None) -> np.n
         arr = np.lib.format.read_array(f, allow_pickle=False)
         if arr.dtype.kind not in "iuf":
             raise ValueError(f"expected real numeric feature frames, got dtype {arr.dtype}")
-        if arr.ndim != 2 or arr.shape[0] == 0:
+        if arr.ndim != 2 or 0 in arr.shape:
             raise ValueError(f"expected a non-empty 2-D (frames, dim) array, got {arr.shape}")
         if feature_dim is not None and arr.shape[1] != feature_dim:
             origin = f" from {width_from}" if width_from else ""

@@ -196,6 +196,9 @@ TABLE = [
      "Object arrays cannot be loaded when allow_pickle=False"),
     ("npy-rank", "npy", FEATURE_COMMANDS, lambda data: _npy(np.ones(5)), 2,
      "expected a non-empty 2-D (frames, dim) array, got (5,)"),
+    ("npy-zero-width", "npy", ("train", "evaluate", "errors"),
+     lambda data: _npy(np.ones((5, 0))), 2,
+     "expected a non-empty 2-D (frames, dim) array, got (5, 0)"),
     ("npy-nan", "npy", FEATURE_COMMANDS, lambda data: _npy(np.full((4, 3), np.inf)), 2,
      "feature frames hold NaN or infinite values"),
     ("npy-width", "npy", FEATURE_COMMANDS, lambda data: _npy(np.ones((6, 4))), 2,
@@ -248,7 +251,7 @@ def _command(kind, command, bad, valid, tmp_path):
     files = {k: str(v) for k, v in valid.items()}
     if kind == "npy":  # a feature file, in a copy of the manifest
         text = valid["manifest"].read_text(encoding="utf-8")
-        row = files["npy-test" if command == "evaluate" else "npy"]
+        row = files["npy" if command == "train" else "npy-test"]
         features = tmp_path / "features.tsv"
         features.write_text(text.replace(row, str(bad)), encoding="utf-8")
         files.update(manifest=str(features), ckpt=files["features-ckpt"])
@@ -301,6 +304,24 @@ def test_feature_width_error_names_the_file_that_set_it(valid, tmp_path, capsys)
                  "--outdir", str(tmp_path / "out")] + MODEL) == 2
     assert capsys.readouterr().err == (f"bigphon: error: {second}: feature array (4, 3) does not "
                                        f"match feature_dim=4 from {wide}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_width_frames_exit_naming_the_file(valid, tmp_path, capsys):
+    """Frames of width 0 in every row are an input error, not a model of
+    width-0 inputs that `init_params` cannot size."""
+    empty = tmp_path / "empty.npy"
+    np.save(empty, np.ones((5, 0)))
+    manifest = tmp_path / "features.tsv"
+    text = valid["manifest"].read_text(encoding="utf-8")
+    for utt in ingest(valid["manifest"]).utterances:
+        text = text.replace(utt.feature_path, str(empty))
+    manifest.write_text(text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["train", "--manifest", str(manifest), "--vocab", str(valid["vocab"]),
+                 "--outdir", str(tmp_path / "out")] + MODEL) == 2
+    assert capsys.readouterr().err == (f"bigphon: error: {empty}: expected a non-empty 2-D "
+                                       f"(frames, dim) array, got (5, 0)\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -344,7 +344,8 @@ class TestBitwiseOracle:
     @pytest.mark.parametrize("dropout", [0.0, 0.3])
     @pytest.mark.parametrize("d_model, d_ff, source, src_lens", [
         (128, 256, "tokens", (130, 60, 95, 71)), (128, 256, "tokens", (95, 95, 95, 95)),
-        (200, 400, "tokens", (10, 5, 8, 12)), (200, 400, "features", (10, 5, 8, 12))])
+        (200, 400, "tokens", (10, 5, 8, 12)), (200, 400, "features", (10, 5, 8, 12)),
+        (50, 100, "tokens", (130, 60, 95, 71)), (58, 100, "tokens", (130, 60, 95, 71))])
     def test_step_matches_reference_at_paper_kernel_sizes(self, d_model, d_ff, source, src_lens,
                                                           dropout):
         """At d_model 128 and d_ff 256, with rows this long, every matmul runs
@@ -356,7 +357,9 @@ class TestBitwiseOracle:
         from the large one's on the feed-forward's (S, 400) @ (400, 200)
         product. The padded computation calls it per batch row on S = 12
         rows; the packed encoder must call it on S rows too, not on its
-        N = 35 real rows at once."""
+        N = 35 real rows at once. The last two have widths, d_model 50 and
+        58, that are not multiples of 8, where a row's bits also depend on
+        its place in a call."""
         config = replace(SMALL, d_model=d_model, heads=2, d_ff=d_ff, dropout=dropout)
         rng = np.random.default_rng(7)
         if source == "tokens":
@@ -375,12 +378,13 @@ class TestBitwiseOracle:
         for name in ref_grads:
             assert np.array_equal(grads[name], ref_grads[name]), name
 
-    @pytest.mark.parametrize("target_vocab", [41, 42, 43, 48])
+    @pytest.mark.parametrize("target_vocab", [41, 42, 43, 48, 56, 72])
     def test_step_matches_reference_at_any_vocabulary_size(self, target_vocab):
         """The output projection's width is the vocabulary size. At 41 to 43,
         OpenBLAS gives a row's last columns other bits at another place in a
-        call of 19 rows, so the projection must run on the padded layout,
-        where each row keeps its place."""
+        call of 19 rows, so the projection runs the padded product; at 48, 56
+        and 72 (`total30`'s width on perfbench's train workload), multiples
+        of 8, it runs the real rows packed."""
         config = replace(SMALL, d_model=16, d_ff=32, dropout=0.1)
         dims = ModelDims(target_vocab=target_vocab, source_vocab=30)
         rng = np.random.default_rng(6)
@@ -510,6 +514,28 @@ class TestLayerNorm:
         y, (xhat, inv, _, _) = model._ln_fwd(x.copy(), g, b)
         for got, want in ((y, want_y), (xhat, want_xhat), (inv, want_inv)):
             assert got.shape == want.shape and np.array_equal(got, want)
+
+
+class TestPackMatmul:
+    """`_Pack.matmul` gives N real rows the bits of the padded (B, S, k) @ w,
+    byte for byte, at every output width: widths on both sides of every
+    residue mod 8, the vocabulary sizes' among them, and the paper's d_model
+    200 and d_ff 400. The layouts' calls of S rows fall on both sides of
+    OpenBLAS's small-matrix bound of about 10**6 products. Both forms the
+    model multiplies by run: `x @ w` forward and `x @ w.T`, a weight's
+    transposed view, backward."""
+
+    @pytest.mark.parametrize("width", [*range(1, 18), *range(39, 50), 200, 400])
+    def test_real_rows_match_the_padded_product(self, width):
+        rng = np.random.default_rng(width)
+        for lengths in ((14, 8, 19, 11), (197, 130, 60, 95)):
+            mask = np.arange(max(lengths)) < np.array(lengths)[:, None]
+            pack = model._Pack.of(mask)
+            for k in (16, 42, 200):
+                x = rng.normal(size=(sum(lengths), k))
+                for w in (rng.normal(size=(k, width)), rng.normal(size=(width, k)).T):
+                    want = (pack.pad(x) @ w)[mask]
+                    assert pack.matmul(x, w).tobytes() == want.tobytes(), (lengths, k, w.strides)
 
 
 class TestTape:
