@@ -33,22 +33,23 @@ bit for bit, so no (B, heads, Tq, Tk) float array is ever whole. The
 sublayer kernels compute in place on arrays they own, and each backward
 kernel frees its temporaries after their last use.
 
-Both stacks run on their real positions alone, packed out of the padded
-layout by a `_Pack`: the encoder's of the batch's source mask, the
-decoder's of its target lengths (`tgt_out` not PAD; never of token values,
-since a greedy decode may emit PAD_ID and feed it back). Each stack's
-embedding, projections, feed-forward, layer norms, dropout and residuals,
-and so its "ln" and "ff" tape entries, hold its N real rows, not B * S; its
-"embed" entry holds the batch's own ids or frames. Padding comes back, as
-zeros, only where the bits depend on it: each attention core runs per batch
+Both stacks run on their real positions alone, packed out of the padded layout
+by a `_Pack`: the encoder's of the batch's source mask, the decoder's of its
+target lengths (`tgt_out` not PAD; never of token values, since a greedy
+decode may emit PAD_ID and feed it back). Each stack's embedding, projections,
+feed-forward, layer norms, dropout and residuals, and so its "ln" and "ff"
+tape entries, hold its N real rows, not B * S; its "embed" entry holds the
+batch's own ids or frames. The logits, (N, V) in row-major order, the loss's
+softmax and its gradient hold the decoder's N rows alone. Padding comes back,
+as zeros, only where the bits depend on it: each attention core runs per batch
 row at the padded shapes, on zero-padded queries, keys and values, and each
-weight gradient, x.T @ dy, reduces over the zero-padded layout. Every other
-matmul, forward and backward (dy @ w.T, `_linear_bwd`), the output
-projection's included, goes through `_Pack.matmul`, the one place that
-decides how a product of real rows runs so that it keeps the unpacked
-computation's bits at any width. Dropout draws the whole padded stream, an
-attention's one batch row at a time. A greedy decode's lone source and each
-of its steps have no padding, and their packs copy nothing.
+weight gradient, x.T @ dy, reduces over the padded layout. Every other matmul,
+forward and backward (dy @ w.T, `_linear_bwd`), the output projection's
+included, goes through `_Pack.matmul`, the one place that decides how a
+product of real rows runs so that it keeps the unpacked computation's bits at
+any width. Dropout draws the whole padded stream, an attention's one batch row
+at a time. A greedy decode's lone source and each of its steps have no
+padding, and their packs copy nothing.
 
 One decoder entry, ``_decoder_forward``, serves teacher forcing and the
 valid pass (the whole target at once, causal mask) and each greedy step (the
@@ -60,7 +61,6 @@ sublayer's activations past that sublayer.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,6 +254,8 @@ class _Pack:
 
     @classmethod
     def of(cls, mask):
+        """Drops an all-real `mask`, so a greedy decode's lone source copies
+        nothing; `forward_batch` keeps the decoder's, for (N, V) logits."""
         return cls(mask.shape, None if mask.all() else mask)
 
     def take(self, x):
@@ -598,6 +600,8 @@ def _causal_mask(t: int) -> np.ndarray:
 # "ln" and "ff" entries and its embedding's dropout mask hold its N real
 # rows, its pack's `take` of the padded layout; its attention entries hold
 # query, key and value heads in the padded layout, zero at padded positions.
+# The output projection has no entry: backward takes its gradient into the
+# (N, V) logits as they are, and its input from the decoder's top entry.
 
 
 def _embed(params, name, src, pack, t=0):
@@ -696,11 +700,11 @@ def _decoder_layers(params, config, enc_out, enc_pack, length):
 
 
 def _decoder_forward(params, config, layers, src_add, tgt_in, t, pack, p, rng, cache=None):
-    """Logits (B, n, V) at target positions t..t+n of `tgt_in` (B, n), zero
-    at the positions `pack` does not keep, through the `_decoder_layers`
-    pairs `layers`, whose buffers hold the keys and values of positions
-    before t. The causal mask applies when n > 1, which is only at t = 0.
-    Appends to the tape `cache` as `_encoder_forward` does."""
+    """Logits (N, V) at the N target positions `pack` keeps of t..t+n of
+    `tgt_in` (B, n), or (B, n, V) if its mask is None, through the
+    `_decoder_layers` pairs `layers`, whose buffers hold the keys and values
+    of positions before t. The causal mask applies when n > 1, which is only
+    at t = 0. Appends to the tape `cache` as `_encoder_forward` does."""
     n = tgt_in.shape[1]
     y, dcache = _dropout_fwd(_embed(params, "tgt_embed", tgt_in, pack, t), p, rng, pack)
     if cache is not None:
@@ -709,28 +713,29 @@ def _decoder_forward(params, config, layers, src_add, tgt_in, t, pack, p, rng, c
     for i, (self_kv, cross_kv) in enumerate(layers):
         y = _decoder_layer(params, config, i, y, t, self_kv, cross_kv, src_add, mask, p, rng,
                            cache, pack)
-    return pack.pad(_linear_fwd(y, params["out_w"], params["out_b"], pack))
+    return _linear_fwd(y, params["out_w"], params["out_b"], pack)
 
 
 def forward_batch(params, config: ModelConfig, batch: Batch, dropout_rng=None,
                   cache: dict | None = None) -> np.ndarray:
-    """Logits (B,T,V), zero at the padded target positions, where `tgt_out`
-    is PAD: the decoder runs on the real ones alone, packed by the target
-    lengths, never by token values, since a decoded PAD_ID may be fed back.
-    Pass a `cache` dict only when `backward_batch` follows: the forward then
-    records the tapes `cache["enc"]` and `cache["dec"]`; otherwise it keeps
-    no activation past its layer."""
+    """Logits (N, V) at the N target positions where `tgt_out` is not PAD, in
+    row-major order, even if none is PAD: the decoder runs on those alone,
+    packed by the target lengths, never by token values, since a decoded
+    PAD_ID may be fed back. Pass a `cache` dict only when `backward_batch`
+    follows: the forward then records the tapes `cache["enc"]` and
+    `cache["dec"]`; otherwise it keeps no activation past its layer."""
     if batch.tgt_in.shape != batch.tgt_out.shape:
         raise LengthMismatch(f"tgt_in {batch.tgt_in.shape} vs tgt_out {batch.tgt_out.shape}")
     p = config.dropout if dropout_rng is not None else 0.0
     enc = dec = None
     if cache is not None:
         enc, dec = cache["enc"], cache["dec"] = [], []
-    enc_out, src_add, pack = _encoder_forward(params, config, batch, p, dropout_rng, enc)
-    layers = _decoder_layers(params, config, enc_out, pack, batch.tgt_in.shape[1])
+    enc_out, src_add, enc_pack = _encoder_forward(params, config, batch, p, dropout_rng, enc)
+    layers = _decoder_layers(params, config, enc_out, enc_pack, batch.tgt_in.shape[1])
     del enc_out
-    return _decoder_forward(params, config, layers, src_add, batch.tgt_in, 0,
-                            _Pack.of(batch.tgt_out != PAD_ID), p, dropout_rng, dec)
+    pack = _Pack(batch.tgt_out.shape, batch.tgt_out != PAD_ID)
+    return _decoder_forward(params, config, layers, src_add, batch.tgt_in, 0, pack, p,
+                            dropout_rng, dec)
 
 
 def _embed_bwd(dy, cache, grads, wname):
@@ -795,41 +800,35 @@ class _Gradients(dict):
 
 
 def backward_batch(dlogits, cache, params) -> dict[str, np.ndarray]:
-    """Gradients of every parameter, in the order of `params`. Consumes
-    `cache`: the decoder's tape and then the encoder's are popped to empty,
-    so each entry is freed as soon as it is used, and each gradient's buffer
-    is made when a kernel first adds to it. The decoder's walk returns the
+    """Gradients of every parameter, in `params` order, from `dlogits` into
+    the (N, V) logits. Consumes `cache`: pops the decoder's tape and then the
+    encoder's to empty, freeing each entry once used, and makes each
+    gradient's buffer at its first write. The decoder's walk returns the
     gradient into the encoder's output, where the encoder's walk starts."""
     grads = _Gradients(params)
     enc, dec = cache["enc"], cache["dec"]
     pack = dec[0][2][-1]
-    dy = _linear_bwd(pack.take(dlogits), pack.pad(_output(dec[-1], params)), params, grads,
-                     "out_w", "out_b", pack)
+    dy = _linear_bwd(dlogits, pack.pad(_output(dec[-1], params)), params, grads, "out_w",
+                     "out_b", pack)
     _backprop_tape(enc, _backprop_tape(dec, dy, params, grads, enc), params, grads)
     return {name: grads[name] for name in params}
 
 
 def batch_loss_and_dlogits(logits: np.ndarray, tgt_out: np.ndarray):
-    """Mean token cross-entropy over non-PAD positions, plus its gradient."""
-    if logits.shape[:2] != tgt_out.shape:
-        raise LengthMismatch(
-            f"logits {logits.shape} do not align with targets {tgt_out.shape}"
-        )
-    mask = tgt_out != PAD_ID
-    n_tokens = int(mask.sum())
-    if n_tokens == 0:
-        warnings.warn("loss over all-PAD targets defined as 0", stacklevel=2)
-        return 0.0, np.zeros_like(logits), 0
+    """Mean cross-entropy of `logits` (N, V), one row per non-PAD `tgt_out`
+    in row-major order, plus its gradient and N."""
+    target = tgt_out[tgt_out != PAD_ID]
+    n_tokens = len(target)
+    if len(logits) != n_tokens:
+        raise LengthMismatch(f"{len(logits)} logit rows vs {n_tokens} non-PAD targets")
     z = logits - logits.max(-1, keepdims=True)
     logsumexp = np.log(np.exp(z).sum(-1, keepdims=True))
     logp = z - logsumexp
-    picked = np.take_along_axis(logp, tgt_out[..., None], axis=-1)[..., 0]
-    loss = -picked[mask].sum() / n_tokens
+    rows = np.arange(n_tokens)
+    loss = -logp[rows, target].sum() / n_tokens
     dlogits = np.exp(logp)
-    b_idx = np.arange(tgt_out.shape[0])[:, None]
-    t_idx = np.arange(tgt_out.shape[1])[None, :]
-    dlogits[b_idx, t_idx, tgt_out] -= 1.0
-    dlogits *= mask[..., None] / n_tokens
+    dlogits[rows, target] -= 1.0
+    dlogits *= 1.0 / n_tokens
     return float(loss), dlogits, n_tokens
 
 

@@ -160,9 +160,6 @@ class Vocabulary:
         except KeyError:
             raise UnknownPhoneme(unit) from None
 
-    def __contains__(self, unit: str) -> bool:
-        return unit in self._unit_to_id
-
 
 def build_all_variants(
     train_corpus: Sequence[PhonemeSequence],

@@ -38,7 +38,7 @@ from bigphon.model import (
     param_index,
 )
 from bigphon.training import Checkpoint, load_checkpoint
-from bigphon.vocab import BOS_ID, EOS_ID, Vocabulary, detokenize
+from bigphon.vocab import BOS_ID, EOS_ID, PAD_ID, Vocabulary, detokenize
 
 TOY_WORDS = [
     "als", "sie", "von", "dem", "schönen", "geist", "und", "wurden", "das",
@@ -156,14 +156,13 @@ def forward(params, config: ModelConfig, source, target_prefix) -> np.ndarray:
     batch = make_batch([source], [[]])
     batch.tgt_in = np.asarray([target_prefix], dtype=np.int64)
     batch.tgt_out = np.full_like(batch.tgt_in, EOS_ID)
-    logits = model.forward_batch(params, config, batch)
-    return logits[0]
+    return model.forward_batch(params, config, batch)
 
 
 def loss(logits: np.ndarray, target) -> float:
-    """Mean cross-entropy of a single (T, V) logit block vs T target ids."""
-    target = np.asarray(target, dtype=np.int64)
-    value, _, _ = batch_loss_and_dlogits(logits[None], target[None])
+    """Mean cross-entropy of (N, V) logits, one row per non-PAD id of
+    `target`, against those ids."""
+    value, _, _ = batch_loss_and_dlogits(logits, np.asarray(target, dtype=np.int64))
     return value
 
 
@@ -434,7 +433,10 @@ def backward_batch(dlogits, cache, params) -> dict[str, np.ndarray]:
 def loss_and_gradient(params, config, dims, batch, dropout_rng=None):
     """(loss, grads dict) for one batch; raises on non-finite values."""
     logits, cache = forward_batch(params, config, dims, batch, dropout_rng)
-    loss, dlogits, n_tokens = batch_loss_and_dlogits(logits, batch.tgt_out)
+    real = batch.tgt_out != PAD_ID  # the loss reads the real rows; backward runs padded
+    loss, real_dlogits, n_tokens = batch_loss_and_dlogits(logits[real], batch.tgt_out)
+    dlogits = np.zeros_like(logits)
+    dlogits[real] = real_dlogits
     if not math.isfinite(loss):
         raise NonFiniteLoss(f"loss = {loss}")
     grads = backward_batch(dlogits, cache, params)

@@ -92,6 +92,26 @@ class TestForward:
         assert logits.shape == (3, 9)
         assert np.all(np.isfinite(logits))
 
+    @pytest.mark.parametrize("tgt_lens", [(3, 6, 1, 4), (4, 4, 4, 4)], ids=["padded", "equal"])
+    def test_logits_hold_one_row_per_real_target(self, tgt_lens):
+        """Teacher forcing returns (N, V) logits, the reference's at the N
+        positions whose `tgt_out` is not PAD, in row-major order: B * T rows
+        when no target is padded. The decoder's pack keeps those positions
+        in both cases."""
+        dims = ModelDims(target_vocab=11, source_vocab=9)
+        params = small_params(dims)
+        rng = np.random.default_rng(0)
+        batch = make_batch([rng.integers(0, 9, size=n) for n in (7, 2, 5, 1)],
+                           [rng.integers(4, 11, size=n) for n in tgt_lens])
+        real = batch.tgt_out != PAD_ID
+        assert real.all() == (len(set(tgt_lens)) == 1)
+        cache = {}
+        logits = forward_batch(params, SMALL, batch, cache=cache)
+        assert logits.shape == (real.sum(), dims.target_vocab)
+        ref_logits, _ = conftest.forward_batch(params, SMALL, dims, batch)
+        assert np.array_equal(logits, ref_logits[real])
+        assert np.array_equal(cache["dec"][0][2][-1].mask, real)
+
     def test_target_shapes_must_match(self):
         dims = ModelDims(target_vocab=9, source_vocab=7)
         batch = make_batch([[1, 2, 3]], [(4, 5)])
@@ -159,18 +179,23 @@ class TestLoss:
             logits[i, t] = 50.0
         assert loss(logits, target) < 1e-3
 
-    def test_all_pad_is_zero_with_warning(self):
-        with pytest.warns(UserWarning):
-            value = loss(np.zeros((2, 5)), [PAD_ID, PAD_ID])
-        assert value == 0.0
-
     def test_pad_positions_masked(self):
-        logits = np.zeros((3, 7))
+        logits = np.zeros((1, 7))  # one row, for the one non-PAD target
         assert loss(logits, [2, PAD_ID, PAD_ID]) == pytest.approx(math.log(7))
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             loss(np.zeros((3, 5)), [1, 2])
+
+    @pytest.mark.parametrize("shape, rows", [((4, 5), 4), ((2, 3, 5), 2)],
+                             ids=["too-many-rows", "padded-layout"])
+    def test_rows_must_match_the_real_targets(self, shape, rows):
+        """Logits hold one row per non-PAD target; other rows, the padded
+        (B, T, V) layout's among them, are a LengthMismatch naming both
+        counts."""
+        tgt_out = np.array([[4, 5, PAD_ID], [6, PAD_ID, PAD_ID]])
+        with pytest.raises(LengthMismatch, match=rf"^{rows} logit rows vs 3 non-PAD targets$"):
+            batch_loss_and_dlogits(np.zeros(shape), tgt_out)
 
     def test_appending_pad_leaves_loss_unchanged(self):
         dims = ModelDims(target_vocab=9, source_vocab=7)
@@ -403,13 +428,11 @@ class TestBitwiseOracle:
 
     @staticmethod
     def assert_logits_match_reference(logits, ref_logits, batch):
-        """The decoder runs on the real target positions alone: there the
-        logits equal the reference's bit for bit, and at the padded ones,
-        which no loss reads, they are exactly zero."""
+        """The decoder runs on the real target positions alone, and its
+        logits are the reference's at those positions bit for bit."""
         real = batch.tgt_out != PAD_ID
-        assert not real.all() and logits.shape == ref_logits.shape
-        assert np.array_equal(logits[real], ref_logits[real])
-        assert not np.any(logits[~real])
+        assert not real.all()
+        assert np.array_equal(logits, ref_logits[real])
 
     @pytest.mark.parametrize("source", ["tokens", "features"])
     def test_eval_logits_match_reference(self, source):
@@ -982,8 +1005,8 @@ class TestIncrementalDecode:
             batch = make_batch([src], [[]])
             batch.tgt_in = np.asarray([[BOS_ID, *result.ids]], dtype=np.int64)
             batch.tgt_out = np.full_like(batch.tgt_in, EOS_ID)  # every position real
-            assert np.array_equal(forward_batch(params, config, batch),
-                                  conftest.forward_batch(params, config, dims, batch)[0])
+            ref_logits, _ = conftest.forward_batch(params, config, dims, batch)
+            assert np.array_equal(forward_batch(params, config, batch), ref_logits[0])
 
     def test_never_reruns_decoder_over_prefix(self, vocab, monkeypatch):
         params, config, sources = self.random_model(vocab, "tokens", 2, 2, 50, seed=1)

@@ -37,7 +37,7 @@ from bigphon.training import (
     save_checkpoint,
     train,
 )
-from bigphon.vocab import build_variant, tokenize
+from bigphon.vocab import PAD_ID, build_variant, tokenize
 
 import conftest
 from conftest import last_checkpoint, make_toy_manifest
@@ -418,7 +418,7 @@ def reference_valid_loss(params, config, sources, targets) -> float:
         chunk = slice(start, start + config.batch_size)
         batch = make_batch(sources[chunk], targets[chunk])
         logits, _ = conftest.forward_batch(params, config, dims, batch)
-        loss, _, n = batch_loss_and_dlogits(logits, batch.tgt_out)
+        loss, _, n = batch_loss_and_dlogits(logits[batch.tgt_out != PAD_ID], batch.tgt_out)
         total += loss * n
         tokens += n
     return total / tokens
