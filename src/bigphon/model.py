@@ -24,32 +24,35 @@ feature projection's rebuild costs a matmul, as narrow as a frame.
 ``backward_batch`` pops the decoder's tape and then the encoder's, so each
 entry is freed once used, and makes each gradient's zero buffer at its
 first write. The state keeps only what backward cannot rebuild cheaply: the
-attention's split heads and its additive mask (shared with the forward, not
-copied), the feed-forward's hidden layer, each layer norm's xhat, inverse
-standard deviation and parameters, the embedding's ids or frames, and each
-dropout mask, packed 8 to a byte. Attention runs its core one batch row at
-a time in both directions, and backward rebuilds each row's probabilities
-bit for bit, so no (B, heads, Tq, Tk) float array is ever whole. The
-sublayer kernels compute in place on arrays they own, and each backward
-kernel frees its temporaries after their last use.
+attention's queries, keys and values, as their projections' real rows, and
+its additive mask (shared with the forward, not copied), the feed-forward's
+hidden layer, each layer norm's xhat, inverse standard deviation and
+parameters, the embedding's ids or frames, and each dropout mask, packed 8
+to a byte. Attention runs its core one batch row at a time in both
+directions, and backward rebuilds each row's probabilities bit for bit, so
+no (B, heads, Tq, Tk) float array is ever whole. The sublayer kernels
+compute in place on arrays they own, and each backward kernel frees its
+temporaries after their last use.
 
 Both stacks run on their real positions alone, packed out of the padded layout
 by a `_Pack`: the encoder's of the batch's source mask, the decoder's of its
 target lengths (`tgt_out` not PAD; never of token values, since a greedy
 decode may emit PAD_ID and feed it back). Each stack's embedding, projections,
-feed-forward, layer norms, dropout and residuals, and so its "ln" and "ff"
-tape entries, hold its N real rows, not B * S; its "embed" entry holds the
-batch's own ids or frames. The logits, (N, V) in row-major order, the loss's
-softmax and its gradient hold the decoder's N rows alone. Padding comes back,
-as zeros, only where the bits depend on it: each attention core runs per batch
-row at the padded shapes, on zero-padded queries, keys and values, and each
-weight gradient, x.T @ dy, reduces over the padded layout. Every other matmul,
-forward and backward (dy @ w.T, `_linear_bwd`), the output projection's
-included, goes through `_Pack.matmul`, the one place that decides how a
-product of real rows runs so that it keeps the unpacked computation's bits at
-any width. Dropout draws the whole padded stream, an attention's one batch row
-at a time. A greedy decode's lone source and each of its steps have no
-padding, and their packs copy nothing.
+feed-forward, layer norms, dropout and residuals, and so its "ln", "ff",
+"self" and "cross" tape entries, hold its N real rows, not B * S; its "embed"
+entry holds the batch's own ids or frames. The logits, (N, V) in row-major
+order, the loss's softmax and its gradient hold the decoder's N rows alone.
+Padding comes back, as zeros, only where the bits depend on it: each attention
+core runs per batch row at the padded shapes, on that row's queries, keys and
+values zero-padded into a scratch buffer by `_Pack.heads`, whose split has the
+padded split's strides, and each weight gradient, x.T @ dy, reduces over the
+padded layout. Every other matmul, forward and backward (dy @ w.T,
+`_linear_bwd`), the output projection's included, goes through
+`_Pack.matmul`, the one place that decides how a product of real rows runs so
+that it keeps the unpacked computation's bits at any width. Dropout draws the
+whole padded stream, an attention's one batch row at a time. A greedy
+decode's lone source and each of its steps have no padding, and their packs
+copy nothing.
 
 One decoder entry, ``_decoder_forward``, serves teacher forcing and the
 valid pass (the whole target at once, causal mask) and each greedy step (the
@@ -62,6 +65,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -274,6 +278,47 @@ class _Pack:
         out[self.mask] = x
         return out
 
+    @cached_property
+    def _starts(self):
+        """Where each batch row's real rows start in `take`'s N, and N last."""
+        return np.concatenate(([0], np.cumsum(self.mask.sum(1))))
+
+    def heads(self, x, heads):
+        """A function of i that gives batch row i of x, the rows this pack
+        keeps, split to heads (heads, S, dh) in the padded layout, zero past
+        the real positions. With padding, each call refills one (S, d)
+        scratch buffer and returns a view of it, whose split has the strides
+        of the padded split's row [i]: an attention core's products see the
+        shapes, strides and values they would on the padded layout. With
+        none, x is (B, S, d), or a (B, S, heads, dh) view of a greedy
+        decode's key/value buffer, each row is a view of it, and the pack's
+        shape is not read."""
+        if self.mask is None:
+            if x.ndim == 3:
+                x = x.reshape(*x.shape[:2], heads, -1)
+            return x.transpose(0, 2, 1, 3).__getitem__
+        buf = np.empty((self.shape[1], x.shape[-1]))
+        split = buf.reshape(self.shape[1], heads, -1).transpose(1, 0, 2)
+        mask, starts = self.mask, self._starts
+
+        def row(i):
+            buf[mask[i]] = x[starts[i]:starts[i + 1]]
+            buf[~mask[i]] = 0.0
+            return split
+
+        return row
+
+    def put(self, out, i, xh):
+        """Writes batch row i of xh, (heads, S, dh) in the padded layout, at
+        its real positions into that row's rows of `out`, laid out as `take`
+        lays out N rows (or (B, S, d) with no padding)."""
+        rows = xh.transpose(1, 0, 2)
+        if self.mask is None:
+            out[i].reshape(rows.shape)[...] = rows
+        else:
+            out[self._starts[i]:self._starts[i + 1]].reshape(-1, *rows.shape[1:])[...] = \
+                rows[self.mask[i]]
+
     def matmul(self, x, w):
         """x @ w of the N real rows x, with the bits the padded (B, S, k) @ w
         gives them, which numpy runs as one BLAS call per batch row. OpenBLAS
@@ -393,14 +438,6 @@ def _apply_mask(x, mask, p, out=None):
     return out
 
 
-def _heads_fwd(x, params, prefix, nm, heads, pack):
-    """Project x, the real rows `pack` keeps, through `{prefix}.w{nm}`/`b{nm}`,
-    zero-fill the padded positions and split to (B,heads,T,dh)."""
-    y = pack.pad(_linear_fwd(x, params[f"{prefix}.w{nm}"], params[f"{prefix}.b{nm}"], pack))
-    b, t, d = y.shape
-    return y.reshape(b, t, heads, d // heads).transpose(0, 2, 1, 3)
-
-
 def _merge_heads(xh, pack=None):
     """(B,heads,T,dh) -> (B,T,heads*dh), or its real rows (N,heads*dh) that
     `pack` keeps, with no padded copy made."""
@@ -431,48 +468,52 @@ def _row_mask(mask, i):
     return None if mask is None else mask[i % len(mask)]
 
 
-def _attend_fwd(qh, kh, vh, params, prefix, mask, p_drop, rng, pack):
-    """Scaled dot-product attention over split heads, merged through wo for
-    the query rows `pack` keeps. Runs one batch row at a time, so one row's
-    probabilities and dropout draws are alive at once. With dropout on, also
-    returns each row's `_dropout_fwd` cache, its keep mask packed 8 to a
-    byte, from which backward rebuilds the row's dropped probabilities;
-    drawing row by row takes the generator's stream in the order one draw of
-    the whole (B, heads, Tq, Tk) array would."""
-    b, heads, tq, _ = qh.shape
-    ctx = np.empty(qh.shape)
+def _attend_fwd(q, kv, params, prefix, mask, heads, p_drop, rng, pack, kv_pack):
+    """Scaled dot-product attention of the queries q over kv = (k, v), each
+    the real rows its pack keeps, merged through wo for the query rows `pack`
+    keeps. Runs one batch row at a time, on that row's heads as `_Pack.heads`
+    pads them, so one row's probabilities and dropout draws are alive at
+    once. With dropout on, also returns each row's `_dropout_fwd` cache, its
+    keep mask packed 8 to a byte, from which backward rebuilds the row's
+    dropped probabilities; drawing row by row takes the generator's stream in
+    the order one draw of the whole (B, heads, Tq, Tk) array would."""
+    b, tq = pack.shape
+    ctx = np.empty((b, heads, tq, q.shape[-1] // heads))
     dcache = row = None
     if p_drop > 0.0 and rng is not None:
         dcache, row = [], _Pack((heads, tq))
+    k, v = kv
+    q_row, k_row, v_row = pack.heads(q, heads), kv_pack.heads(k, heads), kv_pack.heads(v, heads)
     for i in range(b):
-        attn = _attn_probs(qh[i], kh[i], _row_mask(mask, i))
+        attn = _attn_probs(q_row(i), k_row(i), _row_mask(mask, i))
         if row is not None:
             attn, cache = _dropout_fwd(attn, p_drop, rng, row)
             dcache.append(cache)
-        np.matmul(attn, vh[i], out=ctx[i])
+        np.matmul(attn, v_row(i), out=ctx[i])
         del attn
+    del q_row, k_row, v_row  # and their row buffers
     merged = _merge_heads(ctx, pack)
     del ctx
     return _linear_fwd(merged, params[f"{prefix}.wo"], params[f"{prefix}.bo"], pack), dcache
 
 
-def _kv_fwd(x, params, prefix, heads, pack):
-    """Keys and values of x, the real rows `pack` keeps, split to heads with
-    the padded positions zero."""
-    return (_heads_fwd(x, params, prefix, "k", heads, pack),
-            _heads_fwd(x, params, prefix, "v", heads, pack))
+def _kv_fwd(x, params, prefix, pack):
+    """Keys and values of x, the real rows `pack` keeps, as those rows: (N,
+    d) each, or (B, S, d) with no padding."""
+    return (_linear_fwd(x, params[f"{prefix}.wk"], params[f"{prefix}.bk"], pack),
+            _linear_fwd(x, params[f"{prefix}.wv"], params[f"{prefix}.bv"], pack))
 
 
-def _mha_fwd(q_in, kv, params, prefix, kind, mask, heads, p_drop, rng, tape, pack):
-    """Attention of q_in, the real rows `pack` keeps, over kv = (kh, vh), as
-    `_kv_fwd` returns. Appends a `kind` ("self" or "cross") entry of the
-    query heads, kv, the mask and the per-row dropout caches to `tape`
-    unless None: no probabilities, which backward rebuilds, and neither
-    input."""
-    qh = _heads_fwd(q_in, params, prefix, "q", heads, pack)
-    out, dcache = _attend_fwd(qh, *kv, params, prefix, mask, p_drop, rng, pack)
+def _mha_fwd(q_in, kv, params, prefix, kind, mask, heads, p_drop, rng, tape, pack, kv_pack):
+    """Attention of q_in, the real rows `pack` keeps, over kv = (k, v), the
+    real rows `kv_pack` keeps, as `_kv_fwd` returns them. Appends a `kind`
+    ("self" or "cross") entry of the queries, kv, the head count, the mask
+    and the per-row dropout caches to `tape` unless None: no probabilities,
+    which backward rebuilds, and neither input."""
+    q = _linear_fwd(q_in, params[f"{prefix}.wq"], params[f"{prefix}.bq"], pack)
+    out, dcache = _attend_fwd(q, kv, params, prefix, mask, heads, p_drop, rng, pack, kv_pack)
     if tape is not None:
-        tape.append((kind, prefix, (qh, kv, mask, dcache)))
+        tape.append((kind, prefix, (q, kv, heads, mask, dcache)))
     return out
 
 
@@ -481,29 +522,38 @@ def _mha_bwd(dout, cache, params, grads, prefix, q_src, kv_src, q_pack, kv_pack)
     values, as the real rows `q_pack` and `kv_pack` keep, given `dout` at
     q_in's real rows; it rebuilds both inputs from the tape entries that
     output them (`_output`), once if one entry serves both. One batch row at
-    a time, it rebuilds the row's probabilities with the forward's ops, and
-    its dropped probabilities from the row's dropout cache, unpacking only
-    that row's keep mask, then takes the row's context and its value, query
-    and key head gradients; wo's gradient comes from the merged context after
-    the loop. The attention core runs on the padded layout, and each
-    projection's backward as `_linear_bwd` runs it: the input gradient on
-    the real rows, the weight gradient on the padded layout. The caller has
-    popped `cache`, so every array here is freed after its last use."""
-    qh, (kh, vh), mask, dcache = cache
+    a time, on the row's heads as `_Pack.heads` pads them, it rebuilds the
+    row's probabilities with the forward's ops, and its dropped probabilities
+    from the row's dropout cache, unpacking only that row's keep mask, then
+    takes the row's context and its value, query and key head gradients,
+    each in turn into one scratch buffer whose real positions `_Pack.put`
+    writes into the packed gradient; wo's gradient comes from the merged
+    context after the loop. The attention core runs on the padded layout,
+    and each projection's backward as `_linear_bwd` runs it: the input
+    gradient on the real rows, the weight gradient on the padded layout. The
+    caller has popped `cache`, so every array here is freed after its last
+    use."""
+    q, (k, v), heads, mask, dcache = cache
     del cache
-    b, heads, tq, dh = qh.shape
+    (b, tq), tk = q_pack.shape, kv_pack.shape[1]
+    dh = q.shape[-1] // heads
     dctx = q_pack.pad(q_pack.matmul(dout, params[f"{prefix}.wo"].T))
     dctx = dctx.reshape(b, tq, heads, dh).transpose(0, 2, 1, 3)
-    ctx, dqh = np.empty(qh.shape), np.empty(qh.shape)
-    dkh, dvh = np.empty(kh.shape), np.empty(kh.shape)
+    ctx = np.empty((b, heads, tq, dh))
+    dq, dk, dv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
+    dxh = np.empty(heads * max(tq, tk) * dh)  # a row's value, query, then key gradient
+    dqh, dkvh = (dxh[:heads * n * dh].reshape(heads, n, dh) for n in (tq, tk))
+    q_row, k_row, v_row = q_pack.heads(q, heads), kv_pack.heads(k, heads), kv_pack.heads(v, heads)
     for i in range(b):
-        attn = _attn_probs(qh[i], kh[i], _row_mask(mask, i))
+        qh, kh, vh = q_row(i), k_row(i), v_row(i)
+        attn = _attn_probs(qh, kh, _row_mask(mask, i))
         keep, p = (None, 0.0) if dcache is None else _keep_mask(dcache[i])
         attn_d = attn if keep is None else _apply_mask(attn, keep, p)
-        np.matmul(attn_d, vh[i], out=ctx[i])
-        np.matmul(attn_d.transpose(0, 2, 1), dctx[i], out=dvh[i])
+        np.matmul(attn_d, vh, out=ctx[i])
+        np.matmul(attn_d.transpose(0, 2, 1), dctx[i], out=dkvh)
+        kv_pack.put(dv, i, dkvh)
         del attn_d
-        dattn = dctx[i] @ vh[i].transpose(0, 2, 1)
+        dattn = dctx[i] @ vh.transpose(0, 2, 1)
         if keep is not None:
             _apply_mask(dattn, keep, p, out=dattn)
         prod = dattn * attn
@@ -512,28 +562,24 @@ def _mha_bwd(dout, cache, params, grads, prefix, q_src, kv_src, q_pack, kv_pack)
         dattn *= attn
         del attn
         dattn /= math.sqrt(dh)
-        np.matmul(dattn, kh[i], out=dqh[i])
-        np.matmul(dattn.transpose(0, 2, 1), qh[i], out=dkh[i])
+        np.matmul(dattn, kh, out=dqh)
+        q_pack.put(dq, i, dqh)
+        np.matmul(dattn.transpose(0, 2, 1), qh, out=dkvh)
+        kv_pack.put(dk, i, dkvh)
         del dattn
-    del dctx, dcache, qh, kh, vh
+    del q_row, k_row, v_row, qh, kh, vh, dctx, dcache, q, k, v, dxh, dqh, dkvh
     merged = _merge_heads(ctx)
     del ctx
     _linear_grads(q_pack.pad(dout), merged, grads, f"{prefix}.wo", f"{prefix}.bo")
     del merged, dout
-    dq = _merge_heads(dqh, q_pack)
-    del dqh
     x = q_pack.pad(_output(q_src, params))
     dq_in = _linear_bwd(dq, x, params, grads, f"{prefix}.wq", f"{prefix}.bq", q_pack)
     del dq
     if kv_src is not q_src:
         del x
         x = kv_pack.pad(_output(kv_src, params))
-    dk = _merge_heads(dkh, kv_pack)
-    del dkh
     dkv_in = _linear_bwd(dk, x, params, grads, f"{prefix}.wk", f"{prefix}.bk", kv_pack)
     del dk
-    dv = _merge_heads(dvh, kv_pack)
-    del dvh
     dkv_in += _linear_bwd(dv, x, params, grads, f"{prefix}.wv", f"{prefix}.bv", kv_pack)
     return dq_in, dkv_in
 
@@ -598,10 +644,13 @@ def _causal_mask(t: int) -> np.ndarray:
 # encoder tape's top entry. Backward pops the tapes, so an entry is still
 # there when the entries that consumed its output are popped. Each stack's
 # "ln" and "ff" entries and its embedding's dropout mask hold its N real
-# rows, its pack's `take` of the padded layout; its attention entries hold
-# query, key and value heads in the padded layout, zero at padded positions.
-# The output projection has no entry: backward takes its gradient into the
-# (N, V) logits as they are, and its input from the decoder's top entry.
+# rows, its pack's `take` of the padded layout. An attention entry, "self"
+# or "cross", holds (q, (k, v), heads, additive mask, per-row dropout
+# caches), with q, k and v as real rows, (N, d), the keys and values the
+# encoder's for "cross": the cores pad one batch row at a time
+# (`_Pack.heads`). The output projection has no entry: backward takes its
+# gradient into the (N, V) logits as they are, and its input from the
+# decoder's top entry.
 
 
 def _embed(params, name, src, pack, t=0):
@@ -654,8 +703,8 @@ def _encoder_forward(params, config, batch, p, rng, cache=None):
         cache.append(("embed", name, (dcache, batch.src, pack)))
     src_add = np.where(batch.src_mask, 0.0, NEG)[:, None, None, :]
     for i in range(config.encoder_layers):
-        a = _mha_fwd(x, _kv_fwd(x, params, f"enc{i}.attn", heads, pack), params,
-                     f"enc{i}.attn", "self", src_add, heads, p, rng, cache, pack)
+        a = _mha_fwd(x, _kv_fwd(x, params, f"enc{i}.attn", pack), params, f"enc{i}.attn",
+                     "self", src_add, heads, p, rng, cache, pack, pack)
         x = _residual_ln_fwd(x, a, params, f"enc{i}.ln1", p, rng, cache, pack)
         del a  # overwritten by the residual: a dead buffer, or the layer norm's xhat
         a = _ff_fwd(x, params, f"enc{i}.ff", cache, pack)
@@ -664,46 +713,54 @@ def _encoder_forward(params, config, batch, p, rng, cache=None):
     return x, src_add, pack
 
 
-def _decoder_layer(params, config, i, y, t, self_kv, cross_kv, src_add, mask, p, rng, cache,
-                   pack):
+def _decoder_layer(params, config, i, y, t, self_kv, cross_kv, src_add, enc_pack, mask, p, rng,
+                   cache, pack):
     """Decoder layer i over target positions t..t+n of y, the real rows
     `pack` keeps of a padded (B, n) layout.
 
-    Writes the positions' self-attention keys and values into `self_kv`,
-    the layer's (2, B, heads, >= t+n, dh) buffer, and attends over its first
-    t+n positions; `cross_kv` is `_kv_fwd` of the encoder output, computed
-    once per layer by `_decoder_layers`. Appends its entries to the tape
-    `cache` unless None."""
-    end, heads = t + pack.shape[1], config.heads
-    self_kv[0, :, :, t:end], self_kv[1, :, :, t:end] = _kv_fwd(y, params, f"dec{i}.self",
-                                                               heads, pack)
-    kv = (self_kv[0, :, :, :end], self_kv[1, :, :, :end])
-    a = _mha_fwd(y, kv, params, f"dec{i}.self", "self", mask, heads, p, rng, cache, pack)
+    Self-attention attends over the positions' own keys and values, as
+    their real rows, or, given a greedy decode's `self_kv`, the layer's
+    buffer from `_decoder_layers`, writes them into it and attends over its
+    first t+n positions. `cross_kv` is `_kv_fwd` of the encoder output, the
+    rows `enc_pack` keeps, computed once per layer by `_decoder_layers`.
+    Appends its entries to the tape `cache` unless None."""
+    heads = config.heads
+    kv = _kv_fwd(y, params, f"dec{i}.self", pack)
+    if self_kv is not None:  # as unpadded as the step, so the step's pack serves for it
+        end = t + pack.shape[1]
+        self_kv[0, :, t:end] = kv[0].reshape(*pack.shape, heads, -1)
+        self_kv[1, :, t:end] = kv[1].reshape(*pack.shape, heads, -1)
+        kv = (self_kv[0, :, :end], self_kv[1, :, :end])
+    a = _mha_fwd(y, kv, params, f"dec{i}.self", "self", mask, heads, p, rng, cache, pack, pack)
     y = _residual_ln_fwd(y, a, params, f"dec{i}.ln1", p, rng, cache, pack)
     del a
     a = _mha_fwd(y, cross_kv, params, f"dec{i}.cross", "cross", src_add, heads, p, rng, cache,
-                 pack)
+                 pack, enc_pack)
     y = _residual_ln_fwd(y, a, params, f"dec{i}.ln2", p, rng, cache, pack)
     del a
     a = _ff_fwd(y, params, f"dec{i}.ff", cache, pack)
     return _residual_ln_fwd(y, a, params, f"dec{i}.ln3", p, rng, cache, pack)
 
 
-def _decoder_layers(params, config, enc_out, enc_pack, length):
-    """Each decoder layer's (self_kv, cross_kv): an empty (2, B, heads, length,
-    dh) buffer for its self-attention keys and values, and `_kv_fwd` of the
-    encoder output, the rows `enc_pack` keeps, for its cross-attention."""
+def _decoder_layers(params, config, enc_out, enc_pack, length=None):
+    """Each decoder layer's (self_kv, cross_kv): for a greedy decode of up to
+    `length` steps, the (2, B, length, heads, dh) view of an empty (2, B,
+    heads, length, dh) buffer for its self-attention keys and values, else
+    None; and `_kv_fwd` of the encoder output, the rows `enc_pack` keeps."""
     heads = config.heads
     shape = (2, enc_pack.shape[0], heads, length, config.d_model // heads)
-    return [(np.empty(shape), _kv_fwd(enc_out, params, f"dec{i}.cross", heads, enc_pack))
+    return [(None if length is None else np.empty(shape).transpose(0, 1, 3, 2, 4),
+             _kv_fwd(enc_out, params, f"dec{i}.cross", enc_pack))
             for i in range(config.decoder_layers)]
 
 
-def _decoder_forward(params, config, layers, src_add, tgt_in, t, pack, p, rng, cache=None):
+def _decoder_forward(params, config, layers, src_add, enc_pack, tgt_in, t, pack, p, rng,
+                     cache=None):
     """Logits (N, V) at the N target positions `pack` keeps of t..t+n of
     `tgt_in` (B, n), or (B, n, V) if its mask is None, through the
-    `_decoder_layers` pairs `layers`, whose buffers hold the keys and values
-    of positions before t. The causal mask applies when n > 1, which is only
+    `_decoder_layers` pairs `layers`, whose buffers, if any, hold the keys
+    and values of positions before t, over the encoder output's real rows
+    that `enc_pack` keeps. The causal mask applies when n > 1, which is only
     at t = 0. Appends to the tape `cache` as `_encoder_forward` does."""
     n = tgt_in.shape[1]
     y, dcache = _dropout_fwd(_embed(params, "tgt_embed", tgt_in, pack, t), p, rng, pack)
@@ -711,8 +768,8 @@ def _decoder_forward(params, config, layers, src_add, tgt_in, t, pack, p, rng, c
         cache.append(("embed", "tgt_embed", (dcache, tgt_in, pack)))
     mask = _causal_mask(n) if n > 1 else None
     for i, (self_kv, cross_kv) in enumerate(layers):
-        y = _decoder_layer(params, config, i, y, t, self_kv, cross_kv, src_add, mask, p, rng,
-                           cache, pack)
+        y = _decoder_layer(params, config, i, y, t, self_kv, cross_kv, src_add, enc_pack, mask,
+                           p, rng, cache, pack)
     return _linear_fwd(y, params["out_w"], params["out_b"], pack)
 
 
@@ -731,11 +788,11 @@ def forward_batch(params, config: ModelConfig, batch: Batch, dropout_rng=None,
     if cache is not None:
         enc, dec = cache["enc"], cache["dec"] = [], []
     enc_out, src_add, enc_pack = _encoder_forward(params, config, batch, p, dropout_rng, enc)
-    layers = _decoder_layers(params, config, enc_out, enc_pack, batch.tgt_in.shape[1])
+    layers = _decoder_layers(params, config, enc_out, enc_pack)
     del enc_out
     pack = _Pack(batch.tgt_out.shape, batch.tgt_out != PAD_ID)
-    return _decoder_forward(params, config, layers, src_add, batch.tgt_in, 0, pack, p,
-                            dropout_rng, dec)
+    return _decoder_forward(params, config, layers, src_add, enc_pack, batch.tgt_in, 0, pack,
+                            p, dropout_rng, dec)
 
 
 def _embed_bwd(dy, cache, grads, wname):
@@ -872,8 +929,8 @@ def greedy_decode(params, config: ModelConfig, source, vocab: Vocabulary) -> Dec
     emitted: list[int] = []
     nxt = BOS_ID
     for t in range(config.max_target_len):
-        logits = _decoder_forward(params, config, layers, src_add, np.array([[nxt]]), t, step,
-                                  0.0, None)
+        logits = _decoder_forward(params, config, layers, src_add, pack, np.array([[nxt]]), t,
+                                  step, 0.0, None)
         nxt = int(logits.argmax())
         if nxt == EOS_ID:
             return DecodeResult(tuple(emitted), detokenize(emitted, vocab), False)

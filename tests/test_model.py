@@ -561,6 +561,51 @@ class TestPackMatmul:
                     assert pack.matmul(x, w).tobytes() == want.tobytes(), (lengths, k, w.strides)
 
 
+class TestPackHeads:
+    """`_Pack.heads` gives an attention core each batch row of the real rows
+    split to heads in the padded layout, with the bits and the strides of
+    the padded split's row, and `_Pack.put` writes a row's real positions
+    back into the packed rows."""
+
+    @pytest.mark.parametrize("heads", [1, 2, 3])
+    def test_rows_match_the_padded_split(self, heads):
+        d = 2 * heads
+        batch = make_batch([[5] * 7, [5] * 3, [5] * 7], [[4] * 2, [4] * 6, [4] * 4])
+        rng = np.random.default_rng(heads)
+        masks = (batch.src_mask, batch.tgt_out != PAD_ID)
+        assert [m.sum(1).tolist() for m in masks] == [[7, 3, 7], [3, 7, 5]]  # full and short
+        for mask in masks:
+            pack = model._Pack(mask.shape, mask)
+            x = rng.normal(size=(int(mask.sum()), d))
+            padded = pack.pad(x).reshape(*mask.shape, heads, -1).transpose(0, 2, 1, 3)
+            out = np.full_like(x, np.nan)
+            row = pack.heads(x, heads)
+            for i in (1, 0, 2, 1):  # a full row after a short one, and back
+                assert row(i).tobytes() == padded[i].tobytes()
+                assert row(i).strides == padded[i].strides
+                pack.put(out, i, padded[i])
+            assert out.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_no_mask_rows_are_views(self, heads):
+        """With no padding the rows are views of x, or of the (B, S, heads,
+        dh) view of a greedy decode's key/value buffer, with its strides."""
+        pack = model._Pack.of(np.ones((2, 5), dtype=bool))
+        assert pack.mask is None
+        x = np.random.default_rng(0).normal(size=(2, 5, 4 * heads))
+        split = x.reshape(2, 5, heads, -1).transpose(0, 2, 1, 3)
+        buffer = np.random.default_rng(1).normal(size=(2, heads, 9, 4))
+        for rows, want in ((x, split), (buffer[:, :, :5].transpose(0, 2, 1, 3), buffer[:, :, :5])):
+            row = pack.heads(rows, heads)
+            for i, w in enumerate(want):
+                assert row(i).strides == w.strides and np.shares_memory(row(i), w)
+                assert row(i).tobytes() == w.tobytes()
+        out = np.empty_like(x)
+        for i in range(2):
+            pack.put(out, i, split[i])
+        assert out.tobytes() == x.tobytes()
+
+
 class TestTape:
     """The training cache is one tape per stack: the embedding's entry, then
     one entry per sublayer in forward order, each sublayer's input the output
@@ -714,6 +759,33 @@ class TestActivationMemory:
         assert rows == [n] * (2 * 7)  # 3 layer norms and 1 ff a layer
         assert masks == [(n, config.d_model)] * (1 + 2 * 3)
 
+    def test_attention_entries_hold_only_real_rows(self):
+        """Each attention entry, encoder self, decoder self and cross, holds
+        its queries, keys and values as their projections' real rows, (N, d),
+        and no entry holds split heads in the padded layout: the cores pad
+        one batch row at a time. An entry's only other float array is the
+        additive mask it shares with the forward."""
+        config, dims, params, batch = self.medium_case(True)
+        (b, s), t, d = batch.src.shape, batch.tgt_in.shape[1], config.d_model
+        n_src, n_tgt = int(batch.src_mask.sum()), int((batch.tgt_out != PAD_ID).sum())
+        assert n_src < b * s  # every target is 40 long: the decoder's N is B * T
+        cache = {}
+        forward_batch(params, config, batch, np.random.default_rng(0), cache)
+        seen = []
+        for stack, tape in cache.items():
+            for kind, name, state in tape:
+                if kind in ("self", "cross"):
+                    n_q = n_src if stack == "enc" else n_tgt
+                    n_kv = n_tgt if (stack, kind) == ("dec", "self") else n_src
+                    mask = state[3]
+                    floats = [a.shape for a in self.arrays(state)
+                              if a.dtype.kind == "f" and a is not mask]
+                    assert floats == [(n_q, d), (n_kv, d), (n_kv, d)], name
+                    seen.append((stack, kind))
+        assert seen == [("enc", "self")] * 3 + [("dec", "self"), ("dec", "cross")]
+        heads_shapes = {(b, config.heads, n, d // config.heads) for n in (s, t)}
+        assert [a.shape for a in self.arrays(cache) if a.shape in heads_shapes] == []
+
     def test_pack_copies_nothing_without_padding(self, classes):
         """`_Pack` takes the real rows and zero-fills them back; with no padded
         position, as in every greedy decode's source and in each of its
@@ -781,18 +853,21 @@ class TestActivationMemory:
         assert [a.shape for a in cached if a.dtype.kind == "f" and a.shape in shapes] == []
 
     def test_attention_forward_holds_one_row(self, monkeypatch):
-        """Above its entry memory, `_attend_fwd` holds the split and merged
-        context or the merged context and the output, every row's bool keep
-        mask, and at most three one-row float64 buffers at once: a row's
-        probabilities, its dropout draws and a numpy iteration buffer."""
+        """Above its entry memory, `_attend_fwd` holds the split context and
+        one batch row's zero-padded queries, keys and values, or the split
+        and merged context, or the merged context and the output, every row's
+        bool keep mask, and at most three one-row float64 buffers at once: a
+        row's probabilities, its dropout draws and a numpy iteration buffer."""
         calls = []
         attend_fwd = model._attend_fwd
 
-        def spy(qh, kh, *rest):
+        def spy(q, kv, params, prefix, mask, heads, *rest):
             entry = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            out = attend_fwd(qh, kh, *rest)
-            calls.append((tracemalloc.get_traced_memory()[1] - entry, qh.shape, kh.shape[2]))
+            out = attend_fwd(q, kv, params, prefix, mask, heads, *rest)
+            (b, tq), tk = rest[-2].shape, rest[-1].shape[1]  # the query and key packs
+            calls.append((tracemalloc.get_traced_memory()[1] - entry,
+                          (b, heads, tq, q.shape[-1] // heads), tk))
             return out
 
         monkeypatch.setattr(model, "_attend_fwd", spy)
@@ -814,9 +889,11 @@ class TestActivationMemory:
                     padded, rise, tq, tk)
 
     def test_attention_backward_rise_is_bounded(self, monkeypatch):
-        """Above its entry memory, `_mha_bwd` holds at most two attention-sized
-        buffers, the value gradient and a 64 KiB numpy iteration buffer at
-        once: within the merged query and key gradients and two
+        """Above its entry memory, `_mha_bwd` holds the context and its
+        gradient, the query, key and value gradients as real rows, one batch
+        row's zero-padded queries, keys, values and head gradient, and at
+        most two attention-sized buffers and a 64 KiB numpy iteration buffer
+        at once: within the merged query and key gradients and two
         attention-sized buffers."""
         calls = []
         mha_bwd = model._mha_bwd
@@ -1014,9 +1091,9 @@ class TestIncrementalDecode:
         steps = []
         decode = model._decoder_forward
 
-        def spy(params, config, layers, src_add, tgt_in, t, *rest):
+        def spy(params, config, layers, src_add, enc_pack, tgt_in, t, *rest):
             steps.append((tgt_in.shape, t))
-            return decode(params, config, layers, src_add, tgt_in, t, *rest)
+            return decode(params, config, layers, src_add, enc_pack, tgt_in, t, *rest)
 
         monkeypatch.setattr(model, "_decoder_forward", spy)
         for src, want in zip(sources, expected):

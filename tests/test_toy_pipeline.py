@@ -3,6 +3,7 @@ and its listing equals the committed one in `tests/golden`."""
 
 from __future__ import annotations
 
+import ctypes
 import json
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "toy_pipeline.py"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -17,12 +19,34 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 BLAS_FREE = ("raw.tsv", "corpus.tsv", "vocabs/", "features/", "corpus_feat.tsv")
 
 
+def blas_kernel() -> str:
+    """The name of the kernel set numpy's bundled OpenBLAS runs, which it picks
+    by CPU at load time (or by `OPENBLAS_CORETYPE`), e.g. `SkylakeX`; the build
+    string names only the build's baseline. `unknown` where no bundled
+    OpenBLAS exports `scipy_openblas_get_corename64_`."""
+    numpy_dir = Path(np.__file__).resolve().parent
+    for lib in sorted([*numpy_dir.parent.glob("numpy.libs/*openblas*"),
+                       *numpy_dir.glob(".dylibs/*openblas*")]):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def blas_fingerprint() -> list[str]:
-    """numpy's version and its BLAS build string, as in `toy_fingerprint.txt`."""
+    """numpy's version, its BLAS build string and the BLAS kernel set that
+    runs, as in `toy_fingerprint.txt`."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return [f"numpy {np.__version__}", f"blas {blas.get('openblas configuration', blas)}"]
+    return [f"numpy {np.__version__}", f"blas {blas.get('openblas configuration', blas)}",
+            f"kernel {blas_kernel()}"]
 
 
+# Under another BLAS the notice is shown, not raised as an error, and the
+# BLAS-free lines are still compared.
+@pytest.mark.filterwarnings("default:BLAS build differs:UserWarning")
 def test_two_runs_print_identical_digests(tmp_path):
     runs = [subprocess.Popen([sys.executable, str(SCRIPT), str(tmp_path / name)],
                              stdout=subprocess.PIPE, text=True)
